@@ -57,7 +57,6 @@ from .homs import (
     end_set,
     enumerate_homs,
     find_isomorphism,
-    set_cache_dir,
 )
 from .simple import (
     CriterionReport,
@@ -106,7 +105,6 @@ __all__ = [
     "quotient_group",
     "run_theorem_suite",
     "search_approximations",
-    "set_cache_dir",
     "simple_envelope_criterion",
     "spec_for_group",
     "standard_group",

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Optional
-
 import numpy as np
 
 from .errors import EmptyClassError
@@ -25,7 +24,7 @@ from .groups import (
     subgroup_generated,
     quotient_group,
 )
-from .homs import automorphism_group, enumerate_homs
+from .homs import HomSet, automorphism_group, enumerate_homs
 
 FLAG_NAMES = (
     "isLocalization",
@@ -97,106 +96,140 @@ class ClassificationReport:
         }
 
 
-def _first_duplicate_pair(rows: np.ndarray):
-    """Smallest (i, j), i < j, with equal rows, or None."""
-    seen = {}
-    for i, row in enumerate(rows):
-        key = row.tobytes()
-        if key in seen:
-            return seen[key], i
-        seen[key] = i
-    return None
+@dataclass
+class Composites:
+    """Composites of homs with every hom of a set, located in Hom(H, G).
+
+    ``idx[..., j]`` is the hom index of composite j and ``counts[..., i]``
+    how many composites equal hom i; a leading axis, if any, runs over a
+    batch of homs.  For the absolute verdicts (``side_profile``), row b of
+    ``fixers`` marks the endomorphisms that send hom b to itself, and row b
+    of ``galois`` the automorphisms among them, in Aut order.
+    """
+
+    idx: np.ndarray
+    counts: np.ndarray
+    fixers: Optional[np.ndarray] = None
+    galois: Optional[np.ndarray] = None
+
+    @property
+    def surjective(self):
+        return self.counts.all(axis=-1)
+
+    @property
+    def injective(self):
+        return (self.counts <= 1).all(axis=-1)
+
+    @property
+    def bijective(self):
+        return self.surjective & self.injective
+
+    @property
+    def approximation(self):
+        """Surjective, and every endomorphism fixing the hom is an automorphism."""
+        return self.surjective & (self.fixers.sum(axis=-1) == self.galois.sum(axis=-1))
+
+    def first_unhit(self) -> int:
+        """Lowest hom index that no composite reaches (one hom, not surjective)."""
+        return int(np.argmin(self.counts))
+
+    def first_duplicate_pair(self):
+        """Smallest (i, j), i < j, with equal composites (one hom), or None."""
+        _, first = np.unique(self.idx, return_index=True)
+        repeated = np.ones(len(self.idx), dtype=bool)
+        repeated[first] = False
+        if not repeated.any():
+            return None
+        j = int(np.argmax(repeated))
+        return int(np.argmax(self.idx == self.idx[j])), j
 
 
-def _surjectivity(comp: np.ndarray, homset) -> Optional[np.ndarray]:
-    """None when every hom row is hit, else the first unhit row."""
-    hit = {row.tobytes() for row in comp}
-    for row in homset.matrix:
-        if row.tobytes() not in hit:
-            return row
-    return None
+def composites(hom_set: HomSet, gen_images: np.ndarray) -> Composites:
+    """Locate composites, given by their images of ``hom_set.gens``, in ``hom_set``."""
+    idx = hom_set.locate(gen_images)
+    n = len(hom_set)
+    rows = idx.reshape(-1, idx.shape[-1])
+    flat = rows + (np.arange(rows.shape[0]) * n)[:, None]
+    counts = np.bincount(flat.ravel(), minlength=rows.shape[0] * n)
+    return Composites(idx, counts.reshape(idx.shape[:-1] + (n,)))
+
+
+class EndData:
+    """End(X) with the End indices of Aut(X), for the absolute verdicts."""
+
+    def __init__(self, X: FiniteGroup):
+        self.homs = enumerate_homs(X, X)
+        self.aut = automorphism_group(X)
+        self.aut_rows = self.homs.locate(self.aut.perms[:, self.homs.gens])
+
+
+def side_profile(hom_set: HomSet, end: EndData, gen_images: np.ndarray, phi_idx: np.ndarray) -> Composites:
+    """The kernel of every absolute verdict: homs ``phi_idx`` composed with all of ``end``.
+
+    ``gen_images[b, j]`` holds the generator images of hom ``phi_idx[b]``
+    composed with endomorphism j.
+    """
+    comp = composites(hom_set, gen_images)
+    comp.fixers = comp.idx == phi_idx[:, None]
+    comp.galois = comp.fixers[:, end.aut_rows]
+    return comp
 
 
 def galois_group(phi: GroupHom, side: str = "target") -> Subgroup:
     """Automorphisms fixing phi: f.phi = phi (target side) or phi.f = phi (source side)."""
-    if side == "target":
-        ag = automorphism_group(phi.target)
-        comp = ag.perms[:, phi.images]
-        members = np.nonzero((comp == phi.images[None, :]).all(axis=1))[0]
-    elif side == "source":
-        ag = automorphism_group(phi.source)
-        comp = phi.images[ag.perms]
-        members = np.nonzero((comp == phi.images[None, :]).all(axis=1))[0]
-    else:
+    if side not in ("target", "source"):
         raise ValueError("side must be 'target' or 'source'")
-    return Subgroup(ag.group, members)
+    ag = automorphism_group(phi.target if side == "target" else phi.source)
+    comp = ag.perms[:, phi.images] if side == "target" else phi.images[ag.perms]
+    return Subgroup(ag.group, np.nonzero((comp == phi.images[None, :]).all(axis=1))[0])
+
+
+def _side_witnesses(prof: Composites, hom_set: HomSet, end: EndData, flags, who) -> list:
+    """Witnesses for the (pre-approximation, approximation, bijection) flags of one hom."""
+    _, flag_approx, flag_bij = flags
+    comp = Composites(prof.idx[0], prof.counts[0])
+    if not comp.surjective:
+        data = {"unliftedHom": hom_set.matrix[comp.first_unhit()].tolist()}
+        return [Witness(f, "unlifted-hom", data) for f in flags]
+    out = []
+    if not prof.approximation[0]:
+        bad = int(np.setdiff1d(np.nonzero(prof.fixers[0])[0], end.aut_rows)[0])
+        out.append(Witness(flag_approx, "non-automorphism-preimage",
+                           {"endomorphism": end.homs.matrix[bad].tolist(), "of": who}))
+    dup = comp.first_duplicate_pair()
+    if dup is not None:
+        i, j = dup
+        out.append(Witness(flag_bij, "non-injective-pair",
+                           {"first": end.homs.matrix[i].tolist(),
+                            "second": end.homs.matrix[j].tolist(), "of": who}))
+    return out
 
 
 def classify_hom(phi: GroupHom) -> ClassificationReport:
     """Full absolute classification of one homomorphism."""
     H, G = phi.source, phi.target
     hom_set = enumerate_homs(H, G)
-    end_g = enumerate_homs(G, G)
-    end_h = enumerate_homs(H, H)
-    n_g, n_h = G.order, H.order
-    witnesses: list = []
-
-    # target side: f |-> f.phi on End(G)
-    comp_t = end_g.matrix[:, phi.images]
-    unhit_t = _surjectivity(comp_t, hom_set)
-    dup_t = _first_duplicate_pair(comp_t) if unhit_t is None else None
-    fixers_t = np.nonzero((comp_t == phi.images[None, :]).all(axis=1))[0]
-    bij_rows_t = (np.sort(end_g.matrix[fixers_t], axis=1) == np.arange(n_g)).all(axis=1)
-    surj_t = unhit_t is None
-    env = surj_t and bool(bij_rows_t.all())
-    loc = surj_t and dup_t is None
-
-    # source side: f |-> phi.f on End(H)
-    comp_s = phi.images[end_h.matrix]
-    unhit_s = _surjectivity(comp_s, hom_set)
-    dup_s = _first_duplicate_pair(comp_s) if unhit_s is None else None
-    fixers_s = np.nonzero((comp_s == phi.images[None, :]).all(axis=1))[0]
-    bij_rows_s = (np.sort(end_h.matrix[fixers_s], axis=1) == np.arange(n_h)).all(axis=1)
-    surj_s = unhit_s is None
-    cov = surj_s and bool(bij_rows_s.all())
-    cell = surj_s and dup_s is None
-
+    end_g, end_h = EndData(G), EndData(H)
+    i = np.array([hom_set.index_of(phi.images)])
+    gens = hom_set.gens
+    # target side: f |-> f.phi on End(G); source side: f |-> phi.f on End(H)
+    t = side_profile(hom_set, end_g, end_g.homs.matrix[None, :, phi.images[gens]], i)
+    s = side_profile(hom_set, end_h, phi.images[end_h.homs.matrix[None, :, gens]], i)
     flags = {
-        "isLocalization": loc,
-        "isCellularCover": cell,
-        "isEnvelope": env,
-        "isCover": cov,
-        "isPreenvelopeOfTargetClass": surj_t,
-        "isPrecoverOfSourceClass": surj_s,
+        "isLocalization": bool(t.bijective[0]),
+        "isCellularCover": bool(s.bijective[0]),
+        "isEnvelope": bool(t.approximation[0]),
+        "isCover": bool(s.approximation[0]),
+        "isPreenvelopeOfTargetClass": bool(t.surjective[0]),
+        "isPrecoverOfSourceClass": bool(s.surjective[0]),
     }
-
-    def add_side_witnesses(flag_pre, flag_approx, flag_bij, unhit, dup, fixers, bij_rows, end_set, who):
-        if unhit is not None:
-            data = {"unliftedHom": unhit.tolist()}
-            for f in (flag_pre, flag_approx, flag_bij):
-                witnesses.append(Witness(f, "unlifted-hom", data))
-            return
-        if not bij_rows.all():
-            bad = int(fixers[np.nonzero(~bij_rows)[0][0]])
-            witnesses.append(
-                Witness(flag_approx, "non-automorphism-preimage",
-                        {"endomorphism": end_set.matrix[bad].tolist(), "of": who})
-            )
-        if dup is not None:
-            i, j = dup
-            witnesses.append(
-                Witness(flag_bij, "non-injective-pair",
-                        {"first": end_set.matrix[i].tolist(),
-                         "second": end_set.matrix[j].tolist(), "of": who})
-            )
-
-    add_side_witnesses("isPreenvelopeOfTargetClass", "isEnvelope", "isLocalization",
-                       unhit_t, dup_t, fixers_t, bij_rows_t, end_g, "target")
-    add_side_witnesses("isPrecoverOfSourceClass", "isCover", "isCellularCover",
-                       unhit_s, dup_s, fixers_s, bij_rows_s, end_h, "source")
-
-    gal = galois_group(phi, "target")
-    cogal = galois_group(phi, "source")
+    witnesses = _side_witnesses(
+        t, hom_set, end_g, ("isPreenvelopeOfTargetClass", "isEnvelope", "isLocalization"), "target"
+    ) + _side_witnesses(
+        s, hom_set, end_h, ("isPrecoverOfSourceClass", "isCover", "isCellularCover"), "source"
+    )
+    gal = Subgroup(end_g.aut.group, np.nonzero(t.galois[0])[0])
+    cogal = Subgroup(end_h.aut.group, np.nonzero(s.galois[0])[0])
     return ClassificationReport(phi, flags, gal, cogal, witnesses)
 
 
@@ -238,67 +271,42 @@ class RelativeReport:
 
 def classify_against_class(phi: GroupHom, cls: GroupClass, side: str) -> RelativeReport:
     """F-(pre)envelope / F-(pre)cover verdict with witnesses."""
+    if side not in ("envelope", "cover"):
+        raise ValueError("side must be 'envelope' or 'cover'")
     H, G = phi.source, phi.target
+    envelope = side == "envelope"
+    X = G if envelope else H  # the end that must lie in the class
     witnesses: list = []
-    if side == "envelope":
-        in_class = cls.contains(G)
-        surj_all = True
-        inj_all = True
-        for rep in cls.members:
-            from_g = enumerate_homs(G, rep)
-            from_h = enumerate_homs(H, rep)
-            comp = from_g.matrix[:, phi.images] if len(from_g) else np.empty((0, H.order), dtype=np.int32)
-            unhit = _surjectivity(comp, from_h)
-            if unhit is not None:
-                surj_all = False
-                witnesses.append(Witness("isPreapproximation", "unlifted-hom",
-                                         {"class_member": rep.name, "unliftedHom": unhit.tolist()}))
-                break
-            if _first_duplicate_pair(comp) is not None:
-                inj_all = False
-        pre = in_class and surj_all
-        end_g = enumerate_homs(G, G)
-        comp_t = end_g.matrix[:, phi.images]
-        fixers = np.nonzero((comp_t == phi.images[None, :]).all(axis=1))[0]
-        bij = (np.sort(end_g.matrix[fixers], axis=1) == np.arange(G.order)).all(axis=1)
-        approx = pre and bool(bij.all())
-        if pre and not bij.all():
-            bad = int(fixers[np.nonzero(~bij)[0][0]])
-            witnesses.append(Witness("isApproximation", "non-automorphism-preimage",
-                                     {"endomorphism": end_g.matrix[bad].tolist()}))
-        unique = approx and surj_all and inj_all
-        gal = galois_group(phi, "target")
-        return RelativeReport(phi, side, cls, in_class, pre, approx, unique, gal, witnesses)
-    if side == "cover":
-        in_class = cls.contains(H)
-        surj_all = True
-        inj_all = True
-        for rep in cls.members:
-            to_h = enumerate_homs(rep, H)
-            to_g = enumerate_homs(rep, G)
-            comp = phi.images[to_h.matrix] if len(to_h) else np.empty((0, G.order), dtype=np.int32)
-            unhit = _surjectivity(comp, to_g)
-            if unhit is not None:
-                surj_all = False
-                witnesses.append(Witness("isPreapproximation", "unlifted-hom",
-                                         {"class_member": rep.name, "unliftedHom": unhit.tolist()}))
-                break
-            if _first_duplicate_pair(comp) is not None:
-                inj_all = False
-        pre = in_class and surj_all
-        end_h = enumerate_homs(H, H)
-        comp_s = phi.images[end_h.matrix]
-        fixers = np.nonzero((comp_s == phi.images[None, :]).all(axis=1))[0]
-        bij = (np.sort(end_h.matrix[fixers], axis=1) == np.arange(H.order)).all(axis=1)
-        approx = pre and bool(bij.all())
-        if pre and not bij.all():
-            bad = int(fixers[np.nonzero(~bij)[0][0]])
-            witnesses.append(Witness("isApproximation", "non-automorphism-preimage",
-                                     {"endomorphism": end_h.matrix[bad].tolist()}))
-        unique = approx and surj_all and inj_all
-        cogal = galois_group(phi, "source")
-        return RelativeReport(phi, side, cls, in_class, pre, approx, unique, cogal, witnesses)
-    raise ValueError("side must be 'envelope' or 'cover'")
+    in_class = cls.contains(X)
+    surj_all = True
+    inj_all = True
+    for rep in cls.members:
+        if envelope:  # precompose Hom(G, rep) with phi, into Hom(H, rep)
+            outer, inner = enumerate_homs(G, rep), enumerate_homs(H, rep)
+            comp = composites(inner, outer.matrix[:, phi.images[inner.gens]])
+        else:  # postcompose Hom(rep, H) with phi, into Hom(rep, G)
+            outer, inner = enumerate_homs(rep, H), enumerate_homs(rep, G)
+            comp = composites(inner, phi.images[outer.matrix[:, inner.gens]])
+        if not comp.surjective:
+            surj_all = False
+            witnesses.append(Witness("isPreapproximation", "unlifted-hom",
+                                     {"class_member": rep.name,
+                                      "unliftedHom": inner.matrix[comp.first_unhit()].tolist()}))
+            break
+        inj_all = inj_all and bool(comp.injective)
+    pre = in_class and surj_all
+    end = enumerate_homs(X, X)
+    comp_x = end.matrix[:, phi.images] if envelope else phi.images[end.matrix]
+    fixers = np.nonzero((comp_x == phi.images[None, :]).all(axis=1))[0]
+    bij = (np.sort(end.matrix[fixers], axis=1) == np.arange(X.order)).all(axis=1)
+    approx = pre and bool(bij.all())
+    if pre and not bij.all():
+        bad = int(fixers[np.nonzero(~bij)[0][0]])
+        witnesses.append(Witness("isApproximation", "non-automorphism-preimage",
+                                 {"endomorphism": end.matrix[bad].tolist()}))
+    unique = approx and surj_all and inj_all
+    gal = galois_group(phi, "target" if envelope else "source")
+    return RelativeReport(phi, side, cls, in_class, pre, approx, unique, gal, witnesses)
 
 
 def f_socle(G: FiniteGroup, cls: GroupClass) -> Subgroup:
@@ -335,10 +343,8 @@ def is_orthogonal(g: GroupHom, cls: GroupClass) -> bool:
         from_a = enumerate_homs(A, rep)
         if len(from_b) != len(from_a):
             return False
-        comp = from_b.matrix[:, g.images] if len(from_b) else np.empty((0, A.order), dtype=np.int32)
-        if _surjectivity(comp, from_a) is not None:
-            return False
-        if _first_duplicate_pair(comp) is not None:
+        comp = composites(from_a, from_b.matrix[:, g.images[from_a.gens]])
+        if not (comp.surjective and comp.injective):
             return False
     return True
 

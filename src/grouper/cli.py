@@ -30,7 +30,7 @@ from .approx import (
 from .corpus import generate_corpus, run_theorem_suite, search_approximations, SUITE_IDS
 from .errors import GrouperError, UnknownFormat
 from .groups import FiniteGroup, GroupHom, describe_structure
-from .homs import enumerate_homs, generating_set, set_cache_dir
+from .homs import _extend_batch, _word_entries, enumerate_homs, generating_set
 from .simple import simple_envelope_criterion, structural_flags
 from .specs import parse_group_spec
 
@@ -52,29 +52,20 @@ def _load_hom(path: str, H: FiniteGroup, G: FiniteGroup) -> GroupHom:
     except ValueError:
         raise GrouperError(f"hom file {path} must contain integers")
     gens = generating_set(H)
-    if len(values) == H.order:
-        images = np.array(values, dtype=np.int32)
-    elif len(values) == len(gens):
-        images = _extend_generator_images(H, G, gens, values)
-    else:
+    if len(values) not in (H.order, len(gens)):
         raise GrouperError(
             f"hom file {path} has {len(values)} entries; expected {H.order} "
             f"(full map) or {len(gens)} (generator images)"
         )
-    if images.min() < 0 or images.max() >= G.order:
+    if min(values) < 0 or max(values) >= G.order:
         raise GrouperError(f"hom file {path} contains out-of-range elements")
+    images = np.array(values, dtype=np.int32)
+    if len(values) != H.order:  # generator images: extend along words
+        images = _extend_batch(H, G, _word_entries(H, gens), images[None, :])[0]
     try:
         return GroupHom(H, G, images)
     except ValueError as exc:
         raise GrouperError(f"hom file {path}: {exc}")
-
-
-def _extend_generator_images(H, G, gens, values) -> np.ndarray:
-    from .homs import _extend_batch, _word_entries
-
-    entries = _word_entries(H, gens)
-    cols = np.array([values], dtype=np.int32)
-    return _extend_batch(H, G, entries, cols)[0]
 
 
 def _parse_class(spec: str) -> GroupClass:
@@ -322,8 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--version", action="version", version=f"grouper {__version__}")
     p.add_argument("--format", choices=["text", "json"], default="text")
-    p.add_argument("--cache", default=None, help="hom-set cache directory")
-    p.add_argument("--jobs", type=int, default=1)
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("group", help="parse and describe a group spec")
@@ -402,9 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    cache = args.cache or os.environ.get("GROUPER_CACHE")
-    if cache:
-        set_cache_dir(cache)
     try:
         return args.func(args)
     except GrouperError as exc:

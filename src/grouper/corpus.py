@@ -15,16 +15,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .approx import GroupClass, f_socle, local_kernel
+from .approx import EndData, GroupClass, composites, f_socle, local_kernel, side_profile
 from .commutators import LemmaConfig, check_commutator_lemmas, nilpotency_class
 from .groups import FiniteGroup, GroupHom, standard_group
 from .homs import automorphism_group, enumerate_homs, generating_set
 
 PAIR_BUDGET = 100_000_000
+_CHUNK = 1 << 14  # composites per batch in classify_pair, bounding its working memory
 SUITE_IDS = ("cogalois", "galois", "socle-cover", "radical-envelope", "reduction", "lemmas")
 
 _pair_cache: dict = {}
-_nilpotent_cache: dict = {}
 
 
 def generate_corpus(max_order: int):
@@ -69,10 +69,10 @@ def _iso(H, G):
 
 
 def _is_nilpotent(G: FiniteGroup) -> bool:
-    key = id(G)
-    if key not in _nilpotent_cache:
-        _nilpotent_cache[key] = nilpotency_class(G) is not None
-    return _nilpotent_cache[key]
+    """Memoized on the group itself, so the answer lives exactly as long as G."""
+    if "nilpotent" not in G._memo:
+        G._memo["nilpotent"] = nilpotency_class(G) is not None
+    return G._memo["nilpotent"]
 
 
 @dataclass
@@ -136,46 +136,21 @@ def classify_pair(H: FiniteGroup, G: FiniteGroup) -> HomVerdicts:
     if hit is not None:
         return hit
     hom_set = enumerate_homs(H, G)
-    end_g = enumerate_homs(G, G)
-    end_h = enumerate_homs(H, H)
-    aut_g = automorphism_group(G)
-    aut_h = automorphism_group(H)
+    end_g, end_h = EndData(G), EndData(H)
     n = len(hom_set)
-    env = np.zeros(n, dtype=bool)
-    loc = np.zeros(n, dtype=bool)
-    cov = np.zeros(n, dtype=bool)
-    cel = np.zeros(n, dtype=bool)
-    pre_e = np.zeros(n, dtype=bool)
-    pre_c = np.zeros(n, dtype=bool)
-    gal = np.zeros(n, dtype=np.int64)
-    cogal = np.zeros(n, dtype=np.int64)
-    all_rows = hom_set.row_index()
-    end_g_bij = (np.sort(end_g.matrix, axis=1) == np.arange(G.order)).all(axis=1)
-    end_h_bij = (np.sort(end_h.matrix, axis=1) == np.arange(H.order)).all(axis=1)
-    for i in range(n):
-        phi = hom_set.matrix[i]
-        comp_t = end_g.matrix[:, phi]
-        hit_t: dict = {}
-        for j, row in enumerate(comp_t):
-            hit_t.setdefault(row.tobytes(), []).append(j)
-        surj_t = len(hit_t) == len(all_rows)
-        fixers_t = hit_t.get(phi.tobytes(), [])
-        pre_e[i] = surj_t
-        env[i] = surj_t and all(end_g_bij[j] for j in fixers_t)
-        loc[i] = surj_t and all(len(v) == 1 for v in hit_t.values())
-        gal[i] = int((aut_g.perms[:, phi] == phi[None, :]).all(axis=1).sum())
-
-        comp_s = phi[end_h.matrix]
-        hit_s: dict = {}
-        for j, row in enumerate(comp_s):
-            hit_s.setdefault(row.tobytes(), []).append(j)
-        surj_s = len(hit_s) == len(all_rows)
-        fixers_s = hit_s.get(phi.tobytes(), [])
-        pre_c[i] = surj_s
-        cov[i] = surj_s and all(end_h_bij[j] for j in fixers_s)
-        cel[i] = surj_s and all(len(v) == 1 for v in hit_s.values())
-        cogal[i] = int((phi[aut_h.perms] == phi[None, :]).all(axis=1).sum())
-    verdicts = HomVerdicts(H, G, hom_set.matrix, env, loc, cov, cel, pre_e, pre_c, gal, cogal)
+    gens = hom_set.gens
+    end_h_gens = end_h.homs.matrix[:, gens]
+    step = max(1, _CHUNK // max(n, len(end_g.homs), len(end_h.homs)))
+    parts = []
+    for lo in range(0, n, step):
+        rows = np.arange(lo, min(n, lo + step))
+        phis = hom_set.matrix[rows]
+        # target side f.phi on End(G), source side phi.f on End(H)
+        t = side_profile(hom_set, end_g, end_g.homs.matrix[:, phis[:, gens]].transpose(1, 0, 2), rows)
+        s = side_profile(hom_set, end_h, phis[np.arange(len(rows))[:, None, None], end_h_gens], rows)
+        parts.append((t.approximation, t.bijective, s.approximation, s.bijective,
+                      t.surjective, s.surjective, t.galois.sum(axis=1), s.galois.sum(axis=1)))
+    verdicts = HomVerdicts(H, G, hom_set.matrix, *(np.concatenate(p) for p in zip(*parts)))
     _pair_cache[key] = verdicts
     return verdicts
 
@@ -303,11 +278,7 @@ def _postcomp_surjective(phi_images, F0, H, G):
     """Does every hom F0 -> G factor through phi under postcomposition?"""
     to_h = enumerate_homs(F0, H)
     to_g = enumerate_homs(F0, G)
-    if len(to_h):
-        comp = {row.tobytes() for row in phi_images[to_h.matrix]}
-    else:
-        comp = set()
-    return all(row.tobytes() in comp for row in to_g.matrix)
+    return bool(composites(to_g, phi_images[to_h.matrix[:, to_g.gens]]).surjective)
 
 
 def _make_socle_worker(corpus):
@@ -349,14 +320,8 @@ def _precomp_status(phi_images, H, G, F0):
     """(surjective, injective) of precomposition Hom(G,F0) -> Hom(H,F0)."""
     from_g = enumerate_homs(G, F0)
     from_h = enumerate_homs(H, F0)
-    if len(from_g):
-        comp = [row.tobytes() for row in from_g.matrix[:, phi_images]]
-    else:
-        comp = []
-    hit = set(comp)
-    surj = all(row.tobytes() in hit for row in from_h.matrix)
-    inj = len(hit) == len(comp)
-    return surj, inj
+    comp = composites(from_h, from_g.matrix[:, phi_images[from_h.gens]])
+    return bool(comp.surjective), bool(comp.injective)
 
 
 def _make_radical_worker(corpus):
@@ -497,4 +462,3 @@ def run_theorem_suite(
 
 def clear_pair_cache():
     _pair_cache.clear()
-    _nilpotent_cache.clear()

@@ -9,8 +9,8 @@ their declared order.
 
 from __future__ import annotations
 
+import copy
 import functools
-import hashlib
 import itertools
 import math
 import random
@@ -158,7 +158,7 @@ class FiniteGroup:
         self.inverses = self._compute_inverses()
         self.element_orders = self._compute_element_orders()
         self._abelian: Optional[bool] = None
-        self._hash_hex: Optional[str] = None
+        self._memo: dict = {}  # derived data, memoized for exactly the group's lifetime
         if check:
             self._check_group_law(assume_associative)
             self._check_generators()
@@ -274,10 +274,11 @@ class FiniteGroup:
             i += 1
         return out
 
-    def structure_hash(self) -> str:
-        if self._hash_hex is None:
-            self._hash_hex = hashlib.sha256(self.table.tobytes()).hexdigest()
-        return self._hash_hex
+    def renamed(self, name: str) -> "FiniteGroup":
+        """A copy under another name; ``self`` (possibly a shared, cached group) is untouched."""
+        clone = copy.copy(self)
+        clone.name = name
+        return clone
 
     def __repr__(self):
         return f"FiniteGroup({self.name!r}, order={self.order})"

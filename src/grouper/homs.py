@@ -5,14 +5,21 @@ over per-generator candidate lists (sorted ascending), so the resulting hom
 sets have a canonical, reproducible order.  Pruning: image orders must
 divide generator orders, then pairwise product-order checks, then sampled
 multiplicativity, then a full table check on the survivors.
+
+Hom identity.  A hom H -> G is fixed by its images of the generators
+``generating_set(H)``.  Its key is the mixed-radix number whose digits are
+the positions of those images in the per-generator candidate lists, so the
+key is below the candidate-space size (at most ``CANDIDATE_CAP``) and fits
+an ``int64`` for every pair that ``enumerate_homs`` accepts.  Because the
+search walks the candidates in lexicographic order, the rows of every hom
+set are strictly increasing in key, and ``np.searchsorted`` over the keys
+finds the index of any hom.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import json
-import os
 import random
 from typing import Optional
 
@@ -28,24 +35,35 @@ _SAMPLE_PAIRS = 64
 
 _hom_cache: dict = {}
 _aut_cache: dict = {}
-_cache_dir: Optional[str] = None
 
 
-def set_cache_dir(path: Optional[str]):
-    """Configure the on-disk hom-set cache (None disables it)."""
-    global _cache_dir
-    _cache_dir = path
-    if path is not None:
-        os.makedirs(path, exist_ok=True)
+def _gen_array(G: FiniteGroup) -> np.ndarray:
+    """``generating_set(G)`` as a read-only index array, memoized on G."""
+    gens = G._memo.get("greedy_gens")
+    if gens is None:
+        gens = np.array(generating_set_of_table(G.table, G.identity), dtype=np.intp)
+        gens.setflags(write=False)
+        G._memo["greedy_gens"] = gens
+    return gens
 
 
 def generating_set(G: FiniteGroup) -> list:
     """Greedy generating set: repeatedly add the max-order element outside the closure."""
-    cached = getattr(G, "_greedy_gens", None)
-    if cached is None:
-        cached = generating_set_of_table(G.table, G.identity)
-        G._greedy_gens = cached
-    return list(cached)
+    return _gen_array(G).tolist()
+
+
+def _divisor_positions(G: FiniteGroup, o: int) -> tuple:
+    """(pos, count): pos[x] is the rank of x among the ``count`` elements of G
+    whose order divides o (0 for the others), memoized on G."""
+    key = ("divisor_positions", o)
+    hit = G._memo.get(key)
+    if hit is None:
+        members = o % G.element_orders == 0
+        pos = np.cumsum(members, dtype=np.int64) - 1
+        pos[~members] = 0
+        pos.setflags(write=False)
+        hit = G._memo[key] = (pos, int(members.sum()))
+    return hit
 
 
 def _word_entries(H: FiniteGroup, gens: list) -> list:
@@ -79,46 +97,131 @@ def _extend_batch(H: FiniteGroup, G: FiniteGroup, entries, gen_cols: np.ndarray)
     return images
 
 
-def _full_check(H: FiniteGroup, G: FiniteGroup, images: np.ndarray) -> np.ndarray:
-    """Boolean mask of rows that are genuine homomorphisms."""
+def _full_check(H: FiniteGroup, G: FiniteGroup, images: np.ndarray, gens) -> np.ndarray:
+    """Boolean mask of rows that are genuine homomorphisms.
+
+    A row maps the identity to the identity, so checking f(x g) = f(x) f(g)
+    for every x and every generator g suffices: induction on the length of
+    y as a word in the generators then gives f(x y) = f(x) f(y).
+    """
     ok = np.ones(images.shape[0], dtype=bool)
     tH, tG = H.table, G.table
-    for i in range(H.order):
-        if not ok.any():
-            break
-        lhs = images[:, tH[i]]
-        rhs = tG[images[:, i][:, None], images]
-        ok &= (lhs == rhs).all(axis=1)
+    for g in gens:
+        ok &= (images[:, tH[:, g]] == tG[images, images[:, g, None]]).all(axis=1)
     return ok
 
 
-class HomSet:
-    """Complete list of homomorphisms source -> target in canonical order."""
+class HomKeys:
+    """Integer key of a hom H -> G, read off its images of ``gens``.
+
+    ``gens`` is ``generating_set(H)``.  Digit i of a key is the position of
+    the image of ``gens[i]`` in that generator's candidate list (the
+    elements of G whose order divides the generator's), weighted by the
+    product of the later lists' lengths.  Keys are exact on the generator
+    images of homs; any other images get some key that a full-row
+    comparison will not confirm.
+    """
+
+    __slots__ = ("gens", "_positions", "_weights")
+
+    def __init__(self, H: FiniteGroup, G: FiniteGroup):
+        self.gens = _gen_array(H)
+        positions, weights = [], []
+        weight = 1
+        for o in reversed(H.element_orders[self.gens].tolist()):
+            pos, count = _divisor_positions(G, o)
+            positions.append(pos)
+            weights.append(weight)
+            weight *= count
+        if weight > np.iinfo(np.int64).max:
+            raise EnumerationCapError(f"hom keys for Hom({H.name},{G.name}) do not fit in 64 bits")
+        self._positions = tuple(positions[::-1])
+        self._weights = tuple(weights[::-1])
+
+    def __call__(self, gen_images: np.ndarray) -> np.ndarray:
+        """Keys of generator images, given along the last axis."""
+        keys = 0
+        for i, (pos, weight) in enumerate(zip(self._positions, self._weights)):
+            digit = pos[gen_images[..., i]]
+            keys = keys + (digit if weight == 1 else digit * weight)
+        return keys
+
+
+class KeyedRows:
+    """Image rows of homs source -> target, in strictly increasing key order.
+
+    Row ``r`` is the image array of a hom and ``keys[r]`` its ``HomKeys``
+    key; keys are computed on first use.  ``locate`` maps generator images
+    of member homs to row indices with one ``searchsorted``.
+    """
+
+    __slots__ = ("source", "target", "matrix", "gens", "_keygen", "_keys")
 
     def __init__(self, source: FiniteGroup, target: FiniteGroup, matrix: np.ndarray):
         self.source = source
         self.target = target
         self.matrix = np.ascontiguousarray(matrix, dtype=np.int32)
-        self.complete = True
-        self._index: Optional[dict] = None
+        self.gens = _gen_array(source)  # the source generators whose images identify a hom
+        self._keygen: Optional[HomKeys] = None
+        self._keys: Optional[np.ndarray] = None
 
     def __len__(self):
         return int(self.matrix.shape[0])
 
     @property
+    def keys(self) -> np.ndarray:
+        if self._keys is None:
+            self._keygen = HomKeys(self.source, self.target)
+            keys = self._keygen(self.matrix[:, self.gens])
+            if (np.diff(keys) <= 0).any():
+                raise ValueError("hom rows are not in strictly increasing key order")
+            self._keys = keys
+        return self._keys
+
+    def locate(self, gen_images: np.ndarray) -> np.ndarray:
+        """Row index of each row of generator images; every one must be a member's.
+
+        Raises KeyError when some row's key is not among the members' keys.
+        """
+        keys = self.keys
+        want = self._keygen(gen_images)
+        idx = keys.searchsorted(want)
+        if not (keys.take(idx, mode="clip") == want).all():
+            raise KeyError("generator images of a non-member hom")
+        return idx
+
+    def index_of(self, images) -> int:
+        """Row index of a full image array; KeyError if it is not a row."""
+        row = np.asarray(images)
+        if row.shape != (self.source.order,) or row.min() < 0 or row.max() >= self.target.order:
+            raise KeyError("not an image array of this hom set")
+        i = int(self.locate(row[self.gens][None, :])[0])
+        if (self.matrix[i] == row).all():
+            return i
+        raise KeyError("not a member of this hom set")
+
+    def contains_images(self, images) -> bool:
+        try:
+            self.index_of(images)
+        except KeyError:
+            return False
+        return True
+
+
+class HomSet(KeyedRows):
+    """Complete list of homomorphisms source -> target in canonical order.
+
+    Rows are sorted lexicographically by their images of ``gens``, so their
+    keys strictly increase (module docstring); lookups rely on that order
+    and on completeness.
+    """
+
+    __slots__ = ()
+    complete = True
+
+    @property
     def homs(self) -> list:
         return [GroupHom(self.source, self.target, row, check=False) for row in self.matrix]
-
-    def row_index(self) -> dict:
-        if self._index is None:
-            self._index = {row.tobytes(): i for i, row in enumerate(self.matrix)}
-        return self._index
-
-    def contains_images(self, images: np.ndarray) -> bool:
-        return np.ascontiguousarray(images, dtype=np.int32).tobytes() in self.row_index()
-
-    def index_of(self, images: np.ndarray) -> int:
-        return self.row_index()[np.ascontiguousarray(images, dtype=np.int32).tobytes()]
 
 
 def _candidate_lists(H: FiniteGroup, G: FiniteGroup, gens, bijective: bool):
@@ -133,6 +236,16 @@ def _candidate_lists(H: FiniteGroup, G: FiniteGroup, gens, bijective: bool):
             cand = np.nonzero(o % ordG == 0)[0]
         out.append(cand.astype(np.int32))
     return out
+
+
+@functools.lru_cache(maxsize=None)
+def _sample_pairs(order: int) -> tuple:
+    """The (i, j) pairs of the sampled multiplicativity check, as two index arrays."""
+    rng = random.Random(0x5EED)
+    pairs = [(rng.randrange(order), rng.randrange(order)) for _ in range(_SAMPLE_PAIRS)]
+    cols = np.array(pairs, dtype=np.intp).T
+    cols.setflags(write=False)  # shared by every caller through the cache
+    return cols[0], cols[1]
 
 
 def _search_homs(
@@ -161,13 +274,9 @@ def _search_homs(
         for b in range(k):
             w = int(tH[gens[a], gens[b]])
             pair_words.append((a, b, int(ordH[w])))
-    rng = random.Random(0x5EED)
-    sample_pairs = [
-        (rng.randrange(H.order), rng.randrange(H.order)) for _ in range(_SAMPLE_PAIRS)
-    ]
+    si, sj = _sample_pairs(H.order)
+    sij = tH[si, sj]
     found = []
-    if total == 0:
-        return np.empty((0, H.order), dtype=np.int32), gens
     it = itertools.product(*[c.tolist() for c in cands])
     while True:
         chunk = list(itertools.islice(it, _BATCH))
@@ -185,9 +294,7 @@ def _search_homs(
         if cols.size == 0:
             continue
         images = _extend_batch(H, G, entries, cols)
-        ok = np.ones(images.shape[0], dtype=bool)
-        for i, j in sample_pairs:
-            ok &= images[:, tH[i, j]] == tG[images[:, i], images[:, j]]
+        ok = (images[:, sij] == tG[images[:, si], images[:, sj]]).all(axis=1)
         images = images[ok]
         if images.size == 0:
             continue
@@ -196,59 +303,15 @@ def _search_homs(
             images = images[(sorted_rows == np.arange(G.order)).all(axis=1)]
             if images.size == 0:
                 continue
-        good = _full_check(H, G, images)
+        good = _full_check(H, G, images, gens)
         images = images[good]
         if images.size and first_only:
-            return images[:1], gens
+            return images[:1]
         if images.size:
             found.append(images)
     if not found:
-        return np.empty((0, H.order), dtype=np.int32), gens
-    return np.concatenate(found, axis=0), gens
-
-
-def _cache_path(H: FiniteGroup, G: FiniteGroup) -> str:
-    return os.path.join(
-        _cache_dir, f"homs_{H.structure_hash()[:20]}_{G.structure_hash()[:20]}.json"
-    )
-
-
-def _load_cached(H: FiniteGroup, G: FiniteGroup):
-    if _cache_dir is None:
-        return None
-    path = _cache_path(H, G)
-    if not os.path.exists(path):
-        return None
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        matrix = np.array(data["matrix"], dtype=np.int32).reshape(-1, H.order)
-    except (ValueError, KeyError, json.JSONDecodeError):
-        return None
-    if matrix.shape[0] != data.get("count"):
-        return None
-    # cache is advisory: revalidate a few members before trusting it
-    if matrix.shape[0]:
-        rng = random.Random(0)
-        picks = [rng.randrange(matrix.shape[0]) for _ in range(3)]
-        if not _full_check(H, G, matrix[sorted(set(picks))]).all():
-            return None
-    return matrix
-
-
-def _store_cached(H: FiniteGroup, G: FiniteGroup, matrix: np.ndarray):
-    if _cache_dir is None:
-        return
-    data = {
-        "source_hash": H.structure_hash(),
-        "target_hash": G.structure_hash(),
-        "count": int(matrix.shape[0]),
-        "matrix": matrix.reshape(-1).tolist(),
-    }
-    tmp = _cache_path(H, G) + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(data, fh)
-    os.replace(tmp, _cache_path(H, G))
+        return np.empty((0, H.order), dtype=np.int32)
+    return np.concatenate(found, axis=0)
 
 
 def enumerate_homs(H: FiniteGroup, G: FiniteGroup) -> HomSet:
@@ -262,11 +325,7 @@ def enumerate_homs(H: FiniteGroup, G: FiniteGroup) -> HomSet:
     hit = _hom_cache.get(key)
     if hit is not None:
         return hit
-    matrix = _load_cached(H, G)
-    if matrix is None:
-        matrix, _ = _search_homs(H, G)
-        _store_cached(H, G, matrix)
-    hs = HomSet(H, G, matrix)
+    hs = HomSet(H, G, _search_homs(H, G))
     _hom_cache[key] = hs
     return hs
 
@@ -281,7 +340,7 @@ def find_isomorphism(G1: FiniteGroup, G2: FiniteGroup):
         return None
     if G1.order > EXHAUSTIVE_CAP:
         raise EnumerationCapError(f"isomorphism search capped at order {EXHAUSTIVE_CAP}")
-    matrix, _ = _search_homs(G1, G2, bijective=True, first_only=True)
+    matrix = _search_homs(G1, G2, bijective=True, first_only=True)
     if matrix.shape[0] == 0:
         return None
     return GroupHom(G1, G2, matrix[0], check=False)
@@ -291,20 +350,21 @@ class AutGroup:
     """Aut(G) assembled as an abstract group acting on G.
 
     ``group`` is the abstract group on automorphism indices; ``perms`` row a
-    is the image array of automorphism a; ``inner`` is the subgroup of
+    is the image array of automorphism a, and the rows are in strictly
+    increasing hom-key order, as in End(G); ``inner`` is the subgroup of
     conjugations.
     """
 
     def __init__(self, base: FiniteGroup, perms: np.ndarray):
         self.base = base
-        self.perms = np.ascontiguousarray(perms, dtype=np.int32)
+        self._rows = KeyedRows(base, base, perms)
+        self.perms = self._rows.matrix
         nA = self.perms.shape[0]
-        key = {row.tobytes(): i for i, row in enumerate(self.perms)}
+        gen_cols = self.perms[:, self._rows.gens]
         table = np.empty((nA, nA), dtype=np.int32)
         for a in range(nA):
-            comp = self.perms[a][self.perms]  # row b: perms[a] after perms[b]
-            table[a] = [key[row.tobytes()] for row in comp]
-        ident = key[np.arange(base.order, dtype=np.int32).tobytes()]
+            table[a] = self._rows.locate(self.perms[a][gen_cols])  # perms[a] after perms[b]
+        ident = self._rows.index_of(np.arange(base.order))
         gens = generating_set_of_table(table, ident)
         self.group = FiniteGroup(
             f"Aut({base.name})",
@@ -313,16 +373,13 @@ class AutGroup:
             identity=ident,
             assume_associative=True,
         )
-        inner = set()
-        ar = np.arange(base.order, dtype=np.int32)
-        for g in range(base.order):
-            row = base.table[g, base.table[ar, base.inverses[g]]]
-            inner.add(key[np.ascontiguousarray(row, dtype=np.int32).tobytes()])
-        self.inner = Subgroup(self.group, inner)
+        # conjugation by g sends generator x to g x g^-1
+        t, g = base.table, np.arange(base.order)[:, None]
+        conj = t[g, t[self._rows.gens[None, :], base.inverses[g]]]
+        self.inner = Subgroup(self.group, self._rows.locate(conj))
         z = center(base).order
         if self.inner.order * z != base.order:
             raise ValueError("inner automorphism count inconsistent with center")
-        self._key = key
 
     @property
     def order(self) -> int:
@@ -332,7 +389,7 @@ class AutGroup:
         return int(self.perms[a, x])
 
     def index_of(self, images: np.ndarray) -> int:
-        return self._key[np.ascontiguousarray(images, dtype=np.int32).tobytes()]
+        return self._rows.index_of(images)
 
     def hom(self, a: int) -> GroupHom:
         return GroupHom(self.base, self.base, self.perms[a], check=False)
@@ -344,11 +401,7 @@ def automorphism_group(G: FiniteGroup) -> AutGroup:
     if hit is not None:
         return hit
     ends = end_set(G).matrix
-    if ends.shape[0]:
-        bij = (np.sort(ends, axis=1) == np.arange(G.order)).all(axis=1)
-        perms = ends[bij]
-    else:
-        perms = np.arange(G.order, dtype=np.int32)[None, :]
+    perms = ends[(np.sort(ends, axis=1) == np.arange(G.order)).all(axis=1)]
     ag = AutGroup(G, perms)
     _aut_cache[key] = ag
     return ag

@@ -29,7 +29,7 @@ from .groups import (
     describe_structure,
     subgroup_generated,
 )
-from .homs import automorphism_group, enumerate_homs
+from .homs import HomKeys, automorphism_group, enumerate_homs
 
 
 def is_simple(G: FiniteGroup) -> bool:
@@ -153,38 +153,30 @@ def _automorphisms_extend(phi: GroupHom) -> tuple:
     H, G = phi.source, phi.target
     aut_h = automorphism_group(H)
     aut_g = automorphism_group(G)
-    # rows of Aut(G) restricted to the embedded copy, hashed once
-    restricted = aut_g.perms[:, phi.images]
-    avail = {row.tobytes() for row in restricted}
-    for a in range(aut_h.order):
-        want = phi.images[aut_h.perms[a]]
-        if np.ascontiguousarray(want, dtype=np.int32).tobytes() not in avail:
-            return False, aut_h.perms[a].tolist()
+    keys = HomKeys(H, G)
+    # both sides are homs H -> G, compared by their hom keys
+    avail = keys(aut_g.perms[:, phi.images[keys.gens]])
+    want = keys(phi.images[aut_h.perms[:, keys.gens]])
+    missing = np.nonzero(~np.isin(want, avail))[0]
+    if missing.size:
+        return False, aut_h.perms[missing[0]].tolist()
     return True, None
 
 
 def _copies_single_orbit(phi: GroupHom) -> tuple:
     """(single_orbit, copy_count, orbit_count, witness_copy or None)."""
-    H, G = phi.source, phi.target
-    copies = subgroups_isomorphic_to(G, H)
-    aut_g = automorphism_group(G)
-    base = phi.image_subgroup()
-    orbit_keys = set()
-    for a in range(aut_g.order):
-        orbit_keys.add(np.sort(aut_g.perms[a][base.members]).astype(np.int32).tobytes())
-    outside = [s for s in copies if np.ascontiguousarray(s.members, dtype=np.int32).tobytes() not in orbit_keys]
-    orbit_count = 1
-    pool = list(outside)
-    while pool:
-        rep = pool.pop(0)
-        orbit_count += 1
-        keys = set()
-        for a in range(aut_g.order):
-            keys.add(np.sort(aut_g.perms[a][rep.members]).astype(np.int32).tobytes())
-        pool = [s for s in pool if np.ascontiguousarray(s.members, dtype=np.int32).tobytes() not in keys]
-    single = not outside
+    copies = subgroups_isomorphic_to(phi.target, phi.source)
+    perms = automorphism_group(phi.target).perms
+
+    def orbit(members) -> tuple:
+        """The least image of a subgroup under Aut(G): one label per orbit."""
+        return min(map(tuple, np.sort(perms[:, members], axis=1).tolist()))
+
+    base = orbit(phi.image_subgroup().members)
+    labels = [orbit(s.members) for s in copies]
+    outside = [s for s, label in zip(copies, labels) if label != base]
     witness = outside[0].members.tolist() if outside else None
-    return single, len(copies), orbit_count, witness
+    return not outside, len(copies), len(set(labels) | {base}), witness
 
 
 def simple_envelope_criterion(phi: GroupHom, cross_check: bool = True) -> CriterionReport:

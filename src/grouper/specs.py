@@ -37,14 +37,11 @@ class GroupSpecFile:
     def build(self) -> FiniteGroup:
         if self.kind == "family":
             G = standard_group(self.payload)
-        else:
-            perms = [_parse_cycles_line(line, i + 1) for i, line in enumerate(self.payload)]
-            width = max(len(p) for p in perms)
-            padded = [tuple(p) + tuple(range(len(p), width)) for p in perms]
-            G = build_from_permutations(padded, name=self.name or "G")
-        if self.name:
-            G.name = self.name
-        return G
+            return G.renamed(self.name) if self.name else G
+        perms = [_parse_cycles_line(line, i + 1) for i, line in enumerate(self.payload)]
+        width = max(len(p) for p in perms)
+        padded = [tuple(p) + tuple(range(len(p), width)) for p in perms]
+        return build_from_permutations(padded, name=self.name or "G")
 
     def emit(self) -> str:
         lines = []

@@ -80,6 +80,12 @@ class TestClassifyCommand:
         code, _, err = run(capsys, "classify", "cyclic:2", "cyclic:4", "--hom", str(f))
         assert code == 2 and err.startswith("error:")
 
+    def test_out_of_range_generator_image_exit_two(self, capsys, tmp_path):
+        f = tmp_path / "hom.txt"
+        f.write_text("7\n")
+        code, _, err = run(capsys, "classify", "cyclic:2", "cyclic:4", "--hom", str(f))
+        assert code == 2 and err.startswith("error:")
+
     def test_assert_pass_and_fail(self, capsys, tmp_path):
         f = tmp_path / "hom.txt"
         f.write_text("0 2\n")
@@ -158,15 +164,16 @@ class TestVerifyCommand:
         assert code == 0
 
 
-class TestCache:
-    def test_cache_flag_writes_files(self, capsys, tmp_path):
-        from grouper.homs import clear_caches, set_cache_dir
+class TestRemovedOptions:
+    """The disk hom cache and the top-level --jobs are gone; argparse rejects them."""
 
-        clear_caches()
-        try:
-            code, _, _ = run(capsys, "--cache", str(tmp_path), "homs", "cyclic:5", "cyclic:5")
-            assert code == 0
-            assert any(p.name.startswith("homs_") for p in tmp_path.iterdir())
-        finally:
-            set_cache_dir(None)
-            clear_caches()
+    def test_cache_rejected(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["--cache", str(tmp_path), "homs", "cyclic:5", "cyclic:5"])
+        assert exc.value.code == 2
+        assert not any(tmp_path.iterdir())
+
+    def test_top_level_jobs_rejected(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["--jobs", "8", "verify", "--suite", "galois", "--max-order", "4"])
+        assert exc.value.code == 2

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from grouper.corpus import (
@@ -131,3 +132,85 @@ class TestSearch:
         clear_caches()
         b = run_theorem_suite(corpus, "galois", jobs=4).to_dict()
         assert a == b
+
+
+class TestClassifyPairMatchesClassifyHom:
+    """Differential check: the batched pair classifier against the per-hom one."""
+
+    def test_every_hom_at_max_order_12(self):
+        from grouper.approx import classify_hom
+        from grouper.corpus import _budget_ok
+        from grouper.groups import GroupHom
+
+        corpus = generate_corpus(12)
+        checked = 0
+        for H in corpus:
+            for G in corpus:
+                if not _budget_ok(H, G):
+                    continue
+                v = classify_pair(H, G)
+                for i in range(len(v)):
+                    rep = classify_hom(GroupHom(H, G, v.matrix[i], check=False))
+                    got = (
+                        bool(v.is_localization[i]), bool(v.is_cellular[i]),
+                        bool(v.is_envelope[i]), bool(v.is_cover[i]),
+                        bool(v.is_preenvelope[i]), bool(v.is_precover[i]),
+                        int(v.galois_orders[i]), int(v.co_galois_orders[i]),
+                    )
+                    want = tuple(bool(rep.flags[f]) for f in (
+                        "isLocalization", "isCellularCover", "isEnvelope", "isCover",
+                        "isPreenvelopeOfTargetClass", "isPrecoverOfSourceClass",
+                    )) + (rep.galois_order, rep.co_galois_order)
+                    assert got == want, (H.name, G.name, v.matrix[i].tolist())
+                    checked += 1
+        assert checked > 1000
+
+
+class TestThreadedClassification:
+    def test_matches_serial_on_fresh_groups(self):
+        """Hom keys and per-group memos are first built by racing threads."""
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+
+        from grouper.groups import FiniteGroup
+
+        def fresh():
+            return [FiniteGroup(G.name, G.table.copy(), generators=G.generators,
+                                identity=G.identity) for G in generate_corpus(8)]
+
+        serial = fresh()
+        want = [classify_pair(H, G) for H in serial for G in serial]
+        threaded = fresh()
+        pairs = [(H, G) for H in threaded for G in threaded]
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                got = list(pool.map(lambda p: classify_pair(*p), pairs, timeout=120))
+        finally:
+            sys.setswitchinterval(old)
+        fields = ("matrix", "is_envelope", "is_localization", "is_cover", "is_cellular",
+                  "is_preenvelope", "is_precover", "galois_orders", "co_galois_orders")
+        for a, b in zip(want, got):
+            for f in fields:
+                assert np.array_equal(getattr(a, f), getattr(b, f)), (a.source.name, a.target.name, f)
+
+
+class TestNilpotentMemo:
+    def test_answers_survive_group_turnover(self):
+        """Fresh groups built and dropped in a loop, so ids get reused."""
+        import gc
+
+        from grouper.commutators import nilpotency_class
+        from grouper.corpus import _is_nilpotent
+        from grouper.groups import FiniteGroup
+
+        protos = [standard_group("cyclic:4"), standard_group("symmetric:3"),
+                  standard_group("dihedral:8"), standard_group("alternating:4")]
+        for k in range(40):
+            P = protos[k % len(protos)]
+            G = FiniteGroup(P.name, P.table.copy(), generators=P.generators,
+                            identity=P.identity)
+            assert _is_nilpotent(G) == (nilpotency_class(G) is not None)
+            del G
+            gc.collect()

@@ -11,7 +11,6 @@ from grouper.homs import (
     end_set,
     enumerate_homs,
     find_isomorphism,
-    set_cache_dir,
 )
 
 
@@ -133,31 +132,66 @@ class TestCaps:
             enumerate_homs(big, big)
 
 
-class TestDiskCache:
-    def test_roundtrip(self, tmp_path, groups):
-        H, G = groups["dihedral:8"], groups["symmetric:3"]
-        try:
-            set_cache_dir(str(tmp_path))
-            first = enumerate_homs(H, G).matrix.copy()
-            clear_caches()
-            # second call must load from disk and agree
-            second = enumerate_homs(H, G).matrix
-            assert (first == second).all()
-            assert any(p.name.startswith("homs_") for p in tmp_path.iterdir())
-        finally:
-            set_cache_dir(None)
-            clear_caches()
+class TestAutGroupTable:
+    @pytest.mark.parametrize("name", ["quaternion8", "dihedral:8", "symmetric:4", "alternating:5"])
+    def test_table_is_brute_force_composition(self, name):
+        ag = automorphism_group(standard_group(name))
+        P = ag.perms
+        for a in range(ag.order):
+            comp = P[a][P]  # row b: perms[a] after perms[b]
+            match = (comp[:, None, :] == P[None, :, :]).all(axis=2)
+            assert (match.sum(axis=1) == 1).all()
+            assert (ag.group.table[a] == match.argmax(axis=1)).all()
 
-    def test_corrupt_cache_ignored(self, tmp_path, groups):
-        H, G = groups["cyclic:4"], groups["cyclic:6"]
-        try:
-            set_cache_dir(str(tmp_path))
-            expected = enumerate_homs(H, G).matrix.copy()
-            clear_caches()
-            for p in tmp_path.iterdir():
-                p.write_text("{not json")
-            got = enumerate_homs(H, G).matrix
-            assert (expected == got).all()
-        finally:
-            set_cache_dir(None)
-            clear_caches()
+
+class TestHomKeys:
+    PAIRS = [
+        ("cyclic:3", "symmetric:3"),
+        ("dihedral:8", "dihedral:8"),
+        ("quaternion8", "symmetric:4"),
+        ("product:cyclic:2,cyclic:4", "product:cyclic:2,cyclic:4"),
+        ("symmetric:4", "symmetric:4"),
+        ("heisenberg:3", "cyclic:3"),
+    ]
+
+    @pytest.mark.parametrize("src,tgt", PAIRS)
+    def test_keys_strictly_increasing(self, groups, src, tgt):
+        hs = enumerate_homs(groups[src], groups[tgt])
+        assert hs.keys.dtype == np.int64
+        assert (np.diff(hs.keys) > 0).all()
+        assert (hs.locate(hs.matrix[:, hs.gens]) == np.arange(len(hs))).all()
+
+    def test_non_member_rows_raise(self, groups):
+        G = groups["symmetric:3"]
+        hs = end_set(G)
+        # same generator images as a member, different elsewhere
+        off = hs.matrix[-1].copy()
+        others = [x for x in range(G.order) if x not in hs.gens]
+        off[others[0]] = (off[others[0]] + 1) % G.order
+        not_a_hom = np.arange(G.order)[::-1].copy()
+        out_of_range = np.full(G.order, G.order)
+        for row in (off, not_a_hom, out_of_range, np.zeros(2, dtype=np.int32)):
+            assert not hs.contains_images(row)
+            with pytest.raises(KeyError):
+                hs.index_of(row)
+        ag = automorphism_group(G)
+        trivial = np.full(G.order, G.identity, dtype=np.int32)
+        assert hs.contains_images(trivial)
+        for row in (trivial, off, out_of_range):
+            with pytest.raises(KeyError):
+                ag.index_of(row)
+
+    def test_roundtrip_where_target_radix_overflows(self):
+        """Hom(C2^7, C512): a |G|-radix key would need 512**7 = 2**63."""
+        from grouper.groups import direct_product
+
+        C2 = standard_group("cyclic:2")
+        H = C2
+        for _ in range(6):
+            H = direct_product(H, C2)
+        hs = enumerate_homs(H, standard_group("cyclic:512"))
+        assert len(hs.gens) == 7 and len(hs) == 128
+        assert (hs.keys == np.arange(128)).all()
+        for i, row in enumerate(hs.matrix):
+            assert hs.index_of(row) == i
+        assert (hs.locate(hs.matrix[:, hs.gens]) == np.arange(128)).all()

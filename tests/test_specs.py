@@ -85,3 +85,10 @@ class TestRoundTrip:
     def test_family_emit(self):
         spec = GroupSpecFile("", "family", "cyclic:9")
         assert parse_group_spec(spec.emit()).build().order == 9
+
+
+class TestBuildKeepsSharedGroups:
+    def test_named_family_does_not_rename_cached_group(self):
+        G = parse_group_spec("name: Foo\ncyclic:4").build()
+        assert G.name == "Foo" and G.order == 4
+        assert standard_group("cyclic:4").name == "C4"
