@@ -2,11 +2,35 @@
 
 Convention: [x, y] = x y x^-1 y^-1, and the left-normed iterated commutator
 [y1, ..., yr] = [[...[y1, y2], ...], yr].
+
+Each lemma is one equation over columns of tuples, read off an n x n
+commutator table built for the check, and one scan (`_scan`) evaluates every
+lemma.  It takes the whole lexicographic grid when that has at most
+`LemmaConfig.max_tuples` tuples, and drawn samples otherwise; either way at
+most CHUNK tuples go through numpy at once.  The scan contract:
+
+- Tuple order.  A tuple is a head followed by a tail.  Heads are the pairs
+  (a, x) for the identities, the triples (a, b, c) for the central lemmas
+  and the quads (a, X, Y, X') that pass both hypotheses for homo.  Tails are
+  ("first" then "second", y) for the identities and z1..zj otherwise, in
+  lexicographic order; a sample is a head that carries its own z's.
+  Counterexamples come in scan order: grid order (for the identities by
+  pair, then "first" before "second", then y), or draw order.
+- Stop.  A report keeps at most LIMIT = 21 counterexamples, and the scan
+  stops after the head that holds the 21st.
+- Count.  `tuples_checked` counts whole heads up to that point: n per
+  identities pair, n^j per (a, b, c) or per quad that passes the
+  hypotheses, and 1 per sample.
+- Draws.  Each report draws from its own `random.Random`, block by block as
+  the scan needs samples.  The identities draw a, x per pair; the central
+  lemmas draw a, c, the index of b in Z_j (Z_{j+1} for centrals-2), then
+  z1..zj; homo draws a, X, Y, X', then z1..zj only when both hypotheses hold.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -18,6 +42,8 @@ from .groups import FiniteGroup, Subgroup, center, preimage_subgroup, quotient_g
 DEFAULT_MAX_TUPLES = 10 ** 6
 DEFAULT_SAMPLES = 10 ** 5
 DEFAULT_SEED = 0xC0FFEE
+CHUNK = 4096  # tuples evaluated per numpy pass; bounds the scan's working set
+LIMIT = 21  # counterexamples kept per report; the scan stops once it has them
 
 LEMMA_IDS = ("identities", "centrals-1", "centrals-2", "homo")
 
@@ -144,192 +170,153 @@ class LemmaReport:
         }
 
 
-def _space_size(sizes) -> int:
-    total = 1
-    for s in sizes:
-        total *= s
-    return total
+def _left_normed(C, x, zs):
+    """[x, z1, ..., zj] over columns, read off the commutator table C."""
+    for z in zs:
+        x = C[x, z]
+    return x
 
 
-def _z_grid(n: int, j: int):
-    """Columns z1..zj of the full z-tuple grid, each a flat length-n^j array."""
-    return [g.reshape(-1) for g in np.indices((n,) * j)]
+def _grid(axes, lo: int, hi: int):
+    """Rows lo..hi-1 of the lexicographic product of `axes`, one tuple per row."""
+    rows = np.empty((hi - lo, len(axes)), dtype=np.int32)
+    flat = np.arange(lo, hi)
+    for k in reversed(range(len(axes))):
+        flat, digit = np.divmod(flat, len(axes[k]))
+        rows[:, k] = axes[k][digit]
+    return rows
 
 
-def _fold_z(G: FiniteGroup, start, z_cols):
-    acc = start
-    for z in z_cols:
-        acc = commutator(G, acc, z)
-    return acc
+def _lex(axes, keep=None):
+    """Head source: the lexicographic product of `axes`, less the rows `keep` rejects."""
+    total = math.prod(len(a) for a in axes)
+
+    def blocks(m):
+        for lo in range(0, total, m):
+            rows = _grid(axes, lo, min(lo + m, total))
+            yield rows if keep is None else rows[keep(*rows.T)]
+
+    return blocks
 
 
-def _record_bad(bad, prefix, z_cols, mask, cap=20):
-    for flat in np.nonzero(~mask)[0][: cap + 1 - len(bad)]:
-        bad.append(tuple(prefix) + tuple(int(z[flat]) for z in z_cols))
+def _drawn(draw, count: int, width: int):
+    """Head source: `count` calls of `draw`, made block by block; a None draw adds no head.
+
+    Each drawn row goes straight into the block's array, so a block holds no
+    Python object per row.
+    """
+
+    def blocks(m):
+        for lo in range(0, count, m):
+            draws = filter(None, (draw() for _ in range(min(m, count - lo))))
+            yield np.fromiter(itertools.chain.from_iterable(draws), dtype=np.int32).reshape(-1, width)
+
+    return blocks
+
+
+def _scan(heads, tail, holds, weight: int):
+    """Evaluate `holds` on every head followed by every tuple of `tail`.
+
+    Rows go to `holds` as columns, at most CHUNK at a time.  Returns the
+    failing rows in order, at most LIMIT of them, and `weight` times the
+    number of heads scanned: all of them, or those up to and including the
+    head of the LIMIT-th failing row, where the scan stops.
+    """
+    tails = _grid(tail, 0, math.prod(len(a) for a in tail))
+    bad, done = [], 0
+    for block in heads(max(1, CHUNK // len(tails))):
+        for lo in range(0, len(tails), CHUNK):
+            part = tails[lo:lo + CHUNK]
+            rows = np.hstack([np.repeat(block, len(part), axis=0), np.tile(part, (len(block), 1))])
+            fails = np.flatnonzero(~holds(*rows.T))[:LIMIT - len(bad)]
+            bad += map(tuple, rows[fails].tolist())
+            if len(bad) == LIMIT:
+                return bad, (done + int(fails[-1]) // len(part) + 1) * weight
+        done += len(block)
+    return bad, done * weight
 
 
 def _check_identities(G: FiniteGroup, cfg: LemmaConfig, rng) -> LemmaReport:
-    t = G.table
-    n = G.order
-    bad = []
-    exhaustive = _space_size((n, n, n)) <= cfg.max_tuples
-    count = 0
-    y = np.arange(n, dtype=np.int32)
-    if exhaustive:
-        pairs = itertools.product(range(n), range(n))
-    else:
-        pairs = ((rng.randrange(n), rng.randrange(n)) for _ in range(max(cfg.samples // n, 1)))
-    for a, x in pairs:
-        count += n
-        # [a, xy] = [a,x] [x,[a,y]] [a,y], quantified over y at once
-        lhs = commutator(G, a, t[x, y])
-        aybit = commutator(G, a, y)
-        rhs = t[t[commutator(G, a, x), commutator(G, x, aybit)], aybit]
-        m1 = lhs == rhs
-        if not m1.all():
-            _record_bad(bad, (a, x, "first"), [y], m1)
+    t, n = G.table, G.order
+    every = np.arange(n, dtype=np.int32)
+    C = commutator(G, every[:, None], every[None, :])
+
+    def holds(a, x, side, y):
+        # [a, xy] = [a,x] [x,[a,y]] [a,y]
+        first = C[a, t[x, y]] == t[t[C[a, x], C[x, C[a, y]]], C[a, y]]
         # [xy, z] = [x,[y,z]] [y,z] [x,z], with (x,y,z) := (a,x,y)
-        lhs2 = commutator(G, t[a, x], y)
-        yz = commutator(G, x, y)
-        rhs2 = t[t[commutator(G, a, yz), yz], commutator(G, a, y)]
-        m2 = lhs2 == rhs2
-        if not m2.all():
-            _record_bad(bad, (a, x, "second"), [y], m2)
-        if len(bad) > 20:
-            break
+        second = C[t[a, x], y] == t[t[C[a, C[x, y]], C[x, y]], C[a, y]]
+        return np.where(side == 0, first, second)
+
+    exhaustive = n ** 3 <= cfg.max_tuples
+    if exhaustive:
+        pairs = _lex([every, every])
+    else:
+        pairs = _drawn(lambda: (rng.randrange(n), rng.randrange(n)), max(cfg.samples // n, 1), 2)
+    bad, count = _scan(pairs, [np.arange(2), every], holds, n)
+    bad = [(a, x, ("first", "second")[side], y) for a, x, side, y in bad]
     return LemmaReport(G.name, "identities", None, count, bad, exhaustive)
 
 
 def _check_centrals(G: FiniteGroup, variant: int, j: int, upper: CentralSeries,
                     cfg: LemmaConfig, rng) -> LemmaReport:
-    t = G.table
-    n = G.order
-    zmem = upper.term(j).members.tolist() if variant == 1 else upper.term(j + 1).members.tolist()
-    sizes = (n, len(zmem), n) + (n,) * j
-    exhaustive = _space_size(sizes) <= cfg.max_tuples
-    bad = []
-    count = 0
+    t, n = G.table, G.order
+    every = np.arange(n, dtype=np.int32)
+    C = commutator(G, every[:, None], every[None, :])
+    zmem = upper.term(j if variant == 1 else j + 1).members
+
+    def holds(a, b, c, *zs):
+        ac = t[a, c]
+        lhs = _left_normed(C, t[t[a, b], c], zs)
+        if variant == 1:
+            return lhs == _left_normed(C, ac, zs)
+        mid = _left_normed(C, t[ac, b], zs)
+        merged = _left_normed(C, t[C[ac, zs[0]], C[b, zs[0]]], zs[1:])
+        rhs = t[_left_normed(C, ac, zs), _left_normed(C, b, zs)]
+        return (lhs == mid) & (mid == merged) & (merged == rhs)
+
+    exhaustive = n * len(zmem) * n * n ** j <= cfg.max_tuples
     if exhaustive:
-        z_cols = _z_grid(n, j)
-        for a, b, c in itertools.product(range(n), zmem, range(n)):
-            count += n ** j
-            abc = int(t[t[a, b], c])
-            ac = int(t[a, c])
-            lhs = _fold_z(G, np.full(n ** j, abc, dtype=np.int32), z_cols)
-            if variant == 1:
-                mask = lhs == _fold_z(G, np.full(n ** j, ac, dtype=np.int32), z_cols)
-            else:
-                acb = int(t[ac, b])
-                mid = _fold_z(G, np.full(n ** j, acb, dtype=np.int32), z_cols)
-                merged = _fold_z(
-                    G,
-                    t[commutator(G, ac, z_cols[0]), commutator(G, b, z_cols[0])],
-                    z_cols[1:],
-                )
-                rhs = t[
-                    _fold_z(G, np.full(n ** j, ac, dtype=np.int32), z_cols),
-                    _fold_z(G, np.full(n ** j, b, dtype=np.int32), z_cols),
-                ]
-                mask = (lhs == mid) & (mid == merged) & (merged == rhs)
-            if not mask.all():
-                _record_bad(bad, (a, b, c), z_cols, mask)
-            if len(bad) > 20:
-                break
+        bad, count = _scan(_lex([every, zmem, every]), [every] * j, holds, n ** j)
     else:
-        tl = G.table.tolist()
-        il = G.inverses.tolist()
+        zlist = zmem.tolist()
 
-        def comm(x, y):
-            return tl[tl[tl[x][y]][il[x]]][il[y]]
-
-        def fold(start, zs):
-            acc = start
-            for z in zs:
-                acc = comm(acc, z)
-            return acc
-
-        for _ in range(cfg.samples):
-            count += 1
+        def draw():
             a, c = rng.randrange(n), rng.randrange(n)
-            b = zmem[rng.randrange(len(zmem))]
-            zs = [rng.randrange(n) for _ in range(j)]
-            abc = tl[tl[a][b]][c]
-            ac = tl[a][c]
-            lhs = fold(abc, zs)
-            if variant == 1:
-                ok = lhs == fold(ac, zs)
-            else:
-                acb = tl[ac][b]
-                mid = fold(acb, zs)
-                merged = fold(tl[comm(ac, zs[0])][comm(b, zs[0])], zs[1:])
-                rhs = tl[fold(ac, zs)][fold(b, zs)]
-                ok = lhs == mid == merged == rhs
-            if not ok:
-                bad.append((a, b, c) + tuple(zs))
-                if len(bad) > 20:
-                    break
+            return [a, zlist[rng.randrange(len(zlist))], c] + [rng.randrange(n) for _ in range(j)]
+
+        bad, count = _scan(_drawn(draw, cfg.samples, 3 + j), [], holds, 1)
     return LemmaReport(G.name, f"centrals-{variant}", j, count, bad, exhaustive)
 
 
 def _check_homo(G: FiniteGroup, j: int, upper: CentralSeries, cfg: LemmaConfig, rng) -> LemmaReport:
-    t = G.table
-    n = G.order
-    zj = upper.term(j)
-    zj1 = upper.term(j + 1)
-    sizes = (n, n, n, n) + (n,) * j
-    exhaustive = _space_size(sizes) <= cfg.max_tuples
-    bad = []
-    count = 0
-    tl = G.table.tolist()
-    il = G.inverses.tolist()
+    t, n = G.table, G.order
+    every = np.arange(n, dtype=np.int32)
+    C = commutator(G, every[:, None], every[None, :])
+    in_zj, in_zj1 = upper.term(j)._member_mask, upper.term(j + 1)._member_mask
 
-    def comm(x, y):
-        return tl[tl[tl[x][y]][il[x]]][il[y]]
+    def hypotheses(a, X, Y, Xp):
+        # they do not involve the z's; tested, never assumed
+        return in_zj[C[Y, C[a, Xp]]] & in_zj1[C[a, Y]]
 
+    def holds(a, X, Y, Xp, *zs):
+        aXXp, aY = C[a, t[X, Xp]], C[a, Y]
+        lhs = _left_normed(C, C[a, t[t[X, Y], Xp]], zs)
+        mid = _left_normed(C, t[aXXp, aY], zs)
+        rhs = t[_left_normed(C, aXXp, zs), _left_normed(C, aY, zs)]
+        return (lhs == mid) & (mid == rhs)
+
+    exhaustive = n ** (4 + j) <= cfg.max_tuples
     if exhaustive:
-        z_cols = _z_grid(n, j)
-        quads = itertools.product(range(n), repeat=4)
+        bad, count = _scan(_lex([every] * 4, hypotheses), [every] * j, holds, n ** j)
     else:
-        z_cols = None
-        quads = ((rng.randrange(n), rng.randrange(n), rng.randrange(n), rng.randrange(n))
-                 for _ in range(cfg.samples))
-    for a, X, Y, Xp in quads:
-        # hypotheses do not involve the z's; tested, never assumed
-        if not zj.contains(comm(Y, comm(a, Xp))):
-            continue
-        if not zj1.contains(comm(a, Y)):
-            continue
-        head = comm(a, tl[tl[X][Y]][Xp])
-        aXXp = comm(a, tl[X][Xp])
-        aY = comm(a, Y)
-        if exhaustive:
-            count += n ** j
-            lhs = _fold_z(G, np.full(n ** j, head, dtype=np.int32), z_cols)
-            mid = _fold_z(G, np.full(n ** j, tl[aXXp][aY], dtype=np.int32), z_cols)
-            rhs = t[
-                _fold_z(G, np.full(n ** j, aXXp, dtype=np.int32), z_cols),
-                _fold_z(G, np.full(n ** j, aY, dtype=np.int32), z_cols),
-            ]
-            mask = (lhs == mid) & (mid == rhs)
-            if not mask.all():
-                _record_bad(bad, (a, X, Y, Xp), z_cols, mask)
-        else:
-            count += 1
-            zs = [rng.randrange(n) for _ in range(j)]
 
-            def fold(start):
-                acc = start
-                for z in zs:
-                    acc = comm(acc, z)
-                return acc
+        def draw():
+            quad = [rng.randrange(n) for _ in range(4)]
+            if hypotheses(*quad):
+                return quad + [rng.randrange(n) for _ in range(j)]
 
-            lhs = fold(head)
-            mid = fold(tl[aXXp][aY])
-            rhs = tl[fold(aXXp)][fold(aY)]
-            if not (lhs == mid == rhs):
-                bad.append((a, X, Y, Xp) + tuple(zs))
-        if len(bad) > 20:
-            break
+        bad, count = _scan(_drawn(draw, cfg.samples, 4 + j), [], holds, 1)
     return LemmaReport(G.name, "homo", j, count, bad, exhaustive)
 
 

@@ -31,6 +31,7 @@ CLOSURE_CAP = 5000
 ORDER_CAP = 5000
 EXHAUSTIVE_ASSOC_CAP = 512
 ASSOC_SAMPLES = 100_000
+ASSOC_CHUNK = 2 ** 14
 
 
 # ---------------------------------------------------------------------------
@@ -213,12 +214,12 @@ class FiniteGroup:
                     f"order {n} exceeds exhaustive check cap; "
                     "construct via closure to certify associativity"
                 )
+            # random bytes rather than numpy.random, whose import alone adds about 6 MB of RSS
             rng = random.Random(0xA550C)
-            for _ in range(ASSOC_SAMPLES):
-                i = rng.randrange(n)
-                j = rng.randrange(n)
-                k = rng.randrange(n)
-                if t[t[i, j], k] != t[i, t[j, k]]:
+            for lo in range(0, ASSOC_SAMPLES, ASSOC_CHUNK):
+                m = min(ASSOC_CHUNK, ASSOC_SAMPLES - lo)
+                i, j, k = np.frombuffer(rng.randbytes(12 * m), dtype=np.uint32).reshape(3, m) % n
+                if (t[t[i, j], k] != t[i, t[j, k]]).any():
                     raise ValueError("associativity spot check failed")
 
     def _check_generators(self):
@@ -827,7 +828,7 @@ def describe_structure(G: FiniteGroup) -> str:
                 return " x ".join(f"C{f}" for f in chain)
         return f"abelian({n})"
     candidates = []
-    if n % 2 == 0 and n >= 6:
+    if n % 2 == 0 and n >= 6 and n // 2 <= POINT_CAP:  # dihedral:n acts on n/2 points
         candidates.append(f"dihedral:{n}")
     if n == 8:
         candidates.append("quaternion8")

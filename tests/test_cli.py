@@ -96,6 +96,15 @@ class TestClassifyCommand:
                          "--hom", str(f), "--assert", "isLocalization")
         assert code == 1
 
+    def test_galois_group_beyond_dihedral_point_cap(self, capsys):
+        # Gal(1 -> C2^3) = GL(3, 2) of order 168; dihedral:168 would need 84 points
+        code, out, _ = run(capsys, "classify", "cyclic:1", "product:cyclic:2,cyclic:2,cyclic:2")
+        assert code == 0 and "galois: order 168 (nonabelian(168))" in out
+        code, out, _ = run(capsys, "--format", "json", "classify", "cyclic:1",
+                           "product:cyclic:2,cyclic:2,cyclic:2")
+        assert code == 0
+        assert json.loads(out)["galois"] == {"order": 168, "structure": "nonabelian(168)"}
+
     def test_relative_class(self, capsys, tmp_path):
         f = tmp_path / "hom.txt"
         f.write_text("0 2\n")

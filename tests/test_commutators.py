@@ -1,10 +1,14 @@
-import itertools
+import random
 
 import numpy as np
 import pytest
 
 from grouper.commutators import (
+    CentralSeries,
     LemmaConfig,
+    _check_centrals,
+    _check_homo,
+    _check_identities,
     check_commutator_lemmas,
     commutator,
     is_j_central,
@@ -14,7 +18,7 @@ from grouper.commutators import (
     nilpotency_class,
     upper_central_series,
 )
-from grouper.groups import standard_group
+from grouper.groups import FiniteGroup, Subgroup, standard_group
 
 
 def naive_commutator(G, x, y):
@@ -126,22 +130,133 @@ class TestLemmaChecks:
         assert {"group", "lemma", "tuplesChecked", "counterexamples", "exhaustive"} <= set(d)
 
 
+def fake_upper_series(G):
+    """A wrong 'upper central series' whose Z_1 and Z_2 are the whole group."""
+    whole = Subgroup(G, list(range(G.order)))
+    return CentralSeries(G, "upper", [Subgroup(G, [G.identity]), whole, whole], 2)
+
+
+def odd_carry_table(n):
+    """(x + y + [x odd and y odd]) mod n: a non-associative table with identity 0."""
+    x, y = np.indices((n, n))
+    return (x + y + ((x % 2 == 1) & (y % 2 == 1))) % n
+
+
+EXHAUSTIVE = LemmaConfig(js=[1])
+SAMPLED = LemmaConfig(max_tuples=10, samples=500, js=[1])
+
+
 class TestSeededViolationDetection:
-    """A deliberately wrong 'central' element must surface counterexamples.
+    """Deliberately wrong inputs must surface counterexamples.
 
     This guards against vacuous checks: feed the machinery a series whose
-    j-term is too large and verify it complains.
+    j-term is too large, or a table that is not associative, and verify it
+    complains.  The tuple counts and counterexample lists pin the scan
+    order, the 21-counterexample stop and the draw order of the sampled path.
     """
 
     def test_wrong_series_detected(self, groups):
-        from grouper.commutators import CentralSeries
-        from grouper.groups import Subgroup
-
         G = groups["dihedral:8"]
-        whole = Subgroup(G, list(range(G.order)))
-        fake = CentralSeries(G, "upper", [Subgroup(G, [G.identity]), whole, whole], 2)
-        from grouper.commutators import _check_centrals
-        import random
-
-        rep = _check_centrals(G, 1, 1, fake, LemmaConfig(js=[1]), random.Random(0))
+        rep = _check_centrals(G, 1, 1, fake_upper_series(G), EXHAUSTIVE, random.Random(0))
         assert not rep.ok
+        assert (rep.tuples_checked, rep.exhaustive) == (112, True)
+        assert rep.counterexamples == [
+            (0, 1, 0, 2), (0, 1, 0, 4), (0, 1, 0, 5), (0, 1, 0, 7), (0, 1, 1, 2),
+            (0, 1, 1, 4), (0, 1, 1, 5), (0, 1, 1, 7), (0, 1, 2, 2), (0, 1, 2, 4),
+            (0, 1, 2, 5), (0, 1, 2, 7), (0, 1, 3, 2), (0, 1, 3, 4), (0, 1, 3, 5),
+            (0, 1, 3, 7), (0, 1, 4, 2), (0, 1, 4, 4), (0, 1, 4, 5), (0, 1, 4, 7),
+            (0, 1, 5, 2),
+        ]
+        rep = _check_centrals(G, 1, 1, fake_upper_series(G), SAMPLED, random.Random(0))
+        assert (rep.tuples_checked, rep.exhaustive) == (40, False)
+        assert rep.counterexamples == [
+            (7, 4, 6, 7), (5, 2, 3, 4), (2, 4, 1, 2), (4, 1, 1, 5), (7, 5, 1, 6),
+            (6, 7, 0, 5), (1, 5, 1, 7), (1, 4, 4, 1), (5, 4, 3, 7), (0, 7, 4, 1),
+            (3, 4, 6, 7), (7, 1, 5, 5), (3, 4, 0, 1), (3, 2, 5, 5), (6, 1, 0, 2),
+            (0, 2, 3, 1), (6, 4, 1, 1), (5, 1, 4, 7), (2, 7, 0, 6), (4, 6, 5, 4),
+            (2, 7, 0, 1),
+        ]
+
+    @pytest.mark.parametrize("name, cfg, count, exhaustive, bad", [
+        ("symmetric:3", LemmaConfig(), 1434, True, [
+            (1, 0, 1, 2, 1), (1, 0, 1, 2, 3), (1, 0, 1, 2, 4), (1, 0, 1, 3, 1),
+            (1, 0, 1, 3, 3), (1, 0, 1, 3, 4), (1, 0, 1, 4, 1), (1, 0, 1, 4, 3),
+            (1, 0, 1, 4, 4), (1, 0, 1, 5, 1), (1, 0, 1, 5, 3), (1, 0, 1, 5, 4),
+            (1, 0, 3, 2, 1), (1, 0, 3, 2, 3), (1, 0, 3, 2, 4), (1, 0, 3, 3, 1),
+            (1, 0, 3, 3, 3), (1, 0, 3, 3, 4), (1, 0, 3, 4, 1), (1, 0, 3, 4, 3),
+            (1, 0, 3, 4, 4),
+        ]),
+        ("symmetric:3", LemmaConfig(max_tuples=10, samples=500), 86, False, [
+            (1, 3, 2, 1, 3), (1, 0, 1, 4, 4), (1, 1, 5, 1, 3), (3, 2, 4, 2, 4),
+            (1, 1, 5, 4, 1), (1, 3, 4, 1, 4), (1, 0, 3, 4, 1), (3, 2, 4, 4, 4),
+            (3, 2, 1, 5, 3), (2, 2, 4, 1, 4), (5, 0, 3, 1, 1), (3, 1, 4, 0, 3),
+            (3, 2, 3, 5, 4), (2, 4, 4, 2, 4), (2, 2, 1, 3, 3), (4, 5, 4, 2, 3),
+            (1, 1, 4, 3, 4), (2, 5, 4, 3, 3), (3, 1, 3, 2, 3), (3, 4, 4, 2, 1),
+            (4, 3, 4, 5, 4),
+        ]),
+        ("alternating:4", LemmaConfig(), 20952, True, [
+            (1, 0, 1, 2, 1), (1, 0, 1, 2, 2), (1, 0, 1, 2, 3), (1, 0, 1, 2, 6),
+            (1, 0, 1, 2, 7), (1, 0, 1, 2, 8), (1, 0, 1, 2, 9), (1, 0, 1, 2, 10),
+            (1, 0, 1, 4, 1), (1, 0, 1, 4, 2), (1, 0, 1, 4, 3), (1, 0, 1, 4, 6),
+            (1, 0, 1, 4, 7), (1, 0, 1, 4, 8), (1, 0, 1, 4, 9), (1, 0, 1, 4, 10),
+            (1, 0, 1, 5, 1), (1, 0, 1, 5, 2), (1, 0, 1, 5, 3), (1, 0, 1, 5, 6),
+            (1, 0, 1, 5, 7),
+        ]),
+        ("alternating:4", LemmaConfig(max_tuples=10, samples=500), 62, False, [
+            (11, 10, 8, 0, 7), (5, 7, 3, 6, 8), (3, 6, 4, 2, 6), (2, 1, 2, 9, 9),
+            (5, 3, 8, 10, 10), (3, 2, 11, 3, 6), (2, 9, 3, 1, 3), (7, 5, 8, 5, 8),
+            (4, 7, 10, 6, 2), (3, 2, 11, 9, 2), (10, 6, 1, 2, 6), (2, 7, 9, 2, 8),
+            (2, 1, 6, 8, 2), (10, 7, 5, 2, 1), (7, 4, 8, 8, 8), (6, 5, 2, 11, 7),
+            (5, 5, 8, 2, 8), (10, 6, 4, 9, 8), (2, 3, 10, 2, 10), (11, 0, 7, 3, 2),
+            (7, 3, 8, 0, 6),
+        ]),
+    ], ids=["S3-exhaustive", "S3-sampled", "A4-exhaustive", "A4-sampled"])
+    def test_homo_wrong_series_detected(self, groups, name, cfg, count, exhaustive, bad):
+        G = groups[name]
+        rep = _check_homo(G, 1, fake_upper_series(G), cfg, random.Random(5))
+        assert (rep.tuples_checked, rep.exhaustive) == (count, exhaustive)
+        assert rep.counterexamples == bad
+
+    def test_non_associative_table_breaks_identities(self):
+        G = FiniteGroup("odd7", odd_carry_table(7), generators=[1], check=False)
+        rep = _check_identities(G, LemmaConfig(), random.Random(0))
+        assert (rep.tuples_checked, rep.exhaustive) == (77, True)
+        assert rep.counterexamples == [
+            (1, 1, "first", 1), (1, 1, "first", 3), (1, 1, "first", 5), (1, 1, "first", 6),
+            (1, 1, "second", 1), (1, 1, "second", 3), (1, 1, "second", 5),
+            (1, 2, "first", 1), (1, 2, "first", 3), (1, 2, "first", 5), (1, 2, "first", 6),
+            (1, 2, "second", 1), (1, 2, "second", 3), (1, 2, "second", 6),
+            (1, 3, "first", 1), (1, 3, "first", 3), (1, 3, "first", 4), (1, 3, "first", 5),
+            (1, 3, "first", 6), (1, 3, "second", 1), (1, 3, "second", 3),
+        ]
+        rep = _check_identities(G, LemmaConfig(max_tuples=10, samples=200), random.Random(0))
+        assert (rep.tuples_checked, rep.exhaustive) == (28, False)
+        assert rep.counterexamples == [
+            (6, 3, "first", 2), (6, 3, "first", 4), (6, 3, "first", 5), (6, 3, "first", 6),
+            (6, 3, "second", 2), (6, 3, "second", 4), (6, 3, "second", 5),
+            (6, 3, "first", 2), (6, 3, "first", 4), (6, 3, "first", 5), (6, 3, "first", 6),
+            (6, 3, "second", 2), (6, 3, "second", 4), (6, 3, "second", 5),
+            (4, 3, "first", 1), (4, 3, "first", 4), (4, 3, "first", 6),
+            (4, 3, "second", 1), (4, 3, "second", 3), (4, 3, "second", 4), (4, 3, "second", 5),
+        ]
+
+
+class TestDefaultBudgets:
+    """Default-config tuple counts; homo j=3 is the sampled path on order 8."""
+
+    @pytest.mark.parametrize("name", ["dihedral:8", "quaternion8"])
+    def test_tuple_counts(self, groups, name):
+        reports = check_commutator_lemmas(groups[name])
+        assert [(r.lemma, r.j, r.tuples_checked, r.exhaustive) for r in reports] == [
+            ("identities", None, 512, True),
+            ("centrals-1", 1, 1024, True),
+            ("centrals-1", 2, 32768, True),
+            ("centrals-1", 3, 262144, True),
+            ("centrals-2", 1, 4096, True),
+            ("centrals-2", 2, 32768, True),
+            ("centrals-2", 3, 262144, True),
+            ("homo", 1, 32768, True),
+            ("homo", 2, 262144, True),
+            ("homo", 3, 100000, False),
+        ]
+        assert all(r.ok for r in reports)

@@ -133,6 +133,15 @@ class TestBuildFromPermutations:
         assert not G.is_abelian
 
 
+class TestGroupLaw:
+    def test_spot_check_rejects_non_associative_large_table(self):
+        # order 601 is past the exhaustive cap, so only the sampled triples can catch it
+        x, y = np.indices((601, 601))
+        table = (x + y + ((x % 2 == 1) & (y % 2 == 1))) % 601
+        with pytest.raises(ValueError, match="associativity spot check failed"):
+            FiniteGroup("odd601", table, generators=[1], assume_associative=True)
+
+
 class TestSubgroups:
     def test_closure_matches_naive(self, groups):
         G = groups["symmetric:4"]
