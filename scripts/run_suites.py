@@ -14,7 +14,6 @@ from grouper.corpus import SUITE_IDS, generate_corpus, run_theorem_suite
 class RunConfig:
     max_order: int = 16
     socle_max_order: int = 12
-    jobs: int = 4
     as_json: bool = False
 
 
@@ -23,10 +22,9 @@ def main() -> int:
     ap.add_argument("--max-order", type=int, default=16)
     ap.add_argument("--socle-max-order", type=int, default=12,
                     help="smaller bound for the cubic-cost class suites")
-    ap.add_argument("--jobs", type=int, default=4)
     ap.add_argument("--json", action="store_true")
     args = ap.parse_args()
-    cfg = RunConfig(args.max_order, args.socle_max_order, args.jobs, args.json)
+    cfg = RunConfig(args.max_order, args.socle_max_order, args.json)
 
     results = {}
     failures = 0
@@ -34,7 +32,7 @@ def main() -> int:
         bound = cfg.socle_max_order if suite in ("socle-cover", "radical-envelope") else cfg.max_order
         corpus = generate_corpus(bound)
         t0 = time.perf_counter()
-        report = run_theorem_suite(corpus, suite, jobs=cfg.jobs)
+        report = run_theorem_suite(corpus, suite)
         secs = time.perf_counter() - t0
         results[suite] = report.to_dict()
         failures += len(report.violations)

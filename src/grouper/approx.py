@@ -100,15 +100,17 @@ class ClassificationReport:
 class Composites:
     """Composites of homs with every hom of a set, located in Hom(H, G).
 
-    ``idx[..., j]`` is the hom index of composite j and ``counts[..., i]``
-    how many composites equal hom i; a leading axis, if any, runs over a
-    batch of homs.  For the absolute verdicts (``side_profile``), row b of
-    ``fixers`` marks the endomorphisms that send hom b to itself, and row b
-    of ``galois`` the automorphisms among them, in Aut order.
+    ``idx[..., j]`` is the hom index of composite j in ``homs`` and
+    ``counts[..., i]`` how many composites equal hom i; a leading axis, if
+    any, runs over a batch of homs.  For the absolute verdicts
+    (``side_profile``), row b of ``fixers`` marks the endomorphisms that
+    send hom b to itself, and row b of ``galois`` the automorphisms among
+    them, in Aut order.
     """
 
     idx: np.ndarray
     counts: np.ndarray
+    homs: Optional[HomSet] = None
     fixers: Optional[np.ndarray] = None
     galois: Optional[np.ndarray] = None
 
@@ -151,7 +153,19 @@ def composites(hom_set: HomSet, gen_images: np.ndarray) -> Composites:
     rows = idx.reshape(-1, idx.shape[-1])
     flat = rows + (np.arange(rows.shape[0]) * n)[:, None]
     counts = np.bincount(flat.ravel(), minlength=rows.shape[0] * n)
-    return Composites(idx, counts.reshape(idx.shape[:-1] + (n,)))
+    return Composites(idx, counts.reshape(idx.shape[:-1] + (n,)), hom_set)
+
+
+def precomposition(phi_images: np.ndarray, H: FiniteGroup, G: FiniteGroup, F: FiniteGroup) -> Composites:
+    """f |-> f.phi for every f in Hom(G, F), located in Hom(H, F), for phi: H -> G."""
+    outer, inner = enumerate_homs(G, F), enumerate_homs(H, F)
+    return composites(inner, outer.matrix[:, phi_images[inner.gens]])
+
+
+def postcomposition(phi_images: np.ndarray, H: FiniteGroup, G: FiniteGroup, F: FiniteGroup) -> Composites:
+    """f |-> phi.f for every f in Hom(F, H), located in Hom(F, G), for phi: H -> G."""
+    outer, inner = enumerate_homs(F, H), enumerate_homs(F, G)
+    return composites(inner, phi_images[outer.matrix[:, inner.gens]])
 
 
 class EndData:
@@ -184,12 +198,12 @@ def galois_group(phi: GroupHom, side: str = "target") -> Subgroup:
     return Subgroup(ag.group, np.nonzero((comp == phi.images[None, :]).all(axis=1))[0])
 
 
-def _side_witnesses(prof: Composites, hom_set: HomSet, end: EndData, flags, who) -> list:
+def _side_witnesses(prof: Composites, end: EndData, flags, who) -> list:
     """Witnesses for the (pre-approximation, approximation, bijection) flags of one hom."""
     _, flag_approx, flag_bij = flags
     comp = Composites(prof.idx[0], prof.counts[0])
     if not comp.surjective:
-        data = {"unliftedHom": hom_set.matrix[comp.first_unhit()].tolist()}
+        data = {"unliftedHom": prof.homs.matrix[comp.first_unhit()].tolist()}
         return [Witness(f, "unlifted-hom", data) for f in flags]
     out = []
     if not prof.approximation[0]:
@@ -224,9 +238,9 @@ def classify_hom(phi: GroupHom) -> ClassificationReport:
         "isPrecoverOfSourceClass": bool(s.surjective[0]),
     }
     witnesses = _side_witnesses(
-        t, hom_set, end_g, ("isPreenvelopeOfTargetClass", "isEnvelope", "isLocalization"), "target"
+        t, end_g, ("isPreenvelopeOfTargetClass", "isEnvelope", "isLocalization"), "target"
     ) + _side_witnesses(
-        s, hom_set, end_h, ("isPrecoverOfSourceClass", "isCover", "isCellularCover"), "source"
+        s, end_h, ("isPrecoverOfSourceClass", "isCover", "isCellularCover"), "source"
     )
     gal = Subgroup(end_g.aut.group, np.nonzero(t.galois[0])[0])
     cogal = Subgroup(end_h.aut.group, np.nonzero(s.galois[0])[0])
@@ -280,18 +294,14 @@ def classify_against_class(phi: GroupHom, cls: GroupClass, side: str) -> Relativ
     in_class = cls.contains(X)
     surj_all = True
     inj_all = True
+    lift = precomposition if envelope else postcomposition
     for rep in cls.members:
-        if envelope:  # precompose Hom(G, rep) with phi, into Hom(H, rep)
-            outer, inner = enumerate_homs(G, rep), enumerate_homs(H, rep)
-            comp = composites(inner, outer.matrix[:, phi.images[inner.gens]])
-        else:  # postcompose Hom(rep, H) with phi, into Hom(rep, G)
-            outer, inner = enumerate_homs(rep, H), enumerate_homs(rep, G)
-            comp = composites(inner, phi.images[outer.matrix[:, inner.gens]])
+        comp = lift(phi.images, H, G, rep)
         if not comp.surjective:
             surj_all = False
             witnesses.append(Witness("isPreapproximation", "unlifted-hom",
                                      {"class_member": rep.name,
-                                      "unliftedHom": inner.matrix[comp.first_unhit()].tolist()}))
+                                      "unliftedHom": comp.homs.matrix[comp.first_unhit()].tolist()}))
             break
         inj_all = inj_all and bool(comp.injective)
     pre = in_class and surj_all
@@ -337,25 +347,16 @@ def f_radical(G: FiniteGroup, cls: GroupClass):
 
 def is_orthogonal(g: GroupHom, cls: GroupClass) -> bool:
     """g in the left-orthogonal class of F: precomposition bijects hom-sets."""
-    A, B = g.source, g.target
-    for rep in cls.members:
-        from_b = enumerate_homs(B, rep)
-        from_a = enumerate_homs(A, rep)
-        if len(from_b) != len(from_a):
-            return False
-        comp = composites(from_a, from_b.matrix[:, g.images[from_a.gens]])
-        if not (comp.surjective and comp.injective):
-            return False
-    return True
+    return all(precomposition(g.images, g.source, g.target, rep).bijective for rep in cls.members)
 
 
 def local_kernel(H: FiniteGroup, cls: GroupClass) -> Subgroup:
     """Intersection of all kernels of homs from H into class members.
 
     This is the kernel of the epireflection onto the largest quotient of H
-    all of whose maps into the class factor uniquely; a surjection is an
-    F-preenvelope exactly when its kernel contains... see radical-envelope
-    suite in corpus.
+    all of whose maps into the class factor uniquely: a surjection onto a
+    class member is an F-preenvelope exactly when its kernel equals this
+    intersection (the radical-envelope suite checks that law).
     """
     mask = np.ones(H.order, dtype=bool)
     for rep in cls.members:

@@ -373,7 +373,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify", help="run a theorem suite over the corpus")
     sp.add_argument("--suite", required=True, choices=SUITE_IDS)
     sp.add_argument("--max-order", type=int, required=True)
-    sp.add_argument("--jobs", type=int, default=1)
+    sp.add_argument("--jobs", type=int, default=1,
+                    help="accepted for compatibility; suites run serially")
     sp.add_argument("--assert", dest="assert_flags", action="store_true",
                     help="exit 1 when violations are found")
     sp.set_defaults(func=_cmd_verify)

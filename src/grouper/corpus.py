@@ -9,15 +9,24 @@ either examined or listed as skipped with a reason.
 
 from __future__ import annotations
 
+import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .approx import EndData, GroupClass, composites, f_socle, local_kernel, side_profile
+from .approx import (
+    EndData,
+    GroupClass,
+    f_socle,
+    image_factorize,
+    local_kernel,
+    postcomposition,
+    precomposition,
+    side_profile,
+)
 from .commutators import LemmaConfig, check_commutator_lemmas, nilpotency_class
-from .groups import FiniteGroup, GroupHom, standard_group
+from .groups import FiniteGroup, GroupHom, are_isomorphic, standard_group
 from .homs import automorphism_group, enumerate_homs, generating_set
 
 PAIR_BUDGET = 100_000_000
@@ -43,8 +52,6 @@ def generate_corpus(max_order: int):
         descriptors.append(f"dihedral:{n}")
     if max_order >= 8:
         descriptors.append("quaternion8")
-    import math
-
     for n in range(2, 8):
         if math.factorial(n) <= max_order:
             descriptors.append(f"symmetric:{n}")
@@ -56,16 +63,10 @@ def generate_corpus(max_order: int):
     groups = []
     for d in descriptors:
         G = standard_group(d)
-        if not any(H.order == G.order and _iso(H, G) for H in groups):
+        if not any(H.order == G.order and are_isomorphic(H, G) for H in groups):
             groups.append(G)
     groups.sort(key=lambda g: (g.order, g.name))
     return groups
-
-
-def _iso(H, G):
-    from .groups import are_isomorphic
-
-    return are_isomorphic(H, G)
 
 
 def _is_nilpotent(G: FiniteGroup) -> bool:
@@ -179,37 +180,33 @@ def _pair_name(H, G):
     return f"{H.name}->{G.name}"
 
 
-def _run_pairs(corpus, worker, report: SuiteReport, jobs: int):
-    """Apply worker to every ordered pair under the budget; ordered merge."""
-    pairs = [(H, G) for H in corpus for G in corpus]
-    tasks = []
-    for H, G in pairs:
-        if not _budget_ok(H, G):
-            report.skipped.append(
-                {"pair": _pair_name(H, G), "reason": "candidate-budget"}
-            )
-        else:
-            tasks.append((H, G))
+def _run(tasks, worker, report: SuiteReport, sort_key):
+    """Apply worker to each (name, args) task in order, timing each call; sorted merge.
 
-    def run_one(pair):
-        H, G = pair
+    A worker returns (items checked, violations, notes).
+    """
+    for name, args in tasks:
         t0 = time.perf_counter()
-        out = worker(H, G)
-        return _pair_name(H, G), time.perf_counter() - t0, out
-
-    if jobs <= 1:
-        results = [run_one(p) for p in tasks]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run_one, tasks))
-    for name, secs, (n_homs, violations, notes) in results:
+        count, violations, notes = worker(*args)
+        report.pair_seconds[name] = time.perf_counter() - t0
         report.pairs_examined += 1
-        report.homs_classified += n_homs
+        report.homs_classified += count
         report.violations.extend(violations)
         report.notes.extend(notes)
-        report.pair_seconds[name] = secs
-    report.violations.sort(key=lambda v: sorted(v.items()))
-    report.notes.sort(key=lambda v: sorted(v.items()))
+    report.violations.sort(key=sort_key)
+    report.notes.sort(key=sort_key)
+
+
+def _run_pairs(corpus, worker, report: SuiteReport):
+    """Apply worker to every ordered pair under the budget; list the rest as skipped."""
+    tasks = []
+    for H in corpus:
+        for G in corpus:
+            if _budget_ok(H, G):
+                tasks.append((_pair_name(H, G), (H, G)))
+            else:
+                report.skipped.append({"pair": _pair_name(H, G), "reason": "candidate-budget"})
+    _run(tasks, worker, report, lambda v: sorted(v.items()))
 
 
 def _cogalois_worker(H, G):
@@ -274,13 +271,6 @@ def _surjective_reps_by_kernel(H, G):
     return [reps[k] for k in sorted(reps)]
 
 
-def _postcomp_surjective(phi_images, F0, H, G):
-    """Does every hom F0 -> G factor through phi under postcomposition?"""
-    to_h = enumerate_homs(F0, H)
-    to_g = enumerate_homs(F0, G)
-    return bool(composites(to_g, phi_images[to_h.matrix[:, to_g.gens]]).surjective)
-
-
 def _make_socle_worker(corpus):
     def worker(H, G):
         violations = []
@@ -299,7 +289,7 @@ def _make_socle_worker(corpus):
                 is_socle = socle.order == len(image) and bool(
                     (socle.members == image).all()
                 )
-                precover = source_in_class and _postcomp_surjective(row, F0, H, G)
+                precover = source_in_class and bool(postcomposition(row, H, G, F0).surjective)
                 if source_in_class and precover != is_socle:
                     violations.append(
                         {"pair": _pair_name(H, G), "class": F0.name,
@@ -316,14 +306,6 @@ def _make_socle_worker(corpus):
     return worker
 
 
-def _precomp_status(phi_images, H, G, F0):
-    """(surjective, injective) of precomposition Hom(G,F0) -> Hom(H,F0)."""
-    from_g = enumerate_homs(G, F0)
-    from_h = enumerate_homs(H, F0)
-    comp = composites(from_h, from_g.matrix[:, phi_images[from_h.gens]])
-    return bool(comp.surjective), bool(comp.injective)
-
-
 def _make_radical_worker(corpus):
     def worker(H, G):
         violations = []
@@ -338,8 +320,8 @@ def _make_radical_worker(corpus):
             kf = local_kernel(H, cls)
             for row in reps:
                 count += 1
-                surj, inj = _precomp_status(row, H, G, F0)
-                pre = target_in_class and surj
+                comp = precomposition(row, H, G, F0)
+                pre = target_in_class and bool(comp.surjective)
                 kernel = np.nonzero(row == G.identity)[0]
                 epireflection = target_in_class and kf.order == len(kernel) and bool(
                     (kf.members == kernel).all()
@@ -351,7 +333,7 @@ def _make_radical_worker(corpus):
                          "law": "surjective-preenvelope-iff-epireflection-kernel"}
                     )
                 # unique liftings clause: reported, not asserted
-                if pre and not inj:
+                if pre and not comp.injective:
                     notes.append(
                         {"pair": _pair_name(H, G), "class": F0.name,
                          "note": "preenvelope-without-unique-liftings"}
@@ -363,8 +345,6 @@ def _make_radical_worker(corpus):
 
 def _reduction_worker(H, G):
     """Envelope factorization keeps the Galois group; dually for covers."""
-    from .approx import image_factorize
-
     v = classify_pair(H, G)
     violations = []
     aut_g = automorphism_group(G)
@@ -393,7 +373,7 @@ def _reduction_worker(H, G):
     return len(v), violations, []
 
 
-def _lemmas_suite(corpus, report: SuiteReport, jobs: int, lemma_config):
+def _make_lemma_worker(lemma_config):
     """Commutator identity checks; central-series lemmas on nilpotent members."""
     cfg_ids = LemmaConfig(
         max_tuples=lemma_config.max_tuples,
@@ -402,33 +382,19 @@ def _lemmas_suite(corpus, report: SuiteReport, jobs: int, lemma_config):
         js=[1],
     )
 
-    def run_one(G):
-        t0 = time.perf_counter()
-        reports = []
-        ids_only = not _is_nilpotent(G)
-        if ids_only:
-            reports.extend(
-                r for r in check_commutator_lemmas(G, cfg_ids) if r.lemma == "identities"
-            )
+    def worker(G):
+        if _is_nilpotent(G):
+            reports = check_commutator_lemmas(G, lemma_config)
         else:
-            reports.extend(check_commutator_lemmas(G, lemma_config))
-        return G.name, time.perf_counter() - t0, reports
+            reports = [r for r in check_commutator_lemmas(G, cfg_ids) if r.lemma == "identities"]
+        violations = [
+            {"group": G.name, "lemma": r.lemma, "j": r.j, "tuple": list(bad)}
+            for r in reports
+            for bad in r.counterexamples
+        ]
+        return sum(r.tuples_checked for r in reports), violations, []
 
-    if jobs <= 1:
-        results = [run_one(G) for G in corpus]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run_one, corpus))
-    for name, secs, reports in results:
-        report.pairs_examined += 1
-        report.pair_seconds[name] = secs
-        for r in reports:
-            report.homs_classified += r.tuples_checked
-            for bad in r.counterexamples:
-                report.violations.append(
-                    {"group": name, "lemma": r.lemma, "j": r.j, "tuple": list(bad)}
-                )
-    report.violations.sort(key=lambda v: sorted((k, str(x)) for k, x in v.items()))
+    return worker
 
 
 def run_theorem_suite(
@@ -438,7 +404,11 @@ def run_theorem_suite(
     jobs: int = 1,
     lemma_config: LemmaConfig = None,
 ) -> SuiteReport:
-    """Run one theorem suite over every ordered corpus pair within budget."""
+    """Run one theorem suite over every ordered corpus pair within budget.
+
+    Pairs run serially, in corpus order.  ``jobs`` is accepted for
+    compatibility and has no effect.
+    """
     if suite not in SUITE_IDS:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITE_IDS}")
     if not corpus:
@@ -447,7 +417,10 @@ def run_theorem_suite(
         max_order = max(g.order for g in corpus)
     report = SuiteReport(suite=suite, max_order=max_order)
     if suite == "lemmas":
-        _lemmas_suite(corpus, report, jobs, lemma_config or LemmaConfig())
+        worker = _make_lemma_worker(lemma_config or LemmaConfig())
+        # lemma violations carry j=None for identities, which does not compare with ints
+        _run([(G.name, (G,)) for G in corpus], worker, report,
+             lambda v: sorted((k, str(x)) for k, x in v.items()))
         return report
     worker = {
         "cogalois": _cogalois_worker,
@@ -456,7 +429,7 @@ def run_theorem_suite(
         "radical-envelope": _make_radical_worker(corpus),
         "reduction": _reduction_worker,
     }[suite]
-    _run_pairs(corpus, worker, report, jobs)
+    _run_pairs(corpus, worker, report)
     return report
 
 

@@ -129,6 +129,22 @@ def _normalize_perms(gens: Iterable[Sequence[int]]):
     return out, degree
 
 
+def _element_orders(table: np.ndarray, identity: int) -> np.ndarray:
+    """Order of every element of the group with Cayley table ``table``."""
+    n = len(table)
+    orders = np.zeros(n, dtype=np.int32)
+    acc = np.arange(n, dtype=np.int32)
+    base = np.arange(n, dtype=np.int32)
+    k = 1
+    while (orders == 0).any():
+        orders[(acc == identity) & (orders == 0)] = k
+        acc = table[acc, base]
+        k += 1
+        if k > n + 1:
+            raise ValueError("element order exceeds group order")
+    return orders
+
+
 # ---------------------------------------------------------------------------
 # core types
 
@@ -157,7 +173,7 @@ class FiniteGroup:
         if check:
             self._check_shape()
         self.inverses = self._compute_inverses()
-        self.element_orders = self._compute_element_orders()
+        self.element_orders = _element_orders(self.table, self.identity)
         self._abelian: Optional[bool] = None
         self._memo: dict = {}  # derived data, memoized for exactly the group's lifetime
         if check:
@@ -185,21 +201,6 @@ class FiniteGroup:
         if (inv < 0).any():
             raise ValueError("element without inverse")
         return inv
-
-    def _compute_element_orders(self):
-        n = self.order
-        orders = np.zeros(n, dtype=np.int32)
-        acc = np.arange(n, dtype=np.int32)
-        base = np.arange(n, dtype=np.int32)
-        k = 1
-        while (orders == 0).any():
-            hit = (acc == self.identity) & (orders == 0)
-            orders[hit] = k
-            acc = self.table[acc, base]
-            k += 1
-            if k > n + 1:
-                raise ValueError("element order exceeds group order")
-        return orders
 
     def _check_group_law(self, assume_associative: bool):
         n = self.order
@@ -486,15 +487,7 @@ def generating_set_of_table(table: np.ndarray, identity: int) -> list:
     n = len(table)
     if n == 1:
         return [identity]
-    # local element orders
-    orders = np.zeros(n, dtype=np.int64)
-    acc = np.arange(n)
-    base = np.arange(n)
-    k = 1
-    while (orders == 0).any():
-        orders[(acc == identity) & (orders == 0)] = k
-        acc = table[acc, base]
-        k += 1
+    orders = _element_orders(table, identity)
     gens: list = []
     seen = np.zeros(n, dtype=bool)
     seen[identity] = True

@@ -1,10 +1,12 @@
-"""The benchmark's pinned lemma counts, checked from tier-1.
+"""The benchmark's pinned counts, checked from tier-1.
 
-``perfbench/workloads.py lemmas --trace`` runs the lemmas suite over the
-order-10 corpus in a fresh process and compares its suite outputs and the
-traced ``commutators.tuples_checked`` / ``commutators.sampled_reports``
-against ``perfbench/expected.json``.  Any change to the scan order, the stop
-rule or the sampled draw order of the lemma checks shows up as a mismatch.
+``perfbench/workloads.py WORKLOAD --trace`` runs one workload in a fresh
+process and compares its suite outputs and traced counts against
+``perfbench/expected.json``.  For ``lemmas``, any change to the scan order,
+the stop rule or the sampled draw order of the lemma checks shows up as a
+mismatch.  For ``galois-suites``, the hom and Aut caches must be filled
+exactly once per key: a second fill of the same key (as a race between
+worker threads would cause) raises the traced call counts.
 """
 
 import json
@@ -16,11 +18,22 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_lemmas_workload_reproduces_pinned_counts():
+def _traced_workload(name: str) -> dict:
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "perfbench" / "workloads.py"), "lemmas", "--seed", "0",
+        [sys.executable, str(ROOT / "perfbench" / "workloads.py"), name, "--seed", "0",
          "--spawned-at", repr(time.monotonic()), "--trace"],
         capture_output=True, text=True, check=True, timeout=600,
     )
-    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def test_lemmas_workload_reproduces_pinned_counts():
+    result = _traced_workload("lemmas")
     assert result["mismatches"] == []
+
+
+def test_galois_suites_fill_each_cache_entry_once():
+    result = _traced_workload("galois-suites")
+    assert result["mismatches"] == []
+    assert result["layers"]["homs.enumerate_homs.calls"] == 4840
+    assert result["layers"]["homs.automorphism_group.misses"] == 40
