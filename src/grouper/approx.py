@@ -21,8 +21,9 @@ from .groups import (
     Subgroup,
     are_isomorphic,
     describe_structure,
-    subgroup_generated,
+    preimage_subgroup,
     quotient_group,
+    subgroup_generated,
 )
 from .homs import HomSet, automorphism_group, enumerate_homs
 
@@ -320,29 +321,27 @@ def classify_against_class(phi: GroupHom, cls: GroupClass, side: str) -> Relativ
 
 
 def f_socle(G: FiniteGroup, cls: GroupClass) -> Subgroup:
-    """Normal subgroup generated by all images of homs from class members."""
-    seed: set = set()
-    for rep in cls.members:
-        hs = enumerate_homs(rep, G)
-        if len(hs):
-            seed.update(int(x) for x in np.unique(hs.matrix))
+    """Normal subgroup generated by all images of homs from class members.
+
+    A hom's image is generated by its images of the source generators.
+    """
+    hom_sets = [enumerate_homs(rep, G) for rep in cls.members]
+    seed = np.concatenate([hs.matrix[:, hs.gens].ravel() for hs in hom_sets])
     return subgroup_generated(G, seed, normal=True)
 
 
 def f_radical(G: FiniteGroup, cls: GroupClass):
     """Iterated socle-of-quotient chain; returns (radical, epireflection projection)."""
-    members = set(f_socle(G, cls).members.tolist())
+    T = f_socle(G, cls)
     while True:
-        T = Subgroup(G, members)
         Q, pi = quotient_group(G, T)
         S = f_socle(Q, cls)
         if S.is_trivial:
             return T, pi
-        mask = S._member_mask[pi.images]
-        new_members = set(int(x) for x in np.nonzero(mask)[0])
-        if new_members == members:
+        pre = preimage_subgroup(pi, S)
+        if pre.same_members(T):
             return T, pi
-        members = set(Subgroup(G, new_members).members.tolist())
+        T = pre
 
 
 def is_orthogonal(g: GroupHom, cls: GroupClass) -> bool:

@@ -27,10 +27,10 @@ from .approx import (
     galois_group,
     is_orthogonal,
 )
-from .corpus import generate_corpus, run_theorem_suite, search_approximations, SUITE_IDS
-from .errors import GrouperError, UnknownFormat
+from .corpus import CORPUS_CAP, SUITE_IDS, generate_corpus, run_theorem_suite, search_approximations
+from .errors import GrouperError, OrderCapExceeded, UnknownFormat
 from .groups import FiniteGroup, GroupHom, describe_structure
-from .homs import _extend_batch, _word_entries, enumerate_homs, generating_set
+from .homs import _extend_batch, _gen_array, _word_entries, enumerate_homs
 from .simple import simple_envelope_criterion, structural_flags
 from .specs import parse_group_spec
 
@@ -51,7 +51,7 @@ def _load_hom(path: str, H: FiniteGroup, G: FiniteGroup) -> GroupHom:
         values = [int(t) for t in toks]
     except ValueError:
         raise GrouperError(f"hom file {path} must contain integers")
-    gens = generating_set(H)
+    gens = _gen_array(H)
     if len(values) not in (H.order, len(gens)):
         raise GrouperError(
             f"hom file {path} has {len(values)} entries; expected {H.order} "
@@ -267,6 +267,8 @@ def _cmd_simple_criterion(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if not 1 <= args.max_order <= CORPUS_CAP:
+        raise OrderCapExceeded(f"--max-order must be between 1 and {CORPUS_CAP}, got {args.max_order}")
     corpus = generate_corpus(args.max_order)
     report = run_theorem_suite(corpus, args.suite, max_order=args.max_order, jobs=args.jobs)
     payload = report.to_dict(include_timings=False)

@@ -81,15 +81,12 @@ class CentralSeries:
 
 def lower_central_series(G: FiniteGroup) -> CentralSeries:
     """G = Gamma^1 >= Gamma^2 = [G, G] >= ... until stabilization."""
-    whole = Subgroup(G, range(G.order))
-    terms = [whole]
-    everyone = np.arange(G.order, dtype=np.int32)
+    terms = [Subgroup(G, range(G.order))]
+    gens = np.asarray(G.generators)
     while True:
         cur = terms[-1]
-        comms = set()
-        for a in cur.members.tolist():
-            comms.update(commutator(G, a, everyone).tolist())
-        nxt = subgroup_generated(G, comms)
+        # [N, G] is the normal closure of the commutators of N's members with G's generators
+        nxt = subgroup_generated(G, commutator(G, cur.members[:, None], gens).ravel(), normal=True)
         if not nxt.is_normal:
             raise AssertionError("lower central term failed normality")
         if nxt.same_members(cur):

@@ -27,9 +27,10 @@ from .approx import (
 )
 from .commutators import LemmaConfig, check_commutator_lemmas, nilpotency_class
 from .groups import FiniteGroup, GroupHom, are_isomorphic, standard_group
-from .homs import automorphism_group, enumerate_homs, generating_set
+from .homs import _gen_array, automorphism_group, enumerate_homs, first_per_key
 
 PAIR_BUDGET = 100_000_000
+CORPUS_CAP = 512
 _CHUNK = 1 << 14  # composites per batch in classify_pair, bounding its working memory
 SUITE_IDS = ("cogalois", "galois", "socle-cover", "radical-envelope", "reduction", "lemmas")
 
@@ -38,8 +39,8 @@ _pair_cache: dict = {}
 
 def generate_corpus(max_order: int):
     """Deterministic family corpus, deduplicated up to isomorphism."""
-    if max_order > 512:
-        raise ValueError("corpus capped at order 512")
+    if max_order > CORPUS_CAP:
+        raise ValueError(f"corpus capped at order {CORPUS_CAP}")
     descriptors = []
     for n in range(1, max_order + 1):
         descriptors.append(f"cyclic:{n}")
@@ -107,7 +108,7 @@ class SuiteReport:
 
 
 def _budget_ok(H: FiniteGroup, G: FiniteGroup) -> bool:
-    return G.order ** len(generating_set(H)) <= PAIR_BUDGET
+    return G.order ** len(_gen_array(H)) <= PAIR_BUDGET
 
 
 @dataclass
@@ -248,27 +249,16 @@ def _galois_worker(H, G):
 def _injective_reps_by_image(H, G):
     """One injective hom per image subgroup, first in canonical order."""
     hs = enumerate_homs(H, G)
-    reps = {}
-    for row in hs.matrix:
-        if len(np.unique(row)) != H.order:
-            continue
-        key = np.sort(row).astype(np.int32).tobytes()
-        if key not in reps:
-            reps[key] = row
-    return [reps[k] for k in sorted(reps)]
+    images, sizes = hs.sorted_images()
+    injective = sizes == H.order
+    return hs.matrix[injective][first_per_key(images[injective])]
 
 
 def _surjective_reps_by_kernel(H, G):
     """One surjective hom per kernel, first in canonical order."""
     hs = enumerate_homs(H, G)
-    reps = {}
-    for row in hs.matrix:
-        if len(np.unique(row)) != G.order:
-            continue
-        key = (row == G.identity).tobytes()
-        if key not in reps:
-            reps[key] = row
-    return [reps[k] for k in sorted(reps)]
+    rows = hs.matrix[hs.sorted_images()[1] == G.order]
+    return rows[first_per_key(rows == G.identity)]
 
 
 def _make_socle_worker(corpus):

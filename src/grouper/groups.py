@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import copy
 import functools
-import itertools
 import math
 import random
 from typing import Iterable, Optional, Sequence
@@ -145,6 +144,46 @@ def _element_orders(table: np.ndarray, identity: int) -> np.ndarray:
     return orders
 
 
+def _close(table: np.ndarray, reached: np.ndarray, gens) -> np.ndarray:
+    """Close the element mask ``reached`` in place under right multiplication by ``gens``.
+
+    Products are taken level by level from the newly reached elements.  The
+    repeated squares g^2, g^4, ... of the generators lie in the monoid they
+    span, so multiplying by them as well reaches the same set, in about
+    log2 |G| levels rather than up to |G| (a cyclic group's diameter).
+    """
+    steps = [np.asarray(gens, dtype=np.intp)]
+    for _ in range(len(table).bit_length() - 1):
+        steps.append(table[steps[-1], steps[-1]])
+    cols = table[:, np.concatenate(steps)]
+    new = reached
+    while True:
+        frontier = new.nonzero()[0]
+        if not frontier.size:
+            return reached
+        hit = np.zeros(len(reached), dtype=bool)
+        hit[cols[frontier]] = True
+        new = hit > reached
+        reached |= new
+
+
+def _adjoin(table: np.ndarray, reached: np.ndarray, gens: list, candidates) -> list:
+    """Extend ``gens``, which generate the subgroup ``reached``, from ``candidates``.
+
+    Each pick is the first candidate outside the subgroup generated so far,
+    after which ``reached`` is closed again; in the end every candidate lies
+    in it.  Each pick at least doubles the subgroup, so at most log2 |G|
+    elements are added.  Returns ``gens``, extended in place.
+    """
+    candidates = np.asarray(candidates)
+    while True:
+        candidates = candidates[~reached[candidates]]
+        if not candidates.size:
+            return gens
+        gens.append(int(candidates[0]))
+        _close(table, reached, gens)
+
+
 # ---------------------------------------------------------------------------
 # core types
 
@@ -206,9 +245,12 @@ class FiniteGroup:
         n = self.order
         t = self.table
         if n <= EXHAUSTIVE_ASSOC_CAP:
-            for i in range(n):
-                if not np.array_equal(t[t[i], :], t[i, t]):
-                    raise ValueError(f"associativity fails at element {i}")
+            step = max(1, ASSOC_CHUNK // (n * n))  # rows i per gather of (ij)k against i(jk)
+            for lo in range(0, n, step):
+                rows = t[lo:lo + step]
+                bad = (t[rows] != rows[:, t]).any(axis=(1, 2))
+                if bad.any():
+                    raise ValueError(f"associativity fails at element {lo + int(bad.argmax())}")
         else:
             if not assume_associative:
                 raise ValueError(
@@ -256,25 +298,20 @@ class FiniteGroup:
     def is_trivial(self) -> bool:
         return self.order == 1
 
-    def closure(self, seed: Iterable[int]) -> list:
-        """Elements generated by ``seed``, in breadth-first discovery order."""
-        seen = np.zeros(self.order, dtype=bool)
-        seen[self.identity] = True
-        out = [self.identity]
-        gens = [int(s) for s in seed]
-        for g in gens:
-            if not 0 <= g < self.order:
-                raise IndexError(f"element index {g} out of range")
-        i = 0
-        while i < len(out):
-            cur = out[i]
-            for g in gens:
-                nxt = int(self.table[cur, g])
-                if not seen[nxt]:
-                    seen[nxt] = True
-                    out.append(nxt)
-            i += 1
-        return out
+    def closure(self, seed: Iterable[int]) -> np.ndarray:
+        """Sorted members of the subgroup generated by ``seed``."""
+        return np.flatnonzero(self._generate(seed)[0])
+
+    def _generate(self, seed: Iterable[int]) -> tuple:
+        """(mask, gens): the subgroup generated by ``seed``, and the seed elements
+        that ``_adjoin`` picked to generate it."""
+        seed = np.fromiter(seed, dtype=np.intp)
+        bad = seed[(seed < 0) | (seed >= self.order)]
+        if bad.size:
+            raise IndexError(f"element index {bad[0]} out of range")
+        reached = np.zeros(self.order, dtype=bool)
+        reached[self.identity] = True
+        return reached, _adjoin(self.table, reached, [], seed)
 
     def renamed(self, name: str) -> "FiniteGroup":
         """A copy under another name; ``self`` (possibly a shared, cached group) is untouched."""
@@ -291,12 +328,10 @@ class Subgroup:
 
     def __init__(self, parent: FiniteGroup, members: Iterable[int]):
         self.parent = parent
-        mem = np.array(sorted({int(m) for m in members}), dtype=np.int32)
-        if mem.size == 0 or parent.identity not in mem:
-            mem = np.array(sorted(set(mem.tolist()) | {parent.identity}), dtype=np.int32)
-        self.members = mem
         self._member_mask = np.zeros(parent.order, dtype=bool)
-        self._member_mask[mem] = True
+        self._member_mask[np.fromiter(members, dtype=np.intp)] = True
+        self._member_mask[parent.identity] = True
+        self.members = np.flatnonzero(self._member_mask).astype(np.int32)
         self._verify()
         self.is_normal = self._compute_normal()
         self._as_group: Optional[FiniteGroup] = None
@@ -304,7 +339,7 @@ class Subgroup:
     def _verify(self):
         t = self.parent.table
         m = self.members
-        prods = t[np.ix_(m, m)]
+        prods = t[m[:, None], m]
         if not self._member_mask[prods].all():
             raise ValueError("subset not closed under product")
         if not self._member_mask[self.parent.inverses[m]].all():
@@ -314,13 +349,10 @@ class Subgroup:
             raise ValueError("subgroup order does not divide group order")
 
     def _compute_normal(self) -> bool:
+        """Conjugation by each generator of the parent maps the subgroup into itself."""
         G = self.parent
-        m = self.members
-        for g in range(G.order):
-            conj = G.table[G.table[g, m], G.inverses[g]]
-            if not self._member_mask[conj].all():
-                return False
-        return True
+        g = np.asarray(G.generators)[:, None]
+        return bool(self._member_mask[G.table[G.table[g, self.members], G.inverses[g]]].all())
 
     @property
     def order(self) -> int:
@@ -483,30 +515,17 @@ def build_from_permutations(gens: Iterable[Sequence[int]], name: str = "G") -> F
 
 
 def generating_set_of_table(table: np.ndarray, identity: int) -> list:
-    """Greedy generating set: repeatedly add the max-order element outside the closure."""
-    n = len(table)
-    if n == 1:
-        return [identity]
+    """Greedy generating set: repeatedly add the max-order element outside the closure.
+
+    Ties go to the least index.
+    """
     orders = _element_orders(table, identity)
-    gens: list = []
-    seen = np.zeros(n, dtype=bool)
-    seen[identity] = True
-    reached = [identity]
-    while len(reached) < n:
-        outside = np.nonzero(~seen)[0]
-        best = orders[outside].max()
-        pick = int(outside[orders[outside] == best][0])
-        gens.append(pick)
-        i = 0
-        while i < len(reached):
-            cur = reached[i]
-            for g in gens:
-                nxt = int(table[cur, g])
-                if not seen[nxt]:
-                    seen[nxt] = True
-                    reached.append(nxt)
-            i += 1
-    return gens
+    reached = np.zeros(len(table), dtype=bool)
+    reached[identity] = True
+    # sorted() is stable; np.argsort would map numpy's sort kernels, a few hundred kB of RSS
+    by_order = sorted(range(len(table)), key=(-orders).tolist().__getitem__)
+    gens = _adjoin(table, reached, [], by_order)
+    return gens or [identity]
 
 
 def direct_product(A: FiniteGroup, B: FiniteGroup, name: Optional[str] = None) -> FiniteGroup:
@@ -688,33 +707,31 @@ def standard_group(descriptor: str) -> FiniteGroup:
 # subgroup machinery
 
 def subgroup_generated(G: FiniteGroup, seed: Iterable[int], normal: bool = False) -> Subgroup:
-    """Smallest (normal) subgroup containing ``seed``."""
-    members = set(G.closure(seed))
+    """Smallest (normal) subgroup containing ``seed``.
+
+    The normal closure conjugates the subgroup's generators by ``G.generators``
+    and adjoins the conjugates outside it, until there are none: a subgroup
+    that every generator of G conjugates into itself is normal.
+    """
+    reached, gens = G._generate(seed)
     if normal:
+        t, g = G.table, np.asarray(G.generators)[:, None]
         while True:
-            extra = set()
-            mem = np.array(sorted(members), dtype=np.int32)
-            mask = np.zeros(G.order, dtype=bool)
-            mask[mem] = True
-            for g in range(G.order):
-                conj = G.table[G.table[g, mem], G.inverses[g]]
-                for x in conj[~mask[conj]]:
-                    extra.add(int(x))
-            if not extra:
+            conj = t[t[g, gens], G.inverses[g]].ravel()
+            if reached[conj].all():
                 break
-            members = set(G.closure(members | extra))
-    return Subgroup(G, members)
+            _adjoin(t, reached, gens, conj)
+    return Subgroup(G, np.flatnonzero(reached))
 
 
 def centralizer(G: FiniteGroup, elements: Iterable[int]) -> Subgroup:
-    mask = np.ones(G.order, dtype=bool)
-    for s in set(int(x) for x in elements):
-        mask &= G.table[:, s] == G.table[s, :]
-    return Subgroup(G, np.nonzero(mask)[0])
+    s = np.fromiter(elements, dtype=np.intp)
+    return Subgroup(G, np.flatnonzero((G.table[:, s] == G.table[s, :].T).all(axis=1)))
 
 
 def center(G: FiniteGroup) -> Subgroup:
-    return centralizer(G, range(G.order))
+    """The centralizer of the generators."""
+    return centralizer(G, G.generators)
 
 
 def quotient_group(G: FiniteGroup, N: Subgroup) -> tuple:
@@ -726,21 +743,10 @@ def quotient_group(G: FiniteGroup, N: Subgroup) -> tuple:
         raise ValueError("subgroup belongs to a different group")
     if not N.is_normal:
         raise NotNormalError(f"subgroup of order {N.order} is not normal in {G.name}")
-    mem = N.members
-    coset_min = np.full(G.order, -1, dtype=np.int32)
-    reps = []
-    for x in range(G.order):
-        if coset_min[x] >= 0:
-            continue
-        coset = G.table[x, mem]
-        least = int(coset.min())
-        coset_min[coset] = least
-        reps.append(least)
-    reps = sorted(set(reps))
-    rep_index = {r: i for i, r in enumerate(reps)}
-    proj = np.array([rep_index[int(coset_min[x])] for x in range(G.order)], dtype=np.int32)
-    reps_arr = np.array(reps, dtype=np.int32)
-    qtable = proj[G.table[np.ix_(reps_arr, reps_arr)]]
+    coset_min = G.table[:, N.members].min(axis=1)  # least member of each coset xN
+    reps = np.flatnonzero(coset_min == np.arange(G.order))
+    proj = reps.searchsorted(coset_min).astype(np.int32)
+    qtable = proj[G.table[np.ix_(reps, reps)]]
     ident = int(proj[G.identity])
     gens = [int(proj[g]) for g in G.generators]
     if all(g == ident for g in gens):

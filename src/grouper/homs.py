@@ -7,7 +7,7 @@ divide generator orders, then pairwise product-order checks, then sampled
 multiplicativity, then a full table check on the survivors.
 
 Hom identity.  A hom H -> G is fixed by its images of the generators
-``generating_set(H)``.  Its key is the mixed-radix number whose digits are
+``_gen_array(H)``.  Its key is the mixed-radix number whose digits are
 the positions of those images in the per-generator candidate lists, so the
 key is below the candidate-space size (at most ``CANDIDATE_CAP``) and fits
 an ``int64`` for every pair that ``enumerate_homs`` accepts.  Because the
@@ -38,7 +38,7 @@ _aut_cache: dict = {}
 
 
 def _gen_array(G: FiniteGroup) -> np.ndarray:
-    """``generating_set(G)`` as a read-only index array, memoized on G."""
+    """The greedy ``generating_set_of_table`` of G as a read-only index array, memoized on G."""
     gens = G._memo.get("greedy_gens")
     if gens is None:
         gens = np.array(generating_set_of_table(G.table, G.identity), dtype=np.intp)
@@ -47,9 +47,19 @@ def _gen_array(G: FiniteGroup) -> np.ndarray:
     return gens
 
 
-def generating_set(G: FiniteGroup) -> list:
-    """Greedy generating set: repeatedly add the max-order element outside the closure."""
-    return _gen_array(G).tolist()
+def first_per_key(keys: np.ndarray) -> np.ndarray:
+    """Index of the first row holding each distinct row of ``keys``, in byte order of the rows.
+
+    With one key row per hom of a hom set, in canonical order, this picks
+    the canonically first hom of each key.
+    """
+    keys = np.ascontiguousarray(keys)
+    rows = keys.view(np.dtype((np.void, keys.dtype.itemsize * keys.shape[1]))).ravel()
+    order = rows.argsort(kind="stable")
+    rows = rows[order]
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = rows[1:] != rows[:-1]
+    return order[first]
 
 
 def _divisor_positions(G: FiniteGroup, o: int) -> tuple:
@@ -114,7 +124,7 @@ def _full_check(H: FiniteGroup, G: FiniteGroup, images: np.ndarray, gens) -> np.
 class HomKeys:
     """Integer key of a hom H -> G, read off its images of ``gens``.
 
-    ``gens`` is ``generating_set(H)``.  Digit i of a key is the position of
+    ``gens`` is ``_gen_array(H)``.  Digit i of a key is the position of
     the image of ``gens[i]`` in that generator's candidate list (the
     elements of G whose order divides the generator's), weighted by the
     product of the later lists' lengths.  Keys are exact on the generator
@@ -223,6 +233,11 @@ class HomSet(KeyedRows):
     def homs(self) -> list:
         return [GroupHom(self.source, self.target, row, check=False) for row in self.matrix]
 
+    def sorted_images(self) -> tuple:
+        """(images, sizes): each row's images in ascending order, and how many elements it hits."""
+        images = np.sort(self.matrix, axis=1)
+        return images, 1 + (images[:, 1:] != images[:, :-1]).sum(axis=1)
+
 
 def _candidate_lists(H: FiniteGroup, G: FiniteGroup, gens, bijective: bool):
     ordH = H.element_orders
@@ -255,7 +270,7 @@ def _search_homs(
     bijective: bool = False,
     first_only: bool = False,
 ):
-    gens = generating_set(H)
+    gens = _gen_array(H).tolist()
     entries = _word_entries(H, gens)
     cands = _candidate_lists(H, G, gens, bijective)
     total = 1

@@ -19,6 +19,7 @@ from typing import Optional
 
 import numpy as np
 
+from .commutators import commutator
 from .errors import NonInjectiveInput
 from .groups import (
     FiniteGroup,
@@ -29,7 +30,7 @@ from .groups import (
     describe_structure,
     subgroup_generated,
 )
-from .homs import HomKeys, automorphism_group, enumerate_homs
+from .homs import HomKeys, automorphism_group, enumerate_homs, first_per_key
 
 
 def is_simple(G: FiniteGroup) -> bool:
@@ -40,28 +41,24 @@ def is_simple(G: FiniteGroup) -> bool:
     """
     if G.order == 1:
         return False
-    checked: set = set()
     t, inv = G.table, G.inverses
-    for x in range(G.order):
-        if x == G.identity or x in checked:
-            continue
-        cl = subgroup_generated(G, {x}, normal=True)
-        if not cl.is_whole:
+    checked = np.zeros(G.order, dtype=bool)
+    checked[G.identity] = True
+    while not checked.all():
+        x = int(checked.argmin())
+        if not subgroup_generated(G, [x], normal=True).is_whole:
             return False
-        # conjugates of x share x's normal closure, so skip them
-        conj = t[t[np.arange(G.order), x], inv]
-        checked.update(int(c) for c in conj)
+        checked[t[t[:, x], inv]] = True  # conjugates of x share x's normal closure
     return True
 
 
 def is_perfect(G: FiniteGroup) -> bool:
-    """Equal to its own commutator subgroup."""
-    t, inv = G.table, G.inverses
-    comms = set()
-    for x in range(G.order):
-        row = t[t[t[x, np.arange(G.order)], inv[x]], inv[np.arange(G.order)]]
-        comms.update(int(c) for c in row)
-    return subgroup_generated(G, comms, normal=True).is_whole
+    """Equal to its own commutator subgroup.
+
+    That subgroup is the normal closure of the commutators of the generators.
+    """
+    g = np.asarray(G.generators)
+    return subgroup_generated(G, commutator(G, g[:, None], g[None, :]).ravel(), normal=True).is_whole
 
 
 def is_complete(G: FiniteGroup) -> bool:
@@ -86,16 +83,9 @@ def subgroups_isomorphic_to(G: FiniteGroup, H: FiniteGroup) -> list:
     Enumerated as images of injective homomorphisms, so every returned
     subgroup genuinely carries a copy of H.
     """
-    hs = enumerate_homs(H, G)
-    seen: dict = {}
-    for row in hs.matrix:
-        if len(np.unique(row)) != H.order:
-            continue
-        members = np.sort(row)
-        key = members.tobytes()
-        if key not in seen:
-            seen[key] = Subgroup(G, members)
-    return [seen[k] for k in sorted(seen)]
+    images, sizes = enumerate_homs(H, G).sorted_images()
+    images = images[sizes == H.order]
+    return [Subgroup(G, images[i]) for i in first_per_key(images)]
 
 
 @dataclass

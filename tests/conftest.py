@@ -58,3 +58,41 @@ def naive_subgroup_closure(G: FiniteGroup, seed):
                 members.add(inv)
                 changed = True
     return members
+
+
+def naive_normal_closure(G: FiniteGroup, seed):
+    """Oracle: alternate closing under products and conjugating by every element of G."""
+    members = naive_subgroup_closure(G, seed)
+    while True:
+        conj = {
+            int(c)
+            for g in range(G.order)
+            for c in G.table[G.table[g, sorted(members)], G.inverses[g]]
+        }
+        if conj <= members:
+            return members
+        members = naive_subgroup_closure(G, members | conj)
+
+
+def naive_is_normal(G: FiniteGroup, members) -> bool:
+    """Oracle: every element of G conjugates ``members`` into itself."""
+    members = set(int(x) for x in members)
+    return all(
+        int(G.table[G.table[g, x], G.inverses[g]]) in members
+        for g in range(G.order)
+        for x in members
+    )
+
+
+def naive_quotient(G: FiniteGroup, members):
+    """Oracle: the cosets xN as explicit sets, numbered by least element.
+
+    Returns the coset multiplication table (products of least elements) and
+    the projection, as nested lists.
+    """
+    mem = sorted(int(x) for x in members)
+    cosets = sorted({frozenset(G.table[x, mem].tolist()) for x in range(G.order)}, key=min)
+    index = {x: i for i, coset in enumerate(cosets) for x in coset}
+    reps = [min(coset) for coset in cosets]
+    table = [[index[int(G.table[a, b])] for b in reps] for a in reps]
+    return table, [index[x] for x in range(G.order)]

@@ -6,7 +6,10 @@ process and compares its suite outputs and traced counts against
 the stop rule or the sampled draw order of the lemma checks shows up as a
 mismatch.  For ``galois-suites``, the hom and Aut caches must be filled
 exactly once per key: a second fill of the same key (as a race between
-worker threads would cause) raises the traced call counts.
+worker threads would cause) raises the traced call counts.  For
+``class-suites`` and ``simple-a6``, the subgroup, normal-closure and
+quotient machinery must reproduce the suite outputs and the pinned
+``enumerate_homs`` and ``GroupClass.contains`` call counts.
 """
 
 import json
@@ -37,3 +40,15 @@ def test_galois_suites_fill_each_cache_entry_once():
     assert result["mismatches"] == []
     assert result["layers"]["homs.enumerate_homs.calls"] == 4840
     assert result["layers"]["homs.automorphism_group.misses"] == 40
+
+
+def test_class_suites_workload_reproduces_pinned_counts():
+    result = _traced_workload("class-suites")
+    assert result["mismatches"] == []
+    assert result["layers"]["homs.enumerate_homs.calls"] == 30632
+    assert result["layers"]["approx.GroupClass.contains.calls"] == 24334
+
+
+def test_simple_a6_workload_reproduces_pinned_counts():
+    result = _traced_workload("simple-a6")
+    assert result["mismatches"] == []

@@ -172,6 +172,16 @@ class TestVerifyCommand:
         code, _, _ = run(capsys, "verify", "--suite", "galois", "--max-order", "4", "--assert")
         assert code == 0
 
+    @pytest.mark.parametrize("max_order", ["0", "-3", "513", "600"])
+    def test_max_order_out_of_range_exit_two(self, capsys, max_order):
+        code, out, err = run(capsys, "verify", "--suite", "galois", "--max-order", max_order)
+        assert code == 2 and out == ""
+        assert err.startswith("error:order-cap-exceeded:")
+
+    def test_max_order_one_accepted(self, capsys):
+        code, out, _ = run(capsys, "verify", "--suite", "galois", "--max-order", "1")
+        assert code == 0 and "pairs-examined: 1" in out
+
 
 class TestRemovedOptions:
     """The disk hom cache and the top-level --jobs are gone; argparse rejects them."""

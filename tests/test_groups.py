@@ -1,7 +1,9 @@
+import random
+
 import numpy as np
 import pytest
 
-from conftest import naive_subgroup_closure
+from conftest import naive_is_normal, naive_normal_closure, naive_quotient, naive_subgroup_closure
 from grouper.errors import (
     MalformedPermutation,
     NotNormalError,
@@ -18,6 +20,7 @@ from grouper.groups import (
     centralizer,
     describe_structure,
     direct_product,
+    generating_set_of_table,
     identity_hom,
     isomorphism,
     perm_compose,
@@ -31,6 +34,7 @@ from grouper.groups import (
     subgroup_generated,
     trivial_hom,
 )
+from grouper.homs import automorphism_group
 
 
 class TestPermutations:
@@ -204,6 +208,88 @@ class TestQuotients:
         Z = center(G)
         _, pi = quotient_group(G, Z)
         assert pi.kernel().same_members(Z)
+
+
+def _random_seeds(G, rng, count=6):
+    return [[rng.randrange(G.order) for _ in range(rng.randint(1, 3))] for _ in range(count)]
+
+
+def _assert_quotient_matches_oracle(G, N):
+    Q, pi = quotient_group(G, N)
+    table, projection = naive_quotient(G, N.members)
+    assert Q.table.tolist() == table
+    assert pi.images.tolist() == projection
+
+
+class TestAgainstOracles:
+    """Closures, normality and quotients against element-by-element oracles."""
+
+    def test_normal_closure_and_normality(self, groups):
+        rng = random.Random(5)
+        for G in groups.values():
+            for seed in [[x] for x in range(G.order)] + _random_seeds(G, rng):
+                assert {int(x) for x in G.closure(seed)} == naive_subgroup_closure(G, seed)
+                sub = subgroup_generated(G, seed)
+                assert sub.is_normal == naive_is_normal(G, sub.members)
+                ncl = subgroup_generated(G, seed, normal=True)
+                assert set(ncl.members.tolist()) == naive_normal_closure(G, seed)
+                assert ncl.is_normal
+
+    def test_center(self, groups):
+        for G in groups.values():
+            t = G.table
+            naive = {x for x in range(G.order) if all(t[x, y] == t[y, x] for y in range(G.order))}
+            assert set(center(G).members.tolist()) == naive
+
+    def test_quotients(self, groups):
+        rng = random.Random(9)
+        for G in groups.values():
+            normals = [center(G), subgroup_generated(G, [G.identity]), subgroup_generated(G, range(G.order))]
+            normals += [subgroup_generated(G, seed, normal=True) for seed in _random_seeds(G, rng)]
+            for N in normals:
+                _assert_quotient_matches_oracle(G, N)
+
+    def test_inner_automorphisms_of_a6(self):
+        aut = automorphism_group(standard_group("alternating:6"))
+        A, inner = aut.group, aut.inner
+        assert inner.is_normal and naive_is_normal(A, inner.members)
+        x = int(inner.members[1])
+        assert set(subgroup_generated(A, [x], normal=True).members.tolist()) == naive_normal_closure(A, [x])
+        _assert_quotient_matches_oracle(A, inner)
+        outer = int(np.nonzero(~np.isin(np.arange(A.order), inner.members))[0][0])
+        sub = subgroup_generated(A, [outer])
+        assert not sub.is_normal and not naive_is_normal(A, sub.members)
+
+    def test_closure_rejects_out_of_range(self, groups):
+        G = groups["cyclic:4"]
+        for bad in (-1, 4):
+            with pytest.raises(IndexError):
+                G.closure([1, bad])
+
+
+class TestGeneratingSets:
+    """The greedy generating set fixes hom keys and the canonical hom order."""
+
+    @pytest.mark.parametrize(
+        "descriptor,expected",
+        [
+            ("cyclic:12", [1]),
+            ("dihedral:16", [1, 2]),
+            ("quaternion8", [1, 2]),
+            ("symmetric:4", [2, 6]),
+            ("alternating:6", [2, 7]),
+        ],
+    )
+    def test_pinned(self, descriptor, expected):
+        G = standard_group(descriptor)
+        assert generating_set_of_table(G.table, G.identity) == expected
+
+    def test_pinned_aut_a6(self):
+        A = automorphism_group(standard_group("alternating:6")).group
+        assert generating_set_of_table(A.table, A.identity) == [2, 67, 23]
+
+    def test_trivial_group(self):
+        assert generating_set_of_table(np.zeros((1, 1), dtype=np.int32), 0) == [0]
 
 
 class TestIsomorphism:

@@ -11,6 +11,7 @@ from grouper.homs import (
     end_set,
     enumerate_homs,
     find_isomorphism,
+    first_per_key,
 )
 
 
@@ -195,3 +196,16 @@ class TestHomKeys:
         for i, row in enumerate(hs.matrix):
             assert hs.index_of(row) == i
         assert (hs.locate(hs.matrix[:, hs.gens]) == np.arange(128)).all()
+
+
+class TestFirstPerKey:
+    def test_first_row_of_each_key_in_byte_order(self):
+        keys = np.array([[300, 1], [2, 1], [300, 1], [1, 2], [256, 0]], dtype=np.int32)
+        # little-endian bytes: 256 -> 00 01, 1 -> 01 00, 2 -> 02 00, 300 -> 2c 01
+        assert first_per_key(keys).tolist() == [4, 3, 1, 0]
+
+    def test_sorted_images_sizes(self, groups):
+        hs = enumerate_homs(groups["cyclic:4"], groups["dihedral:8"])
+        images, sizes = hs.sorted_images()
+        assert (images == np.sort(hs.matrix, axis=1)).all()
+        assert sizes.tolist() == [len(set(row)) for row in hs.matrix.tolist()]

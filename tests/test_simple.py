@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from grouper.errors import NonInjectiveInput
@@ -55,6 +56,13 @@ class TestSubgroupEnumeration:
     def test_no_copies_when_order_does_not_divide(self, groups):
         subs = subgroups_isomorphic_to(groups["symmetric:3"], groups["cyclic:4"])
         assert subs == []
+
+    def test_copies_of_a5_in_a6_in_member_byte_order(self):
+        # copies come in the order of their int32 members' bytes, which for
+        # a target over 256 elements need not be their numeric order
+        subs = subgroups_isomorphic_to(standard_group("alternating:6"), standard_group("alternating:5"))
+        keys = [s.members.astype(np.int32).tobytes() for s in subs]
+        assert len(subs) == 12 and keys == sorted(keys)
 
 
 class TestCriterion:
