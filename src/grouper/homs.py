@@ -227,7 +227,6 @@ class HomSet(KeyedRows):
     """
 
     __slots__ = ()
-    complete = True
 
     @property
     def homs(self) -> list:
@@ -386,7 +385,6 @@ class AutGroup:
             table,
             generators=gens,
             identity=ident,
-            assume_associative=True,
         )
         # conjugation by g sends generator x to g x g^-1
         t, g = base.table, np.arange(base.order)[:, None]
@@ -399,9 +397,6 @@ class AutGroup:
     @property
     def order(self) -> int:
         return int(self.perms.shape[0])
-
-    def eval(self, a: int, x: int) -> int:
-        return int(self.perms[a, x])
 
     def index_of(self, images: np.ndarray) -> int:
         return self._rows.index_of(images)

@@ -96,3 +96,16 @@ def naive_quotient(G: FiniteGroup, members):
     reps = [min(coset) for coset in cosets]
     table = [[index[int(G.table[a, b])] for b in reps] for a in reps]
     return table, [index[x] for x in range(G.order)]
+
+
+def naive_is_associative(table) -> bool:
+    """Oracle: (x y) z == x (y z) over all n^3 triples."""
+    t = np.asarray(table).tolist()
+    n = len(t)
+    return all(t[t[x][y]][z] == t[x][t[y][z]] for x in range(n) for y in range(n) for z in range(n))
+
+
+def odd_carry_table(n):
+    """(x + y + [x odd and y odd]) mod n: a non-associative table with identity 0."""
+    x, y = np.indices((n, n))
+    return (x + y + ((x % 2 == 1) & (y % 2 == 1))) % n

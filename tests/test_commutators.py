@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+from conftest import odd_carry_table
 from grouper.commutators import (
     CentralSeries,
     LemmaConfig,
@@ -134,12 +135,6 @@ def fake_upper_series(G):
     """A wrong 'upper central series' whose Z_1 and Z_2 are the whole group."""
     whole = Subgroup(G, list(range(G.order)))
     return CentralSeries(G, "upper", [Subgroup(G, [G.identity]), whole, whole], 2)
-
-
-def odd_carry_table(n):
-    """(x + y + [x odd and y odd]) mod n: a non-associative table with identity 0."""
-    x, y = np.indices((n, n))
-    return (x + y + ((x % 2 == 1) & (y % 2 == 1))) % n
 
 
 EXHAUSTIVE = LemmaConfig(js=[1])

@@ -3,7 +3,14 @@ import random
 import numpy as np
 import pytest
 
-from conftest import naive_is_normal, naive_normal_closure, naive_quotient, naive_subgroup_closure
+from conftest import (
+    naive_is_associative,
+    naive_is_normal,
+    naive_normal_closure,
+    naive_quotient,
+    naive_subgroup_closure,
+    odd_carry_table,
+)
 from grouper.errors import (
     MalformedPermutation,
     NotNormalError,
@@ -139,11 +146,63 @@ class TestBuildFromPermutations:
 
 class TestGroupLaw:
     def test_spot_check_rejects_non_associative_large_table(self):
-        # order 601 is past the exhaustive cap, so only the sampled triples can catch it
-        x, y = np.indices((601, 601))
-        table = (x + y + ((x % 2 == 1) & (y % 2 == 1))) % 601
-        with pytest.raises(ValueError, match="associativity spot check failed"):
-            FiniteGroup("odd601", table, generators=[1], assume_associative=True)
+        # order 601 was past the old exhaustive cap; the generator test is exact at every order
+        with pytest.raises(ValueError, match="associativity fails at element"):
+            FiniteGroup("odd601", odd_carry_table(601), generators=[1])
+
+    def test_odd_carry_table_rejected_small(self):
+        # generator 1 alone does not reach 4 or 6 here; with every element declared a
+        # generator, the test compares all n^3 triples
+        with pytest.raises(ValueError, match="declared generators do not generate"):
+            FiniteGroup("odd7", odd_carry_table(7), generators=[1])
+        with pytest.raises(ValueError, match="associativity fails at element"):
+            FiniteGroup("odd7", odd_carry_table(7), generators=range(1, 7))
+
+    def test_every_generator_is_tested(self):
+        # C3 x odd_carry(5): the C3 generator 5 passes Light's test, the loop generator 1 fails it
+        c3 = np.add.outer(np.arange(3), np.arange(3)) % 3
+        table = (c3[:, None, :, None] * 5 + odd_carry_table(5)[None, :, None, :]).reshape(15, 15)
+        for gens in ([5, 1], [1, 5]):
+            with pytest.raises(ValueError, match="associativity fails at element"):
+                FiniteGroup("C3xL5", table, generators=gens)
+
+    def test_cyclic_table_past_old_cap_accepted(self):
+        table = np.add.outer(np.arange(601), np.arange(601)) % 601
+        assert FiniteGroup("C601", table, generators=[1]).order == 601
+
+    def test_accepts_exactly_the_associative_tables(self, groups):
+        """Relabelled, column-swapped and row-swapped tables, each keeping the identity row
+        and column: a table is accepted exactly when the n^3 oracle finds it associative."""
+        rng = np.random.default_rng(11)
+        verdicts = {}
+        for G in groups.values():
+            if G.order < 3:
+                continue
+            others = np.delete(np.arange(G.order), G.identity)
+            for trial in range(30):
+                t = G.table.copy()
+                gens = G.generators
+                y1, y2 = rng.choice(others, size=2, replace=False)
+                if trial < 3:  # relabel by a permutation fixing the identity
+                    perm = np.arange(G.order)
+                    perm[others] = rng.permutation(others)
+                    t[np.ix_(perm, perm)] = perm[G.table]
+                    gens = perm[gens].tolist()
+                elif trial % 2:  # swap two columns below the identity row
+                    t[others, y1], t[others, y2] = G.table[others, y2], G.table[others, y1]
+                else:  # swap two entries of one row
+                    x = rng.choice(others)
+                    t[x, y1], t[x, y2] = t[x, y2], t[x, y1]
+                try:
+                    FiniteGroup("perturbed", t, generators=gens, identity=G.identity)
+                    verdict = "accepted"
+                except ValueError as exc:
+                    verdict = str(exc).split(" at ")[0]
+                assert (verdict == "accepted") == naive_is_associative(t), (G.name, trial)
+                verdicts[verdict] = verdicts.get(verdict, 0) + 1
+        assert verdicts["accepted"] == 3 * 15
+        # most others fail earlier, on element orders; the law check must still decide some
+        assert verdicts["associativity fails"] > 100
 
 
 class TestSubgroups:

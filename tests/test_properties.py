@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from grouper.approx import classify_hom, galois_group
 from grouper.commutators import commutator
-from grouper.groups import GroupHom, identity_hom, standard_group, subgroup_generated
+from grouper.groups import FiniteGroup, GroupHom, identity_hom, standard_group, subgroup_generated
 from grouper.homs import automorphism_group, enumerate_homs
 
 POOL = [
@@ -107,3 +107,27 @@ def test_automorphisms_preserve_element_orders(name, index):
 def test_kernel_is_normal(src, tgt, index):
     phi = pick_hom(src, tgt, index)
     assert phi.kernel().is_normal
+
+
+def relabelled(G, perm):
+    """G with element x renamed perm[x], certified again from its table."""
+    table = np.empty_like(G.table)
+    table[np.ix_(perm, perm)] = perm[G.table]
+    return FiniteGroup(
+        G.name + "'", table, generators=perm[G.generators].tolist(), identity=int(perm[G.identity])
+    )
+
+
+@given(group_names, group_names, st.integers(min_value=0, max_value=10_000), st.randoms())
+@settings(max_examples=60, deadline=None)
+def test_verdicts_invariant_under_relabelling(src, tgt, index, rnd):
+    phi = pick_hom(src, tgt, index)
+    H, G = phi.source, phi.target
+    ph, pg = (np.array(rnd.sample(range(X.order), X.order)) for X in (H, G))
+    H2, G2 = relabelled(H, ph), relabelled(G, pg)
+    images = np.empty_like(phi.images)
+    images[ph] = pg[phi.images]
+    before, after = classify_hom(phi), classify_hom(GroupHom(H2, G2, images))
+    assert len(enumerate_homs(H2, G2)) == len(enumerate_homs(H, G))
+    assert after.flags == before.flags
+    assert (after.galois_order, after.co_galois_order) == (before.galois_order, before.co_galois_order)
