@@ -37,7 +37,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .groups import FiniteGroup, Subgroup, center, preimage_subgroup, quotient_group, subgroup_generated
+from .groups import FiniteGroup, Subgroup, center, lex_rows, preimage_subgroup, quotient_group, subgroup_generated
 
 DEFAULT_MAX_TUPLES = 10 ** 6
 DEFAULT_SAMPLES = 10 ** 5
@@ -174,23 +174,13 @@ def _left_normed(C, x, zs):
     return x
 
 
-def _grid(axes, lo: int, hi: int):
-    """Rows lo..hi-1 of the lexicographic product of `axes`, one tuple per row."""
-    rows = np.empty((hi - lo, len(axes)), dtype=np.int32)
-    flat = np.arange(lo, hi)
-    for k in reversed(range(len(axes))):
-        flat, digit = np.divmod(flat, len(axes[k]))
-        rows[:, k] = axes[k][digit]
-    return rows
-
-
 def _lex(axes, keep=None):
     """Head source: the lexicographic product of `axes`, less the rows `keep` rejects."""
     total = math.prod(len(a) for a in axes)
 
     def blocks(m):
         for lo in range(0, total, m):
-            rows = _grid(axes, lo, min(lo + m, total))
+            rows = lex_rows(axes, lo, min(lo + m, total))
             yield rows if keep is None else rows[keep(*rows.T)]
 
     return blocks
@@ -219,7 +209,7 @@ def _scan(heads, tail, holds, weight: int):
     number of heads scanned: all of them, or those up to and including the
     head of the LIMIT-th failing row, where the scan stops.
     """
-    tails = _grid(tail, 0, math.prod(len(a) for a in tail))
+    tails = lex_rows(tail, 0, math.prod(len(a) for a in tail))
     bad, done = [], 0
     for block in heads(max(1, CHUNK // len(tails))):
         for lo in range(0, len(tails), CHUNK):

@@ -181,6 +181,20 @@ def _adjoin(table: np.ndarray, reached: np.ndarray, gens: list, candidates) -> l
         _close(table, reached, gens)
 
 
+def lex_rows(axes, lo: int, hi: int) -> np.ndarray:
+    """Rows lo..hi-1 of the lexicographic product of the arrays ``axes``, one tuple per row.
+
+    Row i takes axes[k][d_k], where d_0 d_1 ... are the digits of i in the
+    mixed radix of the axis lengths.
+    """
+    rows = np.empty((hi - lo, len(axes)), dtype=np.int32)
+    flat = np.arange(lo, hi)
+    for k in reversed(range(len(axes))):
+        flat, digit = np.divmod(flat, len(axes[k]))
+        rows[:, k] = axes[k][digit]
+    return rows
+
+
 # ---------------------------------------------------------------------------
 # core types
 
@@ -525,7 +539,11 @@ def generating_set_of_table(table: np.ndarray, identity: int) -> list:
 
     Ties go to the least index.
     """
-    orders = _element_orders(table, identity)
+    return _greedy_generators(table, identity, _element_orders(table, identity))
+
+
+def _greedy_generators(table: np.ndarray, identity: int, orders: np.ndarray) -> list:
+    """``generating_set_of_table`` given the element orders of the table."""
     reached = np.zeros(len(table), dtype=bool)
     reached[identity] = True
     # sorted() is stable; np.argsort would map numpy's sort kernels, a few hundred kB of RSS

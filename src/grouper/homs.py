@@ -1,37 +1,34 @@
 """Exhaustive, pruned enumeration of Hom(H, G), End(G) and Aut(G).
 
-Candidates are tuples of generator images, iterated in lexicographic order
-over per-generator candidate lists (sorted ascending), so the resulting hom
-sets have a canonical, reproducible order.  Pruning: image orders must
-divide generator orders, then pairwise product-order checks, then sampled
-multiplicativity, then a full table check on the survivors.
-
-Hom identity.  A hom H -> G is fixed by its images of the generators
-``_gen_array(H)``.  Its key is the mixed-radix number whose digits are
-the positions of those images in the per-generator candidate lists, so the
-key is below the candidate-space size (at most ``CANDIDATE_CAP``) and fits
-an ``int64`` for every pair that ``enumerate_homs`` accepts.  Because the
-search walks the candidates in lexicographic order, the rows of every hom
-set are strictly increasing in key, and ``np.searchsorted`` over the keys
-finds the index of any hom.
+A hom H -> G is fixed by its images of the generators ``_gen_array(H)``.
+``HomKeys(H, G)`` is the candidate space: one list per generator of the
+elements of G whose order divides the generator's, sorted ascending, and
+a candidate is one image from each list.  Its key is the mixed-radix
+number whose digits are the positions of those images in the lists, so
+keys run over 0..size-1 in the lexicographic order of the candidates.
+``_search_homs`` walks that space in key order, block by block, and keeps
+the candidates whose products of two generator images have orders
+dividing those in H, then those that satisfy the hom equations; no random
+numbers are drawn.  Every hom set is therefore in canonical order,
+strictly increasing in key, and ``np.searchsorted`` over the keys finds
+the index of any hom.  Keys are below the candidate-space size (at most
+``CANDIDATE_CAP``), so they fit an ``int64`` for every pair that
+``enumerate_homs`` accepts.
 """
 
 from __future__ import annotations
 
-import functools
-import itertools
-import random
+import math
 from typing import Optional
 
 import numpy as np
 
 from .errors import EnumerationCapError
-from .groups import FiniteGroup, GroupHom, Subgroup, center, generating_set_of_table
+from .groups import FiniteGroup, GroupHom, Subgroup, _greedy_generators, center, generating_set_of_table, lex_rows
 
 EXHAUSTIVE_CAP = 512
 CANDIDATE_CAP = 200_000_000
 _BATCH = 8192
-_SAMPLE_PAIRS = 64
 
 _hom_cache: dict = {}
 _aut_cache: dict = {}
@@ -41,7 +38,7 @@ def _gen_array(G: FiniteGroup) -> np.ndarray:
     """The greedy ``generating_set_of_table`` of G as a read-only index array, memoized on G."""
     gens = G._memo.get("greedy_gens")
     if gens is None:
-        gens = np.array(generating_set_of_table(G.table, G.identity), dtype=np.intp)
+        gens = np.array(_greedy_generators(G.table, G.identity, G.element_orders), dtype=np.intp)
         gens.setflags(write=False)
         G._memo["greedy_gens"] = gens
     return gens
@@ -63,16 +60,18 @@ def first_per_key(keys: np.ndarray) -> np.ndarray:
 
 
 def _divisor_positions(G: FiniteGroup, o: int) -> tuple:
-    """(pos, count): pos[x] is the rank of x among the ``count`` elements of G
-    whose order divides o (0 for the others), memoized on G."""
+    """(members, pos): the elements of G whose order divides o, ascending, and
+    pos[x], the rank of x among them (0 for the others); memoized on G."""
     key = ("divisor_positions", o)
     hit = G._memo.get(key)
     if hit is None:
-        members = o % G.element_orders == 0
-        pos = np.cumsum(members, dtype=np.int64) - 1
-        pos[~members] = 0
+        mask = o % G.element_orders == 0
+        pos = np.cumsum(mask, dtype=np.int64) - 1
+        pos[~mask] = 0
+        members = np.flatnonzero(mask)
+        members.setflags(write=False)
         pos.setflags(write=False)
-        hit = G._memo[key] = (pos, int(members.sum()))
+        hit = G._memo[key] = (members, pos)
     return hit
 
 
@@ -107,46 +106,30 @@ def _extend_batch(H: FiniteGroup, G: FiniteGroup, entries, gen_cols: np.ndarray)
     return images
 
 
-def _full_check(H: FiniteGroup, G: FiniteGroup, images: np.ndarray, gens) -> np.ndarray:
-    """Boolean mask of rows that are genuine homomorphisms.
-
-    A row maps the identity to the identity, so checking f(x g) = f(x) f(g)
-    for every x and every generator g suffices: induction on the length of
-    y as a word in the generators then gives f(x y) = f(x) f(y).
-    """
-    ok = np.ones(images.shape[0], dtype=bool)
-    tH, tG = H.table, G.table
-    for g in gens:
-        ok &= (images[:, tH[:, g]] == tG[images, images[:, g, None]]).all(axis=1)
-    return ok
-
-
 class HomKeys:
-    """Integer key of a hom H -> G, read off its images of ``gens``.
+    """The candidate space of homs H -> G, and the integer key of each candidate.
 
-    ``gens`` is ``_gen_array(H)``.  Digit i of a key is the position of
-    the image of ``gens[i]`` in that generator's candidate list (the
-    elements of G whose order divides the generator's), weighted by the
-    product of the later lists' lengths.  Keys are exact on the generator
-    images of homs; any other images get some key that a full-row
-    comparison will not confirm.
+    ``gens`` is ``_gen_array(H)``, and ``lists[i]`` holds the possible
+    images of ``gens[i]``: the elements of G whose order divides its order,
+    ascending.  Digit i of a key is the position of the image of
+    ``gens[i]`` in ``lists[i]``, weighted by the product of the later
+    lists' lengths, so keys run over 0..``size``-1 in lexicographic order
+    of the images and ``lex_rows(lists, key, key + 1)`` decodes one.  Keys
+    are exact on the generator images of homs; any other images get some
+    key that a full-row comparison will not confirm.
     """
 
-    __slots__ = ("gens", "_positions", "_weights")
+    __slots__ = ("gens", "lists", "size", "_positions", "_weights")
 
     def __init__(self, H: FiniteGroup, G: FiniteGroup):
         self.gens = _gen_array(H)
-        positions, weights = [], []
-        weight = 1
-        for o in reversed(H.element_orders[self.gens].tolist()):
-            pos, count = _divisor_positions(G, o)
-            positions.append(pos)
-            weights.append(weight)
-            weight *= count
-        if weight > np.iinfo(np.int64).max:
+        self.lists, self._positions = zip(
+            *(_divisor_positions(G, o) for o in H.element_orders[self.gens].tolist())
+        )
+        self.size = math.prod(len(m) for m in self.lists)
+        if self.size > np.iinfo(np.int64).max:
             raise EnumerationCapError(f"hom keys for Hom({H.name},{G.name}) do not fit in 64 bits")
-        self._positions = tuple(positions[::-1])
-        self._weights = tuple(weights[::-1])
+        self._weights = tuple(math.prod(len(m) for m in self.lists[i + 1:]) for i in range(len(self.lists)))
 
     def __call__(self, gen_images: np.ndarray) -> np.ndarray:
         """Keys of generator images, given along the last axis."""
@@ -238,94 +221,50 @@ class HomSet(KeyedRows):
         return images, 1 + (images[:, 1:] != images[:, :-1]).sum(axis=1)
 
 
-def _candidate_lists(H: FiniteGroup, G: FiniteGroup, gens, bijective: bool):
-    ordH = H.element_orders
-    ordG = G.element_orders
-    out = []
-    for g in gens:
-        o = int(ordH[g])
-        if bijective:
-            cand = np.nonzero(ordG == o)[0]
-        else:
-            cand = np.nonzero(o % ordG == 0)[0]
-        out.append(cand.astype(np.int32))
-    return out
+def _search_homs(H: FiniteGroup, G: FiniteGroup, *, first_bijection: bool = False) -> np.ndarray:
+    """Image rows of the homs H -> G in key order, or just the first bijection.
 
+    Walks the candidate space of ``HomKeys(H, G)`` in blocks of key order,
+    so a candidate's number in the walk is its key.  A candidate is kept
+    when, for each pair of generators a, b, the image of a b has an order
+    dividing that of a b in H, and when the row it extends to along
+    ``_word_entries`` satisfies f(x g) = f(x) f(g) for every x and each
+    generator g, checked one generator at a time.  Those equations
+    suffice: f maps the identity to the identity, so induction on the
+    length of y as a word in the generators gives f(x y) = f(x) f(y).
 
-@functools.lru_cache(maxsize=None)
-def _sample_pairs(order: int) -> tuple:
-    """The (i, j) pairs of the sampled multiplicativity check, as two index arrays."""
-    rng = random.Random(0x5EED)
-    pairs = [(rng.randrange(order), rng.randrange(order)) for _ in range(_SAMPLE_PAIRS)]
-    cols = np.array(pairs, dtype=np.intp).T
-    cols.setflags(write=False)  # shared by every caller through the cache
-    return cols[0], cols[1]
-
-
-def _search_homs(
-    H: FiniteGroup,
-    G: FiniteGroup,
-    *,
-    bijective: bool = False,
-    first_only: bool = False,
-):
-    gens = _gen_array(H).tolist()
-    entries = _word_entries(H, gens)
-    cands = _candidate_lists(H, G, gens, bijective)
-    total = 1
-    for c in cands:
-        total *= len(c)
-    if total > CANDIDATE_CAP:
+    A bijection has two more filters: each generator image has exactly the
+    generator's order, and the identity is the only element mapped to the
+    identity (a trivial kernel, so with |H| = |G| the hom is bijective).
+    """
+    keys = HomKeys(H, G)
+    if keys.size > CANDIDATE_CAP:
         raise EnumerationCapError(
-            f"candidate space {total} for Hom({H.name},{G.name}) exceeds {CANDIDATE_CAP}"
+            f"candidate space {keys.size} for Hom({H.name},{G.name}) exceeds {CANDIDATE_CAP}"
         )
-    k = len(gens)
+    gens = keys.gens.tolist()
+    entries = _word_entries(H, gens)
     tH, tG = H.table, G.table
     ordH, ordG = H.element_orders, G.element_orders
-    # pairwise word constraints on generator images
-    pair_words = []
-    for a in range(k):
-        for b in range(k):
-            w = int(tH[gens[a], gens[b]])
-            pair_words.append((a, b, int(ordH[w])))
-    si, sj = _sample_pairs(H.order)
-    sij = tH[si, sj]
+    pair_words = [(a, b, int(ordH[tH[x, y]])) for a, x in enumerate(gens) for b, y in enumerate(gens)]
     found = []
-    it = itertools.product(*[c.tolist() for c in cands])
-    while True:
-        chunk = list(itertools.islice(it, _BATCH))
-        if not chunk:
-            break
-        cols = np.array(chunk, dtype=np.int32).reshape(len(chunk), k)
-        mask = np.ones(len(chunk), dtype=bool)
+    for lo in range(0, keys.size, _BATCH):
+        cols = lex_rows(keys.lists, lo, min(lo + _BATCH, keys.size))
+        keep = (ordG[cols] == ordH[keys.gens]).all(axis=1) if first_bijection else True
         for a, b, needed in pair_words:
-            prod = tG[cols[:, a], cols[:, b]]
-            if bijective:
-                mask &= ordG[prod] == needed
-            else:
-                mask &= needed % ordG[prod] == 0
-        cols = cols[mask]
-        if cols.size == 0:
+            keep &= needed % ordG[tG[cols[:, a], cols[:, b]]] == 0
+        cols = cols[keep]
+        if not len(cols):
             continue
         images = _extend_batch(H, G, entries, cols)
-        ok = (images[:, sij] == tG[images[:, si], images[:, sj]]).all(axis=1)
-        images = images[ok]
-        if images.size == 0:
-            continue
-        if bijective:
-            sorted_rows = np.sort(images, axis=1)
-            images = images[(sorted_rows == np.arange(G.order)).all(axis=1)]
-            if images.size == 0:
-                continue
-        good = _full_check(H, G, images, gens)
-        images = images[good]
-        if images.size and first_only:
+        if first_bijection:
+            images = images[(images == G.identity).sum(axis=1) == 1]
+        for g in gens:
+            images = images[(images[:, tH[:, g]] == tG[images, images[:, g, None]]).all(axis=1)]
+        if first_bijection and len(images):
             return images[:1]
-        if images.size:
-            found.append(images)
-    if not found:
-        return np.empty((0, H.order), dtype=np.int32)
-    return np.concatenate(found, axis=0)
+        found.append(images)
+    return np.concatenate(found) if found else np.empty((0, H.order), dtype=np.int32)
 
 
 def enumerate_homs(H: FiniteGroup, G: FiniteGroup) -> HomSet:
@@ -354,7 +293,7 @@ def find_isomorphism(G1: FiniteGroup, G2: FiniteGroup):
         return None
     if G1.order > EXHAUSTIVE_CAP:
         raise EnumerationCapError(f"isomorphism search capped at order {EXHAUSTIVE_CAP}")
-    matrix = _search_homs(G1, G2, bijective=True, first_only=True)
+    matrix = _search_homs(G1, G2, first_bijection=True)
     if matrix.shape[0] == 0:
         return None
     return GroupHom(G1, G2, matrix[0], check=False)
@@ -411,7 +350,7 @@ def automorphism_group(G: FiniteGroup) -> AutGroup:
     if hit is not None:
         return hit
     ends = end_set(G).matrix
-    perms = ends[(np.sort(ends, axis=1) == np.arange(G.order)).all(axis=1)]
+    perms = ends[(ends == G.identity).sum(axis=1) == 1]  # End rows with trivial kernel
     ag = AutGroup(G, perms)
     _aut_cache[key] = ag
     return ag

@@ -18,6 +18,15 @@ def groups():
     return {n: standard_group(n) for n in names}
 
 
+def relabelled(G, perm):
+    """G with element x renamed perm[x], certified again from its table."""
+    table = np.empty_like(G.table)
+    table[np.ix_(perm, perm)] = perm[G.table]
+    return FiniteGroup(
+        G.name + "'", table, generators=perm[G.generators].tolist(), identity=int(perm[G.identity])
+    )
+
+
 def naive_hom_images(H: FiniteGroup, G: FiniteGroup):
     """Oracle: filter all |G|^|H| set maps by the homomorphism equations.
 

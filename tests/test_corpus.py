@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from conftest import relabelled
 from grouper.corpus import (
     SUITE_IDS,
     classify_pair,
@@ -95,6 +96,18 @@ class TestSuites:
         assert json.dumps(r1.to_dict(), sort_keys=True) == json.dumps(
             r8.to_dict(), sort_keys=True
         )
+
+    @pytest.mark.parametrize("suite", ["cogalois", "galois", "reduction"])
+    def test_counts_invariant_under_relabelling(self, suite):
+        corpus = generate_corpus(8)
+        rng = np.random.default_rng(2024)
+        moved = [relabelled(G, rng.permutation(G.order)) for G in corpus]
+
+        def counts(report):
+            return (report.pairs_examined, report.homs_classified, len(report.violations),
+                    len(report.skipped), len(report.notes))
+
+        assert counts(run_theorem_suite(moved, suite)) == counts(run_theorem_suite(corpus, suite))
 
     def test_timings_separate_from_payload(self):
         report = run_theorem_suite(generate_corpus(4), "galois")

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from conftest import naive_hom_images
+from conftest import naive_hom_images, relabelled
+from grouper.corpus import generate_corpus
 from grouper.errors import EnumerationCapError
-from grouper.groups import GroupHom, standard_group
+from grouper.groups import GroupHom, lex_rows, standard_group
 from grouper.homs import (
     AutGroup,
+    HomKeys,
     automorphism_group,
     clear_caches,
     end_set,
@@ -125,6 +127,20 @@ class TestIsomorphismSearch:
     def test_rejects_different_orders(self, groups):
         assert find_isomorphism(groups["cyclic:4"], groups["cyclic:6"]) is None
 
+    def test_first_bijective_hom(self):
+        """Every same-order corpus pair, and each member against a relabelling of itself."""
+        corpus = generate_corpus(16)
+        rng = np.random.default_rng(7)
+        pairs = [(H, G) for H in corpus for G in corpus if H.order == G.order]
+        pairs += [(G, relabelled(G, rng.permutation(G.order))) for G in corpus]
+        for H, G in pairs:
+            bijective = [row for row in enumerate_homs(H, G).matrix if len(set(row.tolist())) == G.order]
+            phi = find_isomorphism(H, G)
+            if bijective:
+                assert phi is not None and (phi.images == bijective[0]).all(), (H.name, G.name)
+            else:
+                assert phi is None, (H.name, G.name)
+
 
 class TestCaps:
     def test_enumeration_cap(self):
@@ -161,6 +177,14 @@ class TestHomKeys:
         assert hs.keys.dtype == np.int64
         assert (np.diff(hs.keys) > 0).all()
         assert (hs.locate(hs.matrix[:, hs.gens]) == np.arange(len(hs))).all()
+
+    @pytest.mark.parametrize("src,tgt", PAIRS)
+    def test_keys_decode_to_generator_images(self, groups, src, tgt):
+        hs = enumerate_homs(groups[src], groups[tgt])
+        space = HomKeys(groups[src], groups[tgt])
+        assert (hs.keys < space.size).all()
+        for key, row in zip(hs.keys.tolist(), hs.matrix):
+            assert (lex_rows(space.lists, key, key + 1)[0] == row[space.gens]).all()
 
     def test_non_member_rows_raise(self, groups):
         G = groups["symmetric:3"]

@@ -3,9 +3,10 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from conftest import naive_hom_images, relabelled
 from grouper.approx import classify_hom, galois_group
 from grouper.commutators import commutator
-from grouper.groups import FiniteGroup, GroupHom, identity_hom, standard_group, subgroup_generated
+from grouper.groups import GroupHom, identity_hom, standard_group, subgroup_generated
 from grouper.homs import automorphism_group, enumerate_homs
 
 POOL = [
@@ -109,15 +110,6 @@ def test_kernel_is_normal(src, tgt, index):
     assert phi.kernel().is_normal
 
 
-def relabelled(G, perm):
-    """G with element x renamed perm[x], certified again from its table."""
-    table = np.empty_like(G.table)
-    table[np.ix_(perm, perm)] = perm[G.table]
-    return FiniteGroup(
-        G.name + "'", table, generators=perm[G.generators].tolist(), identity=int(perm[G.identity])
-    )
-
-
 @given(group_names, group_names, st.integers(min_value=0, max_value=10_000), st.randoms())
 @settings(max_examples=60, deadline=None)
 def test_verdicts_invariant_under_relabelling(src, tgt, index, rnd):
@@ -131,3 +123,21 @@ def test_verdicts_invariant_under_relabelling(src, tgt, index, rnd):
     assert len(enumerate_homs(H2, G2)) == len(enumerate_homs(H, G))
     assert after.flags == before.flags
     assert (after.galois_order, after.co_galois_order) == (before.galois_order, before.co_galois_order)
+
+
+# every pair from the pool small enough for the |G|^|H| set-map oracle
+ORACLE_PAIRS = [
+    (src, tgt)
+    for src in POOL
+    for tgt in POOL
+    if standard_group(tgt).order ** standard_group(src).order <= 5000
+]
+
+
+@given(st.sampled_from(ORACLE_PAIRS), st.randoms())
+@settings(max_examples=40, deadline=None)
+def test_enumeration_matches_oracle_under_relabelling(pair, rnd):
+    H, G = (standard_group(name) for name in pair)
+    H2, G2 = (relabelled(X, np.array(rnd.sample(range(X.order), X.order))) for X in (H, G))
+    got = sorted(tuple(row) for row in enumerate_homs(H2, G2).matrix.tolist())
+    assert got == naive_hom_images(H2, G2)
