@@ -29,6 +29,7 @@ from .groups import FiniteGroup, GroupHom, Subgroup, _greedy_generators, center,
 EXHAUSTIVE_CAP = 512
 CANDIDATE_CAP = 200_000_000
 _BATCH = 8192
+_COLS = 64  # elements x per slice of the hom equations, bounding their temporaries
 
 _hom_cache: dict = {}
 _aut_cache: dict = {}
@@ -229,30 +230,44 @@ def _search_homs(H: FiniteGroup, G: FiniteGroup, *, first_bijection: bool = Fals
     when, for each pair of generators a, b, the image of a b has an order
     dividing that of a b in H, and when the row it extends to along
     ``_word_entries`` satisfies f(x g) = f(x) f(g) for every x and each
-    generator g, checked one generator at a time.  Those equations
-    suffice: f maps the identity to the identity, so induction on the
-    length of y as a word in the generators gives f(x y) = f(x) f(y).
+    generator g, checked one generator and ``_COLS`` elements x at a time.
+    Those equations suffice: f maps the identity to the identity, so
+    induction on the length of y as a word in the generators gives
+    f(x y) = f(x) f(y).
 
-    A bijection has two more filters: each generator image has exactly the
-    generator's order, and the identity is the only element mapped to the
-    identity (a trivial kernel, so with |H| = |G| the hom is bijective).
+    A bijection keeps every element's order, so for it ``may_image`` asks
+    for equal orders instead of dividing ones: the walk covers only the
+    generator images of the generators' own orders (sublists of
+    ``keys.lists``, in the same lexicographic order, and these sizes are
+    what ``CANDIDATE_CAP`` bounds), and the image of a b must have the
+    order of a b.  It also keeps only a trivial kernel: the identity is
+    the only element mapped to the identity, so with |H| = |G| the hom is
+    bijective.
     """
     keys = HomKeys(H, G)
-    if keys.size > CANDIDATE_CAP:
-        raise EnumerationCapError(
-            f"candidate space {keys.size} for Hom({H.name},{G.name}) exceeds {CANDIDATE_CAP}"
-        )
     gens = keys.gens.tolist()
-    entries = _word_entries(H, gens)
     tH, tG = H.table, G.table
     ordH, ordG = H.element_orders, G.element_orders
-    pair_words = [(a, b, int(ordH[tH[x, y]])) for a, x in enumerate(gens) for b, y in enumerate(gens)]
+
+    def may_image(o: int) -> np.ndarray:
+        """Mask of the elements of G that can image an element of order o."""
+        return ordG == o if first_bijection else o % ordG == 0
+
+    lists = [m[may_image(o)[m]] for m, o in zip(keys.lists, ordH[gens].tolist())]
+    size = math.prod(len(m) for m in lists)
+    if size > CANDIDATE_CAP:
+        raise EnumerationCapError(
+            f"candidate space {size} for Hom({H.name},{G.name}) exceeds {CANDIDATE_CAP}"
+        )
+    entries = _word_entries(H, gens)
+    pair_words = [(a, b, may_image(int(ordH[tH[x, y]])))
+                  for a, x in enumerate(gens) for b, y in enumerate(gens)]
     found = []
-    for lo in range(0, keys.size, _BATCH):
-        cols = lex_rows(keys.lists, lo, min(lo + _BATCH, keys.size))
-        keep = (ordG[cols] == ordH[keys.gens]).all(axis=1) if first_bijection else True
-        for a, b, needed in pair_words:
-            keep &= needed % ordG[tG[cols[:, a], cols[:, b]]] == 0
+    for lo in range(0, size, _BATCH):
+        cols = lex_rows(lists, lo, min(lo + _BATCH, size))
+        keep = np.ones(len(cols), dtype=bool)
+        for a, b, allowed in pair_words:
+            keep &= allowed[tG[cols[:, a], cols[:, b]]]
         cols = cols[keep]
         if not len(cols):
             continue
@@ -260,7 +275,9 @@ def _search_homs(H: FiniteGroup, G: FiniteGroup, *, first_bijection: bool = Fals
         if first_bijection:
             images = images[(images == G.identity).sum(axis=1) == 1]
         for g in gens:
-            images = images[(images[:, tH[:, g]] == tG[images, images[:, g, None]]).all(axis=1)]
+            for x in range(0, H.order, _COLS):
+                x = slice(x, x + _COLS)
+                images = images[(images[:, tH[x, g]] == tG[images[:, x], images[:, g, None]]).all(axis=1)]
         if first_bijection and len(images):
             return images[:1]
         found.append(images)
