@@ -118,3 +118,37 @@ def odd_carry_table(n):
     """(x + y + [x odd and y odd]) mod n: a non-associative table with identity 0."""
     x, y = np.indices((n, n))
     return (x + y + ((x % 2 == 1) & (y % 2 == 1))) % n
+
+
+def naive_lemma_draws(G: FiniteGroup, lemma: str, j, upper, samples: int, rng):
+    """Oracle: the sampled heads of one lemma report, one `randrange` call per coordinate.
+
+    `upper` is the upper central series of G.  Identities draw (a, x) for
+    samples // n pairs; the central lemmas draw a, c, the index of b in Z_j
+    (Z_{j+1} for centrals-2), then z1..zj, and list (a, b, c, z1..zj); homo
+    draws a, X, Y, X' and then z1..zj only when both hypotheses hold, and a
+    quad that fails them adds no row.
+    """
+    n = G.order
+    rr = rng.randrange
+    if lemma == "identities":
+        return [(rr(n), rr(n)) for _ in range(max(samples // n, 1))]
+    if lemma in ("centrals-1", "centrals-2"):
+        zlist = upper.term(j if lemma == "centrals-1" else j + 1).members.tolist()
+        rows = []
+        for _ in range(samples):
+            a, c = rr(n), rr(n)
+            rows.append((a, zlist[rr(len(zlist))], c) + tuple(rr(n) for _ in range(j)))
+        return rows
+    zj, zj1 = set(upper.term(j).members.tolist()), set(upper.term(j + 1).members.tolist())
+
+    def comm(x, y):
+        t, inv = G.table, G.inverses
+        return int(t[t[t[x, y], inv[x]], inv[y]])
+
+    rows = []
+    for _ in range(samples):
+        a, X, Y, Xp = (rr(n) for _ in range(4))
+        if comm(Y, comm(a, Xp)) in zj and comm(a, Y) in zj1:
+            rows.append((a, X, Y, Xp) + tuple(rr(n) for _ in range(j)))
+    return rows

@@ -3,7 +3,8 @@ import random
 import numpy as np
 import pytest
 
-from conftest import odd_carry_table
+from conftest import naive_lemma_draws, odd_carry_table
+from grouper import commutators
 from grouper.commutators import (
     CentralSeries,
     LemmaConfig,
@@ -255,3 +256,50 @@ class TestDefaultBudgets:
             ("homo", 3, 100000, False),
         ]
         assert all(r.ok for r in reports)
+
+
+SAMPLED_GROUPS = ["symmetric:3", "dihedral:8", "quaternion8", "dihedral:16", "heisenberg:3"]
+
+
+def drawn_heads(monkeypatch, check, *args):
+    """The head rows a sampled check hands to the scan, in scan order."""
+    seen = []
+
+    def capture(heads, tail, holds, weight):
+        seen.extend(tuple(row) for block in heads(commutators.CHUNK) for row in block.tolist())
+        return [], 0
+
+    monkeypatch.setattr(commutators, "_scan", capture)
+    check(*args)
+    return seen
+
+
+class TestSampledDraws:
+    """Sampled heads are exactly the draws of one `randrange` per coordinate."""
+
+    CFG = LemmaConfig(max_tuples=10, samples=1500)
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    @pytest.mark.parametrize("name", SAMPLED_GROUPS)
+    def test_identities(self, monkeypatch, groups, name, seed):
+        G = groups[name]
+        got = drawn_heads(monkeypatch, _check_identities, G, self.CFG, random.Random(seed))
+        assert got == naive_lemma_draws(G, "identities", None, None, self.CFG.samples,
+                                        random.Random(seed))
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    @pytest.mark.parametrize("j", [1, 2])
+    @pytest.mark.parametrize("name", SAMPLED_GROUPS)
+    def test_centrals_and_homo(self, monkeypatch, groups, name, j, seed):
+        G = groups[name]
+        upper = upper_central_series(G)
+        if name == "symmetric:3":  # |Z_j| = 1: randrange(1) still reads words, rejecting half
+            assert upper.term(j).order == upper.term(j + 1).order == 1
+        for variant in (1, 2):
+            got = drawn_heads(monkeypatch, _check_centrals, G, variant, j, upper, self.CFG,
+                              random.Random(seed))
+            assert got == naive_lemma_draws(G, f"centrals-{variant}", j, upper,
+                                            self.CFG.samples, random.Random(seed))
+        got = drawn_heads(monkeypatch, _check_homo, G, j, upper, self.CFG, random.Random(seed))
+        want = naive_lemma_draws(G, "homo", j, upper, self.CFG.samples, random.Random(seed))
+        assert got == want and len(want) > 0
