@@ -28,44 +28,57 @@ from .approx import (
     is_orthogonal,
 )
 from .corpus import CORPUS_CAP, SUITE_IDS, generate_corpus, run_theorem_suite, search_approximations
-from .errors import GrouperError, OrderCapExceeded, UnknownFormat
+from .errors import (
+    GrouperError,
+    MalformedHom,
+    MissingFile,
+    OrderCapExceeded,
+    UnknownFormat,
+    UnreadableInput,
+)
 from .groups import FiniteGroup, GroupHom, describe_structure
 from .homs import _extend_batch, _gen_array, _word_entries, enumerate_homs
 from .simple import simple_envelope_criterion, structural_flags
 from .specs import parse_group_spec
 
 
+def _read_text(path: str) -> str:
+    """The UTF-8 text of an input file; a file that cannot be read or decoded is an input error."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except FileNotFoundError as exc:
+        raise MissingFile(str(exc))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UnreadableInput(f"cannot read {path}: {exc}")
+
+
 def _load_group(arg: str) -> FiniteGroup:
-    if os.path.exists(arg):
-        with open(arg, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    else:
-        text = arg.replace(";", "\n")
+    text = _read_text(arg) if os.path.exists(arg) else arg.replace(";", "\n")
     return parse_group_spec(text).build()
 
 
 def _load_hom(path: str, H: FiniteGroup, G: FiniteGroup) -> GroupHom:
-    with open(path, "r", encoding="utf-8") as fh:
-        toks = fh.read().replace(",", " ").split()
+    toks = _read_text(path).replace(",", " ").split()
     try:
         values = [int(t) for t in toks]
     except ValueError:
-        raise GrouperError(f"hom file {path} must contain integers")
+        raise MalformedHom(f"hom file {path} must contain integers")
     gens = _gen_array(H)
     if len(values) not in (H.order, len(gens)):
-        raise GrouperError(
+        raise MalformedHom(
             f"hom file {path} has {len(values)} entries; expected {H.order} "
             f"(full map) or {len(gens)} (generator images)"
         )
     if min(values) < 0 or max(values) >= G.order:
-        raise GrouperError(f"hom file {path} contains out-of-range elements")
+        raise MalformedHom(f"hom file {path} contains out-of-range elements")
     images = np.array(values, dtype=np.int32)
     if len(values) != H.order:  # generator images: extend along words
         images = _extend_batch(H, G, _word_entries(H, gens), images[None, :])[0]
     try:
         return GroupHom(H, G, images)
     except ValueError as exc:
-        raise GrouperError(f"hom file {path}: {exc}")
+        raise MalformedHom(f"hom file {path}: {exc}")
 
 
 def _parse_class(spec: str) -> GroupClass:
@@ -398,9 +411,6 @@ def main(argv=None) -> int:
         return args.func(args)
     except GrouperError as exc:
         print(f"error:{exc.code}: {exc.message}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
-        print(f"error:missing-file: {exc}", file=sys.stderr)
         return 2
 
 

@@ -21,10 +21,18 @@ most CHUNK tuples go through numpy at once.  The scan contract:
 - Count.  `tuples_checked` counts whole heads up to that point: n per
   identities pair, n^j per (a, b, c) or per quad that passes the
   hypotheses, and 1 per sample.
-- Draws.  Each report draws from its own `random.Random`, block by block as
-  the scan needs samples.  The identities draw a, x per pair; the central
-  lemmas draw a, c, the index of b in Z_j (Z_{j+1} for centrals-2), then
-  z1..zj; homo draws a, X, Y, X', then z1..zj only when both hypotheses hold.
+- Draws.  Each report draws from its own `random.Random`, and a sample's
+  coordinates are the values one `randrange` call each would return, in
+  this order: the identities draw a, x per pair; the central lemmas draw a,
+  c, the index of b in Z_j (Z_{j+1} for centrals-2), then z1..zj; homo draws
+  a, X, Y, X', then z1..zj only when both hypotheses hold.  `_drawn` reads
+  them in bulk from the generator's stream of 32-bit Mersenne Twister
+  words.  In CPython, `randrange(m)` for m < 2**32 is rejection sampling
+  over `getrandbits(m.bit_length())`, which is one word w shifted to
+  w >> (32 - m.bit_length()); the draw is the first shifted word below m.
+  `getrandbits(32 * w)` returns the next w words, the first one generated
+  least significant.  Words read past a report's last sample are never
+  used, since no other draw shares the generator.
 """
 
 from __future__ import annotations
@@ -43,6 +51,8 @@ DEFAULT_MAX_TUPLES = 10 ** 6
 DEFAULT_SAMPLES = 10 ** 5
 DEFAULT_SEED = 0xC0FFEE
 CHUNK = 4096  # tuples evaluated per numpy pass; bounds the scan's working set
+DRAWS = 512  # samples per block of drawn heads; larger blocks raise peak memory, not speed
+WORDS = 2048  # Mersenne Twister words read per getrandbits call
 LIMIT = 21  # counterexamples kept per report; the scan stops once it has them
 
 LEMMA_IDS = ("identities", "centrals-1", "centrals-2", "homo")
@@ -186,17 +196,92 @@ def _lex(axes, keep=None):
     return blocks
 
 
-def _drawn(draw, count: int, width: int):
-    """Head source: `count` calls of `draw`, made block by block; a None draw adds no head.
+def _words(rng, count: int) -> np.ndarray:
+    """The next `count` 32-bit words of `rng`'s Mersenne Twister, in the order generated."""
+    return np.frombuffer(rng.getrandbits(32 * count).to_bytes(4 * count, "little"), "<u4")
 
-    Each drawn row goes straight into the block's array, so a block holds no
-    Python object per row.
+
+def _draw_columns(words, moduli, pos, accepted):
+    """Draw below each of `moduli` in turn, for a sample starting at each word of `pos`.
+
+    A draw below m takes the first word w at or after the position with
+    w >> (32 - m.bit_length()) < m, as `randrange(m)` does.  Returns the
+    draws, one column per modulus, and the position after the last word
+    taken; len(words) + 1 means the words ran out.  `accepted` memoizes,
+    per modulus, the draw and the position after it from each start.
     """
+    n, cols = len(words), []
+    for m in moduli:
+        if m not in accepted:
+            shifted = np.append(words >> (32 - m.bit_length()), 0)
+            nxt = np.where(shifted < m, np.arange(n + 1), n)  # a 0 stands in at n
+            nxt = np.minimum.accumulate(nxt[::-1])[::-1]
+            accepted[m] = np.append(shifted[nxt], 0), np.append(nxt + 1, n + 1)
+        first, after = accepted[m]
+        cols.append(first[pos])
+        pos = after[pos]
+    return cols, pos
+
+
+def _drawn(rng, count: int, head, keep=None, tail=()):
+    """Head source: `count` samples drawn from `rng` as `randrange` calls would draw them.
+
+    A sample draws once below each of the `head` moduli and, where `keep`
+    holds on those draws (everywhere without `keep`), once below each of the
+    `tail` moduli; a sample `keep` rejects adds no row.  Words are read
+    WORDS at a time, and the draws of a sample starting at each word are
+    computed at once, so the walk from one sample to the next is one
+    lookup.  With one modulus throughout, a word one draw rejects every draw
+    rejects, so the words reduce to the accepted draws and each column is a
+    shifted view of them; mixed moduli take `_draw_columns`.  A block holds
+    the rows of at most min(m, DRAWS) samples.
+    """
+    width, uniform = len(head) + len(tail), len(set(head) | set(tail)) == 1
+
+    def columns(words):
+        """Every column, and where the next sample starts, for a sample at each word."""
+        n = len(words)
+        if uniform:
+            draws = np.append(words, np.zeros(width, np.int64))
+            cols = [draws[k:k + n + 1] for k in range(width)]
+            pos = np.arange(len(head), n + 1 + len(head))
+            end = pos + len(tail)
+        else:
+            accepted = {}
+            cols, pos = _draw_columns(words, head, np.arange(n + 1), accepted)
+            tail_cols, end = _draw_columns(words, tail, pos, accepted)
+            cols += tail_cols
+        kept = np.ones(n + 1, bool) if keep is None else keep(*cols[:len(head)])
+        return cols, kept, np.where(kept, end, pos)
 
     def blocks(m):
-        for lo in range(0, count, m):
-            draws = filter(None, (draw() for _ in range(min(m, count - lo))))
-            yield np.fromiter(itertools.chain.from_iterable(draws), dtype=np.int32).reshape(-1, width)
+        m = room = min(m, DRAWS)
+        words, left, block = np.empty(0, np.int64), count, []
+        while left:
+            fresh = _words(rng, WORDS).astype(np.int64)
+            if uniform:
+                fresh >>= 32 - head[0].bit_length()
+                fresh = fresh[fresh < head[0]]
+            words = np.concatenate([words, fresh])
+            cols, kept, step = columns(words)
+            n, step, p = len(words), memoryview(step), 0
+            while left:
+                starts = []
+                for _ in range(min(left, room)):
+                    q = step[p]
+                    if q > n:
+                        break
+                    starts.append(p)
+                    p = q
+                starts = np.array(starts, dtype=np.intp)
+                block.append(np.stack([c[starts] for c in cols], axis=1)[kept[starts]])
+                left -= len(starts)
+                room -= len(starts)
+                if room and left:  # the words ran out first
+                    break
+                yield np.concatenate(block)
+                block, room = [], m
+            words = words[p:]
 
     return blocks
 
@@ -239,7 +324,7 @@ def _check_identities(G: FiniteGroup, cfg: LemmaConfig, rng) -> LemmaReport:
     if exhaustive:
         pairs = _lex([every, every])
     else:
-        pairs = _drawn(lambda: (rng.randrange(n), rng.randrange(n)), max(cfg.samples // n, 1), 2)
+        pairs = _drawn(rng, max(cfg.samples // n, 1), [n, n])
     bad, count = _scan(pairs, [np.arange(2), every], holds, n)
     bad = [(a, x, ("first", "second")[side], y) for a, x, side, y in bad]
     return LemmaReport(G.name, "identities", None, count, bad, exhaustive)
@@ -266,13 +351,13 @@ def _check_centrals(G: FiniteGroup, variant: int, j: int, upper: CentralSeries,
     if exhaustive:
         bad, count = _scan(_lex([every, zmem, every]), [every] * j, holds, n ** j)
     else:
-        zlist = zmem.tolist()
+        draws = _drawn(rng, cfg.samples, [n, n, len(zmem)] + [n] * j)
 
-        def draw():
-            a, c = rng.randrange(n), rng.randrange(n)
-            return [a, zlist[rng.randrange(len(zlist))], c] + [rng.randrange(n) for _ in range(j)]
+        def heads(m):
+            for a, c, k, *zs in (block.T for block in draws(m)):
+                yield np.stack([a, zmem[k], c, *zs], axis=1)
 
-        bad, count = _scan(_drawn(draw, cfg.samples, 3 + j), [], holds, 1)
+        bad, count = _scan(heads, [], holds, 1)
     return LemmaReport(G.name, f"centrals-{variant}", j, count, bad, exhaustive)
 
 
@@ -297,13 +382,7 @@ def _check_homo(G: FiniteGroup, j: int, upper: CentralSeries, cfg: LemmaConfig, 
     if exhaustive:
         bad, count = _scan(_lex([every] * 4, hypotheses), [every] * j, holds, n ** j)
     else:
-
-        def draw():
-            quad = [rng.randrange(n) for _ in range(4)]
-            if hypotheses(*quad):
-                return quad + [rng.randrange(n) for _ in range(j)]
-
-        bad, count = _scan(_drawn(draw, cfg.samples, 4 + j), [], holds, 1)
+        bad, count = _scan(_drawn(rng, cfg.samples, [n] * 4, hypotheses, [n] * j), [], holds, 1)
     return LemmaReport(G.name, "homo", j, count, bad, exhaustive)
 
 

@@ -58,3 +58,15 @@ class SpecParseError(GrouperError):
 
 class UnknownFormat(GrouperError):
     code = "unknown-format"
+
+
+class MissingFile(GrouperError):
+    code = "missing-file"
+
+
+class UnreadableInput(GrouperError):
+    code = "unreadable-input"
+
+
+class MalformedHom(GrouperError):
+    code = "malformed-hom"

@@ -149,7 +149,43 @@ class TestOtherCommands:
     def test_missing_hom_file(self, capsys):
         code, _, err = run(capsys, "classify", "cyclic:2", "cyclic:4",
                            "--hom", "/nonexistent/h.txt")
-        assert code == 2
+        assert code == 2 and err.startswith("error:missing-file:")
+
+
+class TestBadInputFiles:
+    """Input files that cannot be read, decoded or parsed end in a typed error and exit 2."""
+
+    def test_undecodable_spec_file(self, capsys, tmp_path):
+        f = tmp_path / "b.spec"
+        f.write_bytes(b"\xff")
+        code, out, err = run(capsys, "classify", str(f), "cyclic:3")
+        assert code == 2 and out == ""
+        assert err.startswith("error:unreadable-input:")
+
+    def test_directory_as_spec(self, capsys, tmp_path):
+        code, out, err = run(capsys, "group", str(tmp_path))
+        assert code == 2 and out == ""
+        assert err.startswith("error:unreadable-input:")
+
+    def test_undecodable_hom_file(self, capsys, tmp_path):
+        f = tmp_path / "hom.txt"
+        f.write_bytes(b"0 \xfe\xff\n")
+        code, out, err = run(capsys, "classify", "cyclic:2", "cyclic:4", "--hom", str(f))
+        assert code == 2 and out == ""
+        assert err.startswith("error:unreadable-input:")
+
+    @pytest.mark.parametrize("text, why", [
+        ("0 x\n", "must contain integers"),
+        ("0 2 0\n", "has 3 entries"),
+        ("0 7\n", "out-of-range"),
+        ("0 1\n", "hom file"),
+    ], ids=["not-integers", "wrong-count", "out-of-range", "not-a-hom"])
+    def test_malformed_hom_file(self, capsys, tmp_path, text, why):
+        f = tmp_path / "hom.txt"
+        f.write_text(text)
+        code, out, err = run(capsys, "classify", "cyclic:2", "cyclic:4", "--hom", str(f))
+        assert code == 2 and out == ""
+        assert err.startswith("error:malformed-hom:") and why in err
 
 
 class TestVerifyCommand:

@@ -6,8 +6,10 @@ import pytest
 from conftest import naive_lemma_draws, odd_carry_table
 from grouper import commutators
 from grouper.commutators import (
+    DEFAULT_SEED,
     CentralSeries,
     LemmaConfig,
+    _drawn,
     _check_centrals,
     _check_homo,
     _check_identities,
@@ -20,7 +22,7 @@ from grouper.commutators import (
     nilpotency_class,
     upper_central_series,
 )
-from grouper.groups import FiniteGroup, Subgroup, standard_group
+from grouper.groups import ORDER_CAP, FiniteGroup, Subgroup, standard_group
 
 
 def naive_commutator(G, x, y):
@@ -303,3 +305,47 @@ class TestSampledDraws:
         got = drawn_heads(monkeypatch, _check_homo, G, j, upper, self.CFG, random.Random(seed))
         want = naive_lemma_draws(G, "homo", j, upper, self.CFG.samples, random.Random(seed))
         assert got == want and len(want) > 0
+
+
+def drawn_rows(seed, count, head, keep=None, tail=(), block=commutators.CHUNK):
+    blocks = list(_drawn(random.Random(seed), count, head, keep, tail)(block))
+    assert all(len(b) <= min(block, commutators.DRAWS) for b in blocks)
+    return [tuple(row) for b in blocks for row in b.tolist()]
+
+
+# every modulus up to 512, and 2^k +- 1 up to ORDER_CAP, where rejection is rarest and commonest
+MODULI = sorted(set(range(1, 513)) | {
+    2 ** k + d for k in range(1, ORDER_CAP.bit_length()) for d in (-1, 1) if 2 ** k + d <= ORDER_CAP
+})
+
+
+class TestWordStream:
+    """`_drawn` reads the Mersenne Twister words exactly as `randrange` does."""
+
+    @pytest.mark.parametrize("seed", [0, 5, DEFAULT_SEED])
+    def test_single_modulus_matches_randrange(self, seed):
+        for m in MODULI:
+            rng = random.Random(seed)
+            want = [(rng.randrange(m),) for _ in range(300)]
+            assert drawn_rows(seed, len(want), [m]) == want, m
+
+    @pytest.mark.parametrize("seed", [0, 5, DEFAULT_SEED])
+    def test_mixed_moduli_keep_and_tail(self, seed):
+        head, tail = [1, 6, 513, 4097], [3, 2 ** 12 - 1]
+
+        def keep(a, b, c, d):
+            return (b + c + d) % 3 != 0
+
+        rng, want = random.Random(seed), []
+        for _ in range(3000):
+            row = tuple(rng.randrange(m) for m in head)
+            if keep(*row):
+                want.append(row + tuple(rng.randrange(m) for m in tail))
+        got = drawn_rows(seed, 3000, head, keep, tail, block=700)
+        assert got == want and 0 < len(want) < 3000
+
+    def test_carries_words_across_reads(self):
+        # 10 000 draws of 4-bit words, half of them rejected: about ten reads of WORDS words
+        rng = random.Random(7)
+        want = [(rng.randrange(10), rng.randrange(10)) for _ in range(5000)]
+        assert drawn_rows(7, 5000, [10, 10], block=333) == want

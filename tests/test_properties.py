@@ -1,12 +1,12 @@
 """Property-based checks over randomly drawn small groups and homs."""
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import naive_hom_images, relabelled
 from grouper.approx import classify_hom, galois_group
 from grouper.commutators import commutator
-from grouper.groups import GroupHom, identity_hom, standard_group, subgroup_generated
+from grouper.groups import GroupHom, build_from_permutations, identity_hom, standard_group, subgroup_generated
 from grouper.homs import automorphism_group, enumerate_homs
 
 POOL = [
@@ -141,3 +141,19 @@ def test_enumeration_matches_oracle_under_relabelling(pair, rnd):
     H2, G2 = (relabelled(X, np.array(rnd.sample(range(X.order), X.order))) for X in (H, G))
     got = sorted(tuple(row) for row in enumerate_homs(H2, G2).matrix.tolist())
     assert got == naive_hom_images(H2, G2)
+
+
+@st.composite
+def permutation_groups(draw):
+    """A group generated by one or two permutations of at most 5 points, in search order."""
+    degree = draw(st.integers(min_value=2, max_value=5))
+    gens = draw(st.lists(st.permutations(range(degree)), min_size=1, max_size=2))
+    return build_from_permutations(gens, name=f"<{gens}>")
+
+
+@given(permutation_groups(), permutation_groups())
+@settings(max_examples=60, deadline=None)
+def test_enumeration_matches_oracle_on_permutation_groups(H, G):
+    assume(H.order > 1 and G.order > 1 and G.order ** H.order <= 5000)
+    got = sorted(tuple(row) for row in enumerate_homs(H, G).matrix.tolist())
+    assert got == naive_hom_images(H, G)
