@@ -230,39 +230,23 @@ def _drawn(rng, count: int, head, keep=None, tail=()):
     holds on those draws (everywhere without `keep`), once below each of the
     `tail` moduli; a sample `keep` rejects adds no row.  Words are read
     WORDS at a time, and the draws of a sample starting at each word are
-    computed at once, so the walk from one sample to the next is one
-    lookup.  With one modulus throughout, a word one draw rejects every draw
-    rejects, so the words reduce to the accepted draws and each column is a
-    shifted view of them; mixed moduli take `_draw_columns`.  A block holds
-    the rows of at most min(m, DRAWS) samples.
+    computed at once by `_draw_columns`, so the walk from one sample to the
+    next is one lookup.  A block holds the rows of at most min(m, DRAWS)
+    samples.
     """
-    width, uniform = len(head) + len(tail), len(set(head) | set(tail)) == 1
-
     def columns(words):
         """Every column, and where the next sample starts, for a sample at each word."""
-        n = len(words)
-        if uniform:
-            draws = np.append(words, np.zeros(width, np.int64))
-            cols = [draws[k:k + n + 1] for k in range(width)]
-            pos = np.arange(len(head), n + 1 + len(head))
-            end = pos + len(tail)
-        else:
-            accepted = {}
-            cols, pos = _draw_columns(words, head, np.arange(n + 1), accepted)
-            tail_cols, end = _draw_columns(words, tail, pos, accepted)
-            cols += tail_cols
-        kept = np.ones(n + 1, bool) if keep is None else keep(*cols[:len(head)])
-        return cols, kept, np.where(kept, end, pos)
+        accepted = {}
+        cols, pos = _draw_columns(words, head, np.arange(len(words) + 1), accepted)
+        tail_cols, end = _draw_columns(words, tail, pos, accepted)
+        kept = np.ones(len(pos), bool) if keep is None else keep(*cols)
+        return cols + tail_cols, kept, np.where(kept, end, pos)
 
     def blocks(m):
         m = room = min(m, DRAWS)
         words, left, block = np.empty(0, np.int64), count, []
         while left:
-            fresh = _words(rng, WORDS).astype(np.int64)
-            if uniform:
-                fresh >>= 32 - head[0].bit_length()
-                fresh = fresh[fresh < head[0]]
-            words = np.concatenate([words, fresh])
+            words = np.concatenate([words, _words(rng, WORDS).astype(np.int64)])
             cols, kept, step = columns(words)
             n, step, p = len(words), memoryview(step), 0
             while left:
