@@ -239,6 +239,52 @@ class TestSeededViolationDetection:
         ]
 
 
+# A budget under which homo on A4 with j = 1 is still a grid scan, while homo
+# with j = 2 on A4 and D8 samples: their grids take minutes at CHUNK = 1.
+SPLIT_PATHS = {"grid": LemmaConfig(max_tuples=250_000, samples=500), "sampled": LemmaConfig(max_tuples=10, samples=500)}
+
+
+def fake_series_reports():
+    """(case, tuples_checked, counterexamples) of every fake-series check, in a fixed order."""
+    out = []
+    for path, cfg in SPLIT_PATHS.items():
+        for name in ("symmetric:3", "alternating:4", "dihedral:8"):
+            G = standard_group(name)
+            for j in (1, 2):
+                for variant in (1, 2):
+                    rep = _check_centrals(G, variant, j, fake_upper_series(G), cfg, random.Random(5))
+                    out.append(((path, name, j, rep.lemma, rep.exhaustive), rep.tuples_checked,
+                                rep.counterexamples))
+                rep = _check_homo(G, j, fake_upper_series(G), cfg, random.Random(5))
+                out.append(((path, name, j, rep.lemma, rep.exhaustive), rep.tuples_checked,
+                            rep.counterexamples))
+        G = FiniteGroup("odd7", odd_carry_table(7), generators=[1], check=False)
+        rep = _check_identities(G, cfg, random.Random(0))
+        out.append(((path, "odd7", None, rep.lemma, rep.exhaustive), rep.tuples_checked,
+                    rep.counterexamples))
+    return out
+
+
+class TestScanChunking:
+    """The scan's reports do not depend on how heads and tails are split into passes.
+
+    With CHUNK below the number of tails, every head is scanned in several
+    parts of its tail grid, and the 21-counterexample stop can fall in any part.
+    """
+
+    @pytest.fixture(scope="class")
+    def reference(self):
+        got = fake_series_reports()
+        assert [(case[0], case[-1]) for case, _, _ in got].count(("grid", True)) == 17
+        assert sum(len(bad) == commutators.LIMIT for _, _, bad in got) == 28
+        return got
+
+    @pytest.mark.parametrize("chunk", [1, 5, 37, commutators.CHUNK])
+    def test_reports_match_default_chunk(self, monkeypatch, reference, chunk):
+        monkeypatch.setattr(commutators, "CHUNK", chunk)
+        assert fake_series_reports() == reference
+
+
 class TestDefaultBudgets:
     """Default-config tuple counts; homo j=3 is the sampled path on order 8."""
 
