@@ -3,8 +3,9 @@
 Convention: [x, y] = x y x^-1 y^-1, and the left-normed iterated commutator
 [y1, ..., yr] = [[...[y1, y2], ...], yr].
 
-Each lemma is one equation over columns of tuples, read off an n x n
-commutator table built for the check, and one scan (`_scan`) evaluates every
+Each lemma is one equation over columns of tuples, read off the group's
+product table and an n x n commutator table built for the check, each
+through one flat `take` per lookup.  One scan (`_scan`) evaluates every
 lemma.  It takes the whole lexicographic grid when that has at most
 `LemmaConfig.max_tuples` tuples, and drawn samples otherwise; either way at
 most CHUNK tuples go through numpy at once.  The scan contract:
@@ -16,6 +17,11 @@ most CHUNK tuples go through numpy at once.  The scan contract:
   lexicographic order; a sample is a head that carries its own z's.
   Counterexamples come in scan order: grid order (for the identities by
   pair, then "first" before "second", then y), or draw order.
+- Crossing.  Heads and tails are crossed by numpy broadcasting, never
+  copied into rows: a block of B heads goes to the equation as (B, 1)
+  columns and a part of T tails as (1, T) columns, so a term of the head
+  alone is computed once per head, and the (B, T) verdict read in C order
+  is the scan order.  Only failing tuples are built as rows.
 - Stop.  A report keeps at most LIMIT = 21 counterexamples, and the scan
   stops after the head that holds the 21st.
 - Count.  `tuples_checked` counts whole heads up to that point: n per
@@ -177,10 +183,22 @@ class LemmaReport:
         }
 
 
+def _product(table):
+    """x, y -> table[x, y] over broadcast index arrays, one flat `take` each."""
+    flat, n = table.ravel(), len(table)
+    return lambda x, y: flat.take(x * n + y)
+
+
+def _tables(G: FiniteGroup):
+    """Every element of G, and its product and commutator tables as `_product` lookups."""
+    every = np.arange(G.order, dtype=np.int32)
+    return every, _product(G.table), _product(commutator(G, every[:, None], every[None, :]))
+
+
 def _left_normed(C, x, zs):
-    """[x, z1, ..., zj] over columns, read off the commutator table C."""
+    """[x, z1, ..., zj] over columns, read off the commutator table as `C(x, z)`."""
     for z in zs:
-        x = C[x, z]
+        x = C(x, z)
     return x
 
 
@@ -273,35 +291,40 @@ def _drawn(rng, count: int, head, keep=None, tail=()):
 def _scan(heads, tail, holds, weight: int):
     """Evaluate `holds` on every head followed by every tuple of `tail`.
 
-    Rows go to `holds` as columns, at most CHUNK at a time.  Returns the
-    failing rows in order, at most LIMIT of them, and `weight` times the
-    number of heads scanned: all of them, or those up to and including the
-    head of the LIMIT-th failing row, where the scan stops.
+    A block of heads is crossed with a part of the tail grid by broadcasting:
+    head columns go to `holds` as (B, 1) arrays and tail columns as (1, T)
+    arrays, at most CHUNK tuples at a time, and the (B, T) verdict read in C
+    order is the scan order.  Returns the failing rows in order, at most
+    LIMIT of them, and `weight` times the number of heads scanned: all of
+    them, or those up to and including the head of the LIMIT-th failing row,
+    where the scan stops.
     """
     tails = lex_rows(tail, 0, math.prod(len(a) for a in tail))
     bad, done = [], 0
     for block in heads(max(1, CHUNK // len(tails))):
+        cols = block.T[:, :, None]
         for lo in range(0, len(tails), CHUNK):
             part = tails[lo:lo + CHUNK]
-            rows = np.hstack([np.repeat(block, len(part), axis=0), np.tile(part, (len(block), 1))])
-            fails = np.flatnonzero(~holds(*rows.T))[:LIMIT - len(bad)]
-            bad += map(tuple, rows[fails].tolist())
+            fails = np.flatnonzero(~holds(*cols, *part.T[:, None]))[:LIMIT - len(bad)]
+            if not len(fails):
+                continue
+            head, at = np.divmod(fails, len(part))
+            bad += map(tuple, np.hstack([block[head], part[at]]).tolist())
             if len(bad) == LIMIT:
-                return bad, (done + int(fails[-1]) // len(part) + 1) * weight
+                return bad, (done + int(head[-1]) + 1) * weight
         done += len(block)
     return bad, done * weight
 
 
 def _check_identities(G: FiniteGroup, cfg: LemmaConfig, rng) -> LemmaReport:
-    t, n = G.table, G.order
-    every = np.arange(n, dtype=np.int32)
-    C = commutator(G, every[:, None], every[None, :])
+    n = G.order
+    every, t, C = _tables(G)
 
     def holds(a, x, side, y):
         # [a, xy] = [a,x] [x,[a,y]] [a,y]
-        first = C[a, t[x, y]] == t[t[C[a, x], C[x, C[a, y]]], C[a, y]]
+        first = C(a, t(x, y)) == t(t(C(a, x), C(x, C(a, y))), C(a, y))
         # [xy, z] = [x,[y,z]] [y,z] [x,z], with (x,y,z) := (a,x,y)
-        second = C[t[a, x], y] == t[t[C[a, C[x, y]], C[x, y]], C[a, y]]
+        second = C(t(a, x), y) == t(t(C(a, C(x, y)), C(x, y)), C(a, y))
         return np.where(side == 0, first, second)
 
     exhaustive = n ** 3 <= cfg.max_tuples
@@ -316,19 +339,18 @@ def _check_identities(G: FiniteGroup, cfg: LemmaConfig, rng) -> LemmaReport:
 
 def _check_centrals(G: FiniteGroup, variant: int, j: int, upper: CentralSeries,
                     cfg: LemmaConfig, rng) -> LemmaReport:
-    t, n = G.table, G.order
-    every = np.arange(n, dtype=np.int32)
-    C = commutator(G, every[:, None], every[None, :])
+    n = G.order
+    every, t, C = _tables(G)
     zmem = upper.term(j if variant == 1 else j + 1).members
 
     def holds(a, b, c, *zs):
-        ac = t[a, c]
-        lhs = _left_normed(C, t[t[a, b], c], zs)
+        ac = t(a, c)
+        lhs = _left_normed(C, t(t(a, b), c), zs)
         if variant == 1:
             return lhs == _left_normed(C, ac, zs)
-        mid = _left_normed(C, t[ac, b], zs)
-        merged = _left_normed(C, t[C[ac, zs[0]], C[b, zs[0]]], zs[1:])
-        rhs = t[_left_normed(C, ac, zs), _left_normed(C, b, zs)]
+        mid = _left_normed(C, t(ac, b), zs)
+        merged = _left_normed(C, t(C(ac, zs[0]), C(b, zs[0])), zs[1:])
+        rhs = t(_left_normed(C, ac, zs), _left_normed(C, b, zs))
         return (lhs == mid) & (mid == merged) & (merged == rhs)
 
     exhaustive = n * len(zmem) * n * n ** j <= cfg.max_tuples
@@ -346,20 +368,19 @@ def _check_centrals(G: FiniteGroup, variant: int, j: int, upper: CentralSeries,
 
 
 def _check_homo(G: FiniteGroup, j: int, upper: CentralSeries, cfg: LemmaConfig, rng) -> LemmaReport:
-    t, n = G.table, G.order
-    every = np.arange(n, dtype=np.int32)
-    C = commutator(G, every[:, None], every[None, :])
+    n = G.order
+    every, t, C = _tables(G)
     in_zj, in_zj1 = upper.term(j)._member_mask, upper.term(j + 1)._member_mask
 
     def hypotheses(a, X, Y, Xp):
         # they do not involve the z's; tested, never assumed
-        return in_zj[C[Y, C[a, Xp]]] & in_zj1[C[a, Y]]
+        return in_zj[C(Y, C(a, Xp))] & in_zj1[C(a, Y)]
 
     def holds(a, X, Y, Xp, *zs):
-        aXXp, aY = C[a, t[X, Xp]], C[a, Y]
-        lhs = _left_normed(C, C[a, t[t[X, Y], Xp]], zs)
-        mid = _left_normed(C, t[aXXp, aY], zs)
-        rhs = t[_left_normed(C, aXXp, zs), _left_normed(C, aY, zs)]
+        aXXp, aY = C(a, t(X, Xp)), C(a, Y)
+        lhs = _left_normed(C, C(a, t(t(X, Y), Xp)), zs)
+        mid = _left_normed(C, t(aXXp, aY), zs)
+        rhs = t(_left_normed(C, aXXp, zs), _left_normed(C, aY, zs))
         return (lhs == mid) & (mid == rhs)
 
     exhaustive = n ** (4 + j) <= cfg.max_tuples
