@@ -32,7 +32,9 @@ from .errors import (
     GrouperError,
     MalformedHom,
     MissingFile,
+    NoInjectiveHom,
     OrderCapExceeded,
+    UnknownAssertFlag,
     UnknownFormat,
     UnreadableInput,
 )
@@ -148,12 +150,24 @@ def _report_lines(rep_dict: dict):
     return lines
 
 
+# the flags `--assert` may name, per command; they are the keys of each report's "flags"
+HOM_FLAGS = ("isCellularCover", "isCover", "isEnvelope", "isLocalization",
+             "isPrecoverOfSourceClass", "isPreenvelopeOfTargetClass")
+RELATIVE_FLAGS = ("hasUniqueLiftings", "inClass", "isApproximation", "isPreapproximation")
+CRITERION_FLAGS = ("agrees", "conditionsHold")
+
+
+def _known_assert_flags(wanted, known):
+    """Reject an unknown `--assert` name before anything is computed or printed."""
+    for name in wanted or ():
+        if name not in known:
+            raise UnknownAssertFlag(f"unknown flag {name!r} in --assert; known: {', '.join(known)}")
+
+
 def _check_assert(flags: dict, wanted, fmt) -> int:
     if not wanted:
         return 0
     for name in wanted:
-        if name not in flags:
-            raise GrouperError(f"unknown flag {name!r} in --assert")
         if not flags[name]:
             if fmt == "text":
                 print(f"assert-failed: {name}")
@@ -162,6 +176,7 @@ def _check_assert(flags: dict, wanted, fmt) -> int:
 
 
 def _cmd_classify(args) -> int:
+    _known_assert_flags(args.assert_flags, RELATIVE_FLAGS if args.group_class else HOM_FLAGS)
     H, G = _load_group(args.source), _load_group(args.target)
     if args.group_class:
         cls = _parse_class(args.group_class)
@@ -187,16 +202,19 @@ def _cmd_classify(args) -> int:
     return status
 
 
-def _cmd_galois(args) -> int:
+def _given_or_first_injective_hom(args) -> GroupHom:
+    """The hom of `--hom`, or else the first injective hom source -> target."""
     H, G = _load_group(args.source), _load_group(args.target)
     if args.hom:
-        phi = _load_hom(args.hom, H, G)
-    else:
-        hs = enumerate_homs(H, G)
-        inj = [h for h in hs.homs if h.is_injective]
-        if not inj:
-            raise GrouperError(f"no injective hom {H.name} -> {G.name}; give --hom")
-        phi = inj[0]
+        return _load_hom(args.hom, H, G)
+    for phi in enumerate_homs(H, G).homs:
+        if phi.is_injective:
+            return phi
+    raise NoInjectiveHom(f"no injective hom {H.name} -> {G.name}; give --hom")
+
+
+def _cmd_galois(args) -> int:
+    phi = _given_or_first_injective_hom(args)
     sub = galois_group(phi, args.side)
     payload = {
         "side": args.side,
@@ -257,15 +275,8 @@ def _cmd_orthogonal(args) -> int:
 
 
 def _cmd_simple_criterion(args) -> int:
-    H, G = _load_group(args.source), _load_group(args.target)
-    if args.hom:
-        phi = _load_hom(args.hom, H, G)
-    else:
-        hs = enumerate_homs(H, G)
-        inj = [h for h in hs.homs if h.is_injective]
-        if not inj:
-            raise GrouperError(f"no injective hom {H.name} -> {G.name}")
-        phi = inj[0]
+    _known_assert_flags(args.assert_flags, CRITERION_FLAGS)
+    phi = _given_or_first_injective_hom(args)
     rep = simple_envelope_criterion(phi, cross_check=not args.no_cross_check)
     d = rep.to_dict()
     lines = [f"{k}: {d[k]}" for k in sorted(d) if k not in ("hom", "witnesses")]

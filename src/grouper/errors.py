@@ -70,3 +70,11 @@ class UnreadableInput(GrouperError):
 
 class MalformedHom(GrouperError):
     code = "malformed-hom"
+
+
+class UnknownAssertFlag(GrouperError):
+    code = "unknown-assert-flag"
+
+
+class NoInjectiveHom(GrouperError):
+    code = "no-injective-hom"

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from grouper import cli
 from grouper.cli import main
 
 
@@ -150,6 +151,61 @@ class TestOtherCommands:
         code, _, err = run(capsys, "classify", "cyclic:2", "cyclic:4",
                            "--hom", "/nonexistent/h.txt")
         assert code == 2 and err.startswith("error:missing-file:")
+
+
+def no_enumeration(*args):
+    raise AssertionError("enumerate_homs called")
+
+
+class TestAssertNames:
+    """An unknown `--assert` name is an input error found before any work or output."""
+
+    @pytest.mark.parametrize("argv", [
+        ("classify", "cyclic:2", "cyclic:4", "--assert", "nope"),
+        ("classify", "cyclic:2", "cyclic:4", "--assert", "isEnvelope", "nope"),
+        ("classify", "cyclic:2", "cyclic:4", "--class", "cyclic:4", "--assert", "isEnvelope"),
+        ("simple-criterion", "cyclic:3", "symmetric:3", "--assert", "nope"),
+        ("simple-criterion", "cyclic:3", "symmetric:3", "--assert", "isEnvelope"),
+    ])
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_unknown_name_exit_two_before_output(self, capsys, monkeypatch, argv, fmt):
+        monkeypatch.setattr(cli, "enumerate_homs", no_enumeration)
+        code, out, err = run(capsys, "--format", fmt, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:unknown-assert-flag: unknown flag ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv, known", [
+        (("classify", "cyclic:2", "cyclic:4"), cli.HOM_FLAGS),
+        (("classify", "cyclic:2", "cyclic:4", "--class", "cyclic:4,cyclic:8"), cli.RELATIVE_FLAGS),
+    ])
+    def test_known_names_are_the_report_flags(self, capsys, argv, known):
+        code, out, _ = run(capsys, "--format", "json", *argv)
+        reports = json.loads(out)["reports"]
+        assert code == 0 and all(tuple(r["flags"]) == known for r in reports)
+
+    def test_every_known_name_accepted(self, capsys):
+        code, _, err = run(capsys, "classify", "cyclic:2", "cyclic:4", "--assert", *cli.HOM_FLAGS)
+        assert code == 1 and err == ""
+        code, _, err = run(capsys, "simple-criterion", "cyclic:3", "symmetric:3",
+                           "--assert", *cli.CRITERION_FLAGS)
+        assert code == 0 and err == ""
+
+
+class TestNoInjectiveHom:
+    @pytest.mark.parametrize("command", ["galois", "simple-criterion"])
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_typed_exit_two(self, capsys, command, fmt):
+        code, out, err = run(capsys, "--format", fmt, command, "cyclic:4", "cyclic:2")
+        assert (code, out) == (2, "")
+        assert err == "error:no-injective-hom: no injective hom C4 -> C2; give --hom\n"
+
+    @pytest.mark.parametrize("command", ["galois", "simple-criterion"])
+    def test_first_injective_hom_chosen(self, capsys, command):
+        # Hom(C3, S3) in key order: the trivial hom, then the two embeddings onto A3
+        code, out, _ = run(capsys, "--format", "json", "homs", "cyclic:3", "symmetric:3")
+        first = [h for h in json.loads(out)["homs"] if len(set(h)) == 3][0]
+        code, out, _ = run(capsys, "--format", "json", command, "cyclic:3", "symmetric:3")
+        assert code == 0 and json.loads(out)["hom"] == first
 
 
 class TestBadInputFiles:
