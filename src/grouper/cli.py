@@ -161,7 +161,8 @@ def _known_assert_flags(wanted, known):
     """Reject an unknown `--assert` name before anything is computed or printed."""
     for name in wanted or ():
         if name not in known:
-            raise UnknownAssertFlag(f"unknown flag {name!r} in --assert; known: {', '.join(known)}")
+            raise UnknownAssertFlag(
+                f"unknown flag {name!r} in --assert; known: {', '.join(known)}")
 
 
 def _check_assert(flags: dict, wanted, fmt) -> int:

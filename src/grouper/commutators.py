@@ -291,13 +291,11 @@ def _drawn(rng, count: int, head, keep=None, tail=()):
 def _scan(heads, tail, holds, weight: int):
     """Evaluate `holds` on every head followed by every tuple of `tail`.
 
-    A block of heads is crossed with a part of the tail grid by broadcasting:
-    head columns go to `holds` as (B, 1) arrays and tail columns as (1, T)
-    arrays, at most CHUNK tuples at a time, and the (B, T) verdict read in C
-    order is the scan order.  Returns the failing rows in order, at most
-    LIMIT of them, and `weight` times the number of heads scanned: all of
-    them, or those up to and including the head of the LIMIT-th failing row,
-    where the scan stops.
+    Blocks of heads are crossed with parts of the tail grid as the module
+    docstring's "Crossing" says, at most CHUNK tuples at a time.  Returns the
+    failing rows in order, at most LIMIT of them, and `weight` times the
+    number of heads scanned: all of them, or those up to and including the
+    head of the LIMIT-th failing row, where the scan stops.
     """
     tails = lex_rows(tail, 0, math.prod(len(a) for a in tail))
     bad, done = [], 0
