@@ -183,16 +183,12 @@ class LemmaReport:
         }
 
 
-def _product(table):
-    """x, y -> table[x, y] over broadcast index arrays, one flat `take` each."""
-    flat, n = table.ravel(), len(table)
-    return lambda x, y: flat.take(x * n + y)
-
-
 def _tables(G: FiniteGroup):
-    """Every element of G, and its product and commutator tables as `_product` lookups."""
-    every = np.arange(G.order, dtype=np.int32)
-    return every, _product(G.table), _product(commutator(G, every[:, None], every[None, :]))
+    """n, every element, and x, y -> x y and x, y -> [x, y] over broadcast index
+    arrays, each read off its n x n table by one flat `take`."""
+    n, every = G.order, np.arange(G.order, dtype=np.int32)
+    t, c = G.table.ravel(), commutator(G, every[:, None], every[None, :]).ravel()
+    return n, every, lambda x, y: t.take(x * n + y), lambda x, y: c.take(x * n + y)
 
 
 def _left_normed(C, x, zs):
@@ -300,12 +296,10 @@ def _scan(heads, tail, holds, weight: int):
     tails = lex_rows(tail, 0, math.prod(len(a) for a in tail))
     bad, done = [], 0
     for block in heads(max(1, CHUNK // len(tails))):
-        cols = block.T[:, :, None]
         for lo in range(0, len(tails), CHUNK):
             part = tails[lo:lo + CHUNK]
-            fails = np.flatnonzero(~holds(*cols, *part.T[:, None]))[:LIMIT - len(bad)]
-            if not len(fails):
-                continue
+            ok = holds(*block.T[:, :, None], *part.T[:, None])
+            fails = np.flatnonzero(~ok)[:LIMIT - len(bad)]
             head, at = np.divmod(fails, len(part))
             bad += map(tuple, np.hstack([block[head], part[at]]).tolist())
             if len(bad) == LIMIT:
@@ -315,8 +309,7 @@ def _scan(heads, tail, holds, weight: int):
 
 
 def _check_identities(G: FiniteGroup, cfg: LemmaConfig, rng) -> LemmaReport:
-    n = G.order
-    every, t, C = _tables(G)
+    n, every, t, C = _tables(G)
 
     def holds(a, x, side, y):
         # [a, xy] = [a,x] [x,[a,y]] [a,y]
@@ -337,8 +330,7 @@ def _check_identities(G: FiniteGroup, cfg: LemmaConfig, rng) -> LemmaReport:
 
 def _check_centrals(G: FiniteGroup, variant: int, j: int, upper: CentralSeries,
                     cfg: LemmaConfig, rng) -> LemmaReport:
-    n = G.order
-    every, t, C = _tables(G)
+    n, every, t, C = _tables(G)
     zmem = upper.term(j if variant == 1 else j + 1).members
 
     def holds(a, b, c, *zs):
@@ -366,8 +358,7 @@ def _check_centrals(G: FiniteGroup, variant: int, j: int, upper: CentralSeries,
 
 
 def _check_homo(G: FiniteGroup, j: int, upper: CentralSeries, cfg: LemmaConfig, rng) -> LemmaReport:
-    n = G.order
-    every, t, C = _tables(G)
+    n, every, t, C = _tables(G)
     in_zj, in_zj1 = upper.term(j)._member_mask, upper.term(j + 1)._member_mask
 
     def hypotheses(a, X, Y, Xp):
