@@ -240,8 +240,11 @@ class TestSeededViolationDetection:
 
 
 # A budget under which homo on A4 with j = 1 is still a grid scan, while homo
-# with j = 2 on A4 and D8 samples: their grids take minutes at CHUNK = 1.
-SPLIT_PATHS = {"grid": LemmaConfig(max_tuples=250_000, samples=500), "sampled": LemmaConfig(max_tuples=10, samples=500)}
+# with j = 2 on A4 and D8 samples: each of their grids takes over 20 s at CHUNK = 1.
+SPLIT_PATHS = {
+    "grid": LemmaConfig(max_tuples=250_000, samples=500),
+    "sampled": LemmaConfig(max_tuples=10, samples=500),
+}
 
 
 def fake_series_reports():
