@@ -10,19 +10,11 @@ claimed; this emits the raw per-pair data.
 
 import argparse
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from grouper.corpus import generate_corpus, classify_pair
 from grouper.groups import FiniteGroup
-
-
-@dataclass
-class ScanConfig:
-    prime: int = 2
-    max_order: int = 32
-    envelopes_only: bool = False
 
 
 def is_p_group(G: FiniteGroup, p: int) -> bool:
@@ -38,10 +30,9 @@ def main() -> int:
     ap.add_argument("--max-order", type=int, default=32)
     ap.add_argument("--envelopes-only", action="store_true")
     args = ap.parse_args()
-    cfg = ScanConfig(args.prime, args.max_order, args.envelopes_only)
 
-    corpus = [G for G in generate_corpus(cfg.max_order) if is_p_group(G, cfg.prime)]
-    print(f"# {len(corpus)} {cfg.prime}-groups up to order {cfg.max_order}")
+    corpus = [G for G in generate_corpus(args.max_order) if is_p_group(G, args.prime)]
+    print(f"# {len(corpus)} {args.prime}-groups up to order {args.max_order}")
     print("# source target hom isEnvelope isLocalization galoisOrder")
     for H in corpus:
         for G in corpus:
@@ -52,7 +43,7 @@ def main() -> int:
                 row = v.matrix[i]
                 if len(np.unique(row)) != H.order:
                     continue
-                if cfg.envelopes_only and not v.is_envelope[i]:
+                if args.envelopes_only and not v.is_envelope[i]:
                     continue
                 print(
                     f"{H.name} {G.name} {' '.join(str(x) for x in row)} "

@@ -5,16 +5,8 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
 
 from grouper.corpus import SUITE_IDS, generate_corpus, run_theorem_suite
-
-
-@dataclass
-class RunConfig:
-    max_order: int = 16
-    socle_max_order: int = 12
-    as_json: bool = False
 
 
 def main() -> int:
@@ -24,25 +16,25 @@ def main() -> int:
                     help="smaller bound for the cubic-cost class suites")
     ap.add_argument("--json", action="store_true")
     args = ap.parse_args()
-    cfg = RunConfig(args.max_order, args.socle_max_order, args.json)
 
     results = {}
     failures = 0
     for suite in SUITE_IDS:
-        bound = cfg.socle_max_order if suite in ("socle-cover", "radical-envelope") else cfg.max_order
+        class_suite = suite in ("socle-cover", "radical-envelope")
+        bound = args.socle_max_order if class_suite else args.max_order
         corpus = generate_corpus(bound)
         t0 = time.perf_counter()
         report = run_theorem_suite(corpus, suite)
         secs = time.perf_counter() - t0
         results[suite] = report.to_dict()
         failures += len(report.violations)
-        if not cfg.as_json:
+        if not args.json:
             print(
                 f"{suite:18s} maxOrder={bound:3d} pairs={report.pairs_examined:5d} "
                 f"checks={report.homs_classified:9d} violations={len(report.violations)} "
                 f"skipped={len(report.skipped)} notes={len(report.notes)} [{secs:.1f}s]"
             )
-    if cfg.as_json:
+    if args.json:
         print(json.dumps(results, sort_keys=True, indent=2))
     return 1 if failures else 0
 

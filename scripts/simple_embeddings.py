@@ -9,17 +9,10 @@ order (the centralizer), and the direct classification cross-check.
 
 import argparse
 import sys
-from dataclasses import dataclass
 
 from grouper.corpus import generate_corpus
 from grouper.homs import enumerate_homs
 from grouper.simple import is_simple, simple_envelope_criterion
-
-
-@dataclass
-class CriterionScanConfig:
-    max_order: int = 60
-    cross_check: bool = True
 
 
 def main() -> int:
@@ -27,9 +20,8 @@ def main() -> int:
     ap.add_argument("--max-order", type=int, default=60)
     ap.add_argument("--no-cross-check", action="store_true")
     args = ap.parse_args()
-    cfg = CriterionScanConfig(args.max_order, not args.no_cross_check)
 
-    corpus = generate_corpus(cfg.max_order)
+    corpus = generate_corpus(args.max_order)
     simple_members = [G for G in corpus if is_simple(G)]
     print(f"# simple corpus members: {[g.name for g in simple_members]}")
     print("# source target extends oneOrbit predictedGal directEnv directLoc agrees")
@@ -40,7 +32,7 @@ def main() -> int:
             embeddings = [h for h in enumerate_homs(H, G).homs if h.is_injective]
             if not embeddings:
                 continue
-            rep = simple_envelope_criterion(embeddings[0], cross_check=cfg.cross_check)
+            rep = simple_envelope_criterion(embeddings[0], cross_check=not args.no_cross_check)
             print(
                 f"{H.name} {G.name} {rep.every_automorphism_extends} "
                 f"{rep.copies_conjugate_under_aut} {rep.predicted_galois_order} "

@@ -112,11 +112,12 @@ def _cmd_group(args) -> int:
         "generators": G.generators,
         "elementOrders": G.element_orders.tolist(),
     }
-    payload.update(structural_flags(G) if args.flags else {})
     lines = [f"name: {payload['name']}", f"order: {payload['order']}",
              f"structure: {payload['structure']}", f"abelian: {str(G.is_abelian).lower()}"]
     if args.flags:
-        lines += _flag_lines(structural_flags(G))
+        flags = structural_flags(G)
+        payload.update(flags)
+        lines += _flag_lines(flags)
     _emit(payload, args.format, lines)
     return 0
 
@@ -197,9 +198,8 @@ def _cmd_classify(args) -> int:
         lines += _report_lines(d) + [""]
     _emit(payload, args.format, lines)
     status = 0
-    for r in reports:
-        flags = r.to_dict()["flags"]
-        status = max(status, _check_assert(flags, args.assert_flags, args.format))
+    for d in dicts:
+        status = max(status, _check_assert(d["flags"], args.assert_flags, args.format))
     return status
 
 

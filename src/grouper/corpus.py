@@ -34,8 +34,6 @@ CORPUS_CAP = 512
 _CHUNK = 1 << 14  # composites per batch in classify_pair, bounding its working memory
 SUITE_IDS = ("cogalois", "galois", "socle-cover", "radical-envelope", "reduction", "lemmas")
 
-_pair_cache: dict = {}
-
 
 def generate_corpus(max_order: int):
     """Deterministic family corpus, deduplicated up to isomorphism."""
@@ -71,10 +69,7 @@ def generate_corpus(max_order: int):
 
 
 def _is_nilpotent(G: FiniteGroup) -> bool:
-    """Memoized on the group itself, so the answer lives exactly as long as G."""
-    if "nilpotent" not in G._memo:
-        G._memo["nilpotent"] = nilpotency_class(G) is not None
-    return G._memo["nilpotent"]
+    return G.memo("nilpotent", lambda: nilpotency_class(G) is not None)
 
 
 @dataclass
@@ -132,11 +127,11 @@ class HomVerdicts:
 
 
 def classify_pair(H: FiniteGroup, G: FiniteGroup) -> HomVerdicts:
-    """Classify every hom H -> G at once; memoized per pair."""
-    key = (id(H), id(G))
-    hit = _pair_cache.get(key)
-    if hit is not None:
-        return hit
+    """Classify every hom H -> G at once; memoized on H."""
+    return H.memo(("verdicts", G), lambda: _classify_pair(H, G))
+
+
+def _classify_pair(H: FiniteGroup, G: FiniteGroup) -> HomVerdicts:
     hom_set = enumerate_homs(H, G)
     end_g, end_h = EndData(G), EndData(H)
     n = len(hom_set)
@@ -152,9 +147,7 @@ def classify_pair(H: FiniteGroup, G: FiniteGroup) -> HomVerdicts:
         s = side_profile(hom_set, end_h, phis[np.arange(len(rows))[:, None, None], end_h_gens], rows)
         parts.append((t.approximation, t.bijective, s.approximation, s.bijective,
                       t.surjective, s.surjective, t.galois.sum(axis=1), s.galois.sum(axis=1)))
-    verdicts = HomVerdicts(H, G, hom_set.matrix, *(np.concatenate(p) for p in zip(*parts)))
-    _pair_cache[key] = verdicts
-    return verdicts
+    return HomVerdicts(H, G, hom_set.matrix, *(np.concatenate(p) for p in zip(*parts)))
 
 
 def search_approximations(H: FiniteGroup, G: FiniteGroup, kind: str, injective_only: bool = False):
@@ -210,39 +203,32 @@ def _run_pairs(corpus, worker, report: SuiteReport):
     _run(tasks, worker, report, lambda v: sorted(v.items()))
 
 
+def _violations(v: HomVerdicts, bad: np.ndarray, law: str) -> list:
+    """One violation of ``law`` per hom row that the mask ``bad`` selects."""
+    pair = _pair_name(v.source, v.target)
+    return [{"pair": pair, "hom": row, "law": law} for row in v.matrix[bad].tolist()]
+
+
 def _cogalois_worker(H, G):
     """Cover with trivial co-Galois must be a cellular cover."""
     v = classify_pair(H, G)
-    violations = []
-    for i in range(len(v)):
-        if v.is_cover[i] and v.co_galois_orders[i] == 1 and not v.is_cellular[i]:
-            violations.append(
-                {"pair": _pair_name(H, G), "hom": v.matrix[i].tolist(),
-                 "law": "cover-trivial-cogalois-implies-cellular"}
-            )
-    return len(v), violations, []
+    bad = v.is_cover & (v.co_galois_orders == 1) & ~v.is_cellular
+    return len(v), _violations(v, bad, "cover-trivial-cogalois-implies-cellular"), []
 
 
 def _galois_worker(H, G):
     """Envelope with trivial Galois and abelian source or nilpotent target
     must be a localization; abelian-source case forces abelian target."""
     v = classify_pair(H, G)
-    violations = []
     ab_h = H.is_abelian
     nil_g = _is_nilpotent(G)
-    for i in range(len(v)):
-        if not (v.is_envelope[i] and v.galois_orders[i] == 1):
-            continue
-        if (ab_h or nil_g) and not v.is_localization[i]:
-            violations.append(
-                {"pair": _pair_name(H, G), "hom": v.matrix[i].tolist(),
-                 "law": "envelope-trivial-galois-implies-localization"}
-            )
-        if ab_h and not G.is_abelian:
-            violations.append(
-                {"pair": _pair_name(H, G), "hom": v.matrix[i].tolist(),
-                 "law": "abelian-source-envelope-implies-abelian-target"}
-            )
+    trivial = v.is_envelope & (v.galois_orders == 1)
+    violations = []
+    if ab_h or nil_g:
+        violations += _violations(v, trivial & ~v.is_localization,
+                                  "envelope-trivial-galois-implies-localization")
+    if ab_h and not G.is_abelian:
+        violations += _violations(v, trivial, "abelian-source-envelope-implies-abelian-target")
     return len(v), violations, []
 
 
@@ -421,7 +407,3 @@ def run_theorem_suite(
     }[suite]
     _run_pairs(corpus, worker, report)
     return report
-
-
-def clear_pair_cache():
-    _pair_cache.clear()

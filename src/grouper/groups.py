@@ -223,8 +223,7 @@ class FiniteGroup:
             self._check_shape()
         self.inverses = self._compute_inverses()
         self.element_orders = _element_orders(self.table, self.identity)
-        self._abelian: Optional[bool] = None
-        self._memo: dict = {}  # derived data, memoized for exactly the group's lifetime
+        self._memo: dict = {}  # derived data; see ``memo``
         if check:
             self._check_generators()
             self._check_group_law()
@@ -299,11 +298,22 @@ class FiniteGroup:
             acc = int(self.table[acc, x])
         return acc
 
+    def memo(self, key, compute):
+        """``compute()``, memoized under ``key`` for exactly the group's lifetime.
+
+        Data about a pair of groups is kept on the source, with the target
+        in the key, so the source's memo keeps the target alive.
+        """
+        try:
+            return self._memo[key]
+        except KeyError:
+            pass
+        value = self._memo[key] = compute()
+        return value
+
     @property
     def is_abelian(self) -> bool:
-        if self._abelian is None:
-            self._abelian = bool(np.array_equal(self.table, self.table.T))
-        return self._abelian
+        return self.memo("abelian", lambda: bool(np.array_equal(self.table, self.table.T)))
 
     @property
     def is_trivial(self) -> bool:
@@ -328,6 +338,7 @@ class FiniteGroup:
         """A copy under another name; ``self`` (possibly a shared, cached group) is untouched."""
         clone = copy.copy(self)
         clone.name = name
+        clone._memo = {}  # memoized data may hold the original, e.g. as the source of its hom sets
         return clone
 
     def __repr__(self):

@@ -31,18 +31,16 @@ CANDIDATE_CAP = 200_000_000
 _BATCH = 8192
 _COLS = 64  # elements x per slice of the hom equations, bounding their temporaries
 
-_hom_cache: dict = {}
-_aut_cache: dict = {}
-
 
 def _gen_array(G: FiniteGroup) -> np.ndarray:
     """The greedy ``generating_set_of_table`` of G as a read-only index array, memoized on G."""
-    gens = G._memo.get("greedy_gens")
-    if gens is None:
+
+    def compute():
         gens = np.array(_greedy_generators(G.table, G.identity, G.element_orders), dtype=np.intp)
         gens.setflags(write=False)
-        G._memo["greedy_gens"] = gens
-    return gens
+        return gens
+
+    return G.memo("greedy_gens", compute)
 
 
 def first_per_key(keys: np.ndarray) -> np.ndarray:
@@ -63,17 +61,17 @@ def first_per_key(keys: np.ndarray) -> np.ndarray:
 def _divisor_positions(G: FiniteGroup, o: int) -> tuple:
     """(members, pos): the elements of G whose order divides o, ascending, and
     pos[x], the rank of x among them (0 for the others); memoized on G."""
-    key = ("divisor_positions", o)
-    hit = G._memo.get(key)
-    if hit is None:
+
+    def compute():
         mask = o % G.element_orders == 0
         pos = np.cumsum(mask, dtype=np.int64) - 1
         pos[~mask] = 0
         members = np.flatnonzero(mask)
         members.setflags(write=False)
         pos.setflags(write=False)
-        hit = G._memo[key] = (members, pos)
-    return hit
+        return members, pos
+
+    return G.memo(("divisor_positions", o), compute)
 
 
 def _word_entries(H: FiniteGroup, gens: list) -> list:
@@ -285,19 +283,13 @@ def _search_homs(H: FiniteGroup, G: FiniteGroup, *, first_bijection: bool = Fals
 
 
 def enumerate_homs(H: FiniteGroup, G: FiniteGroup) -> HomSet:
-    """All homomorphisms H -> G, canonically ordered, duplicate-free."""
+    """All homomorphisms H -> G, canonically ordered, duplicate-free; memoized on H."""
     if H.order > EXHAUSTIVE_CAP or G.order > EXHAUSTIVE_CAP:
         raise EnumerationCapError(
             f"exhaustive enumeration capped at order {EXHAUSTIVE_CAP} "
             f"(got |{H.name}|={H.order}, |{G.name}|={G.order})"
         )
-    key = (id(H), id(G))
-    hit = _hom_cache.get(key)
-    if hit is not None:
-        return hit
-    hs = HomSet(H, G, _search_homs(H, G))
-    _hom_cache[key] = hs
-    return hs
+    return H.memo(("homs", G), lambda: HomSet(H, G, _search_homs(H, G)))
 
 
 def end_set(G: FiniteGroup) -> HomSet:
@@ -362,18 +354,10 @@ class AutGroup:
 
 
 def automorphism_group(G: FiniteGroup) -> AutGroup:
-    key = id(G)
-    hit = _aut_cache.get(key)
-    if hit is not None:
-        return hit
-    ends = end_set(G).matrix
-    perms = ends[(ends == G.identity).sum(axis=1) == 1]  # End rows with trivial kernel
-    ag = AutGroup(G, perms)
-    _aut_cache[key] = ag
-    return ag
+    """Aut(G), memoized on G."""
 
+    def compute():
+        ends = end_set(G).matrix
+        return AutGroup(G, ends[(ends == G.identity).sum(axis=1) == 1])  # trivial kernel
 
-def clear_caches():
-    """Drop all in-memory hom/aut caches (used by determinism tests)."""
-    _hom_cache.clear()
-    _aut_cache.clear()
+    return G.memo("aut", compute)

@@ -18,6 +18,12 @@ def groups():
     return {n: standard_group(n) for n in names}
 
 
+def forget_memos(groups):
+    """Empty each group's memo, so the next call on them computes everything again."""
+    for G in groups:
+        G._memo.clear()
+
+
 def relabelled(G, perm):
     """G with element x renamed perm[x], certified again from its table."""
     table = np.empty_like(G.table)

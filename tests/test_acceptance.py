@@ -13,10 +13,10 @@ import time
 import numpy as np
 import pytest
 
-from conftest import naive_hom_images
+from conftest import forget_memos, naive_hom_images
 from grouper.approx import classify_hom
 from grouper.commutators import LemmaConfig, check_commutator_lemmas
-from grouper.corpus import clear_pair_cache, generate_corpus, run_theorem_suite
+from grouper.corpus import generate_corpus, run_theorem_suite
 from grouper.groups import GroupHom, describe_structure, standard_group
 from grouper.homs import enumerate_homs
 from grouper.simple import simple_envelope_criterion
@@ -221,7 +221,7 @@ def test_criterion_10_jobs_determinism(capfd):
     # same check in-process across the thread pool
     corpus = generate_corpus(12)
     r1 = run_theorem_suite(corpus, "cogalois", jobs=1).to_dict()
-    clear_pair_cache()
+    forget_memos(corpus)
     r8 = run_theorem_suite(corpus, "cogalois", jobs=8).to_dict()
     elapsed = time.perf_counter() - t0
     ok = out1 == out8 and len(out1) > 0 and json.dumps(r1) == json.dumps(r8)

@@ -250,11 +250,12 @@ class TestVerifyCommand:
         assert code == 0 and "violations: 0" in out
 
     def test_json_determinism_across_jobs(self, capsys):
-        from grouper.corpus import clear_pair_cache
+        from conftest import forget_memos
+        from grouper.corpus import generate_corpus
 
         code1, out1, _ = run(capsys, "--format", "json", "verify",
                              "--suite", "galois", "--max-order", "8", "--jobs", "1")
-        clear_pair_cache()
+        forget_memos(generate_corpus(8))  # the cached standard groups the second run reads
         code8, out8, _ = run(capsys, "--format", "json", "verify",
                              "--suite", "galois", "--max-order", "8", "--jobs", "8")
         assert code1 == code8 == 0

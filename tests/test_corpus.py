@@ -1,19 +1,22 @@
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
 
-from conftest import relabelled
+from conftest import forget_memos, relabelled
 from grouper.corpus import (
     SUITE_IDS,
+    HomVerdicts,
+    _cogalois_worker,
+    _galois_worker,
     classify_pair,
-    clear_pair_cache,
     generate_corpus,
     run_theorem_suite,
     search_approximations,
 )
 from grouper.groups import are_isomorphic, standard_group
-from grouper.homs import clear_caches
 
 
 class TestCorpusGeneration:
@@ -91,7 +94,7 @@ class TestSuites:
     def test_jobs_deterministic(self):
         corpus = generate_corpus(8)
         r1 = run_theorem_suite(corpus, "cogalois", jobs=1)
-        clear_pair_cache()
+        forget_memos(corpus)
         r8 = run_theorem_suite(corpus, "cogalois", jobs=8)
         assert json.dumps(r1.to_dict(), sort_keys=True) == json.dumps(
             r8.to_dict(), sort_keys=True
@@ -113,6 +116,52 @@ class TestSuites:
         report = run_theorem_suite(generate_corpus(4), "galois")
         assert "timings" not in report.to_dict()
         assert "timings" in report.to_dict(include_timings=True)
+
+
+class TestMemoLifetime:
+    def test_memos_die_with_their_groups(self):
+        """Hom sets and verdicts live on the groups, so nothing keeps collected groups alive."""
+        H = relabelled(standard_group("cyclic:3"), np.arange(3))  # fresh, not the shared groups
+        G = relabelled(standard_group("symmetric:3"), np.arange(6))
+        assert len(classify_pair(H, G)) == 3
+        refs = [weakref.ref(H), weakref.ref(G)]
+        del H, G
+        gc.collect()
+        assert [r() for r in refs] == [None, None]
+
+
+class TestWorkerMasks:
+    """The pair workers pick violating rows by mask; compare with a loop over made-up verdicts."""
+
+    def test_violations_are_the_rows_each_law_fails(self, monkeypatch, groups):
+        H, G = groups["cyclic:2"], groups["symmetric:3"]  # abelian source, non-nilpotent target
+        rng = np.random.default_rng(7)
+        n = 64
+        flags = {k: rng.random(n) < 0.5 for k in ("is_envelope", "is_localization", "is_cover",
+                                                  "is_cellular", "is_preenvelope", "is_precover")}
+        v = HomVerdicts(H, G, rng.integers(0, G.order, (n, H.order)), **flags,
+                        galois_orders=rng.integers(1, 3, n), co_galois_orders=rng.integers(1, 3, n))
+        monkeypatch.setattr("grouper.corpus.classify_pair", lambda *_: v)
+
+        def expected(law, bad):
+            return sorted((v.matrix[i].tolist(), law) for i in range(n) if bad(i))
+
+        def got(worker):
+            count, violations, notes = worker(H, G)
+            assert count == n and notes == [] and {x["pair"] for x in violations} <= {"C2->S3"}
+            return sorted((x["hom"], x["law"]) for x in violations)
+
+        assert got(_cogalois_worker) == expected(
+            "cover-trivial-cogalois-implies-cellular",
+            lambda i: v.is_cover[i] and v.co_galois_orders[i] == 1 and not v.is_cellular[i])
+
+        def trivial(i):
+            return v.is_envelope[i] and v.galois_orders[i] == 1
+
+        assert got(_galois_worker) == sorted(
+            expected("envelope-trivial-galois-implies-localization",
+                     lambda i: trivial(i) and not v.is_localization[i])
+            + expected("abelian-source-envelope-implies-abelian-target", trivial))
 
 
 class TestSearch:
@@ -141,8 +190,7 @@ class TestSearch:
     def test_stable_across_worker_counts(self):
         corpus = generate_corpus(6)
         a = run_theorem_suite(corpus, "galois", jobs=1).to_dict()
-        clear_pair_cache()
-        clear_caches()
+        forget_memos(corpus)
         b = run_theorem_suite(corpus, "galois", jobs=4).to_dict()
         assert a == b
 

@@ -2,6 +2,7 @@ import pytest
 
 from grouper.errors import SpecParseError
 from grouper.groups import are_isomorphic, standard_group
+from grouper.homs import end_set, enumerate_homs
 from grouper.specs import GroupSpecFile, parse_group_spec, spec_for_group
 
 
@@ -92,3 +93,9 @@ class TestBuildKeepsSharedGroups:
         G = parse_group_spec("name: Foo\ncyclic:4").build()
         assert G.name == "Foo" and G.order == 4
         assert standard_group("cyclic:4").name == "C4"
+
+    def test_renamed_copy_starts_with_empty_memo(self):
+        C4 = standard_group("cyclic:4")
+        end_set(C4)  # memoizes End(C4), whose rows have source C4, on the shared group
+        Foo = parse_group_spec("name: Foo\ncyclic:4").build()
+        assert enumerate_homs(Foo, C4).homs[0].source.name == "Foo"
