@@ -175,7 +175,7 @@ class EndData:
     def __init__(self, X: FiniteGroup):
         self.homs = enumerate_homs(X, X)
         self.aut = automorphism_group(X)
-        self.aut_rows = self.homs.locate(self.aut.perms[:, self.homs.gens])
+        self.aut_rows = self.aut.end_rows
 
 
 def side_profile(hom_set: HomSet, end: EndData, gen_images: np.ndarray, phi_idx: np.ndarray) -> Composites:

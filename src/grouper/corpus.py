@@ -131,23 +131,52 @@ def classify_pair(H: FiniteGroup, G: FiniteGroup) -> HomVerdicts:
     return H.memo(("verdicts", G), lambda: _classify_pair(H, G))
 
 
+def _orbit_labels(hom_set, aut_g, aut_h) -> np.ndarray:
+    """Each hom's least orbit-mate under phi -> a.phi.b, for a in Aut(G) and b in Aut(H).
+
+    One ``locate`` per Aut generator gives its move on the homs; the least
+    label spreads along the moves, with pointer jumping, to a fixed point
+    (Holt, Eick & O'Brien, *Handbook of Computational Group Theory*, 4.1).
+    """
+    rows, gens = hom_set.matrix, hom_set.gens
+    moves = [hom_set.locate(aut_g.perms[a][rows[:, gens]]) for a in aut_g.group.generators]
+    moves += [hom_set.locate(rows[:, aut_h.perms[b][gens]]) for b in aut_h.group.generators]
+    labels, prev = np.arange(len(hom_set)), None
+    while prev is None or (labels != prev).any():
+        prev = labels
+        for move in moves:
+            labels = np.minimum(labels, labels[move])
+        labels = labels[labels]
+    return labels
+
+
 def _classify_pair(H: FiniteGroup, G: FiniteGroup) -> HomVerdicts:
+    """Classify one hom per Aut(H) x Aut(G) orbit; the rest of its orbit shares its verdicts.
+
+    Verdicts are invariant under phi -> a.phi.b (a in Aut(G), b in Aut(H)).
+    f -> f.a permutes End(G) and keeps Aut(G), psi -> psi.b permutes
+    Hom(H, G), and f.(a.phi.b) = ((f.a).phi).b; so a.phi.b has the
+    composites of phi relabelled, hence the same surjectivity and
+    injectivity.  Its fixers are a F a^-1 for the fixers F of phi, so the
+    approximation test agrees and the Galois groups are conjugate.  The
+    source side is dual.
+    """
     hom_set = enumerate_homs(H, G)
     end_g, end_h = EndData(G), EndData(H)
-    n = len(hom_set)
+    reps, inverse = np.unique(_orbit_labels(hom_set, end_g.aut, end_h.aut), return_inverse=True)
     gens = hom_set.gens
     end_h_gens = end_h.homs.matrix[:, gens]
-    step = max(1, _CHUNK // max(n, len(end_g.homs), len(end_h.homs)))
+    step = max(1, _CHUNK // max(len(hom_set), len(end_g.homs), len(end_h.homs)))
     parts = []
-    for lo in range(0, n, step):
-        rows = np.arange(lo, min(n, lo + step))
+    for lo in range(0, len(reps), step):
+        rows = reps[lo:lo + step]
         phis = hom_set.matrix[rows]
         # target side f.phi on End(G), source side phi.f on End(H)
         t = side_profile(hom_set, end_g, end_g.homs.matrix[:, phis[:, gens]].transpose(1, 0, 2), rows)
         s = side_profile(hom_set, end_h, phis[np.arange(len(rows))[:, None, None], end_h_gens], rows)
         parts.append((t.approximation, t.bijective, s.approximation, s.bijective,
                       t.surjective, s.surjective, t.galois.sum(axis=1), s.galois.sum(axis=1)))
-    return HomVerdicts(H, G, hom_set.matrix, *(np.concatenate(p) for p in zip(*parts)))
+    return HomVerdicts(H, G, hom_set.matrix, *(np.concatenate(p)[inverse] for p in zip(*parts)))
 
 
 def search_approximations(H: FiniteGroup, G: FiniteGroup, kind: str, injective_only: bool = False):

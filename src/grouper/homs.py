@@ -149,12 +149,12 @@ class KeyedRows:
 
     __slots__ = ("source", "target", "matrix", "gens", "_keygen", "_keys")
 
-    def __init__(self, source: FiniteGroup, target: FiniteGroup, matrix: np.ndarray):
+    def __init__(self, source: FiniteGroup, target: FiniteGroup, matrix: np.ndarray, keygen=None):
         self.source = source
         self.target = target
         self.matrix = np.ascontiguousarray(matrix, dtype=np.int32)
         self.gens = _gen_array(source)  # the source generators whose images identify a hom
-        self._keygen: Optional[HomKeys] = None
+        self._keygen = keygen  # the HomKeys(source, target) to reuse, if the caller has one
         self._keys: Optional[np.ndarray] = None
 
     def __len__(self):
@@ -163,7 +163,7 @@ class KeyedRows:
     @property
     def keys(self) -> np.ndarray:
         if self._keys is None:
-            self._keygen = HomKeys(self.source, self.target)
+            self._keygen = self._keygen or HomKeys(self.source, self.target)
             keys = self._keygen(self.matrix[:, self.gens])
             if (np.diff(keys) <= 0).any():
                 raise ValueError("hom rows are not in strictly increasing key order")
@@ -220,11 +220,12 @@ class HomSet(KeyedRows):
         return images, 1 + (images[:, 1:] != images[:, :-1]).sum(axis=1)
 
 
-def _search_homs(H: FiniteGroup, G: FiniteGroup, *, first_bijection: bool = False) -> np.ndarray:
+def _search_homs(H: FiniteGroup, G: FiniteGroup, keys: HomKeys, *,
+                 first_bijection: bool = False) -> np.ndarray:
     """Image rows of the homs H -> G in key order, or just the first bijection.
 
-    Walks the candidate space of ``HomKeys(H, G)`` in blocks of key order,
-    so a candidate's number in the walk is its key.  A candidate is kept
+    Walks the candidate space ``keys`` = ``HomKeys(H, G)`` in blocks of key
+    order, so a candidate's number in the walk is its key.  A candidate is kept
     when, for each pair of generators a, b, the image of a b has an order
     dividing that of a b in H, and when the row it extends to along
     ``_word_entries`` satisfies f(x g) = f(x) f(g) for every x and each
@@ -242,7 +243,6 @@ def _search_homs(H: FiniteGroup, G: FiniteGroup, *, first_bijection: bool = Fals
     the only element mapped to the identity, so with |H| = |G| the hom is
     bijective.
     """
-    keys = HomKeys(H, G)
     gens = keys.gens.tolist()
     tH, tG = H.table, G.table
     ordH, ordG = H.element_orders, G.element_orders
@@ -289,7 +289,12 @@ def enumerate_homs(H: FiniteGroup, G: FiniteGroup) -> HomSet:
             f"exhaustive enumeration capped at order {EXHAUSTIVE_CAP} "
             f"(got |{H.name}|={H.order}, |{G.name}|={G.order})"
         )
-    return H.memo(("homs", G), lambda: HomSet(H, G, _search_homs(H, G)))
+
+    def compute():
+        keys = HomKeys(H, G)
+        return HomSet(H, G, _search_homs(H, G, keys), keys)
+
+    return H.memo(("homs", G), compute)
 
 
 def end_set(G: FiniteGroup) -> HomSet:
@@ -302,24 +307,24 @@ def find_isomorphism(G1: FiniteGroup, G2: FiniteGroup):
         return None
     if G1.order > EXHAUSTIVE_CAP:
         raise EnumerationCapError(f"isomorphism search capped at order {EXHAUSTIVE_CAP}")
-    matrix = _search_homs(G1, G2, first_bijection=True)
+    matrix = _search_homs(G1, G2, HomKeys(G1, G2), first_bijection=True)
     if matrix.shape[0] == 0:
         return None
     return GroupHom(G1, G2, matrix[0], check=False)
 
 
 class AutGroup:
-    """Aut(G) assembled as an abstract group acting on G.
+    """Aut(G), from the hom set End(G), assembled as an abstract group acting on G.
 
     ``group`` is the abstract group on automorphism indices; ``perms`` row a
-    is the image array of automorphism a, and the rows are in strictly
-    increasing hom-key order, as in End(G); ``inner`` is the subgroup of
-    conjugations.
+    is the image array of automorphism a, End row ``end_rows[a]``, so the rows
+    are in strictly increasing key order; ``inner`` is the subgroup of conjugations.
     """
 
-    def __init__(self, base: FiniteGroup, perms: np.ndarray):
-        self.base = base
-        self._rows = KeyedRows(base, base, perms)
+    def __init__(self, ends: HomSet):
+        base = self.base = ends.source
+        self.end_rows = np.flatnonzero((ends.matrix == base.identity).sum(axis=1) == 1)
+        self._rows = KeyedRows(base, base, ends.matrix[self.end_rows], ends._keygen)
         self.perms = self._rows.matrix
         nA = self.perms.shape[0]
         gen_cols = self.perms[:, self._rows.gens]
@@ -355,9 +360,4 @@ class AutGroup:
 
 def automorphism_group(G: FiniteGroup) -> AutGroup:
     """Aut(G), memoized on G."""
-
-    def compute():
-        ends = end_set(G).matrix
-        return AutGroup(G, ends[(ends == G.identity).sum(axis=1) == 1])  # trivial kernel
-
-    return G.memo("aut", compute)
+    return G.memo("aut", lambda: AutGroup(end_set(G)))

@@ -3,7 +3,10 @@ import itertools
 import numpy as np
 import pytest
 
+from grouper.approx import EndData, side_profile
+from grouper.corpus import HomVerdicts
 from grouper.groups import FiniteGroup, standard_group
+from grouper.homs import enumerate_homs
 
 
 @pytest.fixture(scope="session")
@@ -31,6 +34,26 @@ def relabelled(G, perm):
     return FiniteGroup(
         G.name + "'", table, generators=perm[G.generators].tolist(), identity=int(perm[G.identity])
     )
+
+
+def classify_pair_per_hom(H: FiniteGroup, G: FiniteGroup) -> HomVerdicts:
+    """Oracle: compose every hom H -> G with all of End(G) and End(H), one hom at a time.
+
+    This is the kernel that ``corpus.classify_pair`` ran before it
+    classified one hom per Aut(H) x Aut(G) orbit; nothing is memoized.
+    """
+    hom_set = enumerate_homs(H, G)
+    end_g, end_h = EndData(G), EndData(H)
+    gens = hom_set.gens
+    parts = []
+    for i, phi in enumerate(hom_set.matrix):
+        row = np.array([i])
+        # target side f.phi on End(G), source side phi.f on End(H)
+        t = side_profile(hom_set, end_g, end_g.homs.matrix[None, :, phi[gens]], row)
+        s = side_profile(hom_set, end_h, phi[end_h.homs.matrix[None, :, gens]], row)
+        parts.append((t.approximation, t.bijective, s.approximation, s.bijective,
+                      t.surjective, s.surjective, t.galois.sum(axis=1), s.galois.sum(axis=1)))
+    return HomVerdicts(H, G, hom_set.matrix, *(np.concatenate(p) for p in zip(*parts)))
 
 
 def naive_hom_images(H: FiniteGroup, G: FiniteGroup):

@@ -244,3 +244,40 @@ class TestFirstPerKey:
         images, sizes = hs.sorted_images()
         assert (images == np.sort(hs.matrix, axis=1)).all()
         assert sizes.tolist() == [len(set(row)) for row in hs.matrix.tolist()]
+
+    def test_one_key_space_per_hom_set(self, monkeypatch):
+        """The walk's HomKeys serves the hom set's keys and the Aut rows of End(G)."""
+        from grouper import homs
+
+        built = []
+
+        class CountedKeys(homs.HomKeys):
+            __slots__ = ()
+
+            def __init__(self, H, G):
+                built.append((H.name, G.name))
+                super().__init__(H, G)
+
+        monkeypatch.setattr(homs, "HomKeys", CountedKeys)
+        H, G = standard_group("dihedral:8"), standard_group("symmetric:4")
+        forget_memos([H, G])
+        hs = enumerate_homs(H, G)
+        assert (hs.locate(hs.matrix[:, hs.gens]) == np.arange(len(hs))).all()
+        ag = automorphism_group(G)
+        assert ag.index_of(ag.perms[-1]) == ag.order - 1
+        assert built == [("D8", "S4"), ("S4", "S4")]
+
+
+class TestAutRows:
+    @pytest.mark.parametrize("name", ["cyclic:8", "dihedral:8", "quaternion8", "symmetric:4",
+                                      "product:cyclic:2,cyclic:2,cyclic:2"])
+    def test_end_rows_are_the_automorphisms(self, name):
+        from grouper.approx import EndData
+
+        G = standard_group(name)
+        for X in (G, relabelled(G, np.random.default_rng(3).permutation(G.order))):
+            end, aut = EndData(X), automorphism_group(X)
+            assert (end.homs.matrix[end.aut_rows] == aut.perms).all()
+            assert (np.diff(end.aut_rows) > 0).all()
+            bijective = (np.sort(end.homs.matrix, axis=1) == np.arange(X.order)).all(axis=1)
+            assert (np.flatnonzero(bijective) == end.aut_rows).all()
