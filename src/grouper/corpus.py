@@ -277,15 +277,16 @@ def _surjective_reps_by_kernel(H, G):
 
 
 def _make_socle_worker(corpus):
+    classes = [(F0, GroupClass(F0.name, [F0]), len(_gen_array(F0))) for F0 in corpus]
+
     def worker(H, G):
         violations = []
         notes = []
         reps = _injective_reps_by_image(H, G)
         count = 0
-        for F0 in corpus:
-            if not _budget_ok(F0, G) or not _budget_ok(F0, H):
+        for F0, cls, rank in classes:
+            if max(G.order, H.order) ** rank > PAIR_BUDGET:
                 continue
-            cls = GroupClass(F0.name, [F0])
             socle = f_socle(G, cls)
             source_in_class = cls.contains(H)
             for row in reps:
@@ -312,15 +313,17 @@ def _make_socle_worker(corpus):
 
 
 def _make_radical_worker(corpus):
+    classes = [(F0, GroupClass(F0.name, [F0])) for F0 in corpus]
+
     def worker(H, G):
         violations = []
         notes = []
         reps = _surjective_reps_by_kernel(H, G)
+        rank = max(len(_gen_array(G)), len(_gen_array(H)))
         count = 0
-        for F0 in corpus:
-            if not _budget_ok(G, F0) or not _budget_ok(H, F0):
+        for F0, cls in classes:
+            if F0.order ** rank > PAIR_BUDGET:
                 continue
-            cls = GroupClass(F0.name, [F0])
             target_in_class = cls.contains(G)
             kf = local_kernel(H, cls)
             for row in reps:

@@ -354,6 +354,9 @@ class Subgroup:
         self._member_mask[np.fromiter(members, dtype=np.intp)] = True
         self._member_mask[parent.identity] = True
         self.members = np.flatnonzero(self._member_mask).astype(np.int32)
+        # read-only: memoized subgroups are shared by every caller
+        self._member_mask.setflags(write=False)
+        self.members.setflags(write=False)
         self._verify()
         self.is_normal = self._compute_normal()
         self._as_group: Optional[FiniteGroup] = None
@@ -816,7 +819,8 @@ def isomorphism(G1: FiniteGroup, G2: FiniteGroup):
 
 
 def are_isomorphic(G1: FiniteGroup, G2: FiniteGroup) -> bool:
-    return isomorphism(G1, G2) is not None
+    """Whether G1 and G2 are isomorphic; memoized on G1."""
+    return G1.memo(("isomorphic", G2), lambda: isomorphism(G1, G2) is not None)
 
 
 # ---------------------------------------------------------------------------

@@ -136,6 +136,40 @@ def naive_quotient(G: FiniteGroup, members):
     return table, [index[x] for x in range(G.order)]
 
 
+def naive_common_kernel(H: FiniteGroup, F: FiniteGroup, images=None):
+    """Oracle: the elements of H that every hom H -> F sends to the identity.
+
+    ``images`` lists the homs as image tuples; by default all of
+    ``naive_hom_images(H, F)``, which is only usable for tiny pairs.
+    """
+    if images is None:
+        images = naive_hom_images(H, F)
+    return {x for x in range(H.order) if all(int(img[x]) == F.identity for img in images)}
+
+
+def naive_radical(G: FiniteGroup, members):
+    """Oracle: the least normal T of G such that no hom from a class member into G/T is nontrivial.
+
+    T grows from the trivial subgroup: it is replaced by the preimage of the
+    normal closure of all hom images in G/T until that adds nothing.  The
+    quotients come from ``naive_quotient`` and the closures from
+    ``naive_normal_closure``; only the homs into each quotient come from
+    ``enumerate_homs``, and each quotient is a new group, so no memo entry
+    of ``f_radical`` is read.
+    """
+    T = {G.identity}
+    while True:
+        table, proj = naive_quotient(G, T)
+        Q = FiniteGroup("Q", table, generators=[proj[g] for g in G.generators],
+                        identity=proj[G.identity])
+        images = {int(x) for F in members for x in enumerate_homs(F, Q).matrix.ravel()}
+        S = naive_normal_closure(Q, images)
+        bigger = {x for x in range(G.order) if proj[x] in S}
+        if bigger == T:
+            return T
+        T = bigger
+
+
 def naive_is_associative(table) -> bool:
     """Oracle: (x y) z == x (y z) over all n^3 triples."""
     t = np.asarray(table).tolist()
