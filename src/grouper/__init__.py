@@ -52,6 +52,7 @@ from .groups import (
 )
 from .homs import (
     AutGroup,
+    AutSubgroup,
     HomSet,
     automorphism_group,
     end_set,
@@ -68,6 +69,7 @@ from .specs import GroupSpecFile, parse_group_spec, spec_for_group
 
 __all__ = [
     "AutGroup",
+    "AutSubgroup",
     "ClassificationReport",
     "CriterionReport",
     "FiniteGroup",

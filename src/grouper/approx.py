@@ -25,7 +25,7 @@ from .groups import (
     quotient_group,
     subgroup_generated,
 )
-from .homs import HomSet, automorphism_group, enumerate_homs
+from .homs import AutSubgroup, HomSet, automorphism_group, enumerate_homs
 
 FLAG_NAMES = (
     "isLocalization",
@@ -67,8 +67,8 @@ class Witness:
 class ClassificationReport:
     hom: GroupHom
     flags: dict
-    galois: Subgroup          # of Aut(target)
-    co_galois: Subgroup       # of Aut(source)
+    galois: AutSubgroup       # of Aut(target)
+    co_galois: AutSubgroup    # of Aut(source)
     witnesses: list = field(default_factory=list)
 
     @property
@@ -190,13 +190,13 @@ def side_profile(hom_set: HomSet, end: EndData, gen_images: np.ndarray, phi_idx:
     return comp
 
 
-def galois_group(phi: GroupHom, side: str = "target") -> Subgroup:
+def galois_group(phi: GroupHom, side: str = "target") -> AutSubgroup:
     """Automorphisms fixing phi: f.phi = phi (target side) or phi.f = phi (source side)."""
     if side not in ("target", "source"):
         raise ValueError("side must be 'target' or 'source'")
     ag = automorphism_group(phi.target if side == "target" else phi.source)
     comp = ag.perms[:, phi.images] if side == "target" else phi.images[ag.perms]
-    return Subgroup(ag.group, np.nonzero((comp == phi.images[None, :]).all(axis=1))[0])
+    return AutSubgroup(ag, np.flatnonzero((comp == phi.images[None, :]).all(axis=1)))
 
 
 def _side_witnesses(prof: Composites, end: EndData, flags, who) -> list:
@@ -243,8 +243,8 @@ def classify_hom(phi: GroupHom) -> ClassificationReport:
     ) + _side_witnesses(
         s, end_h, ("isPrecoverOfSourceClass", "isCover", "isCellularCover"), "source"
     )
-    gal = Subgroup(end_g.aut.group, np.nonzero(t.galois[0])[0])
-    cogal = Subgroup(end_h.aut.group, np.nonzero(s.galois[0])[0])
+    gal = AutSubgroup(end_g.aut, np.flatnonzero(t.galois[0]))
+    cogal = AutSubgroup(end_h.aut, np.flatnonzero(s.galois[0]))
     return ClassificationReport(phi, flags, gal, cogal, witnesses)
 
 
@@ -259,7 +259,7 @@ class RelativeReport:
     is_preapproximation: bool      # F-preenvelope / F-precover
     is_approximation: bool         # F-envelope / F-cover
     has_unique_liftings: bool
-    galois: Subgroup               # Gal for envelope side, coGal for cover side
+    galois: AutSubgroup            # Gal for envelope side, coGal for cover side
     witnesses: list = field(default_factory=list)
 
     def to_dict(self) -> dict:

@@ -139,8 +139,8 @@ def _orbit_labels(hom_set, aut_g, aut_h) -> np.ndarray:
     (Holt, Eick & O'Brien, *Handbook of Computational Group Theory*, 4.1).
     """
     rows, gens = hom_set.matrix, hom_set.gens
-    moves = [hom_set.locate(aut_g.perms[a][rows[:, gens]]) for a in aut_g.group.generators]
-    moves += [hom_set.locate(rows[:, aut_h.perms[b][gens]]) for b in aut_h.group.generators]
+    moves = [hom_set.locate(aut_g.perms[a][rows[:, gens]]) for a in aut_g.generators]
+    moves += [hom_set.locate(rows[:, aut_h.perms[b][gens]]) for b in aut_h.generators]
     labels, prev = np.arange(len(hom_set)), None
     while prev is None or (labels != prev).any():
         prev = labels

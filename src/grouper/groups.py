@@ -164,13 +164,14 @@ def _close(table: np.ndarray, reached: np.ndarray, gens) -> np.ndarray:
         reached |= new
 
 
-def _adjoin(table: np.ndarray, reached: np.ndarray, gens: list, candidates) -> list:
+def _adjoin(close, reached: np.ndarray, gens: list, candidates) -> list:
     """Extend ``gens``, which generate the subgroup ``reached``, from ``candidates``.
 
     Each pick is the first candidate outside the subgroup generated so far,
-    after which ``reached`` is closed again; in the end every candidate lies
-    in it.  Each pick at least doubles the subgroup, so at most log2 |G|
-    elements are added.  Returns ``gens``, extended in place.
+    after which ``close(reached, gens)`` closes ``reached`` again in place
+    (``_close`` over a table, or ``AutGroup._close``); in the end every
+    candidate lies in it.  Each pick at least doubles the subgroup, so at
+    most log2 |G| elements are added.  Returns ``gens``, extended in place.
     """
     candidates = np.asarray(candidates)
     while True:
@@ -178,7 +179,7 @@ def _adjoin(table: np.ndarray, reached: np.ndarray, gens: list, candidates) -> l
         if not candidates.size:
             return gens
         gens.append(int(candidates[0]))
-        _close(table, reached, gens)
+        close(reached, gens)
 
 
 def lex_rows(axes, lo: int, hi: int) -> np.ndarray:
@@ -332,7 +333,7 @@ class FiniteGroup:
             raise IndexError(f"element index {bad[0]} out of range")
         reached = np.zeros(self.order, dtype=bool)
         reached[self.identity] = True
-        return reached, _adjoin(self.table, reached, [], seed)
+        return reached, _adjoin(functools.partial(_close, self.table), reached, [], seed)
 
     def renamed(self, name: str) -> "FiniteGroup":
         """A copy under another name; ``self`` (possibly a shared, cached group) is untouched."""
@@ -553,16 +554,16 @@ def generating_set_of_table(table: np.ndarray, identity: int) -> list:
 
     Ties go to the least index.
     """
-    return _greedy_generators(table, identity, _element_orders(table, identity))
+    return _greedy_generators(functools.partial(_close, table), identity, _element_orders(table, identity))
 
 
-def _greedy_generators(table: np.ndarray, identity: int, orders: np.ndarray) -> list:
-    """``generating_set_of_table`` given the element orders of the table."""
-    reached = np.zeros(len(table), dtype=bool)
+def _greedy_generators(close, identity: int, orders: np.ndarray) -> list:
+    """``generating_set_of_table`` given the element orders and the ``_adjoin`` closure."""
+    reached = np.zeros(len(orders), dtype=bool)
     reached[identity] = True
     # sorted() is stable; np.argsort would map numpy's sort kernels, a few hundred kB of RSS
-    by_order = sorted(range(len(table)), key=(-orders).tolist().__getitem__)
-    gens = _adjoin(table, reached, [], by_order)
+    by_order = sorted(range(len(orders)), key=(-orders).tolist().__getitem__)
+    gens = _adjoin(close, reached, [], by_order)
     return gens or [identity]
 
 
@@ -753,7 +754,7 @@ def subgroup_generated(G: FiniteGroup, seed: Iterable[int], normal: bool = False
             conj = t[t[g, gens], G.inverses[g]].ravel()
             if reached[conj].all():
                 break
-            _adjoin(t, reached, gens, conj)
+            _adjoin(functools.partial(_close, t), reached, gens, conj)
     return Subgroup(G, np.flatnonzero(reached))
 
 

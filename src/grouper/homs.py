@@ -18,13 +18,14 @@ the index of any hom.  Keys are below the candidate-space size (at most
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Optional
 
 import numpy as np
 
 from .errors import EnumerationCapError
-from .groups import FiniteGroup, GroupHom, Subgroup, _greedy_generators, center, generating_set_of_table, lex_rows
+from .groups import FiniteGroup, GroupHom, _close, _greedy_generators, center, generating_set_of_table, lex_rows
 
 EXHAUSTIVE_CAP = 512
 CANDIDATE_CAP = 200_000_000
@@ -36,7 +37,8 @@ def _gen_array(G: FiniteGroup) -> np.ndarray:
     """The greedy ``generating_set_of_table`` of G as a read-only index array, memoized on G."""
 
     def compute():
-        gens = np.array(_greedy_generators(G.table, G.identity, G.element_orders), dtype=np.intp)
+        close = functools.partial(_close, G.table)
+        gens = np.array(_greedy_generators(close, G.identity, G.element_orders), dtype=np.intp)
         gens.setflags(write=False)
         return gens
 
@@ -143,31 +145,36 @@ class KeyedRows:
     """Image rows of homs source -> target, in strictly increasing key order.
 
     Row ``r`` is the image array of a hom and ``keys[r]`` its ``HomKeys``
-    key; keys are computed on first use.  ``locate`` maps generator images
-    of member homs to row indices with one ``searchsorted``.
+    key; keys are computed on first use, unless the caller passes the rows'
+    keys (say, a subset of another ``KeyedRows``'s).  ``locate`` maps
+    generator images of member homs to row indices with one ``searchsorted``.
     """
 
     __slots__ = ("source", "target", "matrix", "gens", "_keygen", "_keys")
 
-    def __init__(self, source: FiniteGroup, target: FiniteGroup, matrix: np.ndarray, keygen=None):
+    def __init__(self, source: FiniteGroup, target: FiniteGroup, matrix: np.ndarray, keygen=None,
+                 keys: Optional[np.ndarray] = None):
         self.source = source
         self.target = target
         self.matrix = np.ascontiguousarray(matrix, dtype=np.int32)
         self.gens = _gen_array(source)  # the source generators whose images identify a hom
         self._keygen = keygen  # the HomKeys(source, target) to reuse, if the caller has one
-        self._keys: Optional[np.ndarray] = None
+        self._keys = None if keys is None else self._increasing(keys)
 
     def __len__(self):
         return int(self.matrix.shape[0])
+
+    @staticmethod
+    def _increasing(keys: np.ndarray) -> np.ndarray:
+        if (np.diff(keys) <= 0).any():
+            raise ValueError("hom rows are not in strictly increasing key order")
+        return keys
 
     @property
     def keys(self) -> np.ndarray:
         if self._keys is None:
             self._keygen = self._keygen or HomKeys(self.source, self.target)
-            keys = self._keygen(self.matrix[:, self.gens])
-            if (np.diff(keys) <= 0).any():
-                raise ValueError("hom rows are not in strictly increasing key order")
-            self._keys = keys
+            self._keys = self._increasing(self._keygen(self.matrix[:, self.gens]))
         return self._keys
 
     def locate(self, gen_images: np.ndarray) -> np.ndarray:
@@ -314,48 +321,130 @@ def find_isomorphism(G1: FiniteGroup, G2: FiniteGroup):
 
 
 class AutGroup:
-    """Aut(G), from the hom set End(G), assembled as an abstract group acting on G.
+    """Aut(G) as a permutation group on the elements of G, from the hom set End(G).
 
-    ``group`` is the abstract group on automorphism indices; ``perms`` row a
-    is the image array of automorphism a, End row ``end_rows[a]``, so the rows
-    are in strictly increasing key order; ``inner`` is the subgroup of conjugations.
+    ``perms`` row a is the image array of automorphism a, End row
+    ``end_rows[a]``, so the rows are in strictly increasing key order and an
+    automorphism is found from its generator images with one ``locate``.  No
+    table over Aut is built: a product a.b is located when it is needed.
+    ``element_orders`` come from powering the automorphisms on the
+    generators of G; ``generators`` is the greedy generating set, picked as
+    ``generating_set_of_table`` picks (the highest order first, ties to the
+    lowest index); ``inner_order`` is the number of inner automorphisms,
+    |G| / |Z(G)|.
     """
 
     def __init__(self, ends: HomSet):
         base = self.base = ends.source
         self.end_rows = np.flatnonzero((ends.matrix == base.identity).sum(axis=1) == 1)
-        self._rows = KeyedRows(base, base, ends.matrix[self.end_rows], ends._keygen)
+        self._rows = KeyedRows(base, base, ends.matrix[self.end_rows], ends._keygen, ends.keys[self.end_rows])
         self.perms = self._rows.matrix
-        nA = self.perms.shape[0]
-        gen_cols = self.perms[:, self._rows.gens]
-        table = np.empty((nA, nA), dtype=np.int32)
-        for a in range(nA):
-            table[a] = self._rows.locate(self.perms[a][gen_cols])  # perms[a] after perms[b]
-        ident = self._rows.index_of(np.arange(base.order))
-        gens = generating_set_of_table(table, ident)
-        self.group = FiniteGroup(
-            f"Aut({base.name})",
-            table,
-            generators=gens,
-            identity=ident,
-        )
-        # conjugation by g sends generator x to g x g^-1
+        self.identity = self._rows.index_of(np.arange(base.order))
+        self.element_orders = self._element_orders()
+        self.generators = _greedy_generators(self._close, self.identity, self.element_orders)
+        # conjugation by g sends generator x to g x g^-1; every one must be a row
         t, g = base.table, np.arange(base.order)[:, None]
-        conj = t[g, t[self._rows.gens[None, :], base.inverses[g]]]
-        self.inner = Subgroup(self.group, self._rows.locate(conj))
-        z = center(base).order
-        if self.inner.order * z != base.order:
+        inner = np.zeros(self.order, dtype=bool)
+        inner[self._rows.locate(t[g, t[self._rows.gens[None, :], base.inverses[g]]])] = True
+        self.inner_order = int(np.count_nonzero(inner))
+        if self.inner_order * center(base).order != base.order:
             raise ValueError("inner automorphism count inconsistent with center")
 
     @property
     def order(self) -> int:
         return int(self.perms.shape[0])
 
+    def _element_orders(self) -> np.ndarray:
+        """Order of each automorphism: the least k with a^k fixing the generators of G."""
+        gens = self._rows.gens
+        orders = np.zeros(self.order, dtype=np.int32)
+        todo, power = np.arange(self.order), self.perms[:, gens]
+        k = 1
+        while todo.size:
+            done = (power == gens).all(axis=1)
+            orders[todo[done]] = k
+            todo, power = todo[~done], power[~done]
+            power = self.perms[todo[:, None], power]
+            k += 1
+        return orders
+
+    def _close(self, reached: np.ndarray, gens: list) -> np.ndarray:
+        """Close the mask ``reached`` over Aut indices in place under right composition with ``gens``.
+
+        Level by level from the newly reached automorphisms x, each x.g is
+        located from its images of the generators of G: one ``locate`` per
+        frontier row and generator.
+        """
+        cols = self.perms[:, self._rows.gens][gens]  # row j: generator j on the generators of G
+        new = reached
+        while True:
+            frontier = new.nonzero()[0]
+            if not frontier.size:
+                return reached
+            hit = np.zeros(len(reached), dtype=bool)
+            hit[self._rows.locate(self.perms[frontier][:, cols])] = True
+            new = hit > reached
+            reached |= new
+
     def index_of(self, images: np.ndarray) -> int:
         return self._rows.index_of(images)
 
     def hom(self, a: int) -> GroupHom:
         return GroupHom(self.base, self.base, self.perms[a], check=False)
+
+
+class AutSubgroup:
+    """A subgroup of Aut(G), such as a Galois group, by its ascending Aut indices ``members``.
+
+    Nothing is checked at construction.  ``as_group`` builds a table for
+    this subgroup alone, from its own rows, and raises ValueError if the
+    identity or some product of two members is not a member.
+    """
+
+    __slots__ = ("aut", "members", "_as_group")
+
+    def __init__(self, aut: AutGroup, members):
+        self.aut = aut
+        self.members = np.asarray(members, dtype=np.intp)
+        self.members.setflags(write=False)
+        self._as_group: Optional[FiniteGroup] = None
+
+    @property
+    def order(self) -> int:
+        return int(len(self.members))
+
+    @property
+    def is_trivial(self) -> bool:
+        return self.order == 1
+
+    def contains(self, a: int) -> bool:
+        i = int(self.members.searchsorted(a))
+        return i < self.order and int(self.members[i]) == a
+
+    def as_group(self) -> FiniteGroup:
+        """The subgroup as a standalone group: element i is ``members[i]``, and i.j is
+        ``members[i]`` after ``members[j]``."""
+        if self._as_group is None:
+            aut, m = self.aut, self.members
+            if not self.contains(aut.identity):
+                raise ValueError("Aut subset without the identity")
+            rows = KeyedRows(aut.base, aut.base, aut.perms[m], aut._rows._keygen, aut._rows.keys[m])
+            cols = rows.matrix[:, rows.gens]
+            table = np.empty((len(m), len(m)), dtype=np.int32)
+            step = max(1, _BATCH // len(m))
+            try:
+                for lo in range(0, len(m), step):
+                    table[lo:lo + step] = rows.locate(rows.matrix[lo:lo + step][:, cols])
+            except KeyError:
+                raise ValueError("Aut subset not closed under composition") from None
+            ident = int(m.searchsorted(aut.identity))
+            self._as_group = FiniteGroup(
+                f"Aut({aut.base.name})-sub{len(m)}",
+                table,
+                generators=generating_set_of_table(table, ident),
+                identity=ident,
+            )
+        return self._as_group
 
 
 def automorphism_group(G: FiniteGroup) -> AutGroup:

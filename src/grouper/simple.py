@@ -30,7 +30,7 @@ from .groups import (
     describe_structure,
     subgroup_generated,
 )
-from .homs import HomKeys, automorphism_group, enumerate_homs, first_per_key
+from .homs import automorphism_group, enumerate_homs, first_per_key
 
 
 def is_simple(G: FiniteGroup) -> bool:
@@ -66,7 +66,7 @@ def is_complete(G: FiniteGroup) -> bool:
     if center(G).order != 1:
         return False
     ag = automorphism_group(G)
-    return ag.order == ag.inner.order
+    return ag.order == ag.inner_order
 
 
 def structural_flags(G: FiniteGroup) -> dict:
@@ -143,8 +143,8 @@ def _automorphisms_extend(phi: GroupHom) -> tuple:
     H, G = phi.source, phi.target
     aut_h = automorphism_group(H)
     aut_g = automorphism_group(G)
-    keys = HomKeys(H, G)
-    # both sides are homs H -> G, compared by their hom keys
+    keys = enumerate_homs(H, G)._keygen
+    # both sides are homs H -> G, compared by their keys in Hom(H, G)
     avail = keys(aut_g.perms[:, phi.images[keys.gens]])
     want = keys(phi.images[aut_h.perms[:, keys.gens]])
     missing = np.nonzero(~np.isin(want, avail))[0]

@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from grouper.approx import EndData, side_profile
 from grouper.corpus import HomVerdicts
-from grouper.groups import FiniteGroup, standard_group
+from grouper.groups import FiniteGroup, generating_set_of_table, standard_group
 from grouper.homs import enumerate_homs
 
 
@@ -34,6 +35,55 @@ def relabelled(G, perm):
     return FiniteGroup(
         G.name + "'", table, generators=perm[G.generators].tolist(), identity=int(perm[G.identity])
     )
+
+
+@functools.lru_cache(maxsize=None)
+def oracle_aut_table(aut) -> np.ndarray:
+    """Oracle: the Cayley table of Aut(G) by brute-force composition of ``aut.perms``.
+
+    Entry [a, b] is the index of the row equal to perms[a] after perms[b]:
+    the row with the same random hash of its whole image array, and then
+    compared with it in full.  The hash is a float64 dot product with
+    integer weights below 2**30, exact while |G| <= 2**14.  A composite that is no row raises KeyError.
+    Cached per ``AutGroup`` (memoized on its group).
+    """
+    P = aut.perms
+    assert P.shape[1] <= 2 ** 14
+    weights = np.random.default_rng(0).integers(1, 2 ** 30, size=P.shape[1]).astype(np.float64)
+    hashes = P @ weights
+    order = hashes.argsort()
+    ranked = hashes[order]
+    assert (ranked[1:] != ranked[:-1]).all()
+    table = np.empty((len(P), len(P)), dtype=np.int32)
+    rows = P.astype(np.intp)
+    for a in range(len(P)):
+        comp = P[a].take(rows)  # row b: perms[a] after perms[b]
+        found = order[ranked.searchsorted(comp.astype(np.float64) @ weights).clip(max=len(P) - 1)]
+        if not (P[found] == comp).all():
+            raise KeyError("a composite of automorphisms is not among the rows")
+        table[a] = found
+    return table
+
+
+def oracle_aut_group(aut) -> FiniteGroup:
+    """Oracle: Aut(G) as an abstract group on Aut indices, from ``oracle_aut_table``."""
+    table = oracle_aut_table(aut)
+    ident = index_of_row(aut.perms, np.arange(aut.base.order))
+    return FiniteGroup(f"Aut({aut.base.name})", table,
+                       generators=generating_set_of_table(table, ident), identity=ident)
+
+
+def index_of_row(rows: np.ndarray, row) -> int:
+    """Oracle: the index of the one row of ``rows`` equal to ``row``."""
+    (i,) = np.flatnonzero((rows == np.asarray(row)).all(axis=1))
+    return int(i)
+
+
+def oracle_inner_members(aut) -> set:
+    """Oracle: the Aut indices of the conjugations x -> g x g^-1, one full image array per g."""
+    G = aut.base
+    t = G.table
+    return {index_of_row(aut.perms, t[t[g], G.inverses[g]]) for g in range(G.order)}
 
 
 def classify_pair_per_hom(H: FiniteGroup, G: FiniteGroup) -> HomVerdicts:

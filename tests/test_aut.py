@@ -1,0 +1,111 @@
+"""Aut(G) as a permutation group on G, against the brute-force table of ``conftest``.
+
+``AutGroup`` keeps only the image arrays of the automorphisms and builds no
+table over Aut.  Its greedy generators, element orders and inner count, and
+the closure of every Galois and co-Galois group, are checked here against
+``oracle_aut_table``, which composes those image arrays in full.  Each
+check also runs on relabelled copies of the groups.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from conftest import oracle_aut_table, oracle_inner_members, relabelled
+from grouper.approx import classify_hom, galois_group
+from grouper.corpus import generate_corpus
+from grouper.groups import _element_orders, generating_set_of_table, standard_group
+from grouper.homs import AutSubgroup, automorphism_group, enumerate_homs
+
+ROOT = Path(__file__).resolve().parent.parent
+C3_CUBED = "product:cyclic:3,cyclic:3,cyclic:3"
+
+
+def with_relabelled(groups, seed):
+    """Each group, followed by a copy with its elements renamed at random."""
+    rng = np.random.default_rng(seed)
+    return [X for G in groups for X in (G, relabelled(G, rng.permutation(G.order)))]
+
+
+GROUPS = generate_corpus(16) + [standard_group(n) for n in ("alternating:5", "alternating:6", "symmetric:5")]
+
+
+def assert_closed_subgroup(sub: AutSubgroup):
+    """Every product of two members is a member, and ``as_group`` is the oracle's restriction."""
+    table = oracle_aut_table(sub.aut)
+    m = sub.members
+    assert (np.diff(m) > 0).all() and sub.contains(sub.aut.identity)
+    products = table[np.ix_(m, m)]
+    assert np.isin(products, m).all()
+    assert (sub.as_group().table == m.searchsorted(products)).all()
+
+
+class TestGenerators:
+    def test_greedy_generators_and_orders_match_oracle_table(self):
+        for X in with_relabelled(GROUPS, 11):
+            aut = automorphism_group(X)
+            table = oracle_aut_table(aut)
+            assert aut.generators == generating_set_of_table(table, aut.identity), X.name
+            assert (aut.element_orders == _element_orders(table, aut.identity)).all(), X.name
+            assert aut.inner_order == len(oracle_inner_members(aut)), X.name
+
+    def test_gl_3_3(self):
+        G = standard_group(C3_CUBED)
+        for X in with_relabelled([G], 2):
+            aut = automorphism_group(X)
+            assert (aut.order, aut.inner_order) == (11_232, 1)
+
+
+class TestGaloisClosure:
+    def test_galois_groups_closed_under_composition(self):
+        corpus = with_relabelled(generate_corpus(8), 4)
+        subs = {}  # one of each distinct (Aut, members)
+        for H in corpus:
+            for G in corpus:
+                for phi in enumerate_homs(H, G).homs:
+                    for side in ("target", "source"):
+                        sub = galois_group(phi, side)
+                        subs[id(sub.aut), sub.members.tobytes()] = sub
+        for sub in subs.values():
+            assert_closed_subgroup(sub)
+
+    def test_classify_hom_galois_groups_closed_under_composition(self):
+        corpus = with_relabelled(generate_corpus(6), 5)
+        for H in corpus:
+            for G in corpus:
+                for phi in enumerate_homs(H, G).homs:
+                    r = classify_hom(phi)
+                    for sub, side in ((r.galois, "target"), (r.co_galois, "source")):
+                        assert_closed_subgroup(sub)
+                        assert (sub.members == galois_group(phi, side).members).all()
+
+    def test_as_group_rejects_a_subset_not_closed(self):
+        aut = automorphism_group(standard_group("symmetric:3"))
+        a = int(np.flatnonzero(aut.element_orders == 3)[0])
+        sub = AutSubgroup(aut, sorted({aut.identity, a}))
+        assert sub.contains(a) and not sub.contains(int(oracle_aut_table(aut)[a, a]))
+        with pytest.raises(ValueError, match="not closed"):
+            sub.as_group()
+        with pytest.raises(ValueError, match="without the identity"):
+            AutSubgroup(aut, [int(oracle_aut_table(aut)[a, a])]).as_group()
+
+
+def test_building_aut_of_c3_cubed_stays_small():
+    """Memory guard: Aut(C3 x C3 x C3) has order 11 232, and its table alone would be 505 MB."""
+    code = (
+        "import resource\n"
+        "from grouper.groups import standard_group\n"
+        "from grouper.homs import automorphism_group\n"
+        f"assert automorphism_group(standard_group({C3_CUBED!r})).order == 11232\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    peak_mb = int(proc.stdout) / (1024 * 1024 if sys.platform == "darwin" else 1024)
+    assert peak_mb < 150

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from conftest import forget_memos, naive_hom_images, relabelled
+from conftest import forget_memos, naive_hom_images, oracle_aut_table, oracle_inner_members, relabelled
 from grouper.corpus import generate_corpus
 from grouper.errors import EnumerationCapError
 from grouper.groups import GroupHom, are_isomorphic, lex_rows, standard_group
 from grouper.homs import (
     CANDIDATE_CAP,
     AutGroup,
+    AutSubgroup,
     HomKeys,
     automorphism_group,
     end_set,
@@ -54,7 +55,7 @@ class TestKnownCounts:
 
     def test_s3_automorphisms_all_inner(self, groups):
         ag = automorphism_group(groups["symmetric:3"])
-        assert ag.inner.order == ag.order
+        assert ag.inner_order == ag.order == len(oracle_inner_members(ag))
 
     def test_coprime_orders_only_trivial_hom(self, groups):
         hs = enumerate_homs(groups["cyclic:2"], groups["cyclic:3"])
@@ -108,7 +109,8 @@ class TestAutGroupStructure:
 
         G = groups["dihedral:8"]
         ag = automorphism_group(G)
-        assert ag.inner.order * center(G).order == G.order
+        assert ag.inner_order * center(G).order == G.order
+        assert ag.inner_order == len(oracle_inner_members(ag))
 
     def test_aut_hom_objects(self, groups):
         ag = automorphism_group(groups["symmetric:3"])
@@ -163,13 +165,17 @@ class TestCaps:
 class TestAutGroupTable:
     @pytest.mark.parametrize("name", ["quaternion8", "dihedral:8", "symmetric:4", "alternating:5"])
     def test_table_is_brute_force_composition(self, name):
+        """The one table over Aut that exists, of a subgroup's ``as_group``, here all of Aut."""
         ag = automorphism_group(standard_group(name))
         P = ag.perms
+        table = oracle_aut_table(ag)
         for a in range(ag.order):
             comp = P[a][P]  # row b: perms[a] after perms[b]
             match = (comp[:, None, :] == P[None, :, :]).all(axis=2)
             assert (match.sum(axis=1) == 1).all()
-            assert (ag.group.table[a] == match.argmax(axis=1)).all()
+            assert (table[a] == match.argmax(axis=1)).all()
+        whole = AutSubgroup(ag, np.arange(ag.order)).as_group()
+        assert (whole.table == table).all() and whole.identity == ag.identity
 
 
 class TestHomKeys:

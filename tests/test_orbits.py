@@ -99,8 +99,8 @@ class TestOrbitLabels:
         aut_g, aut_h = automorphism_group(G), automorphism_group(H)
         labels = _orbit_labels(hom_set, aut_g, aut_h)
         ident_g, ident_h = np.arange(G.order), np.arange(H.order)
-        moves = [moved(hom_set, aut_g.perms[a], ident_h) for a in aut_g.group.generators]
-        moves += [moved(hom_set, ident_g, aut_h.perms[b]) for b in aut_h.group.generators]
+        moves = [moved(hom_set, aut_g.perms[a], ident_h) for a in aut_g.generators]
+        moves += [moved(hom_set, ident_g, aut_h.perms[b]) for b in aut_h.generators]
         for move in moves:
             assert (labels[move] == labels).all()
         for label in np.unique(labels):
