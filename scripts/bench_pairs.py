@@ -11,7 +11,9 @@ speed hits both alike.  The record under NAME in the --out file keeps every
 `# meta` and result line, and per metric the median and quartiles of each
 side and the number of pairs in which the change read lower (every
 end-to-end metric of perfbench is better lower).  Other names already in
-the file are kept.
+the file are kept.  A closing line per metric prints both medians and the
+pairs the change won.  A failing perfbench run ends the script with exit
+status 2, after the pair, the side and the end of the run's stderr.
 """
 
 import argparse
@@ -68,18 +70,28 @@ def main() -> int:
     for i in range(args.pairs):
         for side in SIDES if i % 2 == 0 else SIDES[::-1]:
             checkout = args.parent if side == "parent" else args.change
-            runs[side].append(run_once(checkout, args.workload, args.seconds, args.seed))
+            try:
+                runs[side].append(run_once(checkout, args.workload, args.seconds, args.seed))
+            except subprocess.CalledProcessError as e:
+                print(f"# pair {i} {side}: perfbench/run.py in {checkout} exited {e.returncode}; "
+                      f"end of its stderr:\n{e.stderr[-2000:]}", file=sys.stderr)
+                return 2
             metrics = runs[side][-1]["result"]["metrics"]
             print(f"# pair {i} {side}: " + ", ".join(
                 f"{k} {v['value']:.4g}" for k, v in metrics.items()), flush=True)
 
+    metrics = summarize(runs)
+    for name, m in metrics.items():
+        print(f"# {name}: parent median {m['parent']['median']:.4g}, change median "
+              f"{m['change']['median']:.4g} {m['unit']}; change lower in {m['change_wins']} "
+              f"of {m['pairs']} pairs")
     record = json.loads(args.out.read_text()) if args.out.exists() else {}
     record[args.name] = {
         "command": f"perfbench/run.py --workload {args.workload} --seconds {args.seconds:g} "
                    f"--seed {args.seed}",
         "order": "parent first in even pairs, change first in odd pairs",
         "src_lines": {side: runs[side][0]["meta"]["src_lines"] for side in SIDES},
-        "metrics": summarize(runs),
+        "metrics": metrics,
         "runs": runs,
     }
     args.out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")

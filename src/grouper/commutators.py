@@ -3,10 +3,11 @@
 Convention: [x, y] = x y x^-1 y^-1, and the left-normed iterated commutator
 [y1, ..., yr] = [[...[y1, y2], ...], yr].
 
-Each lemma is one equation over columns of tuples, read off the group's
-product table and an n x n commutator table built for the check, each
-through one flat `take` per lookup.  One scan (`_scan`) evaluates every
-lemma.  It takes the whole lexicographic grid when that has at most
+Each lemma is one equation over columns of tuples, read off tables of the
+group built once per `check_commutator_lemmas` call (`_Tables`): the product
+table, the commutator table, and left-normed tables of [x, z1, ..., zk], each
+through one lookup per term.  One scan (`_scan`) evaluates every lemma.  It
+takes the whole lexicographic grid when that has at most
 `LemmaConfig.max_tuples` tuples, and drawn samples otherwise; either way at
 most CHUNK tuples go through numpy at once.  The scan contract:
 
@@ -19,9 +20,11 @@ most CHUNK tuples go through numpy at once.  The scan contract:
   pair, then "first" before "second", then y), or draw order.
 - Crossing.  Heads and tails are crossed by numpy broadcasting, never
   copied into rows: a block of B heads goes to the equation as (B, 1)
-  columns and a part of T tails as (1, T) columns, so a term of the head
-  alone is computed once per head, and the (B, T) verdict read in C order
-  is the scan order.  Only failing tuples are built as rows.
+  columns, so a term of the head alone is computed once per head, and a
+  part of T tails as the slice lo:hi of their rows in the tail grid, so a
+  left-normed side of a head column x is the row slice left[j][x, lo:hi].
+  The (B, T) verdict read in C order is the scan order.  Only failing
+  tuples are built as rows.
 - Stop.  A report keeps at most LIMIT = 21 counterexamples, and the scan
   stops after the head that holds the 21st.
 - Count.  `tuples_checked` counts whole heads up to that point: n per
@@ -37,8 +40,10 @@ most CHUNK tuples go through numpy at once.  The scan contract:
   over `getrandbits(m.bit_length())`, which is one word w shifted to
   w >> (32 - m.bit_length()); the draw is the first shifted word below m.
   `getrandbits(32 * w)` returns the next w words, the first one generated
-  least significant.  Words read past a report's last sample are never
-  used, since no other draw shares the generator.
+  least significant.  `_drawn` finds where the samples of a read start by
+  pointer jumping, and gathers their draws there only.  Words read past a
+  report's last sample are never used, since no other draw shares the
+  generator.
 """
 
 from __future__ import annotations
@@ -56,9 +61,10 @@ from .groups import FiniteGroup, Subgroup, center, lex_rows, preimage_subgroup, 
 DEFAULT_MAX_TUPLES = 10 ** 6
 DEFAULT_SAMPLES = 10 ** 5
 DEFAULT_SEED = 0xC0FFEE
-CHUNK = 4096  # tuples evaluated per numpy pass; bounds the scan's working set
-DRAWS = 512  # samples per block of drawn heads; larger blocks raise peak memory, not speed
-WORDS = 2048  # Mersenne Twister words read per getrandbits call
+CHUNK = 16384  # tuples evaluated per numpy pass; bounds the scan's working set
+DRAWS = 2048  # rows per block of drawn heads; bounds the sampled scan's working set
+WORDS = 4096  # Mersenne Twister words per getrandbits call; each read walks all its words at once
+TABLE_CAP = 1 << 16  # entries per left-normed table (256 KB of int32); deeper z's use C
 LIMIT = 21  # counterexamples kept per report; the scan stops once it has them
 
 LEMMA_IDS = ("identities", "centrals-1", "centrals-2", "homo")
@@ -183,19 +189,46 @@ class LemmaReport:
         }
 
 
-def _tables(G: FiniteGroup):
-    """n, every element, and x, y -> x y and x, y -> [x, y] over broadcast index
-    arrays, each read off its n x n table by one flat `take`."""
-    n, every = G.order, np.arange(G.order, dtype=np.int32)
-    t, c = G.table.ravel(), commutator(G, every[:, None], every[None, :]).ravel()
-    return n, every, lambda x, y: t.take(x * n + y), lambda x, y: c.take(x * n + y)
+class _Tables:
+    """G's tables for the lemma checks of one `check_commutator_lemmas` call.
 
+    `t(x, y)` is x y and `C(x, y)` is [x, y] over broadcast index arrays, each
+    one flat `take`.  left[k] is the n x n^k table of [x, z1, ..., zk] over x
+    and the code of z1..zk (the number whose base-n digits they are); left[0]
+    is x and left[1] is C.  The tables go up to `depth` while they have at
+    most TABLE_CAP entries.
+    """
 
-def _left_normed(C, x, zs):
-    """[x, z1, ..., zj] over columns, read off the commutator table as `C(x, z)`."""
-    for z in zs:
-        x = C(x, z)
-    return x
+    def __init__(self, G: FiniteGroup, depth: int):
+        self.n = n = G.order
+        self.every = every = np.arange(n, dtype=np.int32)
+        self.left = [every[:, None], commutator(G, every[:, None], every[None, :])]
+        while len(self.left) <= depth and n ** (len(self.left) + 1) <= TABLE_CAP:
+            self.left.append(self.left[1][self.left[-1]].reshape(n, -1))
+        t, c = G.table.ravel(), self.left[1].ravel()
+        self.t, self.C = lambda x, y: t.take(x * n + y), lambda x, y: c.take(x * n + y)
+
+    def zs(self, at, k: int):
+        """The columns z1..zk that `at` picks: for a slice lo:hi, those of the z-tuples with
+        codes lo..hi-1, the rows lo..hi-1 of their lex grid; else `at` holds them."""
+        return lex_rows([self.every] * k, at.start, at.stop).T if isinstance(at, slice) else at
+
+    def left_normed(self, x, at, k: int):
+        """[x, z1, ..., zk] for the z's that `at` picks, as `zs` says.
+
+        Over a slice, this is the row slice left[k][x, lo:hi] for each head
+        column x.  Otherwise the code of z1..zd picks x's entry of the deepest
+        table, left[d], and one `C` lookup follows for each z past it.
+        """
+        if isinstance(at, slice) and k < len(self.left):
+            return self.left[k][x, at].reshape(-1, at.stop - at.start)
+        zs, d, code = self.zs(at, k), min(k, len(self.left) - 1), 0
+        for z in zs[:d]:
+            code = code * self.n + z
+        x = self.left[d].ravel().take(x * self.n ** d + code)
+        for z in zs[d:]:
+            x = self.C(x, z)
+        return x
 
 
 def _lex(axes, keep=None):
@@ -215,26 +248,15 @@ def _words(rng, count: int) -> np.ndarray:
     return np.frombuffer(rng.getrandbits(32 * count).to_bytes(4 * count, "little"), "<u4")
 
 
-def _draw_columns(words, moduli, pos, accepted):
-    """Draw below each of `moduli` in turn, for a sample starting at each word of `pos`.
-
-    A draw below m takes the first word w at or after the position with
-    w >> (32 - m.bit_length()) < m, as `randrange(m)` does.  Returns the
-    draws, one column per modulus, and the position after the last word
-    taken; len(words) + 1 means the words ran out.  `accepted` memoizes,
-    per modulus, the draw and the position after it from each start.
-    """
-    n, cols = len(words), []
-    for m in moduli:
-        if m not in accepted:
-            shifted = np.append(words >> (32 - m.bit_length()), 0)
-            nxt = np.where(shifted < m, np.arange(n + 1), n)  # a 0 stands in at n
-            nxt = np.minimum.accumulate(nxt[::-1])[::-1]
-            accepted[m] = np.append(shifted[nxt], 0), np.append(nxt + 1, n + 1)
-        first, after = accepted[m]
-        cols.append(first[pos])
-        pos = after[pos]
-    return cols, pos
+def _accepted(words, m: int):
+    """For a draw below m from each position 0..len(words)+1: the draw, and the position after
+    the word it takes (len(words) + 1 once the words run out).  As `randrange(m)`, it takes
+    the first word w there or after with w >> (32 - m.bit_length()) < m."""
+    n = len(words)
+    shifted = np.append(words >> (32 - m.bit_length()), np.zeros(2, np.uint32)).astype(np.intp)
+    nxt = np.where(shifted < m, np.arange(n + 2), n + 1)  # 0s stand in at n and n + 1
+    nxt = np.minimum.accumulate(nxt[::-1])[::-1]
+    return shifted.take(nxt), np.minimum(nxt + 1, n + 1)
 
 
 def _drawn(rng, count: int, head, keep=None, tail=()):
@@ -242,44 +264,40 @@ def _drawn(rng, count: int, head, keep=None, tail=()):
 
     A sample draws once below each of the `head` moduli and, where `keep`
     holds on those draws (everywhere without `keep`), once below each of the
-    `tail` moduli; a sample `keep` rejects adds no row.  Words are read
-    WORDS at a time, and the draws of a sample starting at each word are
-    computed at once by `_draw_columns`, so the walk from one sample to the
-    next is one lookup.  A block holds the rows of at most min(m, DRAWS)
-    samples.
+    `tail` moduli; a sample `keep` rejects adds no row.  Words are read WORDS
+    at a time.  A read computes the step, where the next sample starts, for a
+    sample at each word (so `keep` too), then the samples' starts as the path
+    of the first under the step, by pointer jumping.  A block holds at most
+    min(m, DRAWS) rows.
     """
-    def columns(words):
-        """Every column, and where the next sample starts, for a sample at each word."""
-        accepted = {}
-        cols, pos = _draw_columns(words, head, np.arange(len(words) + 1), accepted)
-        tail_cols, end = _draw_columns(words, tail, pos, accepted)
-        kept = np.ones(len(pos), bool) if keep is None else keep(*cols)
-        return cols + tail_cols, kept, np.where(kept, end, pos)
+    moduli = (*head, *tail)
 
     def blocks(m):
-        m = room = min(m, DRAWS)
-        words, left, block = np.empty(0, np.int64), count, []
+        m = min(m, DRAWS)
+        words, left, rows = np.empty(0, np.uint32), count, np.empty((0, len(moduli)), np.int64)
         while left:
-            words = np.concatenate([words, _words(rng, WORDS).astype(np.int64)])
-            cols, kept, step = columns(words)
-            n, step, p = len(words), memoryview(step), 0
-            while left:
-                starts = []
-                for _ in range(min(left, room)):
-                    q = step[p]
-                    if q > n:
-                        break
-                    starts.append(p)
-                    p = q
-                starts = np.array(starts, dtype=np.intp)
-                block.append(np.stack([c[starts] for c in cols], axis=1)[kept[starts]])
-                left -= len(starts)
-                room -= len(starts)
-                if room and left:  # the words ran out first
-                    break
-                yield np.concatenate(block)
-                block, room = [], m
-            words = words[p:]
+            words = np.concatenate([words, _words(rng, WORDS)])
+            n = len(words)
+            draws = {mod: _accepted(words, mod) for mod in set(moduli)}
+            ends = [np.arange(n + 2)]  # ends[i + 1]: where draw i ends, for a sample at each word
+            for mod in moduli:
+                ends.append(draws[mod][1].take(ends[-1]))
+            step = ends[-1]
+            if keep is not None:
+                kept = keep(*(draws[mod][0].take(at) for mod, at in zip(head, ends)))
+                step = np.where(kept, step, ends[len(head)])
+            path, jump = np.zeros(1, np.intp), step  # path[i]: where sample i starts; n + 1 once out
+            while len(path) <= left and path[-1] <= n:
+                path, jump = np.concatenate([path, jump.take(path)]), jump.take(jump)
+            done = min(int(np.count_nonzero(path <= n)) - 1, left)
+            starts = path[:done]
+            new = np.stack([draws[mod][0].take(at.take(starts)) for mod, at in zip(moduli, ends)], 1)
+            rows = np.concatenate([rows, new if keep is None else new[kept[starts]]])
+            words, left = words[path[done]:], left - done
+            full = len(rows) if not left else len(rows) - len(rows) % m
+            for lo in range(0, full, m):
+                yield rows[lo:lo + m]
+            rows = rows[full:]
 
     return blocks
 
@@ -297,21 +315,26 @@ def _scan(heads, tail, holds, weight: int):
     bad, done = [], 0
     for block in heads(max(1, CHUNK // len(tails))):
         for lo in range(0, len(tails), CHUNK):
-            part = tails[lo:lo + CHUNK]
-            ok = holds(*block.T[:, :, None], *part.T[:, None])
+            hi = min(lo + CHUNK, len(tails))
+            part = (slice(lo, hi),) if tail else ()  # the codes of the part; none for bare heads
+            ok = holds(*block.T[:, :, None], *part)
             fails = np.flatnonzero(~ok)[:LIMIT - len(bad)]
-            head, at = np.divmod(fails, len(part))
-            bad += map(tuple, np.hstack([block[head], part[at]]).tolist())
+            if len(fails) == 0:
+                continue
+            head, at = np.divmod(fails, hi - lo)
+            bad += map(tuple, np.hstack([block[head], tails[lo + at]]).tolist())
             if len(bad) == LIMIT:
                 return bad, (done + int(head[-1]) + 1) * weight
         done += len(block)
     return bad, done * weight
 
 
-def _check_identities(G: FiniteGroup, cfg: LemmaConfig, rng) -> LemmaReport:
-    n, every, t, C = _tables(G)
+def _check_identities(G: FiniteGroup, cfg: LemmaConfig, rng, tables=None) -> LemmaReport:
+    tables = tables or _Tables(G, 1)
+    n, every, t, C = tables.n, tables.every, tables.t, tables.C
 
-    def holds(a, x, side, y):
+    def holds(a, x, at):
+        side, y = np.divmod(np.arange(at.start, at.stop), n)
         # [a, xy] = [a,x] [x,[a,y]] [a,y]
         first = C(a, t(x, y)) == t(t(C(a, x), C(x, C(a, y))), C(a, y))
         # [xy, z] = [x,[y,z]] [y,z] [x,z], with (x,y,z) := (a,x,y)
@@ -329,18 +352,20 @@ def _check_identities(G: FiniteGroup, cfg: LemmaConfig, rng) -> LemmaReport:
 
 
 def _check_centrals(G: FiniteGroup, variant: int, j: int, upper: CentralSeries,
-                    cfg: LemmaConfig, rng) -> LemmaReport:
-    n, every, t, C = _tables(G)
+                    cfg: LemmaConfig, rng, tables=None) -> LemmaReport:
+    tables = tables or _Tables(G, j)
+    n, every, t, C, L = tables.n, tables.every, tables.t, tables.C, tables.left_normed
     zmem = upper.term(j if variant == 1 else j + 1).members
 
-    def holds(a, b, c, *zs):
+    def holds(a, b, c, at):
         ac = t(a, c)
-        lhs = _left_normed(C, t(t(a, b), c), zs)
+        lhs = L(t(t(a, b), c), at, j)
         if variant == 1:
-            return lhs == _left_normed(C, ac, zs)
-        mid = _left_normed(C, t(ac, b), zs)
-        merged = _left_normed(C, t(C(ac, zs[0]), C(b, zs[0])), zs[1:])
-        rhs = t(_left_normed(C, ac, zs), _left_normed(C, b, zs))
+            return lhs == L(ac, at, j)
+        mid = L(t(ac, b), at, j)
+        z1, *rest = tables.zs(at, j)
+        merged = L(t(C(ac, z1), C(b, z1)), rest, j - 1)
+        rhs = t(L(ac, at, j), L(b, at, j))
         return (lhs == mid) & (mid == merged) & (merged == rhs)
 
     exhaustive = n * len(zmem) * n * n ** j <= cfg.max_tuples
@@ -353,30 +378,33 @@ def _check_centrals(G: FiniteGroup, variant: int, j: int, upper: CentralSeries,
             for a, c, k, *zs in (block.T for block in draws(m)):
                 yield np.stack([a, zmem[k], c, *zs], axis=1)
 
-        bad, count = _scan(heads, [], holds, 1)
+        bad, count = _scan(heads, [], lambda *cols: holds(*cols[:3], cols[3:]), 1)
     return LemmaReport(G.name, f"centrals-{variant}", j, count, bad, exhaustive)
 
 
-def _check_homo(G: FiniteGroup, j: int, upper: CentralSeries, cfg: LemmaConfig, rng) -> LemmaReport:
-    n, every, t, C = _tables(G)
+def _check_homo(G: FiniteGroup, j: int, upper: CentralSeries, cfg: LemmaConfig, rng,
+                tables=None) -> LemmaReport:
+    tables = tables or _Tables(G, j)
+    n, every, t, C, L = tables.n, tables.every, tables.t, tables.C, tables.left_normed
     in_zj, in_zj1 = upper.term(j)._member_mask, upper.term(j + 1)._member_mask
 
     def hypotheses(a, X, Y, Xp):
         # they do not involve the z's; tested, never assumed
         return in_zj[C(Y, C(a, Xp))] & in_zj1[C(a, Y)]
 
-    def holds(a, X, Y, Xp, *zs):
+    def holds(a, X, Y, Xp, at):
         aXXp, aY = C(a, t(X, Xp)), C(a, Y)
-        lhs = _left_normed(C, C(a, t(t(X, Y), Xp)), zs)
-        mid = _left_normed(C, t(aXXp, aY), zs)
-        rhs = t(_left_normed(C, aXXp, zs), _left_normed(C, aY, zs))
+        lhs = L(C(a, t(t(X, Y), Xp)), at, j)
+        mid = L(t(aXXp, aY), at, j)
+        rhs = t(L(aXXp, at, j), L(aY, at, j))
         return (lhs == mid) & (mid == rhs)
 
     exhaustive = n ** (4 + j) <= cfg.max_tuples
     if exhaustive:
         bad, count = _scan(_lex([every] * 4, hypotheses), [every] * j, holds, n ** j)
     else:
-        bad, count = _scan(_drawn(rng, cfg.samples, [n] * 4, hypotheses, [n] * j), [], holds, 1)
+        draws = _drawn(rng, cfg.samples, [n] * 4, hypotheses, [n] * j)
+        bad, count = _scan(draws, [], lambda *cols: holds(*cols[:4], cols[4:]), 1)
     return LemmaReport(G.name, "homo", j, count, bad, exhaustive)
 
 
@@ -394,18 +422,19 @@ def check_commutator_lemmas(G: FiniteGroup, cfg: Optional[LemmaConfig] = None) -
         # beyond class + 1 every side of the lemmas is the identity
         bound = (upper.nilpotency_class or (len(upper.terms) - 1)) + 1
         js = list(range(1, max(bound, 1) + 1))
+    tables = _Tables(G, max(js, default=1))  # shared by this call's reports, then freed
     reports = []
     for lemma_pos, lemma in enumerate(LEMMA_IDS):
         if lemma == "identities":
             rng = random.Random(cfg.seed + lemma_pos)
-            reports.append(_check_identities(G, cfg, rng))
+            reports.append(_check_identities(G, cfg, rng, tables))
             continue
         for j in js:
             rng = random.Random(cfg.seed + 1000 * lemma_pos + j)
             if lemma == "centrals-1":
-                reports.append(_check_centrals(G, 1, j, upper, cfg, rng))
+                reports.append(_check_centrals(G, 1, j, upper, cfg, rng, tables))
             elif lemma == "centrals-2":
-                reports.append(_check_centrals(G, 2, j, upper, cfg, rng))
+                reports.append(_check_centrals(G, 2, j, upper, cfg, rng, tables))
             else:
-                reports.append(_check_homo(G, j, upper, cfg, rng))
+                reports.append(_check_homo(G, j, upper, cfg, rng, tables))
     return reports

@@ -3,12 +3,13 @@ import random
 import numpy as np
 import pytest
 
-from conftest import naive_lemma_draws, odd_carry_table
+from conftest import naive_lemma_draws, odd_carry_table, relabelled
 from grouper import commutators
 from grouper.commutators import (
     DEFAULT_SEED,
     CentralSeries,
     LemmaConfig,
+    _Tables,
     _drawn,
     _check_centrals,
     _check_homo,
@@ -22,7 +23,7 @@ from grouper.commutators import (
     nilpotency_class,
     upper_central_series,
 )
-from grouper.groups import ORDER_CAP, FiniteGroup, Subgroup, standard_group
+from grouper.groups import ORDER_CAP, FiniteGroup, Subgroup, lex_rows, standard_group
 
 
 def naive_commutator(G, x, y):
@@ -398,3 +399,89 @@ class TestWordStream:
         rng = random.Random(7)
         want = [(rng.randrange(10), rng.randrange(10)) for _ in range(5000)]
         assert drawn_rows(7, 5000, [10, 10], block=333) == want
+
+
+def oracle_left_normed(G, k):
+    """[x, z1, ..., zk] for every x (rows) and every z-tuple in lex order (columns)."""
+    every = np.arange(G.order)
+    zs = lex_rows([every] * k, 0, G.order ** k).T[:, None]
+    return np.broadcast_to(left_normed_commutator(G, [every[:, None], *zs]), (G.order, G.order ** k))
+
+
+TABLE_GROUPS = ["symmetric:3", "dihedral:8", "quaternion8", "heisenberg:3", "dihedral:8'"]
+
+
+def table_group(groups, name):
+    if name.endswith("'"):
+        return relabelled(groups[name[:-1]], np.random.default_rng(11).permutation(8))
+    return groups[name]
+
+
+class TestLeftNormedTables:
+    """Each left-normed table entry is [x, z1, ..., zk], read at every x and z-tuple."""
+
+    @pytest.mark.parametrize("name", TABLE_GROUPS)
+    def test_tables_match_left_normed_commutator(self, groups, name):
+        G = table_group(groups, name)
+        tables = _Tables(G, 3)
+        assert len(tables.left) == (3 if name == "heisenberg:3" else 4)  # 27^4 entries pass the cap
+        for k, table in enumerate(tables.left):
+            assert table.dtype == np.int32
+            assert np.array_equal(np.broadcast_to(table, (G.order, G.order ** k)),
+                                  oracle_left_normed(G, k)), k
+
+    @pytest.mark.parametrize("name", TABLE_GROUPS)
+    def test_left_normed_reads_slices_and_columns(self, groups, name):
+        """Row slices of the grid, and z columns, below and past the deepest table."""
+        G = table_group(groups, name)
+        tables, n = _Tables(G, 3), G.order
+        x = np.arange(n)[:, None]
+        for k in (1, 2, 3):
+            want = oracle_left_normed(G, k)
+            for lo, hi in [(0, n ** k), (n ** k // 3, n ** k - 1)]:
+                assert np.array_equal(tables.left_normed(x, slice(lo, hi), k), want[:, lo:hi])
+            zs = tuple(lex_rows([np.arange(n)] * k, 0, n ** k).T[:, None])
+            assert np.array_equal(tables.left_normed(x, zs, k), want)
+
+    def test_cap_cuts_depth(self, monkeypatch, groups):
+        G = groups["dihedral:8"]
+        monkeypatch.setattr(commutators, "TABLE_CAP", 8 ** 2)
+        tables = _Tables(G, 3)
+        assert len(tables.left) == 2  # left[0] and C only: every z goes through C lookups
+        x = np.arange(8)[:, None]
+        for k in (1, 2, 3):
+            zs = tuple(lex_rows([np.arange(8)] * k, 0, 8 ** k).T[:, None])
+            assert np.array_equal(tables.left_normed(x, zs, k), oracle_left_normed(G, k))
+            assert np.array_equal(tables.left_normed(x, slice(3, 8 ** k), k),
+                                  oracle_left_normed(G, k)[:, 3:])
+
+
+class TestDrawWalkReads:
+    """Sampled heads do not depend on how many words a read takes."""
+
+    CFG = LemmaConfig(max_tuples=10, samples=300)
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    @pytest.mark.parametrize("words", [1, 3, 17, 64])
+    def test_heads_match_randrange(self, monkeypatch, groups, words, seed):
+        monkeypatch.setattr(commutators, "WORDS", words)
+        G = groups["dihedral:8"]  # |Z_1| = 2 and |Z_2| = 8: mixed moduli for the central lemmas
+        upper = upper_central_series(G)
+        got = drawn_heads(monkeypatch, _check_identities, G, self.CFG, random.Random(seed))
+        assert got == naive_lemma_draws(G, "identities", None, None, self.CFG.samples,
+                                        random.Random(seed))
+        for variant in (1, 2):
+            got = drawn_heads(monkeypatch, _check_centrals, G, variant, 1, upper, self.CFG,
+                              random.Random(seed))
+            assert got == naive_lemma_draws(G, f"centrals-{variant}", 1, upper, self.CFG.samples,
+                                            random.Random(seed))
+        G = groups["symmetric:3"]  # trivial center: the homo hypotheses reject some samples
+        upper = upper_central_series(G)
+        got = drawn_heads(monkeypatch, _check_homo, G, 2, upper, self.CFG, random.Random(seed))
+        want = naive_lemma_draws(G, "homo", 2, upper, self.CFG.samples, random.Random(seed))
+        assert got == want and 0 < len(want) < self.CFG.samples
+
+    @pytest.mark.parametrize("words", [1, 17, commutators.WORDS])
+    def test_keep_rejecting_every_sample(self, monkeypatch, words):
+        monkeypatch.setattr(commutators, "WORDS", words)
+        assert drawn_rows(3, 2000, [5, 7], lambda a, b: a < 0, [3, 9]) == []

@@ -47,3 +47,43 @@ def test_bench_pairs_summary():
     assert (t["pairs"], t["change_wins"], t["unit"]) == (5, 4, "s")
     assert (t["parent"]["q1"], t["parent"]["median"], t["parent"]["q3"]) == (1.5, 3.0, 4.5)
     assert t["change"]["median"] == 1.0
+
+
+def fake_checkout(root: Path, body: str) -> Path:
+    """A directory whose perfbench/run.py is the script `body`."""
+    (root / "perfbench").mkdir(parents=True)
+    (root / "perfbench" / "run.py").write_text(body)
+    return root
+
+
+def run_bench_pairs(tmp_path, parent, change, *args):
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "bench_pairs.py"), str(parent), str(change),
+         "--name", "t", "--out", str(tmp_path / "out.json"), "--seconds", "1", *args],
+        capture_output=True, text=True, timeout=120,
+    )
+
+
+def fake_perfbench(value):
+    return ("import json\nprint('# meta ' + json.dumps({'src_lines': 1}))\n"
+            f"print(json.dumps({{'metrics': {{'t': {{'value': {value}, 'unit': 's'}}}}}}))\n")
+
+
+def test_bench_pairs_reports_a_failing_run(tmp_path):
+    good = fake_checkout(tmp_path / "good", fake_perfbench(1.0))
+    bad = fake_checkout(tmp_path / "bad", "import sys\nprint('boom: no workload', file=sys.stderr)\n"
+                                          "sys.exit(1)\n")
+    proc = run_bench_pairs(tmp_path, good, bad, "--pairs", "2")
+    assert proc.returncode == 2
+    assert "# pair 0 change:" in proc.stderr and "exited 1" in proc.stderr
+    assert "boom: no workload" in proc.stderr
+    assert "Traceback" not in proc.stderr and not (tmp_path / "out.json").exists()
+
+
+def test_bench_pairs_prints_one_summary_line_per_metric(tmp_path):
+    parent = fake_checkout(tmp_path / "parent", fake_perfbench(2.0))
+    change = fake_checkout(tmp_path / "change", fake_perfbench(1.5))
+    proc = run_bench_pairs(tmp_path, parent, change, "--pairs", "3")
+    assert proc.returncode == 0, proc.stderr
+    summary = [line for line in proc.stdout.splitlines() if line.startswith("# t:")]
+    assert summary == ["# t: parent median 2, change median 1.5 s; change lower in 3 of 3 pairs"]
