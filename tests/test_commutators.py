@@ -283,7 +283,7 @@ class TestScanChunking:
         assert sum(len(bad) == commutators.LIMIT for _, _, bad in got) == 28
         return got
 
-    @pytest.mark.parametrize("chunk", [1, 5, 37, commutators.CHUNK])
+    @pytest.mark.parametrize("chunk", [1, 5, 37, 4096, commutators.CHUNK])
     def test_reports_match_default_chunk(self, monkeypatch, reference, chunk):
         monkeypatch.setattr(commutators, "CHUNK", chunk)
         assert fake_series_reports() == reference
