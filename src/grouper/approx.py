@@ -97,47 +97,62 @@ class ClassificationReport:
         }
 
 
+def _starts(sizes: np.ndarray) -> np.ndarray:
+    """Offset of each of consecutive blocks of ``sizes`` rows."""
+    starts = np.zeros(len(sizes), dtype=np.intp)
+    np.cumsum(sizes[:-1], out=starts[1:])
+    return starts
+
+
 @dataclass
 class Composites:
-    """Composites of homs with every hom of a set, located in Hom(H, G).
+    """Composites located in a hom set or a ``HomRun``, in blocks.
 
-    ``idx[..., j]`` is the hom index of composite j in ``homs`` and
-    ``counts[..., i]`` how many composites equal hom i; a leading axis, if
-    any, runs over a batch of homs.  For the absolute verdicts
-    (``side_profile``), row b of ``fixers`` marks the endomorphisms that
-    send hom b to itself, and row b of ``galois`` the automorphisms among
-    them, in Aut order.
+    ``idx[j]`` is the row of composite j in ``homs``; block b holds the
+    composites from ``starts[b]`` on and ``counts[count_starts[b] + i]``
+    counts those equal to hom i of the block's hom set (its segment of a
+    run).  The flags hold per block.  For the absolute verdicts
+    (``side_profile``), a block composes one hom with each endomorphism of
+    one side: ``fixers`` marks the composites equal to that hom and
+    ``galois`` those whose endomorphism is, besides, an automorphism.
     """
 
     idx: np.ndarray
     counts: np.ndarray
-    homs: Optional[HomSet] = None
+    homs: HomSet  # or a HomRun
+    starts: np.ndarray
+    count_starts: np.ndarray
     fixers: Optional[np.ndarray] = None
     galois: Optional[np.ndarray] = None
 
     @property
     def surjective(self):
-        return self.counts.all(axis=-1)
+        return np.minimum.reduceat(self.counts, self.count_starts) > 0
 
     @property
     def injective(self):
-        return (self.counts <= 1).all(axis=-1)
+        return np.maximum.reduceat(self.counts, self.count_starts) <= 1
 
     @property
     def bijective(self):
         return self.surjective & self.injective
 
     @property
+    def galois_orders(self):
+        return np.add.reduceat(self.galois, self.starts, dtype=np.int_)
+
+    @property
     def approximation(self):
         """Surjective, and every endomorphism fixing the hom is an automorphism."""
-        return self.surjective & (self.fixers.sum(axis=-1) == self.galois.sum(axis=-1))
+        fixed = np.add.reduceat(self.fixers, self.starts, dtype=np.int_)
+        return self.surjective & (fixed == self.galois_orders)
 
     def first_unhit(self) -> int:
-        """Lowest hom index that no composite reaches (one hom, not surjective)."""
+        """Lowest hom index that no composite reaches (one block, not surjective)."""
         return int(np.argmin(self.counts))
 
     def first_duplicate_pair(self):
-        """Smallest (i, j), i < j, with equal composites (one hom), or None."""
+        """Smallest (i, j), i < j, with equal composites (one block), or None."""
         _, first = np.unique(self.idx, return_index=True)
         repeated = np.ones(len(self.idx), dtype=bool)
         repeated[first] = False
@@ -147,14 +162,23 @@ class Composites:
         return int(np.argmax(self.idx == self.idx[j])), j
 
 
-def composites(hom_set: HomSet, gen_images: np.ndarray) -> Composites:
-    """Locate composites, given by their images of ``hom_set.gens``, in ``hom_set``."""
-    idx = hom_set.locate(gen_images)
-    n = len(hom_set)
-    rows = idx.reshape(-1, idx.shape[-1])
-    flat = rows + (np.arange(rows.shape[0]) * n)[:, None]
-    counts = np.bincount(flat.ravel(), minlength=rows.shape[0] * n)
-    return Composites(idx, counts.reshape(idx.shape[:-1] + (n,)), hom_set)
+def composites(homs, gen_images: np.ndarray, sizes=None, segments=None) -> Composites:
+    """Locate composites, given by their images of ``homs.gens`` along the last axis, in ``homs``.
+
+    ``homs`` is a hom set or a ``HomRun``.  The composites come in blocks
+    of ``sizes[b]`` consecutive rows, block b lying in segment
+    ``segments[b]`` of the run; by default they are one block over all of
+    ``homs``.
+    """
+    idx = homs.locate(gen_images.reshape(-1, gen_images.shape[-1]))
+    if sizes is None:
+        one = np.zeros(1, dtype=np.intp)
+        return Composites(idx, np.bincount(idx, minlength=len(homs)), homs, one, one)
+    lows = homs.row_starts[segments]
+    widths = homs.row_starts[segments + 1] - lows
+    count_starts = _starts(widths)
+    counts = np.bincount(idx + np.repeat(count_starts - lows, sizes), minlength=int(widths.sum()))
+    return Composites(idx, counts, homs, _starts(sizes), count_starts)
 
 
 def precomposition(phi_images: np.ndarray, H: FiniteGroup, G: FiniteGroup, F: FiniteGroup) -> Composites:
@@ -178,15 +202,18 @@ class EndData:
         self.aut_rows = self.aut.end_rows
 
 
-def side_profile(hom_set: HomSet, end: EndData, gen_images: np.ndarray, phi_idx: np.ndarray) -> Composites:
-    """The kernel of every absolute verdict: homs ``phi_idx`` composed with all of ``end``.
+def side_profile(homs, gen_images: np.ndarray, phi_idx: np.ndarray, is_aut: np.ndarray,
+                 sizes=None, segments=None) -> Composites:
+    """The kernel of every absolute verdict: homs ``phi_idx`` composed with the endomorphisms of one side.
 
-    ``gen_images[b, j]`` holds the generator images of hom ``phi_idx[b]``
-    composed with endomorphism j.
+    Block b of ``gen_images`` (see ``composites``) holds the generator
+    images of hom ``phi_idx[b]`` composed with each endomorphism of its
+    side, in End order, and ``is_aut`` marks the composites whose
+    endomorphism is an automorphism.
     """
-    comp = composites(hom_set, gen_images)
-    comp.fixers = comp.idx == phi_idx[:, None]
-    comp.galois = comp.fixers[:, end.aut_rows]
+    comp = composites(homs, gen_images, sizes, segments)
+    comp.fixers = comp.idx == (phi_idx if sizes is None else np.repeat(phi_idx, sizes))
+    comp.galois = comp.fixers & is_aut
     return comp
 
 
@@ -202,16 +229,15 @@ def galois_group(phi: GroupHom, side: str = "target") -> AutSubgroup:
 def _side_witnesses(prof: Composites, end: EndData, flags, who) -> list:
     """Witnesses for the (pre-approximation, approximation, bijection) flags of one hom."""
     _, flag_approx, flag_bij = flags
-    comp = Composites(prof.idx[0], prof.counts[0])
-    if not comp.surjective:
-        data = {"unliftedHom": prof.homs.matrix[comp.first_unhit()].tolist()}
+    if not prof.surjective[0]:
+        data = {"unliftedHom": prof.homs.matrix[prof.first_unhit()].tolist()}
         return [Witness(f, "unlifted-hom", data) for f in flags]
     out = []
     if not prof.approximation[0]:
-        bad = int(np.setdiff1d(np.nonzero(prof.fixers[0])[0], end.aut_rows)[0])
+        bad = int(np.flatnonzero(prof.fixers & ~prof.galois)[0])
         out.append(Witness(flag_approx, "non-automorphism-preimage",
                            {"endomorphism": end.homs.matrix[bad].tolist(), "of": who}))
-    dup = comp.first_duplicate_pair()
+    dup = prof.first_duplicate_pair()
     if dup is not None:
         i, j = dup
         out.append(Witness(flag_bij, "non-injective-pair",
@@ -227,9 +253,9 @@ def classify_hom(phi: GroupHom) -> ClassificationReport:
     end_g, end_h = EndData(G), EndData(H)
     i = np.array([hom_set.index_of(phi.images)])
     gens = hom_set.gens
-    # target side: f |-> f.phi on End(G); source side: f |-> phi.f on End(H)
-    t = side_profile(hom_set, end_g, end_g.homs.matrix[None, :, phi.images[gens]], i)
-    s = side_profile(hom_set, end_h, phi.images[end_h.homs.matrix[None, :, gens]], i)
+    # one block per side: target side f |-> f.phi on End(G), source side f |-> phi.f on End(H)
+    t = side_profile(hom_set, end_g.homs.matrix[:, phi.images[gens]], i, end_g.aut.end_mask)
+    s = side_profile(hom_set, phi.images[end_h.homs.matrix[:, gens]], i, end_h.aut.end_mask)
     flags = {
         "isLocalization": bool(t.bijective[0]),
         "isCellularCover": bool(s.bijective[0]),
@@ -243,8 +269,8 @@ def classify_hom(phi: GroupHom) -> ClassificationReport:
     ) + _side_witnesses(
         s, end_h, ("isPrecoverOfSourceClass", "isCover", "isCellularCover"), "source"
     )
-    gal = AutSubgroup(end_g.aut, np.flatnonzero(t.galois[0]))
-    cogal = AutSubgroup(end_h.aut, np.flatnonzero(s.galois[0]))
+    gal = AutSubgroup(end_g.aut, np.flatnonzero(t.galois[end_g.aut_rows]))
+    cogal = AutSubgroup(end_h.aut, np.flatnonzero(s.galois[end_h.aut_rows]))
     return ClassificationReport(phi, flags, gal, cogal, witnesses)
 
 

@@ -9,9 +9,11 @@ either examined or listed as skipped with a reason.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -19,7 +21,6 @@ from .approx import (
     EndData,
     GroupClass,
     f_socle,
-    image_factorize,
     local_kernel,
     postcomposition,
     precomposition,
@@ -27,11 +28,13 @@ from .approx import (
 )
 from .commutators import LemmaConfig, check_commutator_lemmas, nilpotency_class
 from .groups import FiniteGroup, GroupHom, are_isomorphic, standard_group
-from .homs import _gen_array, automorphism_group, enumerate_homs, first_per_key
+from .homs import HomRun, _gen_array, automorphism_group, enumerate_homs, first_per_key
 
 PAIR_BUDGET = 100_000_000
 CORPUS_CAP = 512
-_CHUNK = 1 << 14  # composites per batch in classify_pair, bounding its working memory
+# composites (both sides) plus counted homs per chunk of a source's run, which bounds its
+# working memory; a representative that needs more is a chunk of its own
+_CHUNK = 1 << 13
 SUITE_IDS = ("cogalois", "galois", "socle-cover", "radical-envelope", "reduction", "lemmas")
 
 
@@ -127,8 +130,17 @@ class HomVerdicts:
 
 
 def classify_pair(H: FiniteGroup, G: FiniteGroup) -> HomVerdicts:
-    """Classify every hom H -> G at once; memoized on H."""
-    return H.memo(("verdicts", G), lambda: _classify_pair(H, G))
+    """Classify every hom H -> G at once, as a run of one target; memoized on H."""
+    return H.memo(("verdicts", G), lambda: _classify_run(H, [G])[0])
+
+
+def classify_source(H: FiniteGroup, targets) -> None:
+    """Classify every hom H -> G, for each G of ``targets`` that H has no verdicts for,
+    in one run; ``classify_pair`` then reads them from H's memo."""
+    todo = [G for G in {id(G): G for G in targets}.values() if not H.memoized(("verdicts", G))]
+    if todo:
+        for G, v in zip(todo, _classify_run(H, todo)):
+            H.memo(("verdicts", G), lambda v=v: v)
 
 
 def _orbit_labels(hom_set, aut_g, aut_h) -> np.ndarray:
@@ -137,10 +149,12 @@ def _orbit_labels(hom_set, aut_g, aut_h) -> np.ndarray:
     One ``locate`` per Aut generator gives its move on the homs; the least
     label spreads along the moves, with pointer jumping, to a fixed point
     (Holt, Eick & O'Brien, *Handbook of Computational Group Theory*, 4.1).
+    ``hom_set`` may be a ``HomRun``, with ``aut_g`` from ``_joined_auts``.
     """
-    rows, gens = hom_set.matrix, hom_set.gens
-    moves = [hom_set.locate(aut_g.perms[a][rows[:, gens]]) for a in aut_g.generators]
-    moves += [hom_set.locate(rows[:, aut_h.perms[b][gens]]) for b in aut_h.generators]
+    gens = hom_set.gens
+    gen_images = hom_set.images(gens)
+    moves = [hom_set.locate(aut_g.perms[a][gen_images]) for a in aut_g.generators]
+    moves += [hom_set.locate(hom_set.images(aut_h.perms[b][gens])) for b in aut_h.generators]
     labels, prev = np.arange(len(hom_set)), None
     while prev is None or (labels != prev).any():
         prev = labels
@@ -150,33 +164,79 @@ def _orbit_labels(hom_set, aut_g, aut_h) -> np.ndarray:
     return labels
 
 
-def _classify_pair(H: FiniteGroup, G: FiniteGroup) -> HomVerdicts:
-    """Classify one hom per Aut(H) x Aut(G) orbit; the rest of its orbit shares its verdicts.
+def _joined_auts(auts, elem_starts: np.ndarray) -> SimpleNamespace:
+    """The Aut(G_t) of a run's segments side by side, on the run's element labels.
 
-    Verdicts are invariant under phi -> a.phi.b (a in Aut(G), b in Aut(H)).
-    f -> f.a permutes End(G) and keeps Aut(G), psi -> psi.b permutes
-    Hom(H, G), and f.(a.phi.b) = ((f.a).phi).b; so a.phi.b has the
-    composites of phi relabelled, hence the same surjectivity and
-    injectivity.  Its fixers are a F a^-1 for the fixers F of phi, so the
-    approximation test agrees and the Galois groups are conjugate.  The
-    source side is dual.
+    Row s of ``perms`` moves each segment by its generator s, or by the
+    identity past its last generator.
     """
-    hom_set = enumerate_homs(H, G)
-    end_g, end_h = EndData(G), EndData(H)
-    reps, inverse = np.unique(_orbit_labels(hom_set, end_g.aut, end_h.aut), return_inverse=True)
-    gens = hom_set.gens
-    end_h_gens = end_h.homs.matrix[:, gens]
-    step = max(1, _CHUNK // max(len(hom_set), len(end_g.homs), len(end_h.homs)))
-    parts = []
-    for lo in range(0, len(reps), step):
-        rows = reps[lo:lo + step]
-        phis = hom_set.matrix[rows]
-        # target side f.phi on End(G), source side phi.f on End(H)
-        t = side_profile(hom_set, end_g, end_g.homs.matrix[:, phis[:, gens]].transpose(1, 0, 2), rows)
-        s = side_profile(hom_set, end_h, phis[np.arange(len(rows))[:, None, None], end_h_gens], rows)
+    width = max(len(aut.generators) for aut in auts)
+    perms = np.tile(np.arange(elem_starts[-1], dtype=np.int32), (width, 1))
+    for aut, lo in zip(auts, elem_starts.tolist()):
+        perms[:len(aut.generators), lo:lo + aut.base.order] = aut.perms[aut.generators] + lo
+    return SimpleNamespace(perms=perms, generators=range(len(perms)))
+
+
+def _classify_run(H: FiniteGroup, targets) -> list:
+    """The verdicts of every hom H -> G, for each G of ``targets``, from one keyed run.
+
+    One hom per Aut(H) x Aut(G) orbit is classified, and the rest of its
+    orbit shares its verdicts.  Verdicts are invariant under phi -> a.phi.b
+    (a in Aut(G), b in Aut(H)).  f -> f.a permutes End(G) and keeps Aut(G),
+    psi -> psi.b permutes Hom(H, G), and f.(a.phi.b) = ((f.a).phi).b; so
+    a.phi.b has the composites of phi relabelled, hence the same
+    surjectivity and injectivity.  Its fixers are a F a^-1 for the fixers F
+    of phi, so the approximation test agrees and the Galois groups are
+    conjugate.  The source side is dual.
+
+    The hom sets lie end to end in a ``HomRun``.  Orbits are labelled over
+    the whole run, and the representatives are composed with their
+    segment's End(G) and with End(H), at most ``_CHUNK`` composites (and
+    counted homs) at a time; each side of a chunk is one ``side_profile``
+    over all of its segments.
+    """
+    hom_sets, end_gs = [], []
+    for G in targets:
+        hom_sets.append(enumerate_homs(H, G))
+        end_gs.append(EndData(G))
+        end_h = EndData(H)  # once per target: perfbench pins the enumerate_homs calls this makes
+    run = HomRun(hom_sets)
+    reps, inverse = np.unique(
+        _orbit_labels(run, _joined_auts([e.aut for e in end_gs], run.elem_starts), end_h.aut),
+        return_inverse=True,
+    )
+    segs = np.searchsorted(run.row_starts, reps, side="right") - 1
+    end_sizes = np.array([len(e.homs) for e in end_gs])
+    gens, end_h_gens = run.gens, end_h.homs.matrix[:, run.gens]
+    k = len(gens)
+    # composites of both sides plus counted homs, up to and including each representative
+    cost = np.cumsum(end_sizes[segs] + len(end_h.homs) + np.diff(run.row_starts)[segs])
+    parts, lo = [], 0
+    while lo < len(reps):
+        done = cost[lo - 1] if lo else 0
+        hi = max(lo + 1, int(cost.searchsorted(done + _CHUNK, side="right")))
+        rows, seg = reps[lo:hi], segs[lo:hi]
+        # segment by segment, the generator images of target side f.phi on End(G_t) and of
+        # source side phi.f on End(H), in run labels
+        t_images, s_images, is_aut = [], [], []
+        cuts = [0, *(np.flatnonzero(seg[1:] != seg[:-1]) + 1).tolist(), len(seg)]
+        for a, b in zip(cuts, cuts[1:]):
+            u = int(seg[a])
+            phis, first = hom_sets[u].matrix[rows[a:b] - run.row_starts[u]], int(run.elem_starts[u])
+            t_images.append((end_gs[u].homs.matrix[:, phis[:, gens]] + first).transpose(1, 0, 2)
+                            .reshape(-1, k))
+            s_images.append(phis[:, end_h_gens].reshape(-1, k) + first)
+            is_aut.append(np.tile(end_gs[u].aut.end_mask, b - a))
+        t = side_profile(run, np.concatenate(t_images), rows, np.concatenate(is_aut), end_sizes[seg], seg)
+        s = side_profile(run, np.concatenate(s_images), rows, np.tile(end_h.aut.end_mask, len(rows)),
+                         np.full(len(rows), len(end_h.homs)), seg)
         parts.append((t.approximation, t.bijective, s.approximation, s.bijective,
-                      t.surjective, s.surjective, t.galois.sum(axis=1), s.galois.sum(axis=1)))
-    return HomVerdicts(H, G, hom_set.matrix, *(np.concatenate(p)[inverse] for p in zip(*parts)))
+                      t.surjective, s.surjective, t.galois_orders, s.galois_orders))
+        lo = hi
+    fields = [np.concatenate(p)[inverse] for p in zip(*parts)]
+    bounds = run.row_starts.tolist()
+    return [HomVerdicts(H, G, hs.matrix, *(f[a:b] for f in fields))
+            for G, hs, a, b in zip(targets, hom_sets, bounds, bounds[1:])]
 
 
 def search_approximations(H: FiniteGroup, G: FiniteGroup, kind: str, injective_only: bool = False):
@@ -204,12 +264,15 @@ def _pair_name(H, G):
 
 
 def _run(tasks, worker, report: SuiteReport, sort_key):
-    """Apply worker to each (name, args) task in order, timing each call; sorted merge.
+    """Apply worker to each (name, args, before) task in order, timing each call; sorted merge.
 
-    A worker returns (items checked, violations, notes).
+    ``before``, if not None, is called first and timed with the task.  A
+    worker returns (items checked, violations, notes).
     """
-    for name, args in tasks:
+    for name, args, before in tasks:
         t0 = time.perf_counter()
+        if before is not None:
+            before()
         count, violations, notes = worker(*args)
         report.pair_seconds[name] = time.perf_counter() - t0
         report.pairs_examined += 1
@@ -220,15 +283,23 @@ def _run(tasks, worker, report: SuiteReport, sort_key):
     report.notes.sort(key=sort_key)
 
 
-def _run_pairs(corpus, worker, report: SuiteReport):
-    """Apply worker to every ordered pair under the budget; list the rest as skipped."""
+def _run_pairs(corpus, worker, report: SuiteReport, by_source: bool = False):
+    """Apply worker to every ordered pair under the budget; list the rest as skipped.
+
+    With ``by_source``, each source's targets are classified in one run
+    (``classify_source``) before its first pair, whose time includes the run.
+    """
     tasks = []
     for H in corpus:
+        targets = []
         for G in corpus:
             if _budget_ok(H, G):
-                tasks.append((_pair_name(H, G), (H, G)))
+                targets.append(G)
             else:
                 report.skipped.append({"pair": _pair_name(H, G), "reason": "candidate-budget"})
+        for i, G in enumerate(targets):
+            before = functools.partial(classify_source, H, targets) if by_source and i == 0 else None
+            tasks.append((_pair_name(H, G), (H, G), before))
     _run(tasks, worker, report, lambda v: sorted(v.items()))
 
 
@@ -369,10 +440,10 @@ def _reduction_worker(H, G):
                      "law": "envelope-image-inclusion-same-galois"}
                 )
         if v.is_cover[i]:
-            phi = GroupHom(H, G, row, check=False)
-            epi, _mono = image_factorize(phi)
+            # the images of image_factorize's epi, whose image members ascend, without a group for the image
+            epi = np.unique(row, return_inverse=True)[1]
             fix_phi = (row[aut_h.perms] == row[None, :]).all(axis=1)
-            fix_epi = (epi.images[aut_h.perms] == epi.images[None, :]).all(axis=1)
+            fix_epi = (epi[aut_h.perms] == epi[None, :]).all(axis=1)
             if not (fix_phi == fix_epi).all():
                 violations.append(
                     {"pair": _pair_name(H, G), "hom": row.tolist(),
@@ -414,7 +485,12 @@ def run_theorem_suite(
 ) -> SuiteReport:
     """Run one theorem suite over every ordered corpus pair within budget.
 
-    Pairs run serially, in corpus order.  ``jobs`` is accepted for
+    Pairs run serially, in corpus order.  The classification suites
+    (cogalois, galois, reduction) batch by source: before the first pair
+    of a source H, ``classify_source`` classifies H against all of its
+    budgeted targets in one run and memoizes the verdicts on H, and the
+    pair workers then read them through ``classify_pair``.  That pair's
+    time in ``pair_seconds`` includes the run.  ``jobs`` is accepted for
     compatibility and has no effect.
     """
     if suite not in SUITE_IDS:
@@ -427,7 +503,7 @@ def run_theorem_suite(
     if suite == "lemmas":
         worker = _make_lemma_worker(lemma_config or LemmaConfig())
         # lemma violations carry j=None for identities, which does not compare with ints
-        _run([(G.name, (G,)) for G in corpus], worker, report,
+        _run([(G.name, (G,), None) for G in corpus], worker, report,
              lambda v: sorted((k, str(x)) for k, x in v.items()))
         return report
     worker = {
@@ -437,5 +513,5 @@ def run_theorem_suite(
         "radical-envelope": _make_radical_worker(corpus),
         "reduction": _reduction_worker,
     }[suite]
-    _run_pairs(corpus, worker, report)
+    _run_pairs(corpus, worker, report, by_source=suite in ("cogalois", "galois", "reduction"))
     return report

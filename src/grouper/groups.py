@@ -312,6 +312,10 @@ class FiniteGroup:
         value = self._memo[key] = compute()
         return value
 
+    def memoized(self, key) -> bool:
+        """Whether ``memo`` holds a value under ``key``."""
+        return key in self._memo
+
     @property
     def is_abelian(self) -> bool:
         return self.memo("abelian", lambda: bool(np.array_equal(self.table, self.table.T)))

@@ -19,6 +19,7 @@ the index of any hom.  Keys are below the candidate-space size (at most
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from typing import Optional
 
@@ -120,25 +121,30 @@ class HomKeys:
     key that a full-row comparison will not confirm.
     """
 
-    __slots__ = ("gens", "lists", "size", "_positions", "_weights")
+    __slots__ = ("gens", "lists", "size", "positions", "weights")
 
     def __init__(self, H: FiniteGroup, G: FiniteGroup):
         self.gens = _gen_array(H)
-        self.lists, self._positions = zip(
+        self.lists, self.positions = zip(
             *(_divisor_positions(G, o) for o in H.element_orders[self.gens].tolist())
         )
         self.size = math.prod(len(m) for m in self.lists)
         if self.size > np.iinfo(np.int64).max:
             raise EnumerationCapError(f"hom keys for Hom({H.name},{G.name}) do not fit in 64 bits")
-        self._weights = tuple(math.prod(len(m) for m in self.lists[i + 1:]) for i in range(len(self.lists)))
+        self.weights = tuple(math.prod(len(m) for m in self.lists[i + 1:]) for i in range(len(self.lists)))
 
     def __call__(self, gen_images: np.ndarray) -> np.ndarray:
         """Keys of generator images, given along the last axis."""
-        keys = 0
-        for i, (pos, weight) in enumerate(zip(self._positions, self._weights)):
-            digit = pos[gen_images[..., i]]
-            keys = keys + (digit if weight == 1 else digit * weight)
-        return keys
+        return _key_sum(self.positions, self.weights, gen_images)
+
+
+def _key_sum(positions, weights, gen_images: np.ndarray) -> np.ndarray:
+    """Sum over i of ``positions[i]`` at the images along the last axis, times ``weights[i]``."""
+    keys = 0
+    for i, (pos, weight) in enumerate(zip(positions, weights)):
+        digit = pos[gen_images[..., i]]
+        keys = keys + (digit if weight == 1 else digit * weight)
+    return keys
 
 
 class KeyedRows:
@@ -189,6 +195,10 @@ class KeyedRows:
             raise KeyError("generator images of a non-member hom")
         return idx
 
+    def images(self, cols) -> np.ndarray:
+        """Every row's images of the source elements ``cols``."""
+        return self.matrix[:, cols]
+
     def index_of(self, images) -> int:
         """Row index of a full image array; KeyError if it is not a row."""
         row = np.asarray(images)
@@ -225,6 +235,53 @@ class HomSet(KeyedRows):
         """(images, sizes): each row's images in ascending order, and how many elements it hits."""
         images = np.sort(self.matrix, axis=1)
         return images, 1 + (images[:, 1:] != images[:, :-1]).sum(axis=1)
+
+
+class HomRun:
+    """Hom sets H -> G_0, ..., H -> G_m-1 laid end to end as one keyed run.
+
+    Segment t holds the homs of ``sets[t]`` as rows ``row_starts[t]`` on,
+    with each element x of G_t relabelled ``elem_starts[t] + x``, and their
+    keys raised by the sum of the earlier segments' ``HomKeys`` sizes.  So
+    keys still strictly increase over the run.  The segments' weighted
+    digit tables are laid end to end on the relabelled elements as well,
+    the first generator's carrying the segment's key offset; an image's
+    label then selects its segment's digits, and one ``locate`` finds
+    composites in every segment at once.  The rows stay in their sets;
+    ``images`` gathers the columns a caller needs.
+    """
+
+    __slots__ = ("sets", "source", "gens", "keys", "_keygen", "row_starts", "elem_starts")
+
+    def __init__(self, hom_sets):
+        sets = self.sets = list(hom_sets)
+        self.source, self.gens = sets[0].source, sets[0].gens
+        keys = [hs.keys for hs in sets]  # also fills each set's HomKeys
+        key_starts = list(itertools.accumulate((hs._keygen.size for hs in sets), initial=0))
+        if key_starts[-1] > np.iinfo(np.int64).max:
+            raise EnumerationCapError(f"hom keys of a run from {self.source.name} do not fit in 64 bits")
+        self.keys = np.concatenate([k + ks for k, ks in zip(keys, key_starts)])
+        # digit tables weighted in place, so each segment may have its own weights
+        tables = [
+            np.concatenate([hs._keygen.positions[i] * hs._keygen.weights[i] + (ks if i == 0 else 0)
+                            for hs, ks in zip(sets, key_starts)])
+            for i in range(len(self.gens))
+        ]
+        self._keygen = functools.partial(_key_sum, tables, (1,) * len(tables))
+        self.row_starts = np.cumsum([0] + [len(hs) for hs in sets])
+        self.elem_starts = np.cumsum([0] + [hs.target.order for hs in sets])
+
+    def __len__(self):
+        return int(self.row_starts[-1])
+
+    locate = KeyedRows.locate
+
+    def images(self, cols) -> np.ndarray:
+        """Every row's images of the source elements ``cols``, in run labels."""
+        out = np.empty((len(self), len(cols)), dtype=np.int32)
+        for hs, lo, first in zip(self.sets, self.row_starts.tolist(), self.elem_starts.tolist()):
+            np.add(hs.matrix[:, cols], first, out=out[lo:lo + len(hs)])
+        return out
 
 
 def _search_homs(H: FiniteGroup, G: FiniteGroup, keys: HomKeys, *,
@@ -324,9 +381,10 @@ class AutGroup:
     """Aut(G) as a permutation group on the elements of G, from the hom set End(G).
 
     ``perms`` row a is the image array of automorphism a, End row
-    ``end_rows[a]``, so the rows are in strictly increasing key order and an
-    automorphism is found from its generator images with one ``locate``.  No
-    table over Aut is built: a product a.b is located when it is needed.
+    ``end_rows[a]`` (``end_mask`` marks those End rows), so the rows are in
+    strictly increasing key order and an automorphism is found from its
+    generator images with one ``locate``.  No table over Aut is built: a
+    product a.b is located when it is needed.
     ``element_orders`` come from powering the automorphisms on the
     generators of G; ``generators`` is the greedy generating set, picked as
     ``generating_set_of_table`` picks (the highest order first, ties to the
@@ -336,7 +394,8 @@ class AutGroup:
 
     def __init__(self, ends: HomSet):
         base = self.base = ends.source
-        self.end_rows = np.flatnonzero((ends.matrix == base.identity).sum(axis=1) == 1)
+        self.end_mask = (ends.matrix == base.identity).sum(axis=1) == 1
+        self.end_rows = np.flatnonzero(self.end_mask)
         self._rows = KeyedRows(base, base, ends.matrix[self.end_rows], ends._keygen, ends.keys[self.end_rows])
         self.perms = self._rows.matrix
         self.identity = self._rows.index_of(np.arange(base.order))

@@ -4,7 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
-from grouper.approx import EndData, side_profile
+from grouper.approx import EndData
 from grouper.corpus import HomVerdicts
 from grouper.groups import FiniteGroup, generating_set_of_table, standard_group
 from grouper.homs import enumerate_homs
@@ -86,6 +86,26 @@ def oracle_inner_members(aut) -> set:
     return {index_of_row(aut.perms, t[t[g], G.inverses[g]]) for g in range(G.order)}
 
 
+def _side_profile_per_hom(hom_set, end, gen_images, phi_idx):
+    """Oracle kernel: a copy of the per-hom ``composites`` and ``side_profile`` that
+    ``corpus.classify_pair`` ran before it classified whole runs, kept apart from
+    ``approx`` so that the differential tests do not compare that kernel with itself.
+
+    Returns (approximation, bijective, surjective, Galois order) per hom of ``phi_idx``.
+    """
+    idx = hom_set.locate(gen_images)
+    n = len(hom_set)
+    rows = idx.reshape(-1, idx.shape[-1])
+    flat = rows + (np.arange(rows.shape[0]) * n)[:, None]
+    counts = np.bincount(flat.ravel(), minlength=rows.shape[0] * n).reshape(idx.shape[:-1] + (n,))
+    fixers = idx == phi_idx[:, None]
+    galois = fixers[:, end.aut_rows]
+    surjective = counts.all(axis=-1)
+    injective = (counts <= 1).all(axis=-1)
+    approximation = surjective & (fixers.sum(axis=-1) == galois.sum(axis=-1))
+    return approximation, surjective & injective, surjective, galois.sum(axis=1)
+
+
 def classify_pair_per_hom(H: FiniteGroup, G: FiniteGroup) -> HomVerdicts:
     """Oracle: compose every hom H -> G with all of End(G) and End(H), one hom at a time.
 
@@ -99,10 +119,11 @@ def classify_pair_per_hom(H: FiniteGroup, G: FiniteGroup) -> HomVerdicts:
     for i, phi in enumerate(hom_set.matrix):
         row = np.array([i])
         # target side f.phi on End(G), source side phi.f on End(H)
-        t = side_profile(hom_set, end_g, end_g.homs.matrix[None, :, phi[gens]], row)
-        s = side_profile(hom_set, end_h, phi[end_h.homs.matrix[None, :, gens]], row)
-        parts.append((t.approximation, t.bijective, s.approximation, s.bijective,
-                      t.surjective, s.surjective, t.galois.sum(axis=1), s.galois.sum(axis=1)))
+        t_approx, t_bij, t_surj, t_gal = _side_profile_per_hom(
+            hom_set, end_g, end_g.homs.matrix[None, :, phi[gens]], row)
+        s_approx, s_bij, s_surj, s_gal = _side_profile_per_hom(
+            hom_set, end_h, phi[end_h.homs.matrix[None, :, gens]], row)
+        parts.append((t_approx, t_bij, s_approx, s_bij, t_surj, s_surj, t_gal, s_gal))
     return HomVerdicts(H, G, hom_set.matrix, *(np.concatenate(p) for p in zip(*parts)))
 
 

@@ -1,5 +1,6 @@
 import gc
 import json
+import time
 import weakref
 
 import numpy as np
@@ -111,6 +112,17 @@ class TestSuites:
                     len(report.skipped), len(report.notes))
 
         assert counts(run_theorem_suite(moved, suite)) == counts(run_theorem_suite(corpus, suite))
+
+    @pytest.mark.parametrize("suite", ["cogalois", "reduction"])
+    def test_pair_seconds_cover_the_suite(self, suite):
+        """Each source's classification run is charged to one of its pairs, so the pair
+        times add up to most of the suite's wall time.  Fresh copies: empty memos."""
+        corpus = [G.renamed(G.name) for G in generate_corpus(12)]
+        t0 = time.perf_counter()
+        report = run_theorem_suite(corpus, suite)
+        wall = time.perf_counter() - t0
+        assert len(report.pair_seconds) == report.pairs_examined == len(corpus) ** 2
+        assert sum(report.pair_seconds.values()) >= 0.5 * wall
 
     def test_timings_separate_from_payload(self):
         report = run_theorem_suite(generate_corpus(4), "galois")

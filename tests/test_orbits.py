@@ -1,10 +1,13 @@
-"""Orbit classification in ``classify_pair`` against the per-hom oracle.
+"""Orbit classification in runs of targets against the per-hom oracle.
 
-``classify_pair`` classifies one hom per orbit of phi -> a.phi.b, for a in
-Aut(G) and b in Aut(H), and gives the whole orbit its verdicts.  These
-tests compare it with ``conftest.classify_pair_per_hom``, which composes
-every hom with all of End(G) and End(H), and check the invariance that the
-shortcut rests on.
+``classify_source`` classifies all targets of a source in one run, and
+``classify_pair`` is a run of one target.  Both classify one hom per orbit
+of phi -> a.phi.b, for a in Aut(G) and b in Aut(H), and give the whole
+orbit its verdicts.  These tests compare them with
+``conftest.classify_pair_per_hom``, which composes every hom with all of
+End(G) and End(H), whatever the targets of a run, their order and the
+memos already filled; and they check the invariance that the shortcut
+rests on.
 """
 
 import numpy as np
@@ -13,7 +16,7 @@ from hypothesis import given, settings
 
 from conftest import classify_pair_per_hom, relabelled
 from test_properties import group_names
-from grouper.corpus import _budget_ok, _orbit_labels, classify_pair, generate_corpus
+from grouper.corpus import _budget_ok, _orbit_labels, classify_pair, classify_source, generate_corpus
 from grouper.groups import standard_group
 from grouper.homs import automorphism_group, enumerate_homs
 
@@ -40,16 +43,76 @@ def all_pairs(corpus):
     return [(H, G) for H in corpus for G in corpus if _budget_ok(H, G)]
 
 
+# which of a source's budgeted targets one run classifies, and in what order
+TARGET_ORDERS = {
+    "corpus order": lambda targets: targets,
+    "reverse order": lambda targets: targets[::-1],
+    "every other": lambda targets: targets[::2],
+}
+
+
+def run_verdicts(corpus, pick) -> dict:
+    """Verdicts by (source, target) name from one ``classify_source`` run per source,
+    over fresh copies of ``corpus`` (empty memos), with the targets ``pick`` selects."""
+    fresh = [G.renamed(G.name) for G in corpus]
+    out = {}
+    for H in fresh:
+        targets = pick([G for G in fresh if _budget_ok(H, G)])
+        classify_source(H, targets)
+        for G in targets:
+            assert H.memoized(("verdicts", G))
+            out[H.name, G.name] = classify_pair(H, G)
+    return out
+
+
+def assert_runs_match_oracle(corpus):
+    """Whole-source runs, in each target order, and classify_pair, on ``corpus`` as its memos
+    stand and on fresh copies, agree with the oracle."""
+    runs = [run_verdicts(corpus, pick) for pick in TARGET_ORDERS.values()]
+    for H, G in all_pairs(corpus):
+        want = classify_pair_per_hom(H, G)
+        assert_same_verdicts(classify_pair(H, G), want)
+        assert_same_verdicts(classify_pair(H.renamed(H.name), G.renamed(G.name)), want)
+        for got in runs:
+            if (H.name, G.name) in got:
+                assert_same_verdicts(got[H.name, G.name], want)
+
+
 class TestMatchesPerHomOracle:
     def test_every_pair_at_max_order_16(self):
-        for H, G in all_pairs(generate_corpus(16)):
-            assert_same_verdicts(classify_pair(H, G), classify_pair_per_hom(H, G))
+        assert_runs_match_oracle(generate_corpus(16))
 
     def test_every_pair_of_a_relabelled_corpus(self):
         rng = np.random.default_rng(11)
-        corpus = [relabelled(G, rng.permutation(G.order)) for G in generate_corpus(12)]
+        assert_runs_match_oracle([relabelled(G, rng.permutation(G.order)) for G in generate_corpus(12)])
+
+    @pytest.mark.parametrize("chunk", [1, 50, 700])
+    def test_chunk_boundaries(self, monkeypatch, chunk):
+        """Chunks of one representative, and chunks that cut across segments."""
+        monkeypatch.setattr("grouper.corpus._CHUNK", chunk)
+        corpus = generate_corpus(8)
+        got = run_verdicts(corpus, TARGET_ORDERS["corpus order"])
         for H, G in all_pairs(corpus):
-            assert_same_verdicts(classify_pair(H, G), classify_pair_per_hom(H, G))
+            assert_same_verdicts(got[H.name, G.name], classify_pair_per_hom(H, G))
+
+    @pytest.mark.parametrize("names", [
+        ["cyclic:1", "cyclic:2", "cyclic:3", "symmetric:3", "quaternion8", "cyclic:2"],
+        ["cyclic:1", "cyclic:2"],
+    ])
+    def test_runs_with_trivial_aut_targets_and_one_hom_pairs(self, names):
+        """Aut(C1) and Aut(C2) are trivial; C1 -> G, G -> C1 and C3 -> C2 have one hom each.
+        A target may be listed twice.  The groups are fresh copies, with empty memos."""
+        fresh = {n: standard_group(n).renamed(n) for n in names}
+        groups = [fresh[n] for n in names]
+        one_hom = 0
+        for H in groups:
+            classify_source(H, groups)
+            for G in groups:
+                assert H.memoized(("verdicts", G))
+                got = classify_pair(H, G)
+                assert_same_verdicts(got, classify_pair_per_hom(H, G))
+                one_hom += len(got) == 1
+        assert one_hom >= 2 * len(groups) - 1
 
     @given(group_names, group_names)
     @settings(max_examples=40, deadline=None)

@@ -87,3 +87,42 @@ def test_bench_pairs_prints_one_summary_line_per_metric(tmp_path):
     assert proc.returncode == 0, proc.stderr
     summary = [line for line in proc.stdout.splitlines() if line.startswith("# t:")]
     assert summary == ["# t: parent median 2, change median 1.5 s; change lower in 3 of 3 pairs"]
+
+
+def run_compare_verify(parent, change, suite="cogalois", max_order=4):
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "compare_verify.py"), str(parent), str(change),
+         "--suite", suite, "--max-order", str(max_order)],
+        capture_output=True, text=True, timeout=300,
+    )
+
+
+def test_compare_verify_of_this_checkout_with_itself():
+    proc = run_compare_verify(ROOT, ROOT)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "identical: cogalois at max-order 4"
+
+
+def fake_grouper(root: Path, body: str) -> Path:
+    """A directory whose src/grouper/cli.py is the script `body`."""
+    (root / "src" / "grouper").mkdir(parents=True)
+    (root / "src" / "grouper" / "__init__.py").write_text("")
+    (root / "src" / "grouper" / "cli.py").write_text(body)
+    return root
+
+
+def test_compare_verify_prints_the_first_differing_line(tmp_path):
+    parent = fake_grouper(tmp_path / "parent", "print('{')\nprint('  \"pairs\": 4')\nprint('}')\n")
+    change = fake_grouper(tmp_path / "change", "print('{')\nprint('  \"pairs\": 5')\nprint('}')\n")
+    proc = run_compare_verify(parent, change)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout.splitlines()[-3:] == [
+        "differ at line 2:", '  parent:   "pairs": 4', '  change:   "pairs": 5']
+
+
+def test_compare_verify_reports_a_failing_run(tmp_path):
+    good = fake_grouper(tmp_path / "good", "print('{}')\n")
+    bad = fake_grouper(tmp_path / "bad", "import sys\nprint('boom', file=sys.stderr)\nsys.exit(2)\n")
+    proc = run_compare_verify(good, bad)
+    assert proc.returncode == 2
+    assert "verify exited 2" in proc.stderr and "boom" in proc.stderr
