@@ -39,7 +39,7 @@ from .errors import (
     UnreadableInput,
 )
 from .groups import FiniteGroup, GroupHom, describe_structure
-from .homs import _extend_batch, _gen_array, _word_entries, enumerate_homs
+from .homs import _extend_batch, _gen_array, enumerate_homs
 from .simple import simple_envelope_criterion, structural_flags
 from .specs import parse_group_spec
 
@@ -76,7 +76,7 @@ def _load_hom(path: str, H: FiniteGroup, G: FiniteGroup) -> GroupHom:
         raise MalformedHom(f"hom file {path} contains out-of-range elements")
     images = np.array(values, dtype=np.int32)
     if len(values) != H.order:  # generator images: extend along words
-        images = _extend_batch(H, G, _word_entries(H, gens), images[None, :])[0]
+        images = _extend_batch(H, G.table, G.identity, images[None, :])[0]
     try:
         return GroupHom(H, G, images)
     except ValueError as exc:

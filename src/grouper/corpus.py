@@ -28,7 +28,7 @@ from .approx import (
 )
 from .commutators import LemmaConfig, check_commutator_lemmas, nilpotency_class
 from .groups import FiniteGroup, GroupHom, are_isomorphic, standard_group
-from .homs import HomRun, _gen_array, automorphism_group, enumerate_homs, first_per_key
+from .homs import HomRun, _gen_array, automorphism_group, enumerate_homs, enumerate_source, first_per_key
 
 PAIR_BUDGET = 100_000_000
 CORPUS_CAP = 512
@@ -136,7 +136,12 @@ def classify_pair(H: FiniteGroup, G: FiniteGroup) -> HomVerdicts:
 
 def classify_source(H: FiniteGroup, targets) -> None:
     """Classify every hom H -> G, for each G of ``targets`` that H has no verdicts for,
-    in one run; ``classify_pair`` then reads them from H's memo."""
+    in one run; ``classify_pair`` then reads them from H's memo.
+
+    The run's hom sets come from one walk over all of those targets
+    (``homs.enumerate_source``), which fills H's hom-set memo for each
+    target that it does not hold yet.
+    """
     todo = [G for G in {id(G): G for G in targets}.values() if not H.memoized(("verdicts", G))]
     if todo:
         for G, v in zip(todo, _classify_run(H, todo)):
@@ -189,12 +194,15 @@ def _classify_run(H: FiniteGroup, targets) -> list:
     of phi, so the approximation test agrees and the Galois groups are
     conjugate.  The source side is dual.
 
-    The hom sets lie end to end in a ``HomRun``.  Orbits are labelled over
+    ``enumerate_source`` first searches the hom sets of every target in one
+    walk; the ``enumerate_homs`` calls per target then read H's memo.  The
+    hom sets lie end to end in a ``HomRun``.  Orbits are labelled over
     the whole run, and the representatives are composed with their
     segment's End(G) and with End(H), at most ``_CHUNK`` composites (and
     counted homs) at a time; each side of a chunk is one ``side_profile``
     over all of its segments.
     """
+    enumerate_source(H, targets)
     hom_sets, end_gs = [], []
     for G in targets:
         hom_sets.append(enumerate_homs(H, G))
@@ -487,11 +495,12 @@ def run_theorem_suite(
 
     Pairs run serially, in corpus order.  The classification suites
     (cogalois, galois, reduction) batch by source: before the first pair
-    of a source H, ``classify_source`` classifies H against all of its
-    budgeted targets in one run and memoizes the verdicts on H, and the
-    pair workers then read them through ``classify_pair``.  That pair's
-    time in ``pair_seconds`` includes the run.  ``jobs`` is accepted for
-    compatibility and has no effect.
+    of a source H, ``classify_source`` enumerates the homs from H to all
+    of its budgeted targets in one walk, classifies them in one run and
+    memoizes the verdicts on H, and the pair workers then read them
+    through ``classify_pair``.  That pair's time in ``pair_seconds``
+    includes the run.  ``jobs`` is accepted for compatibility and has no
+    effect.
     """
     if suite not in SUITE_IDS:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITE_IDS}")

@@ -6,21 +6,27 @@ elements of G whose order divides the generator's, sorted ascending, and
 a candidate is one image from each list.  Its key is the mixed-radix
 number whose digits are the positions of those images in the lists, so
 keys run over 0..size-1 in the lexicographic order of the candidates.
-``_search_homs`` walks that space in key order, block by block, and keeps
-the candidates whose products of two generator images have orders
-dividing those in H, then those that satisfy the hom equations; no random
-numbers are drawn.  Every hom set is therefore in canonical order,
-strictly increasing in key, and ``np.searchsorted`` over the keys finds
-the index of any hom.  Keys are below the candidate-space size (at most
-``CANDIDATE_CAP``), so they fit an ``int64`` for every pair that
-``enumerate_homs`` accepts.
+
+``enumerate_source(H, targets)`` searches the candidate spaces of all the
+given targets of H in one walk (``_Walk``), with what the search needs of
+H alone built once (``_search_plan``).  A candidate is kept when the
+products of two generator images have orders dividing those in H, then
+when it satisfies the hom equations; no random numbers are drawn.  A hom's
+key is its place in its target's walk, so every hom set comes in canonical
+order, strictly increasing in key, and ``np.searchsorted`` over the keys
+finds the index of any hom.  Keys are below the candidate-space size (at
+most ``CANDIDATE_CAP``), so they fit an ``int64`` for every pair that
+``enumerate_homs`` accepts.  ``enumerate_homs(H, G)`` is a walk of one
+target, and ``find_isomorphism`` walks the same way over equal-order lists.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
+from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
@@ -77,34 +83,49 @@ def _divisor_positions(G: FiniteGroup, o: int) -> tuple:
     return G.memo(("divisor_positions", o), compute)
 
 
-def _word_entries(H: FiniteGroup, gens: list) -> list:
-    """Breadth-first word table: (element, parent, generator position) triples."""
-    seen = [False] * H.order
-    seen[H.identity] = True
-    queue = [H.identity]
-    entries = []
-    i = 0
-    while i < len(queue):
-        cur = queue[i]
-        for gp, g in enumerate(gens):
-            nxt = int(H.table[cur, g])
-            if not seen[nxt]:
-                seen[nxt] = True
-                entries.append((nxt, cur, gp))
-                queue.append(nxt)
-        i += 1
-    if len(queue) != H.order:
-        raise ValueError("generators do not generate the group")
-    return entries
+def _search_plan(H: FiniteGroup) -> SimpleNamespace:
+    """What a hom search from H needs of H alone, memoized on H.
+
+    ``gens`` is ``_gen_array(H)`` as a list; ``entries`` the breadth-first
+    word table, (element, parent, generator position) triples in which
+    element = parent * gens[position]; ``pair_orders`` holds (a, b, o) for
+    each ordered pair of generator positions, o the order of gens[a] gens[b].
+    """
+
+    def compute():
+        gens = _gen_array(H).tolist()
+        seen = [False] * H.order
+        seen[H.identity] = True
+        queue, entries = [H.identity], []
+        for cur in queue:
+            for gp, g in enumerate(gens):
+                nxt = int(H.table[cur, g])
+                if not seen[nxt]:
+                    seen[nxt] = True
+                    entries.append((nxt, cur, gp))
+                    queue.append(nxt)
+        if len(queue) != H.order:
+            raise ValueError("generators do not generate the group")
+        pair_orders = [(a, b, int(H.element_orders[H.table[x, y]]))
+                       for a, x in enumerate(gens) for b, y in enumerate(gens)]
+        return SimpleNamespace(gens=gens, entries=entries, pair_orders=pair_orders)
+
+    return H.memo("search_plan", compute)
 
 
-def _extend_batch(H: FiniteGroup, G: FiniteGroup, entries, gen_cols: np.ndarray) -> np.ndarray:
-    B = gen_cols.shape[0]
-    images = np.empty((B, H.order), dtype=np.int32)
-    images[:, H.identity] = G.identity
-    tG = G.table
-    for elem, parent, gp in entries:
-        images[:, elem] = tG[images[:, parent], gen_cols[:, gp]]
+def _extend_batch(H: FiniteGroup, table: np.ndarray, identity, gen_cols: np.ndarray) -> np.ndarray:
+    """Each candidate's images of every element of H, extended from its generator images.
+
+    Row i of ``gen_cols`` holds candidate i's images of ``_gen_array(H)``
+    as columns of ``table``; ``identity`` is the row of the identity (one
+    per candidate, or one for all), and ``table[r, c]`` the row of the
+    product of row r and column c.  For a single target G these are
+    ``G.table``, ``G.identity`` and the images themselves.
+    """
+    images = np.empty((gen_cols.shape[0], H.order), dtype=np.int32)
+    images[:, H.identity] = identity
+    for elem, parent, gp in _search_plan(H).entries:
+        images[:, elem] = table[images[:, parent], gen_cols[:, gp]]
     return images
 
 
@@ -150,38 +171,28 @@ def _key_sum(positions, weights, gen_images: np.ndarray) -> np.ndarray:
 class KeyedRows:
     """Image rows of homs source -> target, in strictly increasing key order.
 
-    Row ``r`` is the image array of a hom and ``keys[r]`` its ``HomKeys``
-    key; keys are computed on first use, unless the caller passes the rows'
-    keys (say, a subset of another ``KeyedRows``'s).  ``locate`` maps
-    generator images of member homs to row indices with one ``searchsorted``.
+    Row ``r`` is the image array of a hom and ``keys[r]`` its key under
+    ``keygen``, the ``HomKeys(source, target)``; the caller passes the keys
+    (from the walk, or a subset of another ``KeyedRows``'s).  ``locate``
+    maps generator images of member homs to row indices with one
+    ``searchsorted``.
     """
 
-    __slots__ = ("source", "target", "matrix", "gens", "_keygen", "_keys")
+    __slots__ = ("source", "target", "matrix", "gens", "_keygen", "keys")
 
-    def __init__(self, source: FiniteGroup, target: FiniteGroup, matrix: np.ndarray, keygen=None,
-                 keys: Optional[np.ndarray] = None):
+    def __init__(self, source: FiniteGroup, target: FiniteGroup, matrix: np.ndarray, keygen: HomKeys,
+                 keys: np.ndarray):
         self.source = source
         self.target = target
         self.matrix = np.ascontiguousarray(matrix, dtype=np.int32)
         self.gens = _gen_array(source)  # the source generators whose images identify a hom
-        self._keygen = keygen  # the HomKeys(source, target) to reuse, if the caller has one
-        self._keys = None if keys is None else self._increasing(keys)
+        self._keygen = keygen
+        if (keys[1:] <= keys[:-1]).any():
+            raise ValueError("hom rows are not in strictly increasing key order")
+        self.keys = keys
 
     def __len__(self):
         return int(self.matrix.shape[0])
-
-    @staticmethod
-    def _increasing(keys: np.ndarray) -> np.ndarray:
-        if (np.diff(keys) <= 0).any():
-            raise ValueError("hom rows are not in strictly increasing key order")
-        return keys
-
-    @property
-    def keys(self) -> np.ndarray:
-        if self._keys is None:
-            self._keygen = self._keygen or HomKeys(self.source, self.target)
-            self._keys = self._increasing(self._keygen(self.matrix[:, self.gens]))
-        return self._keys
 
     def locate(self, gen_images: np.ndarray) -> np.ndarray:
         """Row index of each row of generator images; every one must be a member's.
@@ -256,7 +267,7 @@ class HomRun:
     def __init__(self, hom_sets):
         sets = self.sets = list(hom_sets)
         self.source, self.gens = sets[0].source, sets[0].gens
-        keys = [hs.keys for hs in sets]  # also fills each set's HomKeys
+        keys = [hs.keys for hs in sets]
         key_starts = list(itertools.accumulate((hs._keygen.size for hs in sets), initial=0))
         if key_starts[-1] > np.iinfo(np.int64).max:
             raise EnumerationCapError(f"hom keys of a run from {self.source.name} do not fit in 64 bits")
@@ -284,81 +295,150 @@ class HomRun:
         return out
 
 
-def _search_homs(H: FiniteGroup, G: FiniteGroup, keys: HomKeys, *,
-                 first_bijection: bool = False) -> np.ndarray:
-    """Image rows of the homs H -> G in key order, or just the first bijection.
+class _Walk:
+    """The candidate spaces of homs H -> G_t, for the targets G_0, ..., G_m-1, walked as one.
 
-    Walks the candidate space ``keys`` = ``HomKeys(H, G)`` in blocks of key
-    order, so a candidate's number in the walk is its key.  A candidate is kept
-    when, for each pair of generators a, b, the image of a b has an order
-    dividing that of a b in H, and when the row it extends to along
-    ``_word_entries`` satisfies f(x g) = f(x) f(g) for every x and each
-    generator g, checked one generator and ``_COLS`` elements x at a time.
-    Those equations suffice: f maps the identity to the identity, so
-    induction on the length of y as a word in the generators gives
-    f(x y) = f(x) f(y).
-
-    A bijection keeps every element's order, so for it ``may_image`` asks
-    for equal orders instead of dividing ones: the walk covers only the
-    generator images of the generators' own orders (sublists of
-    ``keys.lists``, in the same lexicographic order, and these sizes are
-    what ``CANDIDATE_CAP`` bounds), and the image of a b must have the
-    order of a b.  It also keeps only a trivial kernel: the identity is
-    the only element mapped to the identity, so with |H| = |G| the hom is
-    bijective.
+    ``lists[t]`` holds the possible images of each generator of
+    ``_gen_array(H)`` in G_t, ascending.  The spaces lie end to end:
+    position ``starts[t] + i`` of the walk is candidate i of target t in the
+    lexicographic order of ``lists[t]`` (its key, when those are the
+    ``HomKeys`` lists).  The walk goes in blocks of at most ``_BATCH``
+    candidates, and a block may span targets.  Products are read from the
+    run table, (sum |G_t|) x max |G_t|, whose row ``lo_t + x`` holds row x
+    of G_t raised by ``lo_t``: an image is held as its row ``lo_t + x``, a
+    generator image also as its column x, and a product is one lookup
+    whatever its target.  For a walk of one target the run table is
+    ``G.table`` itself.  With ``bijective``, a candidate must send only the
+    identity to the identity, and the products of two generator images must
+    have the orders of those in H, not just divide them.
     """
-    gens = keys.gens.tolist()
-    tH, tG = H.table, G.table
-    ordH, ordG = H.element_orders, G.element_orders
 
-    def may_image(o: int) -> np.ndarray:
-        """Mask of the elements of G that can image an element of order o."""
-        return ordG == o if first_bijection else o % ordG == 0
+    def __init__(self, H: FiniteGroup, targets, lists, *, bijective: bool = False):
+        self.H, self.bijective = H, bijective
+        sizes = [math.prod(len(m) for m in ls) for ls in lists]
+        for G, size in zip(targets, sizes):
+            if size > CANDIDATE_CAP:
+                raise EnumerationCapError(
+                    f"candidate space {size} for Hom({H.name},{G.name}) exceeds {CANDIDATE_CAP}"
+                )
+        self.starts = [0, *itertools.accumulate(sizes)]
+        self.ends = np.array(self.starts[1:])
+        self.elem_lo = np.array([0, *itertools.accumulate(G.order for G in targets)])
+        if len(targets) == 1:
+            (G,) = targets
+            self.table, orders = G.table, G.element_orders
+        else:
+            self.table = np.zeros((self.elem_lo[-1], max(G.order for G in targets)), dtype=np.int32)
+            for G, lo in zip(targets, self.elem_lo.tolist()):
+                self.table[lo:lo + G.order, :G.order] = G.table + lo
+            orders = np.concatenate([G.element_orders for G in targets])
+        self.identity = np.array([G.identity + lo for G, lo in zip(targets, self.elem_lo.tolist())])
+        self.allowed = {o: orders == o if bijective else o % orders == 0
+                        for o in {o for _, _, o in _search_plan(H).pair_orders}}
+        self.lists = lists
 
-    lists = [m[may_image(o)[m]] for m, o in zip(keys.lists, ordH[gens].tolist())]
-    size = math.prod(len(m) for m in lists)
-    if size > CANDIDATE_CAP:
-        raise EnumerationCapError(
-            f"candidate space {size} for Hom({H.name},{G.name}) exceeds {CANDIDATE_CAP}"
-        )
-    entries = _word_entries(H, gens)
-    pair_words = [(a, b, may_image(int(ordH[tH[x, y]])))
-                  for a, x in enumerate(gens) for b, y in enumerate(gens)]
-    found = []
-    for lo in range(0, size, _BATCH):
-        cols = lex_rows(lists, lo, min(lo + _BATCH, size))
-        keep = np.ones(len(cols), dtype=bool)
-        for a, b, allowed in pair_words:
-            keep &= allowed[tG[cols[:, a], cols[:, b]]]
-        cols = cols[keep]
-        if not len(cols):
-            continue
-        images = _extend_batch(H, G, entries, cols)
-        if first_bijection:
-            images = images[(images == G.identity).sum(axis=1) == 1]
-        for g in gens:
+    @property
+    def blocks(self) -> range:
+        return range(0, self.starts[-1], _BATCH)
+
+    def _targets(self, pos: np.ndarray) -> np.ndarray:
+        return self.ends.searchsorted(pos, side="right")
+
+    def survivors(self, lo: int) -> tuple:
+        """(positions, columns) of the candidates, in the block from ``lo`` on, whose products
+        of two generator images have orders allowed by H."""
+        hi = min(lo + _BATCH, self.starts[-1])
+        cols, rows = [], []
+        for t in range(bisect.bisect_right(self.starts, lo) - 1, bisect.bisect_left(self.starts, hi)):
+            first, last = self.starts[t], self.starts[t + 1]
+            cols.append(lex_rows(self.lists[t], max(lo, first) - first, min(hi, last) - first))
+            rows.append(cols[-1] + self.elem_lo[t])
+        cols, rows = (np.concatenate(x) if len(x) > 1 else x[0] for x in (cols, rows))
+        keep = np.ones(hi - lo, dtype=bool)
+        for a, b, o in _search_plan(self.H).pair_orders:
+            keep &= self.allowed[o][self.table[rows[:, a], cols[:, b]]]
+        return np.arange(lo, hi)[keep], cols[keep]
+
+    def homs(self, pos: np.ndarray, cols: np.ndarray) -> tuple:
+        """(positions, images) of the homs among the candidates at ``pos`` with generator
+        images ``cols``.
+
+        The row a candidate extends to satisfies f(x g) = f(x) f(g) for
+        every x and each generator g, checked one generator and ``_COLS``
+        elements x at a time.  Those equations suffice: f maps the identity
+        to the identity, so induction on the length of y as a word in the
+        generators gives f(x y) = f(x) f(y).  The images are in G_t's own
+        labels.
+        """
+        H = self.H
+        identity = self.identity[self._targets(pos)]
+        images = _extend_batch(H, self.table, identity, cols)
+        if self.bijective:  # a trivial kernel, so with |H| = |G| the hom is bijective
+            one = (images == identity[:, None]).sum(axis=1) == 1
+            images, pos, cols = images[one], pos[one], cols[one]
+        tH, table = H.table, self.table
+        for j, g in enumerate(_search_plan(H).gens):
             for x in range(0, H.order, _COLS):
                 x = slice(x, x + _COLS)
-                images = images[(images[:, tH[x, g]] == tG[images[:, x], images[:, g, None]]).all(axis=1)]
-        if first_bijection and len(images):
-            return images[:1]
-        found.append(images)
-    return np.concatenate(found) if found else np.empty((0, H.order), dtype=np.int32)
+                ok = (images[:, tH[x, g]] == table[images[:, x], cols[:, j, None]]).all(axis=1)
+                images, pos, cols = images[ok], pos[ok], cols[ok]
+        images -= self.elem_lo[self._targets(pos), None]
+        return pos, images
+
+    def hom_rows(self) -> list:
+        """(images, keys) of every target's homs, in key order.
+
+        A walk of one block keeps that block's rows.  A longer walk first
+        finds every block's survivors of the product orders, then writes
+        each block's homs into one array with a row per survivor: its pages
+        past the last hom are never written, and the homs are never held
+        twice.
+        """
+        found = [self.survivors(lo) for lo in self.blocks]
+        if len(found) == 1:
+            pos, images = self.homs(*found[0])
+        else:
+            room = sum(len(p) for p, _ in found)
+            images = np.empty((room, self.H.order), dtype=np.int32)
+            pos = np.empty(room, dtype=np.int64)
+            n = 0
+            for block in found:
+                p, rows = self.homs(*block)
+                images[n:n + len(p)], pos[n:n + len(p)] = rows, p
+                n += len(p)
+            images, pos = images[:n], pos[:n]
+        bounds = pos.searchsorted(self.starts).tolist()
+        return [(images[a:b], pos[a:b] - start) for a, b, start in zip(bounds, bounds[1:], self.starts)]
+
+
+def _hom_sets(H: FiniteGroup, targets) -> list:
+    """The ``HomSet`` of H -> G for each G of ``targets``, from one walk."""
+    spaces = []
+    for G in targets:
+        if H.order > EXHAUSTIVE_CAP or G.order > EXHAUSTIVE_CAP:
+            raise EnumerationCapError(
+                f"exhaustive enumeration capped at order {EXHAUSTIVE_CAP} "
+                f"(got |{H.name}|={H.order}, |{G.name}|={G.order})"
+            )
+        spaces.append(HomKeys(H, G))
+    walk = _Walk(H, targets, [space.lists for space in spaces])
+    return [HomSet(H, G, images, space, keys=keys)
+            for G, space, (images, keys) in zip(targets, spaces, walk.hom_rows())]
+
+
+def enumerate_source(H: FiniteGroup, targets) -> None:
+    """Enumerate Hom(H, G), for each G of ``targets`` that H holds no hom set for, in one
+    walk; ``enumerate_homs`` then reads them from H's memo."""
+    todo = [G for G in {id(G): G for G in targets}.values() if not H.memoized(("homs", G))]
+    if todo:
+        for G, hs in zip(todo, _hom_sets(H, todo)):
+            H.memo(("homs", G), lambda hs=hs: hs)
 
 
 def enumerate_homs(H: FiniteGroup, G: FiniteGroup) -> HomSet:
-    """All homomorphisms H -> G, canonically ordered, duplicate-free; memoized on H."""
-    if H.order > EXHAUSTIVE_CAP or G.order > EXHAUSTIVE_CAP:
-        raise EnumerationCapError(
-            f"exhaustive enumeration capped at order {EXHAUSTIVE_CAP} "
-            f"(got |{H.name}|={H.order}, |{G.name}|={G.order})"
-        )
-
-    def compute():
-        keys = HomKeys(H, G)
-        return HomSet(H, G, _search_homs(H, G, keys), keys)
-
-    return H.memo(("homs", G), compute)
+    """All homomorphisms H -> G, canonically ordered, duplicate-free, as a walk of one
+    target; memoized on H."""
+    return H.memo(("homs", G), lambda: _hom_sets(H, [G])[0])
 
 
 def end_set(G: FiniteGroup) -> HomSet:
@@ -366,15 +446,24 @@ def end_set(G: FiniteGroup) -> HomSet:
 
 
 def find_isomorphism(G1: FiniteGroup, G2: FiniteGroup):
-    """First bijective homomorphism in canonical order, or None."""
+    """First bijective homomorphism in canonical order, or None.
+
+    The walk covers only the generator images of the generators' own orders
+    (sublists of the ``HomKeys`` lists, in the same lexicographic order);
+    their sizes are what ``CANDIDATE_CAP`` bounds.
+    """
     if G1.order != G2.order:
         return None
     if G1.order > EXHAUSTIVE_CAP:
         raise EnumerationCapError(f"isomorphism search capped at order {EXHAUSTIVE_CAP}")
-    matrix = _search_homs(G1, G2, HomKeys(G1, G2), first_bijection=True)
-    if matrix.shape[0] == 0:
-        return None
-    return GroupHom(G1, G2, matrix[0], check=False)
+    space, orders = HomKeys(G1, G2), G2.element_orders
+    lists = [m[orders[m] == o] for m, o in zip(space.lists, G1.element_orders[space.gens].tolist())]
+    walk = _Walk(G1, [G2], [lists], bijective=True)
+    for lo in walk.blocks:
+        images = walk.homs(*walk.survivors(lo))[1]
+        if len(images):
+            return GroupHom(G1, G2, images[0], check=False)
+    return None
 
 
 class AutGroup:

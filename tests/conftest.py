@@ -7,7 +7,7 @@ import pytest
 from grouper.approx import EndData
 from grouper.corpus import HomVerdicts
 from grouper.groups import FiniteGroup, generating_set_of_table, standard_group
-from grouper.homs import enumerate_homs
+from grouper.homs import _gen_array, enumerate_homs
 
 
 @pytest.fixture(scope="session")
@@ -125,6 +125,50 @@ def classify_pair_per_hom(H: FiniteGroup, G: FiniteGroup) -> HomVerdicts:
             hom_set, end_h, phi[end_h.homs.matrix[None, :, gens]], row)
         parts.append((t_approx, t_bij, s_approx, s_bij, t_surj, s_surj, t_gal, s_gal))
     return HomVerdicts(H, G, hom_set.matrix, *(np.concatenate(p) for p in zip(*parts)))
+
+
+def oracle_hom_rows(H: FiniteGroup, G: FiniteGroup):
+    """Oracle: (rows, keys) of Hom(H, G) from all |G|^k images of the k generators ``_gen_array(H)``.
+
+    No order filter: each generator tuple is extended along breadth-first
+    words in the generators, and a row is kept when it sends each generator
+    to its entry of the tuple and f(x y) = f(x) f(y) holds on the whole
+    table of H.  Rows are sorted by their ``HomKeys`` key, computed here
+    from the ranks of the generator images among the elements of G whose
+    order divides the generator's.  Tuples go 4096 at a time; only usable
+    while |G|^k tuples are few.
+    """
+    gens = _gen_array(H).tolist()
+    words = []  # (element, parent, generator position), breadth first
+    reached = {H.identity}
+    for cur in itertools.chain([H.identity], (w[0] for w in words)):
+        for i, g in enumerate(gens):
+            nxt = int(H.table[cur, g])
+            if nxt not in reached:
+                reached.add(nxt)
+                words.append((nxt, cur, i))
+    assert len(reached) == H.order
+    digits, radix = [], []
+    for g in gens:
+        divides = H.element_orders[g] % G.element_orders == 0
+        digits.append(np.cumsum(divides) - 1)
+        radix.append(int(divides.sum()))
+    weights = [int(np.prod(radix[i + 1:])) for i in range(len(gens))]
+    tuples = np.array(list(itertools.product(range(G.order), repeat=len(gens))), dtype=np.intp)
+    rows, keys = [], []
+    for lo in range(0, len(tuples), 4096):
+        t = tuples[lo:lo + 4096]
+        images = np.empty((len(t), H.order), dtype=np.int64)
+        images[:, H.identity] = G.identity
+        for elem, parent, i in words:
+            images[:, elem] = G.table[images[:, parent], t[:, i]]
+        ok = (images[:, H.table] == G.table[images[:, :, None], images[:, None, :]]).all(axis=(1, 2))
+        ok &= (images[:, gens] == t).all(axis=1)  # a generator may be the identity
+        rows.append(images[ok])
+        keys.append(sum(digits[i][t[ok, i]] * weights[i] for i in range(len(gens))))
+    rows, keys = np.concatenate(rows), np.concatenate(keys).astype(np.int64)
+    order = keys.argsort()
+    return rows[order].astype(np.int32), keys[order]
 
 
 def naive_hom_images(H: FiniteGroup, G: FiniteGroup):

@@ -109,3 +109,20 @@ def test_building_aut_of_c3_cubed_stays_small():
     assert proc.returncode == 0, proc.stderr
     peak_mb = int(proc.stdout) / (1024 * 1024 if sys.platform == "darwin" else 1024)
     assert peak_mb < 150
+
+
+def test_enumerating_end_of_c4_cubed_holds_its_rows_once():
+    """Memory guard: End(C4 x C4 x C4) has 262 144 rows of 64 images, a 67 MB matrix."""
+    code = (
+        "import resource\n"
+        "from grouper.groups import standard_group\n"
+        "from grouper.homs import end_set\n"
+        "assert len(end_set(standard_group('product:cyclic:4,cyclic:4,cyclic:4'))) == 4 ** 9\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    peak_mb = int(proc.stdout) / (1024 * 1024 if sys.platform == "darwin" else 1024)
+    assert peak_mb < 125

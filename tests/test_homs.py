@@ -1,8 +1,18 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from conftest import forget_memos, naive_hom_images, oracle_aut_table, oracle_inner_members, relabelled
-from grouper.corpus import generate_corpus
+from conftest import (
+    forget_memos,
+    naive_hom_images,
+    oracle_aut_table,
+    oracle_hom_rows,
+    oracle_inner_members,
+    relabelled,
+)
+from grouper import homs
+from grouper.corpus import _budget_ok, classify_source, generate_corpus
 from grouper.errors import EnumerationCapError
 from grouper.groups import GroupHom, are_isomorphic, lex_rows, standard_group
 from grouper.homs import (
@@ -13,6 +23,7 @@ from grouper.homs import (
     automorphism_group,
     end_set,
     enumerate_homs,
+    enumerate_source,
     find_isomorphism,
     first_per_key,
 )
@@ -39,6 +50,59 @@ class TestOracleEquivalence:
         H, G = standard_group(src), standard_group(tgt)
         got = sorted(tuple(int(x) for x in row) for row in enumerate_homs(H, G).matrix)
         assert got == naive_hom_images(H, G)
+
+
+def fresh(G):
+    """G again as a new group with its own, empty memo."""
+    return relabelled(G, np.arange(G.order))
+
+
+def digest(hom_set) -> tuple:
+    return tuple(hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+                 for a in (hom_set.matrix, hom_set.keys))
+
+
+class TestRunsAgainstOracle:
+    """One walk over all targets of a source against ``conftest.oracle_hom_rows``."""
+
+    @pytest.mark.parametrize("seed", [None, 5])
+    @pytest.mark.parametrize("batch", [homs._BATCH, 7])
+    def test_run_rows_and_keys_match_oracle(self, monkeypatch, seed, batch):
+        """Every pair of generate_corpus(12), as is and relabelled; with 7 candidates a
+        block, blocks span targets and the homs go through the counted preallocation."""
+        monkeypatch.setattr(homs, "_BATCH", batch)
+        rng = np.random.default_rng(seed)
+        corpus = [fresh(G) if seed is None else relabelled(G, rng.permutation(G.order))
+                  for G in generate_corpus(12)]
+        for H in corpus:
+            enumerate_source(H, corpus)
+            for G in corpus:
+                hs = enumerate_homs(H, G)
+                rows, keys = oracle_hom_rows(H, G)
+                assert hs.matrix.shape == rows.shape and (hs.matrix == rows).all(), (H.name, G.name)
+                assert hs.keys.dtype == np.int64 and (hs.keys == keys).all(), (H.name, G.name)
+
+    def test_classify_source_fills_what_single_walks_find(self):
+        """Every pair of generate_corpus(20): the hom sets a source's run fills equal
+        ``enumerate_homs`` on fresh copies of the two groups, a walk of one target."""
+        corpus = [fresh(G) for G in generate_corpus(20)]
+        copies = {id(G): fresh(G) for G in corpus}
+        for H in corpus:
+            targets = [G for G in corpus if _budget_ok(H, G)]
+            classify_source(H, targets)
+            for G in targets:
+                alone = enumerate_homs(copies[id(H)], copies[id(G)])
+                assert digest(enumerate_homs(H, G)) == digest(alone), (H.name, G.name)
+
+    def test_find_isomorphism_is_oracle_first_bijection(self):
+        """Each member of a relabelled generate_corpus(16) against its relabelling, both ways."""
+        rng = np.random.default_rng(9)
+        for G in generate_corpus(16):
+            moved = relabelled(G, rng.permutation(G.order))
+            for H, K in ((G, moved), (moved, G)):
+                rows, _ = oracle_hom_rows(H, K)
+                first = next(row for row in rows if len(np.unique(row)) == K.order)
+                assert (find_isomorphism(H, K).images == first).all(), (H.name, K.name)
 
 
 class TestKnownCounts:
