@@ -332,17 +332,16 @@ def classify_against_class(phi: GroupHom, cls: GroupClass, side: str) -> Relativ
             break
         inj_all = inj_all and bool(comp.injective)
     pre = in_class and surj_all
-    end = enumerate_homs(X, X)
-    comp_x = end.matrix[:, phi.images] if envelope else phi.images[end.matrix]
-    fixers = np.nonzero((comp_x == phi.images[None, :]).all(axis=1))[0]
-    bij = (np.sort(end.matrix[fixers], axis=1) == np.arange(X.order)).all(axis=1)
-    approx = pre and bool(bij.all())
-    if pre and not bij.all():
-        bad = int(fixers[np.nonzero(~bij)[0][0]])
+    end = EndData(X)
+    comp_x = end.homs.matrix[:, phi.images] if envelope else phi.images[end.homs.matrix]
+    fixers = (comp_x == phi.images[None, :]).all(axis=1)
+    non_aut = fixers & ~end.aut.end_mask
+    approx = pre and not non_aut.any()
+    if pre and non_aut.any():
         witnesses.append(Witness("isApproximation", "non-automorphism-preimage",
-                                 {"endomorphism": end.matrix[bad].tolist()}))
+                                 {"endomorphism": end.homs.matrix[np.argmax(non_aut)].tolist()}))
     unique = approx and surj_all and inj_all
-    gal = galois_group(phi, "target" if envelope else "source")
+    gal = AutSubgroup(end.aut, np.flatnonzero(fixers[end.aut_rows]))
     return RelativeReport(phi, side, cls, in_class, pre, approx, unique, gal, witnesses)
 
 

@@ -21,6 +21,7 @@ from .approx import (
     EndData,
     GroupClass,
     f_socle,
+    galois_group,
     local_kernel,
     postcomposition,
     precomposition,
@@ -28,7 +29,7 @@ from .approx import (
 )
 from .commutators import LemmaConfig, check_commutator_lemmas, nilpotency_class
 from .groups import FiniteGroup, GroupHom, are_isomorphic, standard_group
-from .homs import HomRun, _gen_array, automorphism_group, enumerate_homs, enumerate_source, first_per_key
+from .homs import HomRun, _gen_array, enumerate_homs, enumerate_source, first_per_key
 
 PAIR_BUDGET = 100_000_000
 CORPUS_CAP = 512
@@ -258,13 +259,9 @@ def search_approximations(H: FiniteGroup, G: FiniteGroup, kind: str, injective_o
     }.get(kind)
     if flag is None:
         raise ValueError(f"unknown kind {kind!r}")
-    out = []
-    for i in np.nonzero(flag)[0]:
-        row = v.matrix[i]
-        if injective_only and len(np.unique(row)) != H.order:
-            continue
-        out.append(GroupHom(H, G, row, check=False))
-    return out
+    if injective_only:
+        flag = flag & (enumerate_homs(H, G).sorted_images()[1] == H.order)
+    return [GroupHom(H, G, row, check=False) for row in v.matrix[flag]]
 
 
 def _pair_name(H, G):
@@ -430,33 +427,33 @@ def _make_radical_worker(corpus):
     return worker
 
 
+def _orders_per_key(v: HomVerdicts, homs: np.ndarray, orders: np.ndarray, side: str, law: str) -> list:
+    """``law`` violations: the homs of the mask ``homs`` whose ``orders`` are not ``galois_group(rep,
+    side).order``, for rep the first of them with their image (target side) or kernel (source side)."""
+    if not homs.any():
+        return []
+    rows = v.matrix[homs]
+    keys = np.sort(rows, axis=1) if side == "target" else rows == v.target.identity
+    _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    want = [galois_group(GroupHom(v.source, v.target, row, check=False), side).order for row in rows[first]]
+    bad = homs.copy()
+    bad[homs] = orders[homs] != np.array(want)[inverse.ravel()]
+    return _violations(v, bad, law)
+
+
 def _reduction_worker(H, G):
-    """Envelope factorization keeps the Galois group; dually for covers."""
+    """The run kernel's Galois orders, checked against ``galois_group`` once per image or kernel.
+
+    Gal(phi), the automorphisms a of G with a.phi = phi, fix Im phi pointwise:
+    Gal(phi) depends on the image only, and is the Galois group of the
+    inclusion Im phi -> G.  Dually co-Gal(phi), the automorphisms b of H with
+    phi.b = phi, move each x within x ker phi: it depends on the kernel only.
+    """
     v = classify_pair(H, G)
-    violations = []
-    aut_g = automorphism_group(G)
-    aut_h = automorphism_group(H)
-    for i in range(len(v)):
-        row = v.matrix[i]
-        if v.is_envelope[i]:
-            image = np.sort(np.unique(row))
-            fix_phi = (aut_g.perms[:, row] == row[None, :]).all(axis=1)
-            fix_img = (aut_g.perms[:, image] == image[None, :]).all(axis=1)
-            if not (fix_phi == fix_img).all():
-                violations.append(
-                    {"pair": _pair_name(H, G), "hom": row.tolist(),
-                     "law": "envelope-image-inclusion-same-galois"}
-                )
-        if v.is_cover[i]:
-            # the images of image_factorize's epi, whose image members ascend, without a group for the image
-            epi = np.unique(row, return_inverse=True)[1]
-            fix_phi = (row[aut_h.perms] == row[None, :]).all(axis=1)
-            fix_epi = (epi[aut_h.perms] == epi[None, :]).all(axis=1)
-            if not (fix_phi == fix_epi).all():
-                violations.append(
-                    {"pair": _pair_name(H, G), "hom": row.tolist(),
-                     "law": "cover-image-projection-same-cogalois"}
-                )
+    violations = _orders_per_key(v, v.is_envelope, v.galois_orders, "target",
+                                 "envelope-image-inclusion-same-galois")
+    violations += _orders_per_key(v, v.is_cover, v.co_galois_orders, "source",
+                                  "cover-image-projection-same-cogalois")
     return len(v), violations, []
 
 

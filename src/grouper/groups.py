@@ -810,7 +810,7 @@ def preimage_subgroup(pi: GroupHom, S: Subgroup) -> Subgroup:
 def isomorphism(G1: FiniteGroup, G2: FiniteGroup):
     """A bijective homomorphism G1 -> G2, or None.
 
-    Backtracking over generator images, pruned by element orders.
+    Invariants first, then the equal-order walk of ``homs.find_isomorphism``.
     """
     if G1.order != G2.order:
         return None

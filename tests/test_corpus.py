@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import json
 import time
@@ -17,7 +18,8 @@ from grouper.corpus import (
     run_theorem_suite,
     search_approximations,
 )
-from grouper.groups import are_isomorphic, standard_group
+from grouper.approx import galois_group
+from grouper.groups import GroupHom, are_isomorphic, standard_group
 
 
 class TestCorpusGeneration:
@@ -176,6 +178,51 @@ class TestWorkerMasks:
             + expected("abelian-source-envelope-implies-abelian-target", trivial))
 
 
+class TestReductionLaws:
+    """The reduction suite checks the kernel's Galois orders once per image or kernel."""
+
+    @pytest.mark.parametrize("pair, flag, field, law", [
+        (("C4", "Q8"), "is_envelope", "galois_orders", "envelope-image-inclusion-same-galois"),
+        (("C8", "C4"), "is_cover", "co_galois_orders", "cover-image-projection-same-cogalois"),
+    ], ids=["envelope", "cover"])
+    def test_reports_exactly_a_miscounted_order(self, monkeypatch, pair, flag, field, law):
+        """Mutation check: one hom's order off by one, on a hom that is not first with its key."""
+        corpus = generate_corpus(8)
+        H, G = (next(X for X in corpus if X.name == name) for name in pair)
+        v = classify_pair(H, G)
+        i = int(np.flatnonzero(getattr(v, flag))[-1])
+        orders = getattr(v, field).copy()
+        orders[i] += 1
+        bent, real = dataclasses.replace(v, **{field: orders}), classify_pair
+        monkeypatch.setattr("grouper.corpus.classify_pair",
+                            lambda A, B: bent if A is H and B is G else real(A, B))
+        report = run_theorem_suite(corpus, "reduction")
+        assert report.violations == [{"pair": f"{H.name}->{G.name}", "hom": v.matrix[i].tolist(), "law": law}]
+
+    def test_galois_groups_follow_image_and_kernel(self):
+        """What checking once per key rests on: every hom's kernel orders are ``galois_group``'s,
+        and its Galois group is fixed by its image (target side) or its kernel (source side)."""
+        corpus = generate_corpus(12)
+        rng = np.random.default_rng(12)
+        moved = [relabelled(G, rng.permutation(G.order)) for G in corpus]
+        checked = 0
+        for groups in (corpus, moved):
+            for H in groups:
+                for G in groups:
+                    v = classify_pair(H, G)
+                    by_key = {}
+                    for i, row in enumerate(v.matrix):
+                        phi = GroupHom(H, G, row, check=False)
+                        gal, cogal = galois_group(phi, "target"), galois_group(phi, "source")
+                        assert (v.galois_orders[i], v.co_galois_orders[i]) == (gal.order, cogal.order)
+                        for key, sub in ((("image", frozenset(row.tolist())), gal),
+                                         (("kernel", (row == G.identity).tobytes()), cogal)):
+                            first = by_key.setdefault(key, sub.members)
+                            assert first.tobytes() == sub.members.tobytes(), (H.name, G.name, key)
+                        checked += 1
+        assert checked > 8000
+
+
 class TestSearch:
     def test_z2_z4_envelope_is_doubling(self, groups):
         found = search_approximations(
@@ -198,6 +245,16 @@ class TestSearch:
     def test_unknown_kind(self, groups):
         with pytest.raises(ValueError):
             search_approximations(groups["cyclic:2"], groups["cyclic:3"], "meow")
+
+    @pytest.mark.parametrize("kind", ["envelope", "cover", "localization", "cellular"])
+    def test_injective_only_keeps_the_injective_homs(self, kind):
+        corpus = generate_corpus(8)
+        for H in corpus:
+            for G in corpus:
+                found = search_approximations(H, G, kind, injective_only=True)
+                every = search_approximations(H, G, kind)
+                assert [h.images.tolist() for h in found] == [
+                    h.images.tolist() for h in every if h.is_injective]
 
     def test_stable_across_worker_counts(self):
         corpus = generate_corpus(6)
