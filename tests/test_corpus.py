@@ -179,7 +179,7 @@ class TestWorkerMasks:
 
 
 class TestReductionLaws:
-    """The reduction suite checks the kernel's Galois orders once per image or kernel."""
+    """The reduction suite checks ``classify_pair``'s Galois orders once per image or kernel."""
 
     @pytest.mark.parametrize("pair, flag, field, law", [
         (("C4", "Q8"), "is_envelope", "galois_orders", "envelope-image-inclusion-same-galois"),
@@ -200,8 +200,8 @@ class TestReductionLaws:
         assert report.violations == [{"pair": f"{H.name}->{G.name}", "hom": v.matrix[i].tolist(), "law": law}]
 
     def test_galois_groups_follow_image_and_kernel(self):
-        """What checking once per key rests on: every hom's kernel orders are ``galois_group``'s,
-        and its Galois group is fixed by its image (target side) or its kernel (source side)."""
+        """What checking once per key rests on: ``classify_pair`` gives every hom the orders of
+        ``galois_group``, whose members follow from the image (target side) or kernel (source side)."""
         corpus = generate_corpus(12)
         rng = np.random.default_rng(12)
         moved = [relabelled(G, rng.permutation(G.order)) for G in corpus]
