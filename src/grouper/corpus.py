@@ -310,6 +310,8 @@ def _run_pairs(corpus, worker, report: SuiteReport, by_source: bool = False):
 
 def _violations(v: HomVerdicts, bad: np.ndarray, law: str) -> list:
     """One violation of ``law`` per hom row that the mask ``bad`` selects."""
+    if not bad.any():
+        return []
     pair = _pair_name(v.source, v.target)
     return [{"pair": pair, "hom": row, "law": law} for row in v.matrix[bad].tolist()]
 

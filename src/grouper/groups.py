@@ -461,11 +461,12 @@ class GroupHom:
 
     @property
     def is_injective(self) -> bool:
-        return len(np.unique(self.images)) == self.source.order
+        """A trivial kernel: only the identity maps to the identity."""
+        return int(np.count_nonzero(self.images == self.target.identity)) == 1
 
     @property
     def is_surjective(self) -> bool:
-        return len(np.unique(self.images)) == self.target.order
+        return len(self.image_members()) == self.target.order
 
     @property
     def is_bijective(self) -> bool:
@@ -479,7 +480,8 @@ class GroupHom:
         return Subgroup(self.source, np.nonzero(self.images == self.target.identity)[0])
 
     def image_members(self) -> np.ndarray:
-        return np.unique(self.images)
+        """The elements of the target hit by the map, ascending."""
+        return np.flatnonzero(np.bincount(self.images, minlength=self.target.order))
 
     def image_subgroup(self) -> Subgroup:
         return Subgroup(self.target, self.image_members())

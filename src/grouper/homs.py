@@ -11,7 +11,9 @@ keys run over 0..size-1 in the lexicographic order of the candidates.
 given targets of H in one walk (``_Walk``), with what the search needs of
 H alone built once (``_search_plan``).  A candidate is kept when the
 products of two generator images have orders dividing those in H, then
-when it satisfies the hom equations; no random numbers are drawn.  A hom's
+when it satisfies the hom equations.  Those are checked depth by depth
+along the breadth-first word table of H, so a candidate is dropped at the
+first relator of H that it fails; no random numbers are drawn.  A hom's
 key is its place in its target's walk, so every hom set comes in canonical
 order, strictly increasing in key, and ``np.searchsorted`` over the keys
 finds the index of any hom.  Keys are below the candidate-space size (at
@@ -37,7 +39,7 @@ from .groups import FiniteGroup, GroupHom, _close, _greedy_generators, center, g
 EXHAUSTIVE_CAP = 512
 CANDIDATE_CAP = 200_000_000
 _BATCH = 8192
-_COLS = 64  # elements x per slice of the hom equations, bounding their temporaries
+_COLS = 64  # word-table edges per slice of the extension and relator checks, bounding their temporaries
 
 
 def _gen_array(G: FiniteGroup) -> np.ndarray:
@@ -86,35 +88,55 @@ def _divisor_positions(G: FiniteGroup, o: int) -> tuple:
 def _search_plan(H: FiniteGroup) -> SimpleNamespace:
     """What a hom search from H needs of H alone, memoized on H.
 
-    ``gens`` is ``_gen_array(H)`` as a list; ``entries`` the breadth-first
-    word table, (element, parent, generator position) triples in which
-    element = parent * gens[position]; ``pair_orders`` holds (a, b, o) for
-    each ordered pair of generator positions, o the order of gens[a] gens[b].
+    With ``gens`` the generators ``_gen_array(H)``, ``pair_orders`` holds
+    (a, b, o) for each ordered pair of generator positions, o the order of
+    gens[a] gens[b].  ``depths`` is the breadth-first word table of H in
+    ``gens``, one pair (tree, relators) per depth d, each an index array of
+    three rows (y, x, p) for the edges y = x gens[p] of the Cayley graph:
+    ``tree`` the edges that first reach the elements y at depth d, and
+    ``relators`` every other edge whose deeper end lies at depth d.  A map
+    extended along the tree edges satisfies f(y) = f(x) f(gens[p]) on them
+    by construction; on a relator edge that equation is a relator of H,
+    and it can be checked once the images to depth d are known.
     """
 
     def compute():
         gens = _gen_array(H).tolist()
-        seen = [False] * H.order
-        seen[H.identity] = True
-        queue, entries = [H.identity], []
+        depth = [-1] * H.order
+        depth[H.identity] = 0
+        queue, edges = [H.identity], []
         for cur in queue:
             for gp, g in enumerate(gens):
                 nxt = int(H.table[cur, g])
-                if not seen[nxt]:
-                    seen[nxt] = True
-                    entries.append((nxt, cur, gp))
+                tree = depth[nxt] < 0
+                if tree:
+                    depth[nxt] = depth[cur] + 1
                     queue.append(nxt)
+                edges.append((max(depth[cur], depth[nxt]), not tree, nxt, cur, gp))
         if len(queue) != H.order:
             raise ValueError("generators do not generate the group")
+        depths = [([], []) for _ in range(max(depth) + 1)]
+        for d, relator, *edge in edges:
+            depths[d][relator].append(edge)
+        depths = [tuple(np.array(e, dtype=np.intp).reshape(-1, 3).T for e in pair) for pair in depths]
         pair_orders = [(a, b, int(H.element_orders[H.table[x, y]]))
                        for a, x in enumerate(gens) for b, y in enumerate(gens)]
-        return SimpleNamespace(gens=gens, entries=entries, pair_orders=pair_orders)
+        return SimpleNamespace(depths=depths, pair_orders=pair_orders)
 
     return H.memo("search_plan", compute)
 
 
+def _extend_depth(images: np.ndarray, table: np.ndarray, gen_cols: np.ndarray, tree: np.ndarray) -> None:
+    """Write each candidate's images of the elements that the edges ``tree`` reach, ``_COLS``
+    edges at a time; the images of the edges' other ends must be written already."""
+    for lo in range(0, tree.shape[1], _COLS):
+        y, x, gp = tree[:, lo:lo + _COLS]
+        images[:, y] = table[images[:, x], gen_cols[:, gp]]
+
+
 def _extend_batch(H: FiniteGroup, table: np.ndarray, identity, gen_cols: np.ndarray) -> np.ndarray:
-    """Each candidate's images of every element of H, extended from its generator images.
+    """Each candidate's images of every element of H, extended from its generator images
+    along the tree edges of ``_search_plan(H).depths``, depth by depth.
 
     Row i of ``gen_cols`` holds candidate i's images of ``_gen_array(H)``
     as columns of ``table``; ``identity`` is the row of the identity (one
@@ -124,8 +146,8 @@ def _extend_batch(H: FiniteGroup, table: np.ndarray, identity, gen_cols: np.ndar
     """
     images = np.empty((gen_cols.shape[0], H.order), dtype=np.int32)
     images[:, H.identity] = identity
-    for elem, parent, gp in _search_plan(H).entries:
-        images[:, elem] = table[images[:, parent], gen_cols[:, gp]]
+    for tree, _ in _search_plan(H).depths:
+        _extend_depth(images, table, gen_cols, tree)
     return images
 
 
@@ -363,25 +385,29 @@ class _Walk:
         """(positions, images) of the homs among the candidates at ``pos`` with generator
         images ``cols``.
 
-        The row a candidate extends to satisfies f(x g) = f(x) f(g) for
-        every x and each generator g, checked one generator and ``_COLS``
-        elements x at a time.  Those equations suffice: f maps the identity
-        to the identity, so induction on the length of y as a word in the
-        generators gives f(x y) = f(x) f(y).  The images are in G_t's own
-        labels.
+        The candidates are extended as in ``_extend_batch``, depth by depth,
+        and after each depth the relators that close there are checked,
+        ``_COLS`` at a time; a candidate that fails one is dropped at once.
+        Over all depths these are the equations f(x g) = f(x) f(g) for every
+        x and each generator g, the tree edges holding by construction.
+        Those equations suffice: f maps the identity to the identity, so
+        induction on the length of y as a word in the generators gives
+        f(x y) = f(x) f(y).  So which candidates pass does not depend on the
+        order of the checks.  The images are in G_t's own labels.
         """
-        H = self.H
-        identity = self.identity[self._targets(pos)]
-        images = _extend_batch(H, self.table, identity, cols)
+        H, table = self.H, self.table
+        images = np.empty((len(pos), H.order), dtype=np.int32)
+        images[:, H.identity] = self.identity[self._targets(pos)]
+        for tree, relators in _search_plan(H).depths:
+            _extend_depth(images, table, cols, tree)
+            for lo in range(0, relators.shape[1], _COLS):
+                y, x, gp = relators[:, lo:lo + _COLS]
+                ok = (images[:, y] == table[images[:, x], cols[:, gp]]).all(axis=1)
+                if not ok.all():
+                    images, pos, cols = images[ok], pos[ok], cols[ok]
         if self.bijective:  # a trivial kernel, so with |H| = |G| the hom is bijective
-            one = (images == identity[:, None]).sum(axis=1) == 1
-            images, pos, cols = images[one], pos[one], cols[one]
-        tH, table = H.table, self.table
-        for j, g in enumerate(_search_plan(H).gens):
-            for x in range(0, H.order, _COLS):
-                x = slice(x, x + _COLS)
-                ok = (images[:, tH[x, g]] == table[images[:, x], cols[:, j, None]]).all(axis=1)
-                images, pos, cols = images[ok], pos[ok], cols[ok]
+            one = (images == images[:, H.identity, None]).sum(axis=1) == 1
+            images, pos = images[one], pos[one]
         images -= self.elem_lo[self._targets(pos), None]
         return pos, images
 

@@ -143,11 +143,11 @@ def _automorphisms_extend(phi: GroupHom) -> tuple:
     H, G = phi.source, phi.target
     aut_h = automorphism_group(H)
     aut_g = automorphism_group(G)
-    keys = enumerate_homs(H, G)._keygen
-    # both sides are homs H -> G, compared by their keys in Hom(H, G)
-    avail = keys(aut_g.perms[:, phi.images[keys.gens]])
-    want = keys(phi.images[aut_h.perms[:, keys.gens]])
-    missing = np.nonzero(~np.isin(want, avail))[0]
+    homs = enumerate_homs(H, G)
+    # both sides are homs H -> G, compared by their rows of Hom(H, G)
+    avail = np.zeros(len(homs), dtype=bool)
+    avail[homs.locate(aut_g.perms[:, phi.images[homs.gens]])] = True
+    missing = np.flatnonzero(~avail[homs.locate(phi.images[aut_h.perms[:, homs.gens]])])
     if missing.size:
         return False, aut_h.perms[missing[0]].tolist()
     return True, None

@@ -193,6 +193,12 @@ def naive_hom_images(H: FiniteGroup, G: FiniteGroup):
     return sorted(out)
 
 
+def oracle_image_facts(images: np.ndarray, source_order: int, target_order: int) -> tuple:
+    """Oracle: (injective, surjective, image members) of a map from ``np.unique`` of its images."""
+    members = np.unique(images)
+    return len(members) == source_order, len(members) == target_order, members
+
+
 def naive_subgroup_closure(G: FiniteGroup, seed):
     """Oracle: iterate products until closed, then adjoin inverses."""
     members = set(int(x) for x in seed) | {G.identity}

@@ -13,7 +13,10 @@ from conftest import (
     naive_quotient,
     naive_subgroup_closure,
     odd_carry_table,
+    oracle_image_facts,
+    relabelled,
 )
+from grouper.corpus import generate_corpus
 from grouper.errors import (
     MalformedPermutation,
     NotNormalError,
@@ -44,7 +47,7 @@ from grouper.groups import (
     subgroup_generated,
     trivial_hom,
 )
-from grouper.homs import automorphism_group
+from grouper.homs import automorphism_group, enumerate_homs
 
 
 class TestPermutations:
@@ -423,6 +426,18 @@ class TestHomBasics:
         assert proj.compose(double).equal(trivial_hom(C2, C2))
         invert = GroupHom(C4, C4, np.array([0, 3, 2, 1], dtype=np.int32))
         assert invert.compose(invert).equal(identity_hom(C4))
+
+    def test_image_facts_match_unique_oracle(self):
+        """Every hom of every pair of a relabelled generate_corpus(12)."""
+        rng = np.random.default_rng(12)
+        corpus = [relabelled(G, rng.permutation(G.order)) for G in generate_corpus(12)]
+        for H in corpus:
+            for G in corpus:
+                for phi in enumerate_homs(H, G).homs:
+                    injective, surjective, members = oracle_image_facts(phi.images, H.order, G.order)
+                    assert phi.is_injective == injective, (H.name, G.name, phi.images)
+                    assert phi.is_surjective == surjective, (H.name, G.name, phi.images)
+                    assert phi.image_members().tolist() == members.tolist(), (H.name, G.name, phi.images)
 
     def test_direct_product_projections(self, groups):
         A, B = groups["cyclic:2"], groups["cyclic:3"]

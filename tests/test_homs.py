@@ -66,11 +66,16 @@ class TestRunsAgainstOracle:
     """One walk over all targets of a source against ``conftest.oracle_hom_rows``."""
 
     @pytest.mark.parametrize("seed", [None, 5])
-    @pytest.mark.parametrize("batch", [homs._BATCH, 7])
-    def test_run_rows_and_keys_match_oracle(self, monkeypatch, seed, batch):
+    @pytest.mark.parametrize("batch,cols", [
+        pytest.param(batch, cols, id=f"{batch}" if cols == homs._COLS else f"{batch}-cols{cols}")
+        for cols in (homs._COLS, 1) for batch in (homs._BATCH, 7)
+    ])
+    def test_run_rows_and_keys_match_oracle(self, monkeypatch, seed, batch, cols):
         """Every pair of generate_corpus(12), as is and relabelled; with 7 candidates a
-        block, blocks span targets and the homs go through the counted preallocation."""
+        block, blocks span targets and the homs go through the counted preallocation.
+        With one relator a check, every failing relator compacts the candidates."""
         monkeypatch.setattr(homs, "_BATCH", batch)
+        monkeypatch.setattr(homs, "_COLS", cols)
         rng = np.random.default_rng(seed)
         corpus = [fresh(G) if seed is None else relabelled(G, rng.permutation(G.order))
                   for G in generate_corpus(12)]
@@ -103,6 +108,20 @@ class TestRunsAgainstOracle:
                 rows, _ = oracle_hom_rows(H, K)
                 first = next(row for row in rows if len(np.unique(row)) == K.order)
                 assert (find_isomorphism(H, K).images == first).all(), (H.name, K.name)
+
+
+class TestSimpleGroupRows:
+    @pytest.mark.parametrize("src,tgt,count", [
+        ("alternating:6", "alternating:6", 1441),  # Aut(A6) and the trivial map
+        ("alternating:5", "alternating:6", 1441),
+        ("symmetric:5", "symmetric:5", 146),  # 120 automorphisms, 25 onto an order 2 image, 1 trivial
+    ])
+    def test_every_row_is_a_hom(self, src, tgt, count):
+        H, G = standard_group(src), standard_group(tgt)
+        hs = enumerate_homs(H, G)
+        assert len(hs) == count
+        for row in hs.matrix:
+            GroupHom(H, G, row, check=True)
 
 
 class TestKnownCounts:

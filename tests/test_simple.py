@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -12,6 +17,8 @@ from grouper.simple import (
     structural_flags,
     subgroups_isomorphic_to,
 )
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def first_embedding(H, G):
@@ -110,3 +117,30 @@ class TestCriterion:
         d = rep.to_dict()
         assert d["predictedGaloisOrder"] == 3
         assert d["sourceSimple"] is True
+
+
+def test_criterion_and_classification_leave_numpy_ma_unloaded():
+    """In numpy 2.x a plain ``np.unique`` or ``np.isin`` imports ``numpy.ma`` on first use,
+    tens of milliseconds in a cold process; neither call path needs it."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+
+    def loads_ma(code: str) -> bool:
+        code += "import sys\nprint('numpy.ma' in sys.modules)\n"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.split()[-1] == "True"
+
+    if loads_ma("import numpy\n"):
+        pytest.skip("import numpy alone loads numpy.ma")
+    assert not loads_ma(
+        "from grouper.approx import classify_hom\n"
+        "from grouper.groups import standard_group\n"
+        "from grouper.homs import enumerate_homs\n"
+        "from grouper.simple import simple_envelope_criterion\n"
+        "A5, A6, S5 = (standard_group(d) for d in ('alternating:5', 'alternating:6', 'symmetric:5'))\n"
+        "embed = lambda H, G: next(h for h in enumerate_homs(H, G).homs if h.is_injective)\n"
+        "classify_hom(embed(A5, S5))\n"
+        "assert simple_envelope_criterion(embed(A5, A6)).agrees\n"
+    )
