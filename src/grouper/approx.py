@@ -25,7 +25,7 @@ from .groups import (
     quotient_group,
     subgroup_generated,
 )
-from .homs import AutSubgroup, HomSet, automorphism_group, enumerate_homs
+from .homs import AutSubgroup, HomSet, _gen_array, automorphism_group, enumerate_homs
 
 FLAG_NAMES = (
     "isLocalization",
@@ -333,8 +333,10 @@ def classify_against_class(phi: GroupHom, cls: GroupClass, side: str) -> Relativ
         inj_all = inj_all and bool(comp.injective)
     pre = in_class and surj_all
     end = EndData(X)
-    comp_x = end.homs.matrix[:, phi.images] if envelope else phi.images[end.homs.matrix]
-    fixers = (comp_x == phi.images[None, :]).all(axis=1)
+    # a hom from H is fixed by its images of the generators of H
+    gens = _gen_array(H)
+    comp_x = end.homs.matrix[:, phi.images[gens]] if envelope else phi.images[end.homs.matrix[:, gens]]
+    fixers = (comp_x == phi.images[gens]).all(axis=1)
     non_aut = fixers & ~end.aut.end_mask
     approx = pre and not non_aut.any()
     if pre and non_aut.any():
@@ -418,11 +420,3 @@ def image_factorize(phi: GroupHom):
     mono = GroupHom(img_group, G, img.members.copy(), check=False)
     return epi, mono
 
-
-def homs_equal_up_to_target_iso(phi1: GroupHom, phi2: GroupHom) -> bool:
-    """Exists an automorphism a of the common target with a.phi1 = phi2."""
-    if phi1.source is not phi2.source or phi1.target is not phi2.target:
-        return False
-    ag = automorphism_group(phi1.target)
-    comp = ag.perms[:, phi1.images]
-    return bool((comp == phi2.images[None, :]).all(axis=1).any())

@@ -29,7 +29,7 @@ from .approx import (
 )
 from .commutators import LemmaConfig, check_commutator_lemmas, nilpotency_class
 from .groups import FiniteGroup, GroupHom, are_isomorphic, standard_group
-from .homs import HomRun, _gen_array, enumerate_homs, enumerate_source, first_per_key
+from .homs import HomRun, _gen_array, enumerate_homs, enumerate_source, first_per_key, orbit_labels
 
 PAIR_BUDGET = 100_000_000
 CORPUS_CAP = 512
@@ -149,27 +149,6 @@ def classify_source(H: FiniteGroup, targets) -> None:
             H.memo(("verdicts", G), lambda v=v: v)
 
 
-def _orbit_labels(hom_set, aut_g, aut_h) -> np.ndarray:
-    """Each hom's least orbit-mate under phi -> a.phi.b, for a in Aut(G) and b in Aut(H).
-
-    One ``locate`` per Aut generator gives its move on the homs; the least
-    label spreads along the moves, with pointer jumping, to a fixed point
-    (Holt, Eick & O'Brien, *Handbook of Computational Group Theory*, 4.1).
-    ``hom_set`` may be a ``HomRun``, with ``aut_g`` from ``_joined_auts``.
-    """
-    gens = hom_set.gens
-    gen_images = hom_set.images(gens)
-    moves = [hom_set.locate(aut_g.perms[a][gen_images]) for a in aut_g.generators]
-    moves += [hom_set.locate(hom_set.images(aut_h.perms[b][gens])) for b in aut_h.generators]
-    labels, prev = np.arange(len(hom_set)), None
-    while prev is None or (labels != prev).any():
-        prev = labels
-        for move in moves:
-            labels = np.minimum(labels, labels[move])
-        labels = labels[labels]
-    return labels
-
-
 def _joined_auts(auts, elem_starts: np.ndarray) -> SimpleNamespace:
     """The Aut(G_t) of a run's segments side by side, on the run's element labels.
 
@@ -211,7 +190,7 @@ def _classify_run(H: FiniteGroup, targets) -> list:
         end_h = EndData(H)  # once per target: perfbench pins the enumerate_homs calls this makes
     run = HomRun(hom_sets)
     reps, inverse = np.unique(
-        _orbit_labels(run, _joined_auts([e.aut for e in end_gs], run.elem_starts), end_h.aut),
+        orbit_labels(run, _joined_auts([e.aut for e in end_gs], run.elem_starts), end_h.aut),
         return_inverse=True,
     )
     segs = np.searchsorted(run.row_starts, reps, side="right") - 1
@@ -339,14 +318,6 @@ def _galois_worker(H, G):
     return len(v), violations, []
 
 
-def _injective_reps_by_image(H, G):
-    """One injective hom per image subgroup, first in canonical order."""
-    hs = enumerate_homs(H, G)
-    images, sizes = hs.sorted_images()
-    injective = sizes == H.order
-    return hs.matrix[injective][first_per_key(images[injective])]
-
-
 def _surjective_reps_by_kernel(H, G):
     """One surjective hom per kernel, first in canonical order."""
     hs = enumerate_homs(H, G)
@@ -360,7 +331,8 @@ def _make_socle_worker(corpus):
     def worker(H, G):
         violations = []
         notes = []
-        reps = _injective_reps_by_image(H, G)
+        hs = enumerate_homs(H, G)
+        reps = hs.matrix[hs.injective_per_image()]
         count = 0
         for F0, cls, rank in classes:
             if max(G.order, H.order) ** rank > PAIR_BUDGET:

@@ -209,7 +209,6 @@ class FiniteGroup:
         *,
         generators: Sequence[int],
         identity: int = 0,
-        perm_rep: Optional[list] = None,
         element_perms: Optional[list] = None,
         check: bool = True,
     ):
@@ -218,7 +217,6 @@ class FiniteGroup:
         self.order = int(self.table.shape[0])
         self.identity = int(identity)
         self.generators = [int(g) for g in generators]
-        self.perm_rep = perm_rep
         self.element_perms = element_perms
         if check:
             self._check_shape()
@@ -550,7 +548,6 @@ def build_from_permutations(gens: Iterable[Sequence[int]], name: str = "G") -> F
         name,
         table,
         generators=right[0].tolist() if gens else [0],
-        perm_rep=[tuple(g) for g in gens],
         element_perms=elems,
     )
 
@@ -595,10 +592,7 @@ def direct_product(A: FiniteGroup, B: FiniteGroup, name: Optional[str] = None) -
 
 def _cyclic(n: int) -> FiniteGroup:
     table = np.add.outer(np.arange(n), np.arange(n)) % n
-    rep = None
-    if 1 < n <= POINT_CAP:
-        rep = [tuple((i + 1) % n for i in range(n))]
-    return FiniteGroup(f"C{n}", table, generators=[1] if n > 1 else [0], perm_rep=rep)
+    return FiniteGroup(f"C{n}", table, generators=[1] if n > 1 else [0])
 
 
 def _dihedral(order: int) -> FiniteGroup:

@@ -269,6 +269,12 @@ class HomSet(KeyedRows):
         images = np.sort(self.matrix, axis=1)
         return images, 1 + (images[:, 1:] != images[:, :-1]).sum(axis=1)
 
+    def injective_per_image(self) -> np.ndarray:
+        """Row index of the first injective hom with each image, in byte order of the sorted images."""
+        images, sizes = self.sorted_images()
+        injective = np.flatnonzero(sizes == self.source.order)
+        return injective[first_per_key(images[injective])]
+
 
 class HomRun:
     """Hom sets H -> G_0, ..., H -> G_m-1 laid end to end as one keyed run.
@@ -315,6 +321,27 @@ class HomRun:
         for hs, lo, first in zip(self.sets, self.row_starts.tolist(), self.elem_starts.tolist()):
             np.add(hs.matrix[:, cols], first, out=out[lo:lo + len(hs)])
         return out
+
+
+def orbit_labels(hom_set, aut_g, aut_h) -> np.ndarray:
+    """Each hom's least orbit-mate under phi -> a.phi.b, for a in Aut(G) and b in Aut(H).
+
+    One ``locate`` per Aut generator gives its move on the homs; the least
+    label spreads along the moves, with pointer jumping, to a fixed point
+    (Holt, Eick & O'Brien, *Handbook of Computational Group Theory*, 4.1).
+    ``hom_set`` may be a ``HomRun``, with ``aut_g`` from ``corpus._joined_auts``.
+    """
+    gens = hom_set.gens
+    gen_images = hom_set.images(gens)
+    moves = [hom_set.locate(aut_g.perms[a][gen_images]) for a in aut_g.generators]
+    moves += [hom_set.locate(hom_set.images(aut_h.perms[b][gens])) for b in aut_h.generators]
+    labels, prev = np.arange(len(hom_set)), None
+    while prev is None or (labels != prev).any():
+        prev = labels
+        for move in moves:
+            labels = np.minimum(labels, labels[move])
+        labels = labels[labels]
+    return labels
 
 
 class _Walk:

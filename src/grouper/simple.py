@@ -10,6 +10,12 @@ centralizer of the image:
 
 The criterion report carries both the prediction and, when feasible, a
 direct cross-check against the exhaustive classification.
+
+The copies of H in G are the images of the injective homs H -> G, and
+their Aut(G)-orbits are orbits of homs under psi -> a.psi.b, for a in
+Aut(G) and b in Aut(H): a(Im psi) = Im(a.psi.b), and if a(Im phi) = Im psi
+then b = psi^-1.a.phi is an automorphism of H with a.phi = psi.b.  So
+condition 2 reads the hom-set orbits of ``homs.orbit_labels``.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from .groups import (
     describe_structure,
     subgroup_generated,
 )
-from .homs import automorphism_group, enumerate_homs, first_per_key
+from .homs import automorphism_group, enumerate_homs, orbit_labels
 
 
 def is_simple(G: FiniteGroup) -> bool:
@@ -83,9 +89,8 @@ def subgroups_isomorphic_to(G: FiniteGroup, H: FiniteGroup) -> list:
     Enumerated as images of injective homomorphisms, so every returned
     subgroup genuinely carries a copy of H.
     """
-    images, sizes = enumerate_homs(H, G).sorted_images()
-    images = images[sizes == H.order]
-    return [Subgroup(G, images[i]) for i in first_per_key(images)]
+    hs = enumerate_homs(H, G)
+    return [Subgroup(G, hs.matrix[i]) for i in hs.injective_per_image()]
 
 
 @dataclass
@@ -154,19 +159,18 @@ def _automorphisms_extend(phi: GroupHom) -> tuple:
 
 
 def _copies_single_orbit(phi: GroupHom) -> tuple:
-    """(single_orbit, copy_count, orbit_count, witness_copy or None)."""
-    copies = subgroups_isomorphic_to(phi.target, phi.source)
-    perms = automorphism_group(phi.target).perms
+    """(single_orbit, copy_count, orbit_count, witness_copy or None).
 
-    def orbit(members) -> tuple:
-        """The least image of a subgroup under Aut(G): one label per orbit."""
-        return min(map(tuple, np.sort(perms[:, members], axis=1).tolist()))
-
-    base = orbit(phi.image_subgroup().members)
-    labels = [orbit(s.members) for s in copies]
-    outside = [s for s, label in zip(copies, labels) if label != base]
-    witness = outside[0].members.tolist() if outside else None
-    return not outside, len(copies), len(set(labels) | {base}), witness
+    Each copy is taken as its first injective hom, and copies are in one
+    Aut(G)-orbit exactly when those homs share an ``orbit_labels`` label.
+    """
+    H, G = phi.source, phi.target
+    homs = enumerate_homs(H, G)
+    labels = orbit_labels(homs, automorphism_group(G), automorphism_group(H))
+    copies = homs.injective_per_image()
+    outside = copies[labels[copies] != labels[homs.index_of(phi.images)]]
+    witness = np.sort(homs.matrix[outside[0]]).tolist() if outside.size else None
+    return not outside.size, len(copies), len(set(labels[copies].tolist())), witness
 
 
 def simple_envelope_criterion(phi: GroupHom, cross_check: bool = True) -> CriterionReport:

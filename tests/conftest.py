@@ -7,7 +7,7 @@ import pytest
 from grouper.approx import EndData
 from grouper.corpus import HomVerdicts
 from grouper.groups import FiniteGroup, generating_set_of_table, standard_group
-from grouper.homs import _gen_array, enumerate_homs
+from grouper.homs import _gen_array, automorphism_group, enumerate_homs
 
 
 @pytest.fixture(scope="session")
@@ -197,6 +197,32 @@ def oracle_image_facts(images: np.ndarray, source_order: int, target_order: int)
     """Oracle: (injective, surjective, image members) of a map from ``np.unique`` of its images."""
     members = np.unique(images)
     return len(members) == source_order, len(members) == target_order, members
+
+
+def oracle_copy_orbits(phi) -> tuple:
+    """Oracle for the criterion's second condition: (single_orbit, copy_count, orbit_count, witness).
+
+    The copies of H are the distinct images of the injective homs H -> G,
+    in byte order of their int32 members.  Each copy is labelled by its
+    least sorted image under all of Aut(G), one label per orbit; the
+    witness is the first copy outside phi's orbit.
+    """
+    H, G = phi.source, phi.target
+    images = {}
+    for row in enumerate_homs(H, G).matrix:
+        image = np.sort(row)
+        if (image[1:] != image[:-1]).all():  # H.order distinct images: injective
+            images[image.astype(np.int32).tobytes()] = image
+    copies = [images[k] for k in sorted(images)]
+    perms = automorphism_group(G).perms
+
+    def orbit(members) -> tuple:
+        return min(map(tuple, np.sort(perms[:, members], axis=1).tolist()))
+
+    base = orbit(np.sort(phi.images))
+    labels = [orbit(c) for c in copies]
+    outside = [c for c, label in zip(copies, labels) if label != base]
+    return not outside, len(copies), len(set(labels) | {base}), outside[0].tolist() if outside else None
 
 
 def naive_subgroup_closure(G: FiniteGroup, seed):

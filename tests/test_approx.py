@@ -9,7 +9,6 @@ from grouper.approx import (
     f_radical,
     f_socle,
     galois_group,
-    homs_equal_up_to_target_iso,
     image_factorize,
     is_orthogonal,
     local_kernel,
@@ -220,16 +219,3 @@ class TestImageFactorization:
         phi = hom(groups["cyclic:4"], groups["cyclic:2"], [0, 1, 0, 1])
         _, mono = image_factorize(phi)
         assert mono.source.order == 2
-
-
-class TestHomEquivalence:
-    def test_two_embeddings_of_c3_equivalent(self, groups):
-        H, G = groups["cyclic:3"], groups["symmetric:3"]
-        embs = [h for h in enumerate_homs(H, G).homs if h.is_injective]
-        assert len(embs) == 2
-        assert homs_equal_up_to_target_iso(embs[0], embs[1])
-
-    def test_trivial_not_equivalent_to_embedding(self, groups):
-        H, G = groups["cyclic:3"], groups["symmetric:3"]
-        emb = first_embedding(H, G)
-        assert not homs_equal_up_to_target_iso(trivial_hom(H, G), emb)

@@ -16,9 +16,9 @@ from hypothesis import given, settings
 
 from conftest import classify_pair_per_hom, relabelled
 from test_properties import group_names
-from grouper.corpus import _budget_ok, _orbit_labels, classify_pair, classify_source, generate_corpus
+from grouper.corpus import _budget_ok, classify_pair, classify_source, generate_corpus
 from grouper.groups import standard_group
-from grouper.homs import automorphism_group, enumerate_homs
+from grouper.homs import automorphism_group, enumerate_homs, orbit_labels
 
 FIELDS = ("matrix", "is_envelope", "is_localization", "is_cover", "is_cellular",
           "is_preenvelope", "is_precover", "galois_orders", "co_galois_orders")
@@ -144,7 +144,7 @@ class TestOrbitLabels:
         G = standard_group("product:cyclic:2,cyclic:2,cyclic:2")
         hom_set, aut = enumerate_homs(G, G), automorphism_group(G)
         assert aut.order == 168  # GL(3, 2)
-        labels = _orbit_labels(hom_set, aut, aut)
+        labels = orbit_labels(hom_set, aut, aut)
         reps, sizes = np.unique(labels, return_counts=True)
         image_sizes = [len(np.unique(row)) for row in hom_set.matrix[reps]]
         # rank r: image of order 2^r; orbits of 1, 49, 294 and 168 matrices over F2
@@ -160,7 +160,7 @@ class TestOrbitLabels:
         H, G = standard_group(src), standard_group(tgt)
         hom_set = enumerate_homs(H, G)
         aut_g, aut_h = automorphism_group(G), automorphism_group(H)
-        labels = _orbit_labels(hom_set, aut_g, aut_h)
+        labels = orbit_labels(hom_set, aut_g, aut_h)
         ident_g, ident_h = np.arange(G.order), np.arange(H.order)
         moves = [moved(hom_set, aut_g.perms[a], ident_h) for a in aut_g.generators]
         moves += [moved(hom_set, ident_g, aut_h.perms[b]) for b in aut_h.generators]

@@ -6,6 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import oracle_copy_orbits
+from grouper.corpus import _budget_ok, generate_corpus
 from grouper.errors import NonInjectiveInput
 from grouper.groups import standard_group, trivial_hom
 from grouper.homs import enumerate_homs
@@ -117,6 +119,27 @@ class TestCriterion:
         d = rep.to_dict()
         assert d["predictedGaloisOrder"] == 3
         assert d["sourceSimple"] is True
+
+
+def test_copy_orbits_match_oracle():
+    """The criterion's single-orbit flag, copy and orbit counts and witness against the
+    least-image oracle, for the first four embeddings of every budgeted pair of the
+    order-12 corpus, and for A5 -> A6 and A5 -> S5."""
+    corpus = generate_corpus(12)
+    pairs = [(H, G) for H in corpus for G in corpus if _budget_ok(H, G)]
+    A5 = standard_group("alternating:5")
+    pairs += [(A5, standard_group("alternating:6")), (A5, standard_group("symmetric:5"))]
+    cases = several = 0
+    for H, G in pairs:
+        embeddings = [h for h in enumerate_homs(H, G).homs if h.is_injective][:4]
+        for phi in embeddings:
+            d = simple_envelope_criterion(phi, cross_check=False).to_dict()
+            witness = [w["subgroup"] for w in d["witnesses"] if w["flag"] == "copiesConjugateUnderAut"]
+            got = (d["copiesConjugateUnderAut"], d["copyCount"], d["orbitCount"], (witness or [None])[0])
+            assert got == oracle_copy_orbits(phi), (H.name, G.name, phi.images.tolist())
+            cases += 1
+            several += d["orbitCount"] > 1
+    assert cases > 100 and several > 0
 
 
 def test_criterion_and_classification_leave_numpy_ma_unloaded():
