@@ -1,0 +1,121 @@
+#!/usr/bin/env python3
+"""Check that two checkouts compute the same hom sets, Aut groups and pair verdicts.
+
+    python3 scripts/compare_homs.py PARENT CHANGE --max-order 24
+
+PARENT and CHANGE are two checkouts of grouper.  The script runs its own
+digest (`--digest`) with each checkout's `src/` on `PYTHONPATH`.  Over
+`generate_corpus(N)`, in corpus order, the digest hashes three kinds:
+
+- hom-sets: each budgeted `enumerate_homs(H, G)`, its `matrix` and `keys`;
+- aut-groups: each `automorphism_group(G)`, its `perms`, `end_rows`,
+  `identity`, `generators`, `element_orders` and `inner_order`;
+- verdicts: each array of each budgeted `classify_pair(H, G)`, with every
+  source's targets classified in one run, as the suites do.
+
+Arrays are hashed by shape and int64 value, so a change of dtype alone is no
+difference.  The script prints, per kind, the number of items and whether
+the two sides match, and for a kind that differs the first item that does.
+It exits 0 when every kind matches and 1 on a difference.  A digest run that
+fails ends the script with exit status 2, after that run's stderr.
+"""
+
+import argparse
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+KINDS = ("hom-sets", "aut-groups", "verdicts")
+VERDICT_FIELDS = ("matrix", "is_envelope", "is_localization", "is_cover", "is_cellular",
+                  "is_preenvelope", "is_precover", "galois_orders", "co_galois_orders")
+
+
+def _hash(*values) -> str:
+    import numpy as np
+
+    h = hashlib.sha256()
+    for v in values:
+        a = np.asarray(v).astype(np.int64)
+        h.update(repr(a.shape).encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+def digest(max_order: int) -> dict:
+    """kind -> list of [item name, sha256] in corpus order, from the grouper on the path."""
+    from grouper.corpus import _budget_ok, classify_pair, classify_source, generate_corpus
+    from grouper.homs import automorphism_group, enumerate_homs
+
+    corpus = generate_corpus(max_order)
+    out = {kind: [] for kind in KINDS}
+    for G in corpus:
+        aut = automorphism_group(G)
+        out["aut-groups"].append([G.name, _hash(aut.perms, aut.end_rows, aut.identity, aut.generators,
+                                                aut.element_orders, aut.inner_order)])
+    for H in corpus:
+        targets = [G for G in corpus if _budget_ok(H, G)]
+        if targets:
+            classify_source(H, targets)
+        for G in targets:
+            hs, v = enumerate_homs(H, G), classify_pair(H, G)
+            pair = f"{H.name}->{G.name}"
+            out["hom-sets"].append([pair, _hash(hs.matrix, hs.keys)])
+            out["verdicts"].append([pair, _hash(*(getattr(v, f) for f in VERDICT_FIELDS))])
+    return out
+
+
+def run_digest(checkout: Path, max_order: int) -> dict:
+    """The digest of one checkout; exits 2 if the run fails."""
+    env = dict(os.environ, PYTHONPATH=str(checkout.resolve() / "src"))
+    t0 = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, str(Path(__file__).resolve()), "--digest", "--max-order", str(max_order)],
+        capture_output=True, env=env,
+    )
+    seconds = time.perf_counter() - t0
+    if proc.returncode != 0:
+        print(f"{checkout}: digest exited {proc.returncode}", file=sys.stderr)
+        sys.stderr.write(proc.stderr.decode(errors="replace")[-2000:])
+        sys.exit(2)
+    print(f"{checkout}: {seconds:.2f} s")
+    return json.loads(proc.stdout)
+
+
+def compare(a: dict, b: dict) -> list:
+    """One line per kind: identical, or the item counts and the first differing item."""
+    lines = []
+    for kind in KINDS:
+        x, y = a[kind], b[kind]
+        if x == y:
+            lines.append(f"{kind}: identical ({len(x)} items)")
+            continue
+        first = next((i for i, (p, q) in enumerate(zip(x, y)) if p != q), min(len(x), len(y)))
+        name = (x if first < len(x) else y)[first][0]
+        lines.append(f"{kind}: differ ({len(x)} vs {len(y)} items), first at item {first}: {name}")
+    return lines
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("parent", type=Path, nargs="?")
+    ap.add_argument("change", type=Path, nargs="?")
+    ap.add_argument("--max-order", type=int, required=True)
+    ap.add_argument("--digest", action="store_true",
+                    help="print the digest of the grouper on PYTHONPATH as JSON, and compare nothing")
+    args = ap.parse_args(argv)
+    if args.digest:
+        print(json.dumps(digest(args.max_order)))
+        return 0
+    if args.change is None:
+        ap.error("PARENT and CHANGE are required without --digest")
+    a, b = run_digest(args.parent, args.max_order), run_digest(args.change, args.max_order)
+    print("\n".join(compare(a, b)))
+    return 0 if a == b else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

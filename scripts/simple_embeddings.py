@@ -10,7 +10,10 @@ order (the centralizer), and the direct classification cross-check.
 import argparse
 import sys
 
+import numpy as np
+
 from grouper.corpus import generate_corpus
+from grouper.groups import GroupHom
 from grouper.homs import enumerate_homs
 from grouper.simple import is_simple, simple_envelope_criterion
 
@@ -29,10 +32,12 @@ def main() -> int:
         for G in corpus:
             if G.order <= H.order or G.order % H.order:
                 continue
-            embeddings = [h for h in enumerate_homs(H, G).homs if h.is_injective]
-            if not embeddings:
+            hs = enumerate_homs(H, G)
+            injective = np.flatnonzero(hs.injective())
+            if not injective.size:
                 continue
-            rep = simple_envelope_criterion(embeddings[0], cross_check=not args.no_cross_check)
+            phi = GroupHom(H, G, hs.matrix[injective[0]], check=False)
+            rep = simple_envelope_criterion(phi, cross_check=not args.no_cross_check)
             print(
                 f"{H.name} {G.name} {rep.every_automorphism_extends} "
                 f"{rep.copies_conjugate_under_aut} {rep.predicted_galois_order} "

@@ -194,12 +194,11 @@ def postcomposition(phi_images: np.ndarray, H: FiniteGroup, G: FiniteGroup, F: F
 
 
 class EndData:
-    """End(X) with the End indices of Aut(X), for the absolute verdicts."""
+    """End(X) with Aut(X), whose ``end_rows`` are the End indices of the automorphisms."""
 
     def __init__(self, X: FiniteGroup):
         self.homs = enumerate_homs(X, X)
         self.aut = automorphism_group(X)
-        self.aut_rows = self.aut.end_rows
 
 
 def side_profile(homs, gen_images: np.ndarray, phi_idx: np.ndarray, is_aut: np.ndarray,
@@ -269,8 +268,8 @@ def classify_hom(phi: GroupHom) -> ClassificationReport:
     ) + _side_witnesses(
         s, end_h, ("isPrecoverOfSourceClass", "isCover", "isCellularCover"), "source"
     )
-    gal = AutSubgroup(end_g.aut, np.flatnonzero(t.galois[end_g.aut_rows]))
-    cogal = AutSubgroup(end_h.aut, np.flatnonzero(s.galois[end_h.aut_rows]))
+    gal = AutSubgroup(end_g.aut, np.flatnonzero(t.galois[end_g.aut.end_rows]))
+    cogal = AutSubgroup(end_h.aut, np.flatnonzero(s.galois[end_h.aut.end_rows]))
     return ClassificationReport(phi, flags, gal, cogal, witnesses)
 
 
@@ -343,7 +342,7 @@ def classify_against_class(phi: GroupHom, cls: GroupClass, side: str) -> Relativ
         witnesses.append(Witness("isApproximation", "non-automorphism-preimage",
                                  {"endomorphism": end.homs.matrix[np.argmax(non_aut)].tolist()}))
     unique = approx and surj_all and inj_all
-    gal = AutSubgroup(end.aut, np.flatnonzero(fixers[end.aut_rows]))
+    gal = AutSubgroup(end.aut, np.flatnonzero(fixers[end.aut.end_rows]))
     return RelativeReport(phi, side, cls, in_class, pre, approx, unique, gal, witnesses)
 
 

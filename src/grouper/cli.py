@@ -208,9 +208,10 @@ def _given_or_first_injective_hom(args) -> GroupHom:
     H, G = _load_group(args.source), _load_group(args.target)
     if args.hom:
         return _load_hom(args.hom, H, G)
-    for phi in enumerate_homs(H, G).homs:
-        if phi.is_injective:
-            return phi
+    hs = enumerate_homs(H, G)
+    injective = np.flatnonzero(hs.injective())
+    if injective.size:
+        return GroupHom(H, G, hs.matrix[injective[0]], check=False)
     raise NoInjectiveHom(f"no injective hom {H.name} -> {G.name}; give --hom")
 
 

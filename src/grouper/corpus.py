@@ -239,7 +239,7 @@ def search_approximations(H: FiniteGroup, G: FiniteGroup, kind: str, injective_o
     if flag is None:
         raise ValueError(f"unknown kind {kind!r}")
     if injective_only:
-        flag = flag & (enumerate_homs(H, G).sorted_images()[1] == H.order)
+        flag = flag & enumerate_homs(H, G).injective()
     return [GroupHom(H, G, row, check=False) for row in v.matrix[flag]]
 
 

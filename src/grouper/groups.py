@@ -286,17 +286,6 @@ class FiniteGroup:
     def inv(self, i: int) -> int:
         return int(self.inverses[i])
 
-    def conjugate(self, g: int, x: int) -> int:
-        return int(self.table[self.table[g, x], self.inverses[g]])
-
-    def power(self, x: int, k: int) -> int:
-        if k < 0:
-            return self.power(self.inverses[x], -k)
-        acc = self.identity
-        for _ in range(k):
-            acc = int(self.table[acc, x])
-        return acc
-
     def memo(self, key, compute):
         """``compute()``, memoized under ``key`` for exactly the group's lifetime.
 

@@ -190,14 +190,15 @@ def _key_sum(positions, weights, gen_images: np.ndarray) -> np.ndarray:
     return keys
 
 
-class KeyedRows:
-    """Image rows of homs source -> target, in strictly increasing key order.
+class HomSet:
+    """Complete list of homomorphisms source -> target in canonical order.
 
     Row ``r`` is the image array of a hom and ``keys[r]`` its key under
-    ``keygen``, the ``HomKeys(source, target)``; the caller passes the keys
-    (from the walk, or a subset of another ``KeyedRows``'s).  ``locate``
-    maps generator images of member homs to row indices with one
-    ``searchsorted``.
+    ``keygen``, the ``HomKeys(source, target)``; the walk gives both.
+    Rows are sorted lexicographically by their images of ``gens``, so their
+    keys strictly increase (module docstring), and ``locate`` maps
+    generator images of member homs to row indices with one
+    ``searchsorted``; lookups rely on that order and on completeness.
     """
 
     __slots__ = ("source", "target", "matrix", "gens", "_keygen", "keys")
@@ -249,20 +250,13 @@ class KeyedRows:
             return False
         return True
 
-
-class HomSet(KeyedRows):
-    """Complete list of homomorphisms source -> target in canonical order.
-
-    Rows are sorted lexicographically by their images of ``gens``, so their
-    keys strictly increase (module docstring); lookups rely on that order
-    and on completeness.
-    """
-
-    __slots__ = ()
-
     @property
     def homs(self) -> list:
         return [GroupHom(self.source, self.target, row, check=False) for row in self.matrix]
+
+    def injective(self) -> np.ndarray:
+        """Mask of the injective homs: those that send only the identity to the identity."""
+        return (self.matrix == self.target.identity).sum(axis=1) == 1
 
     def sorted_images(self) -> tuple:
         """(images, sizes): each row's images in ascending order, and how many elements it hits."""
@@ -271,9 +265,8 @@ class HomSet(KeyedRows):
 
     def injective_per_image(self) -> np.ndarray:
         """Row index of the first injective hom with each image, in byte order of the sorted images."""
-        images, sizes = self.sorted_images()
-        injective = np.flatnonzero(sizes == self.source.order)
-        return injective[first_per_key(images[injective])]
+        injective = np.flatnonzero(self.injective())
+        return injective[first_per_key(np.sort(self.matrix[injective], axis=1))]
 
 
 class HomRun:
@@ -313,7 +306,7 @@ class HomRun:
     def __len__(self):
         return int(self.row_starts[-1])
 
-    locate = KeyedRows.locate
+    locate = HomSet.locate
 
     def images(self, cols) -> np.ndarray:
         """Every row's images of the source elements ``cols``, in run labels."""
@@ -520,12 +513,12 @@ def find_isomorphism(G1: FiniteGroup, G2: FiniteGroup):
 
 
 class AutGroup:
-    """Aut(G) as a permutation group on the elements of G, from the hom set End(G).
+    """Aut(G) as a permutation group on G: the units of the hom set ``ends``, End(G).
 
-    ``perms`` row a is the image array of automorphism a, End row
-    ``end_rows[a]`` (``end_mask`` marks those End rows), so the rows are in
-    strictly increasing key order and an automorphism is found from its
-    generator images with one ``locate``.  No table over Aut is built: a
+    Aut indices re-index the End rows with a trivial kernel, which
+    ``end_mask`` marks: automorphism a is End row ``end_rows[a]``, and
+    ``perms`` row a is a copy of its image array.  ``locate`` finds
+    automorphisms through ``ends.locate``.  No table over Aut is built: a
     product a.b is located when it is needed.
     ``element_orders`` come from powering the automorphisms on the
     generators of G; ``generators`` is the greedy generating set, picked as
@@ -536,17 +529,19 @@ class AutGroup:
 
     def __init__(self, ends: HomSet):
         base = self.base = ends.source
-        self.end_mask = (ends.matrix == base.identity).sum(axis=1) == 1
+        self.ends = ends
+        self.end_mask = ends.injective()
         self.end_rows = np.flatnonzero(self.end_mask)
-        self._rows = KeyedRows(base, base, ends.matrix[self.end_rows], ends._keygen, ends.keys[self.end_rows])
-        self.perms = self._rows.matrix
-        self.identity = self._rows.index_of(np.arange(base.order))
+        self._aut_of_end = np.full(len(ends), -1, dtype=np.intp)  # Aut index of each End row, or -1
+        self._aut_of_end[self.end_rows] = np.arange(len(self.end_rows))
+        self.perms = ends.matrix[self.end_rows]
+        self.identity = self.index_of(np.arange(base.order))
         self.element_orders = self._element_orders()
         self.generators = _greedy_generators(self._close, self.identity, self.element_orders)
         # conjugation by g sends generator x to g x g^-1; every one must be a row
         t, g = base.table, np.arange(base.order)[:, None]
         inner = np.zeros(self.order, dtype=bool)
-        inner[self._rows.locate(t[g, t[self._rows.gens[None, :], base.inverses[g]]])] = True
+        inner[self.locate(t[g, t[ends.gens[None, :], base.inverses[g]]])] = True
         self.inner_order = int(np.count_nonzero(inner))
         if self.inner_order * center(base).order != base.order:
             raise ValueError("inner automorphism count inconsistent with center")
@@ -555,9 +550,23 @@ class AutGroup:
     def order(self) -> int:
         return int(self.perms.shape[0])
 
+    def locate(self, gen_images: np.ndarray) -> np.ndarray:
+        """Aut index of each row of images of ``ends.gens``; KeyError if one is no automorphism's."""
+        idx = self._aut_of_end[self.ends.locate(gen_images)]
+        if (idx < 0).any():
+            raise KeyError("generator images of an endomorphism that is not an automorphism")
+        return idx
+
+    def index_of(self, images: np.ndarray) -> int:
+        """Aut index of a full image array; KeyError if it is not an automorphism."""
+        a = int(self._aut_of_end[self.ends.index_of(images)])
+        if a < 0:
+            raise KeyError("an endomorphism that is not an automorphism")
+        return a
+
     def _element_orders(self) -> np.ndarray:
         """Order of each automorphism: the least k with a^k fixing the generators of G."""
-        gens = self._rows.gens
+        gens = self.ends.gens
         orders = np.zeros(self.order, dtype=np.int32)
         todo, power = np.arange(self.order), self.perms[:, gens]
         k = 1
@@ -576,19 +585,16 @@ class AutGroup:
         located from its images of the generators of G: one ``locate`` per
         frontier row and generator.
         """
-        cols = self.perms[:, self._rows.gens][gens]  # row j: generator j on the generators of G
+        cols = self.perms[:, self.ends.gens][gens]  # row j: generator j on the generators of G
         new = reached
         while True:
             frontier = new.nonzero()[0]
             if not frontier.size:
                 return reached
             hit = np.zeros(len(reached), dtype=bool)
-            hit[self._rows.locate(self.perms[frontier][:, cols])] = True
+            hit[self.locate(self.perms[frontier][:, cols])] = True
             new = hit > reached
             reached |= new
-
-    def index_of(self, images: np.ndarray) -> int:
-        return self._rows.index_of(images)
 
     def hom(self, a: int) -> GroupHom:
         return GroupHom(self.base, self.base, self.perms[a], check=False)
@@ -598,8 +604,9 @@ class AutSubgroup:
     """A subgroup of Aut(G), such as a Galois group, by its ascending Aut indices ``members``.
 
     Nothing is checked at construction.  ``as_group`` builds a table for
-    this subgroup alone, from its own rows, and raises ValueError if the
-    identity or some product of two members is not a member.
+    this subgroup alone, locating the products of its members in Aut(G),
+    and raises ValueError if the identity or some product of two members is
+    not a member.
     """
 
     __slots__ = ("aut", "members", "_as_group")
@@ -629,15 +636,16 @@ class AutSubgroup:
             aut, m = self.aut, self.members
             if not self.contains(aut.identity):
                 raise ValueError("Aut subset without the identity")
-            rows = KeyedRows(aut.base, aut.base, aut.perms[m], aut._rows._keygen, aut._rows.keys[m])
-            cols = rows.matrix[:, rows.gens]
+            rows = aut.perms[m]
+            cols = rows[:, aut.ends.gens]
             table = np.empty((len(m), len(m)), dtype=np.int32)
             step = max(1, _BATCH // len(m))
-            try:
-                for lo in range(0, len(m), step):
-                    table[lo:lo + step] = rows.locate(rows.matrix[lo:lo + step][:, cols])
-            except KeyError:
-                raise ValueError("Aut subset not closed under composition") from None
+            for lo in range(0, len(m), step):
+                products = aut.locate(rows[lo:lo + step][:, cols])
+                at = m.searchsorted(products)
+                if not (m.take(at, mode="clip") == products).all():
+                    raise ValueError("Aut subset not closed under composition")
+                table[lo:lo + step] = at
             ident = int(m.searchsorted(aut.identity))
             self._as_group = FiniteGroup(
                 f"Aut({aut.base.name})-sub{len(m)}",

@@ -99,7 +99,7 @@ def _side_profile_per_hom(hom_set, end, gen_images, phi_idx):
     flat = rows + (np.arange(rows.shape[0]) * n)[:, None]
     counts = np.bincount(flat.ravel(), minlength=rows.shape[0] * n).reshape(idx.shape[:-1] + (n,))
     fixers = idx == phi_idx[:, None]
-    galois = fixers[:, end.aut_rows]
+    galois = fixers[:, end.aut.end_rows]
     surjective = counts.all(axis=-1)
     injective = (counts <= 1).all(axis=-1)
     approximation = surjective & (fixers.sum(axis=-1) == galois.sum(axis=-1))

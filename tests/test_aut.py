@@ -15,11 +15,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import oracle_aut_table, oracle_inner_members, relabelled
+from conftest import index_of_row, oracle_aut_table, oracle_inner_members, relabelled
 from grouper.approx import classify_hom, galois_group
 from grouper.corpus import generate_corpus
 from grouper.groups import _element_orders, generating_set_of_table, standard_group
-from grouper.homs import AutSubgroup, automorphism_group, enumerate_homs
+from grouper.homs import AutSubgroup, automorphism_group, end_set, enumerate_homs
 
 ROOT = Path(__file__).resolve().parent.parent
 C3_CUBED = "product:cyclic:3,cyclic:3,cyclic:3"
@@ -92,6 +92,56 @@ class TestGaloisClosure:
             sub.as_group()
         with pytest.raises(ValueError, match="without the identity"):
             AutSubgroup(aut, [int(oracle_aut_table(aut)[a, a])]).as_group()
+
+
+class TestLocate:
+    def test_locate_and_index_of_reindex_the_end_rows(self):
+        """Each End row is found at the oracle's Aut index if it is bijective, and refused if not."""
+        extra = [standard_group(n) for n in ("alternating:5", "symmetric:5")]
+        for X in with_relabelled(generate_corpus(12) + extra, 6):
+            aut = automorphism_group(X)
+            assert aut.ends is end_set(X), X.name
+            gens = aut.ends.gens
+            for row in aut.ends.matrix:
+                if (np.sort(row) == np.arange(X.order)).all():
+                    a = index_of_row(aut.perms, row)
+                    assert aut.locate(row[gens][None, :]).tolist() == [a], X.name
+                    assert aut.index_of(row) == a, X.name
+                else:
+                    with pytest.raises(KeyError):
+                        aut.locate(row[gens][None, :])
+                    with pytest.raises(KeyError):
+                        aut.index_of(row)
+
+    @pytest.mark.parametrize("name", ["dihedral:8", "symmetric:4", "alternating:5"])
+    def test_as_group_of_random_subsets_matches_oracle(self, name):
+        """Closed subsets give the oracle's restricted table, the others ValueError; ``locate``
+        finds every product of two members where the oracle does."""
+        aut = automorphism_group(standard_group(name))
+        table = oracle_aut_table(aut)
+        gens = aut.ends.gens
+        rng = np.random.default_rng(9)
+        closed = 0
+        for trial in range(40):
+            picks = rng.choice(aut.order, size=int(rng.integers(1, 4)), replace=False)
+            if trial % 2:  # the subgroup the picks generate, by the oracle's table
+                reached = np.zeros(aut.order, dtype=bool)
+                reached[picks] = reached[aut.identity] = True
+                while not reached[table[np.ix_(reached, reached)]].all():
+                    reached[table[np.ix_(reached, reached)]] = True
+                m = np.flatnonzero(reached)
+            else:
+                m = np.union1d(picks, [aut.identity])
+            products = table[np.ix_(m, m)]
+            assert (aut.locate(aut.perms[m][:, aut.perms[m][:, gens]]) == products).all()
+            sub = AutSubgroup(aut, m)
+            if np.isin(products, m).all():
+                closed += 1
+                assert (sub.as_group().table == m.searchsorted(products)).all()
+            else:
+                with pytest.raises(ValueError, match="not closed"):
+                    sub.as_group()
+        assert 20 <= closed < 40
 
 
 def test_building_aut_of_c3_cubed_stays_small():

@@ -366,7 +366,7 @@ class TestAutRows:
         G = standard_group(name)
         for X in (G, relabelled(G, np.random.default_rng(3).permutation(G.order))):
             end, aut = EndData(X), automorphism_group(X)
-            assert (end.homs.matrix[end.aut_rows] == aut.perms).all()
-            assert (np.diff(end.aut_rows) > 0).all()
+            assert (end.homs.matrix[end.aut.end_rows] == aut.perms).all()
+            assert (np.diff(end.aut.end_rows) > 0).all()
             bijective = (np.sort(end.homs.matrix, axis=1) == np.arange(X.order)).all(axis=1)
-            assert (np.flatnonzero(bijective) == end.aut_rows).all()
+            assert (np.flatnonzero(bijective) == end.aut.end_rows).all()

@@ -126,3 +126,37 @@ def test_compare_verify_reports_a_failing_run(tmp_path):
     proc = run_compare_verify(good, bad)
     assert proc.returncode == 2
     assert "verify exited 2" in proc.stderr and "boom" in proc.stderr
+
+
+def run_compare_homs(parent, change, max_order=6):
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "compare_homs.py"), str(parent), str(change),
+         "--max-order", str(max_order)],
+        capture_output=True, text=True, timeout=300,
+    )
+
+
+def test_compare_homs_of_this_checkout_with_itself():
+    proc = run_compare_homs(ROOT, ROOT)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()[-3:]
+    assert [line.split(":")[0] for line in lines] == ["hom-sets", "aut-groups", "verdicts"]
+    assert all(": identical (" in line for line in lines)
+
+
+def test_compare_homs_names_the_first_differing_item():
+    spec = importlib.util.spec_from_file_location("compare_homs", ROOT / "scripts" / "compare_homs.py")
+    compare_homs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(compare_homs)
+    a = {kind: [["C2->C2", "x"], ["C2->C4", "y"]] for kind in compare_homs.KINDS}
+    b = dict(a, verdicts=[["C2->C2", "x"], ["C2->C4", "z"]])
+    assert compare_homs.compare(a, b) == [
+        "hom-sets: identical (2 items)", "aut-groups: identical (2 items)",
+        "verdicts: differ (2 vs 2 items), first at item 1: C2->C4"]
+
+
+def test_compare_homs_reports_a_failing_run(tmp_path):
+    bad = fake_grouper(tmp_path / "bad", "")
+    proc = run_compare_homs(ROOT, bad)
+    assert proc.returncode == 2
+    assert "digest exited 1" in proc.stderr and "grouper.corpus" in proc.stderr
