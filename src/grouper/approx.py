@@ -11,7 +11,6 @@ order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 import numpy as np
 
 from .errors import EmptyClassError
@@ -25,7 +24,7 @@ from .groups import (
     quotient_group,
     subgroup_generated,
 )
-from .homs import AutSubgroup, HomSet, _gen_array, automorphism_group, enumerate_homs
+from .homs import _BATCH, AutSubgroup, HomSet, _gen_array, automorphism_group, enumerate_homs, key_groups
 
 FLAG_NAMES = (
     "isLocalization",
@@ -97,88 +96,44 @@ class ClassificationReport:
         }
 
 
-def _starts(sizes: np.ndarray) -> np.ndarray:
-    """Offset of each of consecutive blocks of ``sizes`` rows."""
-    starts = np.zeros(len(sizes), dtype=np.intp)
-    np.cumsum(sizes[:-1], out=starts[1:])
-    return starts
-
-
 @dataclass
 class Composites:
-    """Composites located in a hom set or a ``HomRun``, in blocks.
-
-    ``idx[j]`` is the row of composite j in ``homs``; block b holds the
-    composites from ``starts[b]`` on and ``counts[count_starts[b] + i]``
-    counts those equal to hom i of the block's hom set (its segment of a
-    run).  The flags hold per block.  For the absolute verdicts
-    (``side_profile``), a block composes one hom with each endomorphism of
-    one side: ``fixers`` marks the composites equal to that hom and
-    ``galois`` those whose endomorphism is, besides, an automorphism.
-    """
+    """Composites located in a hom set: ``idx[j]`` is the row of composite j in
+    ``homs``, and ``counts[i]`` counts the composites equal to hom i."""
 
     idx: np.ndarray
     counts: np.ndarray
-    homs: HomSet  # or a HomRun
-    starts: np.ndarray
-    count_starts: np.ndarray
-    fixers: Optional[np.ndarray] = None
-    galois: Optional[np.ndarray] = None
+    homs: HomSet
 
     @property
-    def surjective(self):
-        return np.minimum.reduceat(self.counts, self.count_starts) > 0
+    def surjective(self) -> bool:
+        return bool(self.counts.all())
 
     @property
-    def injective(self):
-        return np.maximum.reduceat(self.counts, self.count_starts) <= 1
+    def injective(self) -> bool:
+        return bool((self.counts <= 1).all())
 
     @property
-    def bijective(self):
-        return self.surjective & self.injective
-
-    @property
-    def galois_orders(self):
-        return np.add.reduceat(self.galois, self.starts, dtype=np.int_)
-
-    @property
-    def approximation(self):
-        """Surjective, and every endomorphism fixing the hom is an automorphism."""
-        fixed = np.add.reduceat(self.fixers, self.starts, dtype=np.int_)
-        return self.surjective & (fixed == self.galois_orders)
+    def bijective(self) -> bool:
+        return self.surjective and self.injective
 
     def first_unhit(self) -> int:
-        """Lowest hom index that no composite reaches (one block, not surjective)."""
+        """Lowest hom index that no composite reaches (not surjective)."""
         return int(np.argmin(self.counts))
 
-    def first_duplicate_pair(self):
-        """Smallest (i, j), i < j, with equal composites (one block), or None."""
+    def first_duplicate_pair(self) -> tuple:
+        """Smallest (i, j), i < j, with equal composites (not injective)."""
         _, first = np.unique(self.idx, return_index=True)
         repeated = np.ones(len(self.idx), dtype=bool)
         repeated[first] = False
-        if not repeated.any():
-            return None
         j = int(np.argmax(repeated))
         return int(np.argmax(self.idx == self.idx[j])), j
 
 
-def composites(homs, gen_images: np.ndarray, sizes=None, segments=None) -> Composites:
-    """Locate composites, given by their images of ``homs.gens`` along the last axis, in ``homs``.
-
-    ``homs`` is a hom set or a ``HomRun``.  The composites come in blocks
-    of ``sizes[b]`` consecutive rows, block b lying in segment
-    ``segments[b]`` of the run; by default they are one block over all of
-    ``homs``.
-    """
+def composites(homs: HomSet, gen_images: np.ndarray) -> Composites:
+    """Locate composites, given by their images of ``homs.gens`` along the last axis, in ``homs``."""
     idx = homs.locate(gen_images.reshape(-1, gen_images.shape[-1]))
-    if sizes is None:
-        one = np.zeros(1, dtype=np.intp)
-        return Composites(idx, np.bincount(idx, minlength=len(homs)), homs, one, one)
-    lows = homs.row_starts[segments]
-    widths = homs.row_starts[segments + 1] - lows
-    count_starts = _starts(widths)
-    counts = np.bincount(idx + np.repeat(count_starts - lows, sizes), minlength=int(widths.sum()))
-    return Composites(idx, counts, homs, _starts(sizes), count_starts)
+    return Composites(idx, np.bincount(idx, minlength=len(homs)), homs)
 
 
 def precomposition(phi_images: np.ndarray, H: FiniteGroup, G: FiniteGroup, F: FiniteGroup) -> Composites:
@@ -201,76 +156,162 @@ class EndData:
         self.aut = automorphism_group(X)
 
 
-def side_profile(homs, gen_images: np.ndarray, phi_idx: np.ndarray, is_aut: np.ndarray,
-                 sizes=None, segments=None) -> Composites:
-    """The kernel of every absolute verdict: homs ``phi_idx`` composed with the endomorphisms of one side.
+def _counts(end: EndData, rows: np.ndarray, fixed: np.ndarray) -> tuple:
+    """(distinct, fixers, galois): the distinct rows of ``rows``, one per endomorphism in
+    ``end``, the rows equal to ``fixed``, and those of them that belong to automorphisms."""
+    fixers = (rows == fixed).all(axis=1)
+    return len(key_groups(rows)[0]), int(fixers.sum()), int((fixers & end.aut.end_mask).sum())
 
-    Block b of ``gen_images`` (see ``composites``) holds the generator
-    images of hom ``phi_idx[b]`` composed with each endomorphism of its
-    side, in End order, and ``is_aut`` marks the composites whose
-    endomorphism is an automorphism.
+
+def _kernel_counts(end_h: EndData, kernel: np.ndarray) -> tuple:
+    """``_counts`` of phi.f for f in End(H), for the homs phi with the kernel mask ``kernel``.
+
+    phi.f = phi.g exactly when f and g agree modulo N = ker phi, so the
+    rows are End(H)'s images of the generators of H, each replaced by the
+    least member of its coset xN.
     """
-    comp = composites(homs, gen_images, sizes, segments)
-    comp.fixers = comp.idx == (phi_idx if sizes is None else np.repeat(phi_idx, sizes))
-    comp.galois = comp.fixers & is_aut
-    return comp
+    H, gens = end_h.homs.source, end_h.homs.gens
+    label = H.table[:, np.flatnonzero(kernel)].min(axis=1)
+    ends = H.memo("end_gen_images", lambda: end_h.homs.matrix[:, gens])
+    return _counts(end_h, label[ends], label[gens])
+
+
+def _per_key(keys: np.ndarray, counts) -> list:
+    """``counts(key, i)`` for each row of ``keys``, called once per distinct row, with
+    ``key`` its bytes and i its first row: three int arrays of one entry per row."""
+    first, inverse = key_groups(keys)
+    per_key = np.array([counts(keys[i].tobytes(), i) for i in first.tolist()], dtype=np.int_)
+    return [column[inverse] for column in per_key.T]
+
+
+def _packed(rows: np.ndarray, mask) -> np.ndarray:
+    """The bool rows ``mask(block)`` of each block of ``_BATCH`` rows, packed to bits; a block at
+    a time bounds the temporaries."""
+    return np.concatenate([np.packbits(mask(rows[lo:lo + _BATCH]), axis=1) for lo in range(0, len(rows), _BATCH)])
+
+
+def kernel_keys(rows: np.ndarray, identity: int) -> np.ndarray:
+    """The packed kernel mask of each hom of ``rows``, whose target has the identity ``identity``."""
+    return _packed(rows, lambda block: block == identity)
+
+
+def image_counts(rows: np.ndarray, end_g: EndData, gens: np.ndarray) -> list:
+    """The counts (distinct, fixers, galois) of f |-> f.phi on End(G), for each hom phi: H -> G
+    of ``rows``, with ``gens`` the generators of H.
+
+    With K = Im phi, f.phi = g.phi exactly when f and g agree on K, since
+    H -> K is onto.  So the composites are counted by the distinct rows of
+    End(G) at phi's images of ``gens``, which generate K, and the fixers
+    are the f that fix those images.  The counts depend on phi only
+    through K: they are memoized on G, keyed by the packed member mask of
+    K, for every source to share.
+    """
+    G = end_g.homs.source
+
+    def hit(block):
+        mask = np.zeros((len(block), G.order), dtype=bool)
+        mask[np.arange(len(block))[:, None], block] = True
+        return mask
+
+    def counts(key, i):
+        def compute():
+            images = rows[i, gens]
+            return _counts(end_g, end_g.homs.matrix[:, images], images)
+
+        return G.memo(("image_counts", key), compute)
+
+    return _per_key(_packed(rows, hit), counts)
+
+
+def kernel_counts(keys: np.ndarray, end_h: EndData) -> list:
+    """The counts (distinct, fixers, galois) of f |-> phi.f on End(H), for each hom phi from H
+    with the packed kernel mask of that row of ``keys`` (``kernel_keys``).
+
+    With N = ker phi, phi.f = phi.g exactly when f and g agree modulo N
+    (``_kernel_counts``).  The counts depend on phi only through N: they
+    are memoized on H, keyed by the packed mask of N, for every target to
+    share.
+    """
+    H = end_h.homs.source
+
+    def counts(key, i):
+        kernel = np.unpackbits(keys[i], count=H.order).astype(bool)
+        return H.memo(("kernel_counts", key), lambda: _kernel_counts(end_h, kernel))
+
+    return _per_key(keys, counts)
+
+
+def side_flags(counts, homs: int, ends: int) -> tuple:
+    """(pre-approximation, approximation, bijection, Galois order) from the counts of one side,
+    with ``homs`` = |Hom(H, G)| and ``ends`` the size of that side's End.
+
+    Composition with End is onto Hom(H, G) when its ``distinct`` composites
+    are all of Hom(H, G), and one-to-one when there are as many as
+    endomorphisms; an approximation is onto and all of its fixers are
+    automorphisms.
+    """
+    distinct, fixers, galois = counts
+    pre = distinct == homs
+    return pre, pre & (fixers == galois), pre & (distinct == ends), galois
 
 
 def galois_group(phi: GroupHom, side: str = "target") -> AutSubgroup:
-    """Automorphisms fixing phi: f.phi = phi (target side) or phi.f = phi (source side)."""
+    """Automorphisms fixing phi: f.phi = phi (target side) or phi.f = phi (source side).
+
+    Both sides are homs from the source, so they are compared on its
+    generators ``_gen_array``, whose images fix a hom.
+    """
     if side not in ("target", "source"):
         raise ValueError("side must be 'target' or 'source'")
     ag = automorphism_group(phi.target if side == "target" else phi.source)
-    comp = ag.perms[:, phi.images] if side == "target" else phi.images[ag.perms]
-    return AutSubgroup(ag, np.flatnonzero((comp == phi.images[None, :]).all(axis=1)))
+    gens = _gen_array(phi.source)
+    comp = ag.perms[:, phi.images[gens]] if side == "target" else phi.images[ag.perms[:, gens]]
+    return AutSubgroup(ag, np.flatnonzero((comp == phi.images[gens]).all(axis=1)))
 
 
-def _side_witnesses(prof: Composites, end: EndData, flags, who) -> list:
-    """Witnesses for the (pre-approximation, approximation, bijection) flags of one hom."""
-    _, flag_approx, flag_bij = flags
-    if not prof.surjective[0]:
-        data = {"unliftedHom": prof.homs.matrix[prof.first_unhit()].tolist()}
-        return [Witness(f, "unlifted-hom", data) for f in flags]
+def _side_witnesses(hom_set: HomSet, i: int, end: EndData, gen_images, flags, names, who) -> list:
+    """Witnesses of the false flags among (pre-approximation, approximation, bijection) of hom
+    i of ``hom_set``, whose composites with the endomorphisms of ``end`` have ``gen_images``."""
+    pre, approx, bij = flags
+    if bij:  # only the identity fixes a hom that composition is one-to-one on
+        return []
+    comp = composites(hom_set, gen_images)
+    if not pre:
+        data = {"unliftedHom": hom_set.matrix[comp.first_unhit()].tolist()}
+        return [Witness(f, "unlifted-hom", data) for f in names]
     out = []
-    if not prof.approximation[0]:
-        bad = int(np.flatnonzero(prof.fixers & ~prof.galois)[0])
-        out.append(Witness(flag_approx, "non-automorphism-preimage",
+    if not approx:
+        bad = int(np.flatnonzero((comp.idx == i) & ~end.aut.end_mask)[0])
+        out.append(Witness(names[1], "non-automorphism-preimage",
                            {"endomorphism": end.homs.matrix[bad].tolist(), "of": who}))
-    dup = prof.first_duplicate_pair()
-    if dup is not None:
-        i, j = dup
-        out.append(Witness(flag_bij, "non-injective-pair",
-                           {"first": end.homs.matrix[i].tolist(),
-                            "second": end.homs.matrix[j].tolist(), "of": who}))
+    a, b = comp.first_duplicate_pair()
+    out.append(Witness(names[2], "non-injective-pair",
+                       {"first": end.homs.matrix[a].tolist(), "second": end.homs.matrix[b].tolist(), "of": who}))
     return out
 
 
 def classify_hom(phi: GroupHom) -> ClassificationReport:
-    """Full absolute classification of one homomorphism."""
+    """Full absolute classification of one homomorphism, from ``image_counts`` and ``kernel_counts``."""
     H, G = phi.source, phi.target
     hom_set = enumerate_homs(H, G)
     end_g, end_h = EndData(G), EndData(H)
-    i = np.array([hom_set.index_of(phi.images)])
-    gens = hom_set.gens
-    # one block per side: target side f |-> f.phi on End(G), source side f |-> phi.f on End(H)
-    t = side_profile(hom_set, end_g.homs.matrix[:, phi.images[gens]], i, end_g.aut.end_mask)
-    s = side_profile(hom_set, phi.images[end_h.homs.matrix[:, gens]], i, end_h.aut.end_mask)
-    flags = {
-        "isLocalization": bool(t.bijective[0]),
-        "isCellularCover": bool(s.bijective[0]),
-        "isEnvelope": bool(t.approximation[0]),
-        "isCover": bool(s.approximation[0]),
-        "isPreenvelopeOfTargetClass": bool(t.surjective[0]),
-        "isPrecoverOfSourceClass": bool(s.surjective[0]),
-    }
-    witnesses = _side_witnesses(
-        t, end_g, ("isPreenvelopeOfTargetClass", "isEnvelope", "isLocalization"), "target"
-    ) + _side_witnesses(
-        s, end_h, ("isPrecoverOfSourceClass", "isCover", "isCellularCover"), "source"
+    i, gens = hom_set.index_of(phi.images), hom_set.gens
+    t = image_counts(phi.images[None, :], end_g, gens)
+    s = kernel_counts(kernel_keys(phi.images[None, :], G.identity), end_h)
+    # target side f |-> f.phi on End(G), source side f |-> phi.f on End(H)
+    sides = (
+        ("target", t, end_g, end_g.homs.matrix[:, phi.images[gens]],
+         ("isPreenvelopeOfTargetClass", "isEnvelope", "isLocalization")),
+        ("source", s, end_h, phi.images[end_h.homs.matrix[:, gens]],
+         ("isPrecoverOfSourceClass", "isCover", "isCellularCover")),
     )
-    gal = AutSubgroup(end_g.aut, np.flatnonzero(t.galois[end_g.aut.end_rows]))
-    cogal = AutSubgroup(end_h.aut, np.flatnonzero(s.galois[end_h.aut.end_rows]))
-    return ClassificationReport(phi, flags, gal, cogal, witnesses)
+    flags, witnesses = {}, []
+    for who, counts, end, gen_images, names in sides:
+        side = tuple(bool(f) for f in side_flags(counts, len(hom_set), len(end.homs))[:3])
+        flags.update(zip(names, side))
+        witnesses += _side_witnesses(hom_set, i, end, gen_images, side, names, who)
+    return ClassificationReport(phi, flags, galois_group(phi, "target"), galois_group(phi, "source"),
+                                witnesses)
 
 
 @dataclass

@@ -13,7 +13,6 @@ import functools
 import math
 import time
 from dataclasses import dataclass, field
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -22,20 +21,20 @@ from .approx import (
     GroupClass,
     f_socle,
     galois_group,
+    image_counts,
+    kernel_counts,
+    kernel_keys,
     local_kernel,
     postcomposition,
     precomposition,
-    side_profile,
+    side_flags,
 )
 from .commutators import LemmaConfig, check_commutator_lemmas, nilpotency_class
 from .groups import FiniteGroup, GroupHom, are_isomorphic, standard_group
-from .homs import HomRun, _gen_array, enumerate_homs, enumerate_source, first_per_key, orbit_labels
+from .homs import _gen_array, enumerate_homs, enumerate_source, first_per_key
 
 PAIR_BUDGET = 100_000_000
 CORPUS_CAP = 512
-# composites (both sides) plus counted homs per chunk of a source's run, which bounds its
-# working memory; a representative that needs more is a chunk of its own
-_CHUNK = 1 << 13
 SUITE_IDS = ("cogalois", "galois", "socle-cover", "radical-envelope", "reduction", "lemmas")
 
 
@@ -131,17 +130,21 @@ class HomVerdicts:
 
 
 def classify_pair(H: FiniteGroup, G: FiniteGroup) -> HomVerdicts:
-    """Classify every hom H -> G at once, as a run of one target; memoized on H."""
+    """Classify every hom H -> G at once, as ``classify_source`` of one target; memoized on H."""
     return H.memo(("verdicts", G), lambda: _classify_run(H, [G])[0])
 
 
 def classify_source(H: FiniteGroup, targets) -> None:
-    """Classify every hom H -> G, for each G of ``targets`` that H has no verdicts for,
-    in one run; ``classify_pair`` then reads them from H's memo.
+    """Classify every hom H -> G, for each G of ``targets`` that H has no verdicts for;
+    ``classify_pair`` then reads them from H's memo.
 
-    The run's hom sets come from one walk over all of those targets
+    The hom sets come from one walk over all of those targets
     (``homs.enumerate_source``), which fills H's hom-set memo for each
-    target that it does not hold yet.
+    target that it does not hold yet.  Each verdict is read from counts
+    that depend on a hom only through its image and its kernel
+    (``approx.image_counts``, ``approx.kernel_counts``), memoized on the
+    target per image and on H per kernel, so sources and targets share
+    them.
     """
     todo = [G for G in {id(G): G for G in targets}.values() if not H.memoized(("verdicts", G))]
     if todo:
@@ -149,82 +152,31 @@ def classify_source(H: FiniteGroup, targets) -> None:
             H.memo(("verdicts", G), lambda v=v: v)
 
 
-def _joined_auts(auts, elem_starts: np.ndarray) -> SimpleNamespace:
-    """The Aut(G_t) of a run's segments side by side, on the run's element labels.
-
-    Row s of ``perms`` moves each segment by its generator s, or by the
-    identity past its last generator.
-    """
-    width = max(len(aut.generators) for aut in auts)
-    perms = np.tile(np.arange(elem_starts[-1], dtype=np.int32), (width, 1))
-    for aut, lo in zip(auts, elem_starts.tolist()):
-        perms[:len(aut.generators), lo:lo + aut.base.order] = aut.perms[aut.generators] + lo
-    return SimpleNamespace(perms=perms, generators=range(len(perms)))
-
-
 def _classify_run(H: FiniteGroup, targets) -> list:
-    """The verdicts of every hom H -> G, for each G of ``targets``, from one keyed run.
+    """The verdicts of every hom H -> G, for each G of ``targets``, read from the counts of
+    ``approx.image_counts`` and ``approx.kernel_counts``.
 
-    One hom per Aut(H) x Aut(G) orbit is classified, and the rest of its
-    orbit shares its verdicts.  Verdicts are invariant under phi -> a.phi.b
-    (a in Aut(G), b in Aut(H)).  f -> f.a permutes End(G) and keeps Aut(G),
-    psi -> psi.b permutes Hom(H, G), and f.(a.phi.b) = ((f.a).phi).b; so
-    a.phi.b has the composites of phi relabelled, hence the same
-    surjectivity and injectivity.  Its fixers are a F a^-1 for the fixers F
-    of phi, so the approximation test agrees and the Galois groups are
-    conjugate.  The source side is dual.
-
-    ``enumerate_source`` first searches the hom sets of every target in one
-    walk; the ``enumerate_homs`` calls per target then read H's memo.  The
-    hom sets lie end to end in a ``HomRun``.  Orbits are labelled over
-    the whole run, and the representatives are composed with their
-    segment's End(G) and with End(H), at most ``_CHUNK`` composites (and
-    counted homs) at a time; each side of a chunk is one ``side_profile``
-    over all of its segments.
+    Those counts depend on a hom only through its image and its kernel, so
+    each pair's homs are grouped by image, the homs of all targets are
+    grouped by kernel, and the counts, memoized on G per image and on H
+    per kernel, are broadcast to the groups.  ``enumerate_source`` first
+    searches the hom sets of every target in one walk; the
+    ``enumerate_homs`` calls per target then read H's memo.
     """
     enumerate_source(H, targets)
-    hom_sets, end_gs = [], []
+    hom_sets, ends = [], []
     for G in targets:
         hom_sets.append(enumerate_homs(H, G))
-        end_gs.append(EndData(G))
-        end_h = EndData(H)  # once per target: perfbench pins the enumerate_homs calls this makes
-    run = HomRun(hom_sets)
-    reps, inverse = np.unique(
-        orbit_labels(run, _joined_auts([e.aut for e in end_gs], run.elem_starts), end_h.aut),
-        return_inverse=True,
-    )
-    segs = np.searchsorted(run.row_starts, reps, side="right") - 1
-    end_sizes = np.array([len(e.homs) for e in end_gs])
-    gens, end_h_gens = run.gens, end_h.homs.matrix[:, run.gens]
-    k = len(gens)
-    # composites of both sides plus counted homs, up to and including each representative
-    cost = np.cumsum(end_sizes[segs] + len(end_h.homs) + np.diff(run.row_starts)[segs])
-    parts, lo = [], 0
-    while lo < len(reps):
-        done = cost[lo - 1] if lo else 0
-        hi = max(lo + 1, int(cost.searchsorted(done + _CHUNK, side="right")))
-        rows, seg = reps[lo:hi], segs[lo:hi]
-        # segment by segment, the generator images of target side f.phi on End(G_t) and of
-        # source side phi.f on End(H), in run labels
-        t_images, s_images, is_aut = [], [], []
-        cuts = [0, *(np.flatnonzero(seg[1:] != seg[:-1]) + 1).tolist(), len(seg)]
-        for a, b in zip(cuts, cuts[1:]):
-            u = int(seg[a])
-            phis, first = hom_sets[u].matrix[rows[a:b] - run.row_starts[u]], int(run.elem_starts[u])
-            t_images.append((end_gs[u].homs.matrix[:, phis[:, gens]] + first).transpose(1, 0, 2)
-                            .reshape(-1, k))
-            s_images.append(phis[:, end_h_gens].reshape(-1, k) + first)
-            is_aut.append(np.tile(end_gs[u].aut.end_mask, b - a))
-        t = side_profile(run, np.concatenate(t_images), rows, np.concatenate(is_aut), end_sizes[seg], seg)
-        s = side_profile(run, np.concatenate(s_images), rows, np.tile(end_h.aut.end_mask, len(rows)),
-                         np.full(len(rows), len(end_h.homs)), seg)
-        parts.append((t.approximation, t.bijective, s.approximation, s.bijective,
-                      t.surjective, s.surjective, t.galois_orders, s.galois_orders))
-        lo = hi
-    fields = [np.concatenate(p)[inverse] for p in zip(*parts)]
-    bounds = run.row_starts.tolist()
-    return [HomVerdicts(H, G, hs.matrix, *(f[a:b] for f in fields))
-            for G, hs, a, b in zip(targets, hom_sets, bounds, bounds[1:])]
+        ends.append((EndData(G), EndData(H)))  # per target: perfbench pins the enumerate_homs calls
+    source = kernel_counts(np.concatenate([kernel_keys(hs.matrix, hs.target.identity) for hs in hom_sets]),
+                           ends[0][1])
+    out, lo = [], 0
+    for hs, (end_g, end_h) in zip(hom_sets, ends):
+        t_pre, t_approx, t_bij, gal = side_flags(image_counts(hs.matrix, end_g, hs.gens), len(hs), len(end_g.homs))
+        s_pre, s_approx, s_bij, cogal = side_flags([c[lo:lo + len(hs)] for c in source], len(hs), len(end_h.homs))
+        out.append(HomVerdicts(H, hs.target, hs.matrix, t_approx, t_bij, s_approx, s_bij, t_pre, s_pre, gal, cogal))
+        lo += len(hs)
+    return out
 
 
 def search_approximations(H: FiniteGroup, G: FiniteGroup, kind: str, injective_only: bool = False):
@@ -270,8 +222,8 @@ def _run(tasks, worker, report: SuiteReport, sort_key):
 def _run_pairs(corpus, worker, report: SuiteReport, by_source: bool = False):
     """Apply worker to every ordered pair under the budget; list the rest as skipped.
 
-    With ``by_source``, each source's targets are classified in one run
-    (``classify_source``) before its first pair, whose time includes the run.
+    With ``by_source``, each source's targets are classified together
+    (``classify_source``) before its first pair, whose time includes that.
     """
     tasks = []
     for H in corpus:
@@ -416,7 +368,7 @@ def _orders_per_key(v: HomVerdicts, homs: np.ndarray, orders: np.ndarray, side: 
 
 
 def _reduction_worker(H, G):
-    """The run kernel's Galois orders, checked against ``galois_group`` once per image or kernel.
+    """The Galois orders of ``classify_pair``, checked against ``galois_group`` once per image or kernel.
 
     Gal(phi), the automorphisms a of G with a.phi = phi, fix Im phi pointwise:
     Gal(phi) depends on the image only, and is the Galois group of the
@@ -467,10 +419,10 @@ def run_theorem_suite(
     Pairs run serially, in corpus order.  The classification suites
     (cogalois, galois, reduction) batch by source: before the first pair
     of a source H, ``classify_source`` enumerates the homs from H to all
-    of its budgeted targets in one walk, classifies them in one run and
-    memoizes the verdicts on H, and the pair workers then read them
-    through ``classify_pair``.  That pair's time in ``pair_seconds``
-    includes the run.  ``jobs`` is accepted for compatibility and has no
+    of its budgeted targets in one walk, classifies them and memoizes
+    the verdicts on H, and the pair workers then read them through
+    ``classify_pair``.  That pair's time in ``pair_seconds`` includes
+    the classification of all of them.  ``jobs`` is accepted for compatibility and has no
     effect.
     """
     if suite not in SUITE_IDS:

@@ -69,6 +69,29 @@ def first_per_key(keys: np.ndarray) -> np.ndarray:
     return order[first]
 
 
+def key_groups(keys: np.ndarray) -> tuple:
+    """(``first_per_key(keys)``, inverse), with ``inverse[r]`` the position of row r's key in it.
+
+    The rows are sorted as the big-endian 64-bit words of their bytes,
+    zero-padded, which compare as the bytes do: on hundreds of thousands
+    of rows, such as End(C4 x C4 x C4) at a few columns, that takes a
+    third to a half of the time of ``first_per_key``'s sort, which is
+    cheaper on a few rows.
+    """
+    keys = np.ascontiguousarray(keys)
+    n, width = len(keys), keys.dtype.itemsize * keys.shape[1]
+    words = np.zeros((n, max(1, -(-width // 8))), dtype=">u8")
+    words.view(np.uint8)[:, :width] = keys.view(np.uint8).reshape(n, width)
+    words = words.astype(np.uint64)
+    order = np.lexsort(words.T[::-1])
+    words = words[order]
+    first = np.ones(n, dtype=bool)
+    first[1:] = (words[1:] != words[:-1]).any(axis=1)
+    inverse = np.empty_like(order)
+    inverse[order] = first.cumsum() - 1
+    return order[first], inverse
+
+
 def _divisor_positions(G: FiniteGroup, o: int) -> tuple:
     """(members, pos): the elements of G whose order divides o, ascending, and
     pos[x], the rank of x among them (0 for the others); memoized on G."""
@@ -229,10 +252,6 @@ class HomSet:
             raise KeyError("generator images of a non-member hom")
         return idx
 
-    def images(self, cols) -> np.ndarray:
-        """Every row's images of the source elements ``cols``."""
-        return self.matrix[:, cols]
-
     def index_of(self, images) -> int:
         """Row index of a full image array; KeyError if it is not a row."""
         row = np.asarray(images)
@@ -269,65 +288,17 @@ class HomSet:
         return injective[first_per_key(np.sort(self.matrix[injective], axis=1))]
 
 
-class HomRun:
-    """Hom sets H -> G_0, ..., H -> G_m-1 laid end to end as one keyed run.
-
-    Segment t holds the homs of ``sets[t]`` as rows ``row_starts[t]`` on,
-    with each element x of G_t relabelled ``elem_starts[t] + x``, and their
-    keys raised by the sum of the earlier segments' ``HomKeys`` sizes.  So
-    keys still strictly increase over the run.  The segments' weighted
-    digit tables are laid end to end on the relabelled elements as well,
-    the first generator's carrying the segment's key offset; an image's
-    label then selects its segment's digits, and one ``locate`` finds
-    composites in every segment at once.  The rows stay in their sets;
-    ``images`` gathers the columns a caller needs.
-    """
-
-    __slots__ = ("sets", "source", "gens", "keys", "_keygen", "row_starts", "elem_starts")
-
-    def __init__(self, hom_sets):
-        sets = self.sets = list(hom_sets)
-        self.source, self.gens = sets[0].source, sets[0].gens
-        keys = [hs.keys for hs in sets]
-        key_starts = list(itertools.accumulate((hs._keygen.size for hs in sets), initial=0))
-        if key_starts[-1] > np.iinfo(np.int64).max:
-            raise EnumerationCapError(f"hom keys of a run from {self.source.name} do not fit in 64 bits")
-        self.keys = np.concatenate([k + ks for k, ks in zip(keys, key_starts)])
-        # digit tables weighted in place, so each segment may have its own weights
-        tables = [
-            np.concatenate([hs._keygen.positions[i] * hs._keygen.weights[i] + (ks if i == 0 else 0)
-                            for hs, ks in zip(sets, key_starts)])
-            for i in range(len(self.gens))
-        ]
-        self._keygen = functools.partial(_key_sum, tables, (1,) * len(tables))
-        self.row_starts = np.cumsum([0] + [len(hs) for hs in sets])
-        self.elem_starts = np.cumsum([0] + [hs.target.order for hs in sets])
-
-    def __len__(self):
-        return int(self.row_starts[-1])
-
-    locate = HomSet.locate
-
-    def images(self, cols) -> np.ndarray:
-        """Every row's images of the source elements ``cols``, in run labels."""
-        out = np.empty((len(self), len(cols)), dtype=np.int32)
-        for hs, lo, first in zip(self.sets, self.row_starts.tolist(), self.elem_starts.tolist()):
-            np.add(hs.matrix[:, cols], first, out=out[lo:lo + len(hs)])
-        return out
-
-
 def orbit_labels(hom_set, aut_g, aut_h) -> np.ndarray:
     """Each hom's least orbit-mate under phi -> a.phi.b, for a in Aut(G) and b in Aut(H).
 
     One ``locate`` per Aut generator gives its move on the homs; the least
     label spreads along the moves, with pointer jumping, to a fixed point
     (Holt, Eick & O'Brien, *Handbook of Computational Group Theory*, 4.1).
-    ``hom_set`` may be a ``HomRun``, with ``aut_g`` from ``corpus._joined_auts``.
     """
     gens = hom_set.gens
-    gen_images = hom_set.images(gens)
+    gen_images = hom_set.matrix[:, gens]
     moves = [hom_set.locate(aut_g.perms[a][gen_images]) for a in aut_g.generators]
-    moves += [hom_set.locate(hom_set.images(aut_h.perms[b][gens])) for b in aut_h.generators]
+    moves += [hom_set.locate(hom_set.matrix[:, aut_h.perms[b][gens]]) for b in aut_h.generators]
     labels, prev = np.arange(len(hom_set)), None
     while prev is None or (labels != prev).any():
         prev = labels

@@ -7,7 +7,7 @@ import weakref
 import numpy as np
 import pytest
 
-from conftest import forget_memos, relabelled
+from conftest import classify_pair_per_hom, forget_memos, relabelled
 from grouper.corpus import (
     SUITE_IDS,
     HomVerdicts,
@@ -18,8 +18,9 @@ from grouper.corpus import (
     run_theorem_suite,
     search_approximations,
 )
-from grouper.approx import galois_group
+from grouper.approx import classify_hom, galois_group
 from grouper.groups import GroupHom, are_isomorphic, standard_group
+from grouper.homs import enumerate_homs
 
 
 class TestCorpusGeneration:
@@ -294,6 +295,73 @@ class TestClassifyPairMatchesClassifyHom:
                     assert got == want, (H.name, G.name, v.matrix[i].tolist())
                     checked += 1
         assert checked > 1000
+
+
+def is_hom(images, X, Y) -> bool:
+    """Whether the image array ``images`` of X -> Y satisfies f(x y) = f(x) f(y) on the whole table."""
+    images = np.asarray(images)
+    return bool((images[X.table] == Y.table[images[:, None], images[None, :]]).all())
+
+
+class TestClassifyHomMatchesOracle:
+    """``classify_hom`` against the per-hom oracle, with each witness checked on its own."""
+
+    FLAGS = ("isLocalization", "isCellularCover", "isEnvelope", "isCover",
+             "isPreenvelopeOfTargetClass", "isPrecoverOfSourceClass")
+    PAIRS = [
+        ("cyclic:4", "cyclic:2"), ("cyclic:2", "cyclic:4"), ("cyclic:3", "symmetric:3"),
+        ("cyclic:2", "product:cyclic:2,cyclic:2"), ("product:cyclic:2,cyclic:2", "cyclic:2"),
+        ("cyclic:2", "cyclic:6"), ("cyclic:3", "alternating:4"),
+        ("quaternion8", "product:cyclic:2,cyclic:2"), ("product:cyclic:2,cyclic:4", "dihedral:8"),
+        ("dihedral:8", "symmetric:4"), ("alternating:4", "symmetric:4"), ("alternating:5", "symmetric:5"),
+    ]
+
+    TARGET_FLAGS = ("isPreenvelopeOfTargetClass", "isEnvelope", "isLocalization")
+
+    @classmethod
+    def check_witness(cls, w, phi, ends):
+        """The witness holds, read from full image arrays; ``ends`` maps a side to its End rows."""
+        H, G, images = phi.source, phi.target, phi.images
+        side = "target" if w.flag in cls.TARGET_FLAGS else "source"
+        X = G if side == "target" else H
+
+        def compose(f):  # f.phi on the target side, phi.f on the source side
+            return np.asarray(f)[images] if side == "target" else images[np.asarray(f)]
+
+        if w.kind == "unlifted-hom":
+            unlifted = np.asarray(w.data["unliftedHom"])
+            assert is_hom(unlifted, H, G)
+            assert not any((compose(f) == unlifted).all() for f in ends[side])
+        elif w.kind == "non-automorphism-preimage":
+            f = np.asarray(w.data["endomorphism"])
+            assert w.data["of"] == side
+            assert is_hom(f, X, X) and (compose(f) == images).all() and len(np.unique(f)) < X.order
+        else:
+            assert w.kind == "non-injective-pair" and w.data["of"] == side
+            f, g = np.asarray(w.data["first"]), np.asarray(w.data["second"])
+            assert is_hom(f, X, X) and is_hom(g, X, X) and (f != g).any()
+            assert (compose(f) == compose(g)).all()
+
+    def test_every_hom_of_several_pairs(self):
+        kinds = set()
+        for src, tgt in self.PAIRS:
+            H, G = standard_group(src), standard_group(tgt)
+            want = classify_pair_per_hom(H, G)
+            ends = {"target": enumerate_homs(G, G).matrix, "source": enumerate_homs(H, H).matrix}
+            for i, row in enumerate(want.matrix):
+                phi = GroupHom(H, G, row, check=False)
+                rep = classify_hom(phi)
+                got = tuple(rep.flags[f] for f in self.FLAGS) + (rep.galois_order, rep.co_galois_order)
+                assert got == (
+                    want.is_localization[i], want.is_cellular[i], want.is_envelope[i], want.is_cover[i],
+                    want.is_preenvelope[i], want.is_precover[i], want.galois_orders[i],
+                    want.co_galois_orders[i],
+                ), (src, tgt, row.tolist())
+                assert {w.flag for w in rep.witnesses} == {f for f in self.FLAGS if not rep.flags[f]}
+                for w in rep.witnesses:
+                    self.check_witness(w, phi, ends)
+                    kinds.add(w.kind)
+        assert kinds == {"unlifted-hom", "non-automorphism-preimage", "non-injective-pair"}
 
 
 class TestThreadedClassification:

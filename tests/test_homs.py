@@ -26,6 +26,7 @@ from grouper.homs import (
     enumerate_source,
     find_isomorphism,
     first_per_key,
+    key_groups,
 )
 
 
@@ -327,6 +328,16 @@ class TestFirstPerKey:
         keys = np.array([[300, 1], [2, 1], [300, 1], [1, 2], [256, 0]], dtype=np.int32)
         # little-endian bytes: 256 -> 00 01, 1 -> 01 00, 2 -> 02 00, 300 -> 2c 01
         assert first_per_key(keys).tolist() == [4, 3, 1, 0]
+
+    @pytest.mark.parametrize("dtype,width", [(np.uint8, 1), (np.uint8, 9), (np.int32, 3), (np.bool_, 20)])
+    def test_key_groups_match_first_per_key(self, dtype, width):
+        """The word sort of ``key_groups`` gives ``first_per_key``'s rows in its order, and each
+        row's key; rows of 1 to 20 bytes, most keys repeated."""
+        rng = np.random.default_rng(width)
+        keys = rng.integers(0, 3, size=(500, width)).astype(dtype)
+        first, inverse = key_groups(keys)
+        assert first.tolist() == first_per_key(keys).tolist()
+        assert (keys[first][inverse] == keys).all()
 
     def test_sorted_images_sizes(self, groups):
         hs = enumerate_homs(groups["cyclic:4"], groups["dihedral:8"])
