@@ -24,7 +24,7 @@ from .groups import (
     quotient_group,
     subgroup_generated,
 )
-from .homs import _BATCH, AutSubgroup, HomSet, _gen_array, automorphism_group, enumerate_homs, key_groups
+from .homs import _BATCH, AutSubgroup, HomSet, _gen_array, automorphism_group, enumerate_homs, first_per_key, key_order
 
 FLAG_NAMES = (
     "isLocalization",
@@ -160,7 +160,7 @@ def _counts(end: EndData, rows: np.ndarray, fixed: np.ndarray) -> tuple:
     """(distinct, fixers, galois): the distinct rows of ``rows``, one per endomorphism in
     ``end``, the rows equal to ``fixed``, and those of them that belong to automorphisms."""
     fixers = (rows == fixed).all(axis=1)
-    return len(key_groups(rows)[0]), int(fixers.sum()), int((fixers & end.aut.end_mask).sum())
+    return len(first_per_key(rows)), int(fixers.sum()), int((fixers & end.aut.end_mask).sum())
 
 
 def _kernel_counts(end_h: EndData, kernel: np.ndarray) -> tuple:
@@ -179,8 +179,10 @@ def _kernel_counts(end_h: EndData, kernel: np.ndarray) -> tuple:
 def _per_key(keys: np.ndarray, counts) -> list:
     """``counts(key, i)`` for each row of ``keys``, called once per distinct row, with
     ``key`` its bytes and i its first row: three int arrays of one entry per row."""
-    first, inverse = key_groups(keys)
-    per_key = np.array([counts(keys[i].tobytes(), i) for i in first.tolist()], dtype=np.int_)
+    order, first = key_order(keys)
+    inverse = np.empty_like(order)
+    inverse[order] = first.cumsum() - 1
+    per_key = np.array([counts(keys[i].tobytes(), i) for i in order[first].tolist()], dtype=np.int_)
     return [column[inverse] for column in per_key.T]
 
 

@@ -54,42 +54,47 @@ def _gen_array(G: FiniteGroup) -> np.ndarray:
     return G.memo("greedy_gens", compute)
 
 
+_WORD_SORT_ROWS = 128  # from this many rows up, ``key_order`` sorts rows as 64-bit words
+
+
+def key_order(keys: np.ndarray) -> tuple:
+    """(order, first): the stable sort of the rows of ``keys`` in byte order of the rows, and
+    the mask over it of the first row of each distinct row.
+
+    Below ``_WORD_SORT_ROWS`` rows each row is sorted as one void item.
+    From there up the rows are sorted as their bytes read as big-endian
+    64-bit words, zero-padded, which compare as the bytes do: from a few
+    hundred rows of two words on, such as End(C4 x C4 x C4) at three
+    generators, that takes a third to a half of the time of the void sort,
+    whose per-call cost is lower on a few rows.
+    """
+    keys = np.ascontiguousarray(keys)
+    n, width = len(keys), keys.dtype.itemsize * keys.shape[1]
+    if n < _WORD_SORT_ROWS:
+        rows = keys.view(np.dtype((np.void, width))).ravel()
+        order = rows.argsort(kind="stable")
+        rows = rows[order]
+        new = rows[1:] != rows[:-1]
+    else:
+        words = np.zeros((n, max(1, -(-width // 8))), dtype=">u8")
+        words.view(np.uint8)[:, :width] = keys.view(np.uint8).reshape(n, width)
+        words = words.astype(np.uint64)
+        order = np.lexsort(words.T[::-1])
+        words = words[order]
+        new = (words[1:] != words[:-1]).any(axis=1)
+    first = np.ones(n, dtype=bool)
+    first[1:] = new
+    return order, first
+
+
 def first_per_key(keys: np.ndarray) -> np.ndarray:
     """Index of the first row holding each distinct row of ``keys``, in byte order of the rows.
 
     With one key row per hom of a hom set, in canonical order, this picks
     the canonically first hom of each key.
     """
-    keys = np.ascontiguousarray(keys)
-    rows = keys.view(np.dtype((np.void, keys.dtype.itemsize * keys.shape[1]))).ravel()
-    order = rows.argsort(kind="stable")
-    rows = rows[order]
-    first = np.ones(len(rows), dtype=bool)
-    first[1:] = rows[1:] != rows[:-1]
+    order, first = key_order(keys)
     return order[first]
-
-
-def key_groups(keys: np.ndarray) -> tuple:
-    """(``first_per_key(keys)``, inverse), with ``inverse[r]`` the position of row r's key in it.
-
-    The rows are sorted as the big-endian 64-bit words of their bytes,
-    zero-padded, which compare as the bytes do: on hundreds of thousands
-    of rows, such as End(C4 x C4 x C4) at a few columns, that takes a
-    third to a half of the time of ``first_per_key``'s sort, which is
-    cheaper on a few rows.
-    """
-    keys = np.ascontiguousarray(keys)
-    n, width = len(keys), keys.dtype.itemsize * keys.shape[1]
-    words = np.zeros((n, max(1, -(-width // 8))), dtype=">u8")
-    words.view(np.uint8)[:, :width] = keys.view(np.uint8).reshape(n, width)
-    words = words.astype(np.uint64)
-    order = np.lexsort(words.T[::-1])
-    words = words[order]
-    first = np.ones(n, dtype=bool)
-    first[1:] = (words[1:] != words[:-1]).any(axis=1)
-    inverse = np.empty_like(order)
-    inverse[order] = first.cumsum() - 1
-    return order[first], inverse
 
 
 def _divisor_positions(G: FiniteGroup, o: int) -> tuple:

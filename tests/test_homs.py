@@ -26,7 +26,7 @@ from grouper.homs import (
     enumerate_source,
     find_isomorphism,
     first_per_key,
-    key_groups,
+    key_order,
 )
 
 
@@ -329,15 +329,20 @@ class TestFirstPerKey:
         # little-endian bytes: 256 -> 00 01, 1 -> 01 00, 2 -> 02 00, 300 -> 2c 01
         assert first_per_key(keys).tolist() == [4, 3, 1, 0]
 
+    @pytest.mark.parametrize("rows", [homs._WORD_SORT_ROWS - 1, homs._WORD_SORT_ROWS])
     @pytest.mark.parametrize("dtype,width", [(np.uint8, 1), (np.uint8, 9), (np.int32, 3), (np.bool_, 20)])
-    def test_key_groups_match_first_per_key(self, dtype, width):
-        """The word sort of ``key_groups`` gives ``first_per_key``'s rows in its order, and each
-        row's key; rows of 1 to 20 bytes, most keys repeated."""
+    def test_key_order_sorts_rows_by_bytes(self, dtype, width, rows):
+        """``key_order`` is the stable sort of the rows by their bytes, with the first row of
+        each run of equal rows marked, on either side of the switch to the word sort; rows
+        of 1 to 20 bytes, most keys repeated."""
         rng = np.random.default_rng(width)
-        keys = rng.integers(0, 3, size=(500, width)).astype(dtype)
-        first, inverse = key_groups(keys)
-        assert first.tolist() == first_per_key(keys).tolist()
-        assert (keys[first][inverse] == keys).all()
+        values = [0, 1, 256, 300] if dtype == np.int32 else [0, 1, 2]
+        keys = rng.choice(values, size=(rows, width)).astype(dtype)
+        data = [row.tobytes() for row in keys]
+        expected = sorted(range(rows), key=data.__getitem__)
+        order, first = key_order(keys)
+        assert order.tolist() == expected
+        assert first.tolist() == [i == 0 or data[expected[i]] != data[expected[i - 1]] for i in range(rows)]
 
     def test_sorted_images_sizes(self, groups):
         hs = enumerate_homs(groups["cyclic:4"], groups["dihedral:8"])
