@@ -333,8 +333,9 @@ class TestFirstPerKey:
     @pytest.mark.parametrize("dtype,width", [(np.uint8, 1), (np.uint8, 9), (np.int32, 3), (np.bool_, 20)])
     def test_key_order_sorts_rows_by_bytes(self, dtype, width, rows):
         """``key_order`` is the stable sort of the rows by their bytes, with the first row of
-        each run of equal rows marked, on either side of the switch to the word sort; rows
-        of 1 to 20 bytes, most keys repeated."""
+        each run of equal rows marked, on either side of the switch to the word sort: rows of
+        1 to 20 bytes, so that of 128 rows those of at most 16 bytes take the word sort, most
+        keys repeated."""
         rng = np.random.default_rng(width)
         values = [0, 1, 256, 300] if dtype == np.int32 else [0, 1, 2]
         keys = rng.choice(values, size=(rows, width)).astype(dtype)
