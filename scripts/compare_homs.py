@@ -1,21 +1,27 @@
 #!/usr/bin/env python3
-"""Check that two checkouts compute the same hom sets, Aut groups and pair verdicts.
+"""Check that two checkouts compute the same hom sets, Aut groups, pair verdicts and relative verdicts.
 
     python3 scripts/compare_homs.py PARENT CHANGE --max-order 24
 
 PARENT and CHANGE are two checkouts of grouper.  The script runs its own
 digest (`--digest`) with each checkout's `src/` on `PYTHONPATH`.  Over
-`generate_corpus(N)`, in corpus order, the digest hashes three kinds:
+`generate_corpus(N)`, in corpus order, the digest hashes four kinds:
 
 - hom-sets: each budgeted `enumerate_homs(H, G)`, its `matrix` and `keys`;
 - aut-groups: each `automorphism_group(G)`, its `perms`, `end_rows`,
   `identity`, `generators`, `element_orders` and `inner_order`;
 - verdicts: each array of each budgeted `classify_pair(H, G)`, with every
-  source's targets classified in one run, as the suites do.
+  source's targets classified in one run, as the suites do;
+- relative: for each hom of each budgeted pair, `classify_against_class(...)
+  .to_dict()` on both sides and `is_orthogonal`, against the singleton class
+  of each corpus group named in `RELATIVE_CLASSES`: C2, C3, C4, C2xC2 and
+  D6 (S3).  They cover prime and composite cyclic, non-cyclic abelian and
+  non-abelian members, and keep the digest at max-order 16 near a minute.
 
 Arrays are hashed by shape and int64 value, so a change of dtype alone is no
-difference.  The script prints, per kind, the number of items and whether
-the two sides match, and for a kind that differs the first item that does.
+difference; relative reports are hashed as JSON with sorted keys.  The script
+prints, per kind, the number of items and whether the two sides match, and
+for a kind that differs the first item that does.
 It exits 0 when every kind matches and 1 on a difference.  A digest run that
 fails ends the script with exit status 2, after that run's stderr.
 """
@@ -29,7 +35,8 @@ import sys
 import time
 from pathlib import Path
 
-KINDS = ("hom-sets", "aut-groups", "verdicts")
+KINDS = ("hom-sets", "aut-groups", "verdicts", "relative")
+RELATIVE_CLASSES = ("C2", "C3", "C4", "C2xC2", "D6")
 VERDICT_FIELDS = ("matrix", "is_envelope", "is_localization", "is_cover", "is_cellular",
                   "is_preenvelope", "is_precover", "galois_orders", "co_galois_orders")
 
@@ -48,9 +55,11 @@ def _hash(*values) -> str:
 def digest(max_order: int) -> dict:
     """kind -> list of [item name, sha256] in corpus order, from the grouper on the path."""
     from grouper.corpus import _budget_ok, classify_pair, classify_source, generate_corpus
+    from grouper.approx import GroupClass, classify_against_class, is_orthogonal
     from grouper.homs import automorphism_group, enumerate_homs
 
     corpus = generate_corpus(max_order)
+    classes = [GroupClass(F.name, [F]) for F in corpus if F.name in RELATIVE_CLASSES]
     out = {kind: [] for kind in KINDS}
     for G in corpus:
         aut = automorphism_group(G)
@@ -65,6 +74,13 @@ def digest(max_order: int) -> dict:
             pair = f"{H.name}->{G.name}"
             out["hom-sets"].append([pair, _hash(hs.matrix, hs.keys)])
             out["verdicts"].append([pair, _hash(*(getattr(v, f) for f in VERDICT_FIELDS))])
+            h = hashlib.sha256()
+            for phi in hs.homs:
+                reports = [classify_against_class(phi, cls, side).to_dict()
+                           for cls in classes for side in ("envelope", "cover")]
+                h.update(json.dumps([reports, [is_orthogonal(phi, cls) for cls in classes]],
+                                    sort_keys=True).encode())
+            out["relative"].append([pair, h.hexdigest()])
     return out
 
 

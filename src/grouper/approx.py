@@ -10,7 +10,9 @@ order.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
+
 import numpy as np
 
 from .errors import EmptyClassError
@@ -24,7 +26,8 @@ from .groups import (
     quotient_group,
     subgroup_generated,
 )
-from .homs import _BATCH, AutSubgroup, HomSet, _gen_array, automorphism_group, enumerate_homs, first_per_key, key_order
+from .homs import (_BATCH, AutGroup, AutSubgroup, HomSet, _gen_array, automorphism_group, enumerate_homs,
+                   first_per_key, key_order)
 
 FLAG_NAMES = (
     "isLocalization",
@@ -98,20 +101,24 @@ class ClassificationReport:
 
 @dataclass
 class Composites:
-    """Composites located in a hom set: ``idx[j]`` is the row of composite j in
-    ``homs``, and ``counts[i]`` counts the composites equal to hom i."""
+    """Composites in the hom set ``homs``, row j of ``rows`` holding composite j's images of ``homs.gens``.
+    Homs with equal such images are equal, so composition is onto when the ``distinct`` rows
+    are as many as the homs, and one-to-one when they are as many as the rows."""
 
-    idx: np.ndarray
-    counts: np.ndarray
+    rows: np.ndarray
     homs: HomSet
+
+    @functools.cached_property
+    def distinct(self) -> int:
+        return len(first_per_key(self.rows))
 
     @property
     def surjective(self) -> bool:
-        return bool(self.counts.all())
+        return self.distinct == len(self.homs)
 
     @property
     def injective(self) -> bool:
-        return bool((self.counts <= 1).all())
+        return self.distinct == len(self.rows)
 
     @property
     def bijective(self) -> bool:
@@ -119,37 +126,31 @@ class Composites:
 
     def first_unhit(self) -> int:
         """Lowest hom index that no composite reaches (not surjective)."""
-        return int(np.argmin(self.counts))
+        hit = np.zeros(len(self.homs), dtype=bool)
+        hit[self.homs.locate(self.rows)] = True
+        return int(np.argmin(hit))
 
     def first_duplicate_pair(self) -> tuple:
         """Smallest (i, j), i < j, with equal composites (not injective)."""
-        _, first = np.unique(self.idx, return_index=True)
-        repeated = np.ones(len(self.idx), dtype=bool)
-        repeated[first] = False
-        j = int(np.argmax(repeated))
-        return int(np.argmax(self.idx == self.idx[j])), j
-
-
-def composites(homs: HomSet, gen_images: np.ndarray) -> Composites:
-    """Locate composites, given by their images of ``homs.gens`` along the last axis, in ``homs``."""
-    idx = homs.locate(gen_images.reshape(-1, gen_images.shape[-1]))
-    return Composites(idx, np.bincount(idx, minlength=len(homs)), homs)
+        order, first = key_order(self.rows)
+        j = int(order[~first].min())
+        return int(np.argmax((self.rows == self.rows[j]).all(axis=1))), j
 
 
 def precomposition(phi_images: np.ndarray, H: FiniteGroup, G: FiniteGroup, F: FiniteGroup) -> Composites:
-    """f |-> f.phi for every f in Hom(G, F), located in Hom(H, F), for phi: H -> G."""
+    """f |-> f.phi for every f in Hom(G, F), as composites in Hom(H, F), for phi: H -> G."""
     outer, inner = enumerate_homs(G, F), enumerate_homs(H, F)
-    return composites(inner, outer.matrix[:, phi_images[inner.gens]])
+    return Composites(outer.matrix[:, phi_images[inner.gens]], inner)
 
 
 def postcomposition(phi_images: np.ndarray, H: FiniteGroup, G: FiniteGroup, F: FiniteGroup) -> Composites:
-    """f |-> phi.f for every f in Hom(F, H), located in Hom(F, G), for phi: H -> G."""
+    """f |-> phi.f for every f in Hom(F, H), as composites in Hom(F, G), for phi: H -> G."""
     outer, inner = enumerate_homs(F, H), enumerate_homs(F, G)
-    return composites(inner, phi_images[outer.matrix[:, inner.gens]])
+    return Composites(phi_images[outer.matrix[:, inner.gens]], inner)
 
 
 class EndData:
-    """End(X) with Aut(X), whose ``end_rows`` are the End indices of the automorphisms."""
+    """End(X), ``homs``, with Aut(X), ``aut``, whose ``end_mask`` marks the automorphisms."""
 
     def __init__(self, X: FiniteGroup):
         self.homs = enumerate_homs(X, X)
@@ -177,8 +178,8 @@ def _kernel_counts(end_h: EndData, kernel: np.ndarray) -> tuple:
 
 
 def _per_key(keys: np.ndarray, counts) -> list:
-    """``counts(key, i)`` for each row of ``keys``, called once per distinct row, with
-    ``key`` its bytes and i its first row: three int arrays of one entry per row."""
+    """``counts(key, i)`` for each row of ``keys``, called once per distinct row, with ``key``
+    its bytes and i its first row: an int array per entry of its tuples, one entry per row."""
     order, first = key_order(keys)
     inverse = np.empty_like(order)
     inverse[order] = first.cumsum() - 1
@@ -257,33 +258,42 @@ def side_flags(counts, homs: int, ends: int) -> tuple:
     return pre, pre & (fixers == galois), pre & (distinct == ends), galois
 
 
-def galois_group(phi: GroupHom, side: str = "target") -> AutSubgroup:
-    """Automorphisms fixing phi: f.phi = phi (target side) or phi.f = phi (source side).
+def _fixers(phi: GroupHom, ends: np.ndarray, side: str) -> np.ndarray:
+    """Mask of the endomorphisms f, rows of ``ends``, with f.phi = phi (target side) or
+    phi.f = phi (source side).  Both are homs from the source, so they are compared on its
+    generators ``_gen_array``, whose images fix a hom."""
+    gens = _gen_array(phi.source)
+    comp = ends[:, phi.images[gens]] if side == "target" else phi.images[ends[:, gens]]
+    return (comp == phi.images[gens]).all(axis=1)
 
-    Both sides are homs from the source, so they are compared on its
-    generators ``_gen_array``, whose images fix a hom.
-    """
+
+def galois_group(phi: GroupHom, side: str = "target") -> AutSubgroup:
+    """Automorphisms fixing phi: f.phi = phi (target side) or phi.f = phi (source side)."""
     if side not in ("target", "source"):
         raise ValueError("side must be 'target' or 'source'")
     ag = automorphism_group(phi.target if side == "target" else phi.source)
-    gens = _gen_array(phi.source)
-    comp = ag.perms[:, phi.images[gens]] if side == "target" else phi.images[ag.perms[:, gens]]
-    return AutSubgroup(ag, np.flatnonzero((comp == phi.images[gens]).all(axis=1)))
+    return AutSubgroup(ag, np.flatnonzero(_fixers(phi, ag.perms, side)))
 
 
-def _side_witnesses(hom_set: HomSet, i: int, end: EndData, gen_images, flags, names, who) -> list:
-    """Witnesses of the false flags among (pre-approximation, approximation, bijection) of hom
-    i of ``hom_set``, whose composites with the endomorphisms of ``end`` have ``gen_images``."""
+def _non_automorphism_fixer(phi: GroupHom, aut: AutGroup, side: str):
+    """End index of the first endomorphism fixing phi on ``side`` that is no automorphism, or None."""
+    bad = _fixers(phi, aut.ends.matrix, side) & ~aut.end_mask
+    return int(np.argmax(bad)) if bad.any() else None
+
+
+def _side_witnesses(phi: GroupHom, hom_set: HomSet, end: EndData, gen_images, flags, names, who) -> list:
+    """Witnesses of the false flags among (pre-approximation, approximation, bijection) of phi,
+    a hom of ``hom_set``, whose composites with the endomorphisms of ``end`` have ``gen_images``."""
     pre, approx, bij = flags
     if bij:  # only the identity fixes a hom that composition is one-to-one on
         return []
-    comp = composites(hom_set, gen_images)
+    comp = Composites(gen_images, hom_set)
     if not pre:
         data = {"unliftedHom": hom_set.matrix[comp.first_unhit()].tolist()}
         return [Witness(f, "unlifted-hom", data) for f in names]
     out = []
     if not approx:
-        bad = int(np.flatnonzero((comp.idx == i) & ~end.aut.end_mask)[0])
+        bad = _non_automorphism_fixer(phi, end.aut, who)
         out.append(Witness(names[1], "non-automorphism-preimage",
                            {"endomorphism": end.homs.matrix[bad].tolist(), "of": who}))
     a, b = comp.first_duplicate_pair()
@@ -297,7 +307,7 @@ def classify_hom(phi: GroupHom) -> ClassificationReport:
     H, G = phi.source, phi.target
     hom_set = enumerate_homs(H, G)
     end_g, end_h = EndData(G), EndData(H)
-    i, gens = hom_set.index_of(phi.images), hom_set.gens
+    gens = hom_set.gens
     t = image_counts(phi.images[None, :], end_g, gens)
     s = kernel_counts(kernel_keys(phi.images[None, :], G.identity), end_h)
     # target side f |-> f.phi on End(G), source side f |-> phi.f on End(H)
@@ -311,7 +321,7 @@ def classify_hom(phi: GroupHom) -> ClassificationReport:
     for who, counts, end, gen_images, names in sides:
         side = tuple(bool(f) for f in side_flags(counts, len(hom_set), len(end.homs))[:3])
         flags.update(zip(names, side))
-        witnesses += _side_witnesses(hom_set, i, end, gen_images, side, names, who)
+        witnesses += _side_witnesses(phi, hom_set, end, gen_images, side, names, who)
     return ClassificationReport(phi, flags, galois_group(phi, "target"), galois_group(phi, "source"),
                                 witnesses)
 
@@ -357,36 +367,28 @@ def classify_against_class(phi: GroupHom, cls: GroupClass, side: str) -> Relativ
     if side not in ("envelope", "cover"):
         raise ValueError("side must be 'envelope' or 'cover'")
     H, G = phi.source, phi.target
-    envelope = side == "envelope"
-    X = G if envelope else H  # the end that must lie in the class
+    # X is the end that must lie in the class, and the side on which its endomorphisms fix phi
+    X, fixed_on, lift = (G, "target", precomposition) if side == "envelope" else (H, "source", postcomposition)
     witnesses: list = []
     in_class = cls.contains(X)
-    surj_all = True
     inj_all = True
-    lift = precomposition if envelope else postcomposition
     for rep in cls.members:
         comp = lift(phi.images, H, G, rep)
         if not comp.surjective:
-            surj_all = False
             witnesses.append(Witness("isPreapproximation", "unlifted-hom",
                                      {"class_member": rep.name,
                                       "unliftedHom": comp.homs.matrix[comp.first_unhit()].tolist()}))
             break
-        inj_all = inj_all and bool(comp.injective)
-    pre = in_class and surj_all
-    end = EndData(X)
-    # a hom from H is fixed by its images of the generators of H
-    gens = _gen_array(H)
-    comp_x = end.homs.matrix[:, phi.images[gens]] if envelope else phi.images[end.homs.matrix[:, gens]]
-    fixers = (comp_x == phi.images[gens]).all(axis=1)
-    non_aut = fixers & ~end.aut.end_mask
-    approx = pre and not non_aut.any()
-    if pre and non_aut.any():
+        inj_all = inj_all and comp.injective
+    pre = in_class and not witnesses  # every member's homs lift
+    aut = automorphism_group(X)
+    bad = _non_automorphism_fixer(phi, aut, fixed_on) if pre else None
+    if bad is not None:
         witnesses.append(Witness("isApproximation", "non-automorphism-preimage",
-                                 {"endomorphism": end.homs.matrix[np.argmax(non_aut)].tolist()}))
-    unique = approx and surj_all and inj_all
-    gal = AutSubgroup(end.aut, np.flatnonzero(fixers[end.aut.end_rows]))
-    return RelativeReport(phi, side, cls, in_class, pre, approx, unique, gal, witnesses)
+                                 {"endomorphism": aut.ends.matrix[bad].tolist()}))
+    approx = pre and bad is None
+    return RelativeReport(phi, side, cls, in_class, pre, approx, approx and inj_all, galois_group(phi, fixed_on),
+                          witnesses)
 
 
 def f_socle(G: FiniteGroup, cls: GroupClass) -> Subgroup:

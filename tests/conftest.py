@@ -4,10 +4,10 @@ import itertools
 import numpy as np
 import pytest
 
-from grouper.approx import EndData
+from grouper.approx import EndData, RelativeReport, Witness
 from grouper.corpus import HomVerdicts
 from grouper.groups import FiniteGroup, generating_set_of_table, standard_group
-from grouper.homs import _gen_array, automorphism_group, enumerate_homs
+from grouper.homs import AutSubgroup, _gen_array, automorphism_group, enumerate_homs
 
 
 @pytest.fixture(scope="session")
@@ -87,9 +87,10 @@ def oracle_inner_members(aut) -> set:
 
 
 def _side_profile_per_hom(hom_set, end, gen_images, phi_idx):
-    """Oracle kernel: a copy of the per-hom ``composites`` and ``side_profile`` that
-    ``corpus.classify_pair`` ran before it classified whole runs, kept apart from
-    ``approx`` so that the differential tests do not compare that kernel with itself.
+    """Oracle kernel: the per-hom classification that ``corpus.classify_pair`` ran before its
+    verdicts were read from image and kernel counts.  It locates every composite in the hom
+    set and counts the hits per hom, and it is kept apart from ``approx`` so that the
+    differential tests do not compare the count kernel with itself.
 
     Returns (approximation, bijective, surjective, Galois order) per hom of ``phi_idx``.
     """
@@ -125,6 +126,65 @@ def classify_pair_per_hom(H: FiniteGroup, G: FiniteGroup) -> HomVerdicts:
             hom_set, end_h, phi[end_h.homs.matrix[None, :, gens]], row)
         parts.append((t_approx, t_bij, s_approx, s_bij, t_surj, s_surj, t_gal, s_gal))
     return HomVerdicts(H, G, hom_set.matrix, *(np.concatenate(p) for p in zip(*parts)))
+
+
+def oracle_hits(phi_images, H: FiniteGroup, G: FiniteGroup, F: FiniteGroup, envelope: bool):
+    """Oracle: (inner, counts) for phi: H -> G and the class member F.  With ``envelope``, the
+    composites are f.phi for f in Hom(G, F), located in inner = Hom(H, F); otherwise phi.f
+    for f in Hom(F, H), located in inner = Hom(F, G).  ``counts[i]`` counts the composites
+    equal to hom i of inner."""
+    if envelope:
+        outer, inner = enumerate_homs(G, F), enumerate_homs(H, F)
+        gen_images = outer.matrix[:, phi_images[inner.gens]]
+    else:
+        outer, inner = enumerate_homs(F, H), enumerate_homs(F, G)
+        gen_images = phi_images[outer.matrix[:, inner.gens]]
+    return inner, np.bincount(inner.locate(gen_images), minlength=len(inner))
+
+
+def oracle_classify_against_class(phi, cls, side: str) -> RelativeReport:
+    """Oracle: ``approx.classify_against_class`` as it was decided before composites were
+    counted by their distinct rows.
+
+    Each class member's composites are located and their hits counted
+    (``oracle_hits``): onto when every hom is hit, one-to-one when none is
+    hit twice.  The fixers of phi are found by a scan of End(X), and the
+    Galois group is the fixers among the automorphisms.
+    """
+    H, G = phi.source, phi.target
+    envelope = side == "envelope"
+    X = G if envelope else H
+    witnesses = []
+    in_class = cls.contains(X)
+    surj_all = inj_all = True
+    for rep in cls.members:
+        inner, counts = oracle_hits(phi.images, H, G, rep, envelope)
+        if not counts.all():
+            surj_all = False
+            witnesses.append(Witness("isPreapproximation", "unlifted-hom",
+                                     {"class_member": rep.name,
+                                      "unliftedHom": inner.matrix[np.argmin(counts)].tolist()}))
+            break
+        inj_all = inj_all and bool((counts <= 1).all())
+    pre = in_class and surj_all
+    end = EndData(X)
+    gens = _gen_array(H)
+    comp_x = end.homs.matrix[:, phi.images[gens]] if envelope else phi.images[end.homs.matrix[:, gens]]
+    fixers = (comp_x == phi.images[gens]).all(axis=1)
+    non_aut = fixers & ~end.aut.end_mask
+    approx = pre and not non_aut.any()
+    if pre and non_aut.any():
+        witnesses.append(Witness("isApproximation", "non-automorphism-preimage",
+                                 {"endomorphism": end.homs.matrix[np.argmax(non_aut)].tolist()}))
+    unique = approx and surj_all and inj_all
+    gal = AutSubgroup(end.aut, np.flatnonzero(fixers[end.aut.end_rows]))
+    return RelativeReport(phi, side, cls, in_class, pre, approx, unique, gal, witnesses)
+
+
+def oracle_is_orthogonal(phi, cls) -> bool:
+    """Oracle: precomposition with phi hits every hom into each class member exactly once."""
+    return all((oracle_hits(phi.images, phi.source, phi.target, rep, True)[1] == 1).all()
+               for rep in cls.members)
 
 
 def oracle_hom_rows(H: FiniteGroup, G: FiniteGroup):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import oracle_aut_table
+from conftest import oracle_aut_table, oracle_classify_against_class, oracle_is_orthogonal
 from grouper.approx import (
     GroupClass,
     classify_against_class,
@@ -13,6 +13,7 @@ from grouper.approx import (
     is_orthogonal,
     local_kernel,
 )
+from grouper.corpus import generate_corpus
 from grouper.errors import EmptyClassError
 from grouper.groups import (
     GroupHom,
@@ -137,6 +138,39 @@ class TestRelativeClassification:
             absolute = classify_hom(phi).flags["isEnvelope"]
             relative = classify_against_class(phi, cls, "envelope").is_approximation
             assert absolute == relative
+
+
+def relative_mismatches(phi, classes) -> list:
+    """(class, side) of each relative report or orthogonality verdict of phi that differs
+    from the oracle's; the reports are compared in full, witnesses included."""
+    out = []
+    for cls in classes:
+        for side in ("envelope", "cover"):
+            if classify_against_class(phi, cls, side).to_dict() != \
+                    oracle_classify_against_class(phi, cls, side).to_dict():
+                out.append((cls.name, side))
+        if is_orthogonal(phi, cls) != oracle_is_orthogonal(phi, cls):
+            out.append((cls.name, "orthogonal"))
+    return out
+
+
+class TestRelativeAgainstOracle:
+    def test_every_hom_of_the_order_6_corpus(self):
+        corpus = generate_corpus(6)
+        by_name = {G.name: G for G in corpus}
+        classes = [GroupClass(F.name, [F]) for F in corpus]
+        classes.append(GroupClass("C2+D6", [by_name["C2"], by_name["D6"]]))
+        bad = [(phi.source.name, phi.target.name, phi.images.tolist(), m)
+               for H in corpus for G in corpus for phi in enumerate_homs(H, G).homs
+               for m in relative_mismatches(phi, classes)]
+        assert bad == []
+
+    @pytest.mark.parametrize("source,target", [("dihedral:8", "symmetric:4"), ("quaternion8", "dihedral:16")])
+    def test_larger_pairs(self, groups, source, target):
+        classes = [GroupClass(n, [groups[n]]) for n in ("cyclic:2", "cyclic:4", "symmetric:3")]
+        bad = [(phi.images.tolist(), m) for phi in enumerate_homs(groups[source], groups[target]).homs
+               for m in relative_mismatches(phi, classes)]
+        assert bad == []
 
 
 class TestSocle:

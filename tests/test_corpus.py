@@ -7,12 +7,16 @@ import weakref
 import numpy as np
 import pytest
 
-from conftest import classify_pair_per_hom, forget_memos, relabelled
+from conftest import classify_pair_per_hom, forget_memos, oracle_hits, relabelled
 from grouper.corpus import (
+    PAIR_BUDGET,
     SUITE_IDS,
     HomVerdicts,
+    _budget_ok,
     _cogalois_worker,
     _galois_worker,
+    _reduction_worker,
+    _surjective_reps_by_kernel,
     classify_pair,
     generate_corpus,
     run_theorem_suite,
@@ -20,7 +24,7 @@ from grouper.corpus import (
 )
 from grouper.approx import classify_hom, galois_group
 from grouper.groups import GroupHom, are_isomorphic, standard_group
-from grouper.homs import enumerate_homs
+from grouper.homs import _gen_array, enumerate_homs
 
 
 class TestCorpusGeneration:
@@ -127,6 +131,19 @@ class TestSuites:
         assert len(report.pair_seconds) == report.pairs_examined == len(corpus) ** 2
         assert sum(report.pair_seconds.values()) >= 0.5 * wall
 
+    def test_surjective_reps_precompose_one_to_one(self):
+        """The radical-envelope worker checks no unique liftings: precomposition with each of
+        its surjective reps hits every hom into each class member at most once."""
+        corpus = generate_corpus(12)
+        bad = []
+        for H in corpus:
+            for G in (G for G in corpus if _budget_ok(H, G)):
+                rank = max(len(_gen_array(G)), len(_gen_array(H)))
+                for F in (F for F in corpus if F.order ** rank <= PAIR_BUDGET):
+                    bad += [(H.name, G.name, F.name, row.tolist()) for row in _surjective_reps_by_kernel(H, G)
+                            if (oracle_hits(row, H, G, F, True)[1] > 1).any()]
+        assert bad == []
+
     def test_timings_separate_from_payload(self):
         report = run_theorem_suite(generate_corpus(4), "galois")
         assert "timings" not in report.to_dict()
@@ -199,6 +216,19 @@ class TestReductionLaws:
                             lambda A, B: bent if A is H and B is G else real(A, B))
         report = run_theorem_suite(corpus, "reduction")
         assert report.violations == [{"pair": f"{H.name}->{G.name}", "hom": v.matrix[i].tolist(), "law": law}]
+
+    def test_each_key_is_checked_against_its_own_hom(self, monkeypatch, groups):
+        """Made-up verdicts: every hom of C2 x C2 -> C2 x C2 flagged on both sides, with the
+        orders of ``galois_group``, which differ between images and between kernels."""
+        X = groups["product:cyclic:2,cyclic:2"]
+        rows = enumerate_homs(X, X).matrix
+        gal, cogal = (np.array([galois_group(GroupHom(X, X, row, check=False), side).order for row in rows])
+                      for side in ("target", "source"))
+        assert len(set(gal.tolist())) > 1 and len(set(cogal.tolist())) > 1
+        every = np.ones(len(rows), dtype=bool)
+        v = HomVerdicts(X, X, rows, *[every] * 6, galois_orders=gal, co_galois_orders=cogal)
+        monkeypatch.setattr("grouper.corpus.classify_pair", lambda *_: v)
+        assert _reduction_worker(X, X) == (len(rows), [], [])
 
     def test_galois_groups_follow_image_and_kernel(self):
         """What checking once per key rests on: ``classify_pair`` gives every hom the orders of
@@ -319,8 +349,9 @@ class TestClassifyHomMatchesOracle:
     TARGET_FLAGS = ("isPreenvelopeOfTargetClass", "isEnvelope", "isLocalization")
 
     @classmethod
-    def check_witness(cls, w, phi, ends):
-        """The witness holds, read from full image arrays; ``ends`` maps a side to its End rows."""
+    def check_witness(cls, w, phi, ends, homs):
+        """The witness holds and is the first in canonical order, read from full image arrays;
+        ``ends`` maps a side to its End rows, and ``homs`` holds the rows of Hom(H, G)."""
         H, G, images = phi.source, phi.target, phi.images
         side = "target" if w.flag in cls.TARGET_FLAGS else "source"
         X = G if side == "target" else H
@@ -328,19 +359,26 @@ class TestClassifyHomMatchesOracle:
         def compose(f):  # f.phi on the target side, phi.f on the source side
             return np.asarray(f)[images] if side == "target" else images[np.asarray(f)]
 
+        comps = [tuple(compose(f).tolist()) for f in ends[side]]
         if w.kind == "unlifted-hom":
             unlifted = np.asarray(w.data["unliftedHom"])
             assert is_hom(unlifted, H, G)
             assert not any((compose(f) == unlifted).all() for f in ends[side])
+            assert unlifted.tolist() == next(h for h in homs.tolist() if tuple(h) not in set(comps))
         elif w.kind == "non-automorphism-preimage":
             f = np.asarray(w.data["endomorphism"])
             assert w.data["of"] == side
             assert is_hom(f, X, X) and (compose(f) == images).all() and len(np.unique(f)) < X.order
+            assert f.tolist() == next(e.tolist() for e, c in zip(ends[side], comps)
+                                      if c == tuple(images.tolist()) and len(np.unique(e)) < X.order)
         else:
             assert w.kind == "non-injective-pair" and w.data["of"] == side
             f, g = np.asarray(w.data["first"]), np.asarray(w.data["second"])
             assert is_hom(f, X, X) and is_hom(g, X, X) and (f != g).any()
             assert (compose(f) == compose(g)).all()
+            seen = {}
+            j = next(j for j, c in enumerate(comps) if seen.setdefault(c, j) != j)
+            assert [f.tolist(), g.tolist()] == [ends[side][seen[comps[j]]].tolist(), ends[side][j].tolist()]
 
     def test_every_hom_of_several_pairs(self):
         kinds = set()
@@ -359,7 +397,7 @@ class TestClassifyHomMatchesOracle:
                 ), (src, tgt, row.tolist())
                 assert {w.flag for w in rep.witnesses} == {f for f in self.FLAGS if not rep.flags[f]}
                 for w in rep.witnesses:
-                    self.check_witness(w, phi, ends)
+                    self.check_witness(w, phi, ends, want.matrix)
                     kinds.add(w.kind)
         assert kinds == {"unlifted-hom", "non-automorphism-preimage", "non-injective-pair"}
 
