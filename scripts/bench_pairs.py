@@ -10,10 +10,15 @@ in even pairs and the change first in odd ones, so that drift in machine
 speed hits both alike.  The record under NAME in the --out file keeps every
 `# meta` and result line, and per metric the median and quartiles of each
 side and the number of pairs in which the change read lower (every
-end-to-end metric of perfbench is better lower).  Other names already in
-the file are kept.  A closing line per metric prints both medians and the
-pairs the change won.  A failing perfbench run ends the script with exit
-status 2, after the pair, the side and the end of the run's stderr.
+end-to-end metric of perfbench is better lower), and each side's resolved
+checkout path.  Other names already in the file are kept.  A closing line
+per metric prints both medians and the pairs the change won.  A failing
+perfbench run ends the script with exit status 2, after the pair, the side
+and the end of the run's stderr.
+
+The two checkout paths should have the same length: `peak_rss_mb` moves by
+tenths of a MB with the checkout's directory name, so the script warns on
+stderr before the first pair when the lengths differ.
 """
 
 import argparse
@@ -66,6 +71,11 @@ def main() -> int:
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args()
 
+    checkouts = {"parent": str(args.parent.resolve()), "change": str(args.change.resolve())}
+    if len(checkouts["parent"]) != len(checkouts["change"]):
+        print(f"# warning: the checkout paths differ in length ({len(checkouts['parent'])} and "
+              f"{len(checkouts['change'])} characters); peak_rss_mb moves with the checkout's "
+              "directory name", file=sys.stderr, flush=True)
     runs = {side: [] for side in SIDES}
     for i in range(args.pairs):
         for side in SIDES if i % 2 == 0 else SIDES[::-1]:
@@ -91,6 +101,7 @@ def main() -> int:
                    f"--seed {args.seed}",
         "order": "parent first in even pairs, change first in odd pairs",
         "src_lines": {side: runs[side][0]["meta"]["src_lines"] for side in SIDES},
+        "checkouts": checkouts,
         "metrics": metrics,
         "runs": runs,
     }

@@ -40,10 +40,10 @@ most CHUNK tuples go through numpy at once.  The scan contract:
   over `getrandbits(m.bit_length())`, which is one word w shifted to
   w >> (32 - m.bit_length()); the draw is the first shifted word below m.
   `getrandbits(32 * w)` returns the next w words, the first one generated
-  least significant.  `_drawn` finds where the samples of a read start by
+  least significant.  `_drawn` walks a read over ranks among the words a
+  sample's first modulus accepts, finds the ranks where samples start by
   pointer jumping, and gathers their draws there only.  Words read past a
-  report's last sample are never used, since no other draw shares the
-  generator.
+  report's last sample are never used: no other draw shares the generator.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ DEFAULT_SAMPLES = 10 ** 5
 DEFAULT_SEED = 0xC0FFEE
 CHUNK = 16384  # tuples evaluated per numpy pass; bounds the scan's working set
 DRAWS = 2048  # rows per block of drawn heads; bounds the sampled scan's working set
-WORDS = 4096  # Mersenne Twister words per getrandbits call; each read walks all its words at once
+WORDS = 4096  # Mersenne Twister words per getrandbits call; a read walks the ranks of its words at once
 TABLE_CAP = 1 << 16  # entries per left-normed table (256 KB of int32); deeper z's use C
 LIMIT = 21  # counterexamples kept per report; the scan stops once it has them
 
@@ -243,20 +243,15 @@ def _lex(axes, keep=None):
     return blocks
 
 
-def _words(rng, count: int) -> np.ndarray:
-    """The next `count` 32-bit words of `rng`'s Mersenne Twister, in the order generated."""
-    return np.frombuffer(rng.getrandbits(32 * count).to_bytes(4 * count, "little"), "<u4")
-
-
-def _accepted(words, m: int):
-    """For a draw below m from each position 0..len(words)+1: the draw, and the position after
-    the word it takes (len(words) + 1 once the words run out).  As `randrange(m)`, it takes
-    the first word w there or after with w >> (32 - m.bit_length()) < m."""
-    n = len(words)
-    shifted = np.append(words >> (32 - m.bit_length()), np.zeros(2, np.uint32)).astype(np.intp)
-    nxt = np.where(shifted < m, np.arange(n + 2), n + 1)  # 0s stand in at n and n + 1
-    nxt = np.minimum.accumulate(nxt[::-1])[::-1]
-    return shifted.take(nxt), np.minimum(nxt + 1, n + 1)
+def _accepted(words, m: int, pad: int):
+    """Positions and draws of the words w that `randrange(m)` accepts (w >> (32 - m.bit_length())
+    < m), then `pad` sentinels (position len(words), draw 0); and `first`: first[p] is the rank of
+    the first accepted word at or after p, for p in 0..len(words), first[-1] the second sentinel's."""
+    shifted = words >> (32 - m.bit_length())
+    ok = shifted < m
+    pos = np.flatnonzero(ok)
+    first = np.concatenate([[0], np.cumsum(ok), [len(pos) + 1]])
+    return np.append(pos, np.full(pad, len(words))), np.append(shifted.take(pos), np.zeros(pad, np.intp)), first
 
 
 def _drawn(rng, count: int, head, keep=None, tail=()):
@@ -265,10 +260,12 @@ def _drawn(rng, count: int, head, keep=None, tail=()):
     A sample draws once below each of the `head` moduli and, where `keep`
     holds on those draws (everywhere without `keep`), once below each of the
     `tail` moduli; a sample `keep` rejects adds no row.  Words are read WORDS
-    at a time.  A read computes the step, where the next sample starts, for a
-    sample at each word (so `keep` too), then the samples' starts as the path
-    of the first under the step, by pointer jumping.  A block holds at most
-    min(m, DRAWS) rows.
+    at a time.  A read names each sample by the rank of its first draw among
+    the words the first modulus accepts; a draw takes the next rank when its
+    modulus is the previous draw's, else one lookup in `first`.  Per rank it
+    computes the draws, `keep` and the step (the rank where the next sample
+    starts), then the samples' starts as the path of rank 0 under the step,
+    by pointer jumping.  A block holds at most min(m, DRAWS) rows.
     """
     moduli = (*head, *tail)
 
@@ -276,24 +273,27 @@ def _drawn(rng, count: int, head, keep=None, tail=()):
         m = min(m, DRAWS)
         words, left, rows = np.empty(0, np.uint32), count, np.empty((0, len(moduli)), np.int64)
         while left:
-            words = np.concatenate([words, _words(rng, WORDS)])
-            n = len(words)
-            draws = {mod: _accepted(words, mod) for mod in set(moduli)}
-            ends = [np.arange(n + 2)]  # ends[i + 1]: where draw i ends, for a sample at each word
-            for mod in moduli:
-                ends.append(draws[mod][1].take(ends[-1]))
-            step = ends[-1]
+            read = rng.getrandbits(32 * WORDS).to_bytes(4 * WORDS, "little")
+            words = np.concatenate([words, np.frombuffer(read, "<u4")])
+            acc = {mod: _accepted(words, mod, len(moduli) + 1) for mod in set(moduli)}
+            pos, _, first = acc[moduli[0]]
+            out = int(first[-1])  # the second sentinel's rank: where a sample out of words steps
+            after = lambda i, mod: acc[mod][2].take(acc[moduli[i]][0].take(ranks[i]) + 1)
+            ranks = [np.arange(out + 1)]  # ranks[i]: the rank of draw i, for a sample at each rank
+            for i, mod in enumerate(moduli[1:]):
+                ranks.append(ranks[i] + 1 if mod == moduli[i] else after(i, mod))
+            step = after(-1, moduli[0])
             if keep is not None:
-                kept = keep(*(draws[mod][0].take(at) for mod, at in zip(head, ends)))
-                step = np.where(kept, step, ends[len(head)])
-            path, jump = np.zeros(1, np.intp), step  # path[i]: where sample i starts; n + 1 once out
-            while len(path) <= left and path[-1] <= n:
+                kept = keep(*(acc[mod][1].take(at) for mod, at in zip(head, ranks)))
+                step = np.where(kept, step, after(len(head) - 1, moduli[0]))
+            path, jump = np.zeros(1, np.intp), step  # path[i]: the rank where sample i starts
+            while len(path) <= left and path[-1] < out:
                 path, jump = np.concatenate([path, jump.take(path)]), jump.take(jump)
-            done = min(int(np.count_nonzero(path <= n)) - 1, left)
+            done = min(int(np.count_nonzero(path < out)) - 1, left)
             starts = path[:done]
-            new = np.stack([draws[mod][0].take(at.take(starts)) for mod, at in zip(moduli, ends)], 1)
+            new = np.stack([acc[mod][1].take(at.take(starts)) for mod, at in zip(moduli, ranks)], 1)
             rows = np.concatenate([rows, new if keep is None else new[kept[starts]]])
-            words, left = words[path[done]:], left - done
+            words, left = words[pos[path[done]]:], left - done
             full = len(rows) if not left else len(rows) - len(rows) % m
             for lo in range(0, full, m):
                 yield rows[lo:lo + m]

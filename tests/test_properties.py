@@ -1,11 +1,15 @@
 """Property-based checks over randomly drawn small groups and homs."""
 
+import random
+from unittest import mock
+
 import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import naive_hom_images, oracle_aut_table, relabelled
 from grouper.approx import classify_hom, galois_group
-from grouper.commutators import commutator
+from grouper import commutators
+from grouper.commutators import _drawn, commutator
 from grouper.groups import GroupHom, build_from_permutations, identity_hom, standard_group, subgroup_generated
 from grouper.homs import automorphism_group, enumerate_homs
 
@@ -157,3 +161,42 @@ def test_enumeration_matches_oracle_on_permutation_groups(H, G):
     assume(H.order > 1 and G.order > 1 and G.order ** H.order <= 5000)
     got = sorted(tuple(row) for row in enumerate_homs(H, G).matrix.tolist())
     assert got == naive_hom_images(H, G)
+
+
+# moduli whose shifted words are rejected least (2^k) and most (2^k + 1) often, and any up to 4 097
+MODULI = st.one_of(st.sampled_from([1, 2, 3, 4, 5, 8, 9, 16, 17, 4096, 4097]),
+                   st.integers(min_value=1, max_value=4097))
+
+
+@st.composite
+def draw_plans(draw):
+    """Head and tail moduli picked from a pool of at most three, so that runs of one
+    modulus, alternations and a head ending in the tail's first modulus all come up;
+    and `keep`, none or a rule over the head draws that may reject any share of them."""
+    pool = draw(st.lists(MODULI, min_size=1, max_size=3, unique=True))
+    head = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4))
+    tail = draw(st.lists(st.sampled_from(pool), max_size=3))
+    if not draw(st.booleans()):
+        return head, None, tail
+    weights = draw(st.lists(st.integers(1, 7), min_size=len(head), max_size=len(head)))
+    q = draw(st.integers(1, 5))
+    r = draw(st.integers(0, q))
+    return head, lambda *cols: sum(w * c for w, c in zip(weights, cols)) % q < r, tail
+
+
+@given(draw_plans(), st.sampled_from([1, 2, 3, 17, 64]), st.integers(1, 40), st.integers(1, 80),
+       st.integers(0, 2 ** 32))
+@settings(max_examples=80, deadline=None)
+def test_drawn_rows_match_one_randrange_per_coordinate(plan, words, block, count, seed):
+    """Reads of a few words reach a read where the first modulus accepts no word, and samples
+    that end on a read's last word."""
+    head, keep, tail = plan
+    rng, want = random.Random(seed), []
+    for _ in range(count):
+        row = tuple(rng.randrange(m) for m in head)
+        if keep is None or keep(*row):
+            want.append(row + tuple(rng.randrange(m) for m in tail))
+    with mock.patch.object(commutators, "WORDS", words):
+        blocks = list(_drawn(random.Random(seed), count, head, keep, tail)(block))
+    assert all(0 < len(b) <= min(block, commutators.DRAWS) for b in blocks)
+    assert [tuple(row) for b in blocks for row in b.tolist()] == want

@@ -1,6 +1,7 @@
 """Smoke tests: each script under scripts/ runs to completion at tiny sizes."""
 
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -87,6 +88,20 @@ def test_bench_pairs_prints_one_summary_line_per_metric(tmp_path):
     assert proc.returncode == 0, proc.stderr
     summary = [line for line in proc.stdout.splitlines() if line.startswith("# t:")]
     assert summary == ["# t: parent median 2, change median 1.5 s; change lower in 3 of 3 pairs"]
+
+
+def test_bench_pairs_records_checkouts_and_warns_on_unequal_path_lengths(tmp_path):
+    parent = fake_checkout(tmp_path / "parent", fake_perfbench(2.0))
+    change = fake_checkout(tmp_path / "change", fake_perfbench(1.5))
+    longer = fake_checkout(tmp_path / "change-2", fake_perfbench(1.5))
+    proc = run_bench_pairs(tmp_path, parent, change, "--pairs", "1")
+    assert proc.returncode == 0 and "warning" not in proc.stderr, proc.stderr
+    proc = run_bench_pairs(tmp_path, parent, longer, "--pairs", "1")
+    assert proc.returncode == 0, proc.stderr
+    n = len(str(parent.resolve()))
+    assert f"# warning: the checkout paths differ in length ({n} and {n + 2} characters)" in proc.stderr
+    record = json.loads((tmp_path / "out.json").read_text())["t"]
+    assert record["checkouts"] == {"parent": str(parent.resolve()), "change": str(longer.resolve())}
 
 
 def run_compare_verify(parent, change, suite="cogalois", max_order=4):

@@ -142,22 +142,24 @@ def test_copy_orbits_match_oracle():
     assert cases > 100 and several > 0
 
 
+def cold_loads(code: str, module: str) -> bool:
+    """Whether a fresh interpreter that runs `code` against this checkout's grouper has
+    imported `module` by the end."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    code += f"import sys\nprint({module!r} in sys.modules)\n"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()[-1] == "True"
+
+
 def test_criterion_and_classification_leave_numpy_ma_unloaded():
     """In numpy 2.x a plain ``np.unique`` or ``np.isin`` imports ``numpy.ma`` on first use,
     tens of milliseconds in a cold process; neither call path needs it."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-
-    def loads_ma(code: str) -> bool:
-        code += "import sys\nprint('numpy.ma' in sys.modules)\n"
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
-                              timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        return proc.stdout.split()[-1] == "True"
-
-    if loads_ma("import numpy\n"):
+    if cold_loads("import numpy\n", "numpy.ma"):
         pytest.skip("import numpy alone loads numpy.ma")
-    assert not loads_ma(
+    assert not cold_loads(
         "from grouper.approx import classify_hom\n"
         "from grouper.groups import standard_group\n"
         "from grouper.homs import enumerate_homs\n"
@@ -165,5 +167,18 @@ def test_criterion_and_classification_leave_numpy_ma_unloaded():
         "A5, A6, S5 = (standard_group(d) for d in ('alternating:5', 'alternating:6', 'symmetric:5'))\n"
         "embed = lambda H, G: next(h for h in enumerate_homs(H, G).homs if h.is_injective)\n"
         "classify_hom(embed(A5, S5))\n"
-        "assert simple_envelope_criterion(embed(A5, A6)).agrees\n"
-    )
+        "assert simple_envelope_criterion(embed(A5, A6)).agrees\n", "numpy.ma")
+
+
+@pytest.mark.parametrize("module", ["numpy.ma", "numpy.random"])
+def test_sampled_lemma_checks_leave_numpy_ma_and_random_unloaded(module):
+    """The sampler reads `random.Random` words itself.  Loading numpy's MT19937 from
+    ``rng.getstate()`` would read the same stream faster, but the first touch of
+    ``numpy.random`` costs more time and memory in a cold process than a report saves."""
+    if cold_loads("import numpy\n", module):
+        pytest.skip(f"import numpy alone loads {module}")
+    assert not cold_loads(
+        "from grouper.commutators import check_commutator_lemmas\n"
+        "from grouper.groups import standard_group\n"
+        "reports = check_commutator_lemmas(standard_group('dihedral:8'))\n"
+        "assert not all(r.exhaustive for r in reports)\n", module)
