@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
-"""Check that two checkouts compute the same hom sets, Aut groups, pair verdicts and relative verdicts.
+"""Check that two checkouts compute the same hom sets, Aut groups, verdicts and lemma reports.
 
     python3 scripts/compare_homs.py PARENT CHANGE --max-order 24
 
 PARENT and CHANGE are two checkouts of grouper.  The script runs its own
 digest (`--digest`) with each checkout's `src/` on `PYTHONPATH`.  Over
-`generate_corpus(N)`, in corpus order, the digest hashes four kinds:
+`generate_corpus(N)`, in corpus order, the digest hashes five kinds:
 
 - hom-sets: each budgeted `enumerate_homs(H, G)`, its `matrix` and `keys`;
 - aut-groups: each `automorphism_group(G)`, its `perms`, `end_rows`,
@@ -16,7 +16,12 @@ digest (`--digest`) with each checkout's `src/` on `PYTHONPATH`.  Over
   .to_dict()` on both sides and `is_orthogonal`, against the singleton class
   of each corpus group named in `RELATIVE_CLASSES`: C2, C3, C4, C2xC2 and
   D6 (S3).  They cover prime and composite cyclic, non-cyclic abelian and
-  non-abelian members, and keep the digest at max-order 16 near a minute.
+  non-abelian members, and keep the digest at max-order 16 near a minute;
+- lemmas: for each group, `check_commutator_lemmas(G, cfg).to_dict()` of
+  every report under `LemmaConfig()` and under `LemmaConfig(max_tuples=500,
+  samples=2000)`, which makes most reports sampled.  A sampled report's
+  dict counts its samples, not what they draw, so every block of rows that
+  `commutators._drawn` yields is hashed too.
 
 Arrays are hashed by shape and int64 value, so a change of dtype alone is no
 difference; relative reports are hashed as JSON with sorted keys.  The script
@@ -35,7 +40,7 @@ import sys
 import time
 from pathlib import Path
 
-KINDS = ("hom-sets", "aut-groups", "verdicts", "relative")
+KINDS = ("hom-sets", "aut-groups", "verdicts", "relative", "lemmas")
 RELATIVE_CLASSES = ("C2", "C3", "C4", "C2xC2", "D6")
 VERDICT_FIELDS = ("matrix", "is_envelope", "is_localization", "is_cover", "is_cellular",
                   "is_preenvelope", "is_precover", "galois_orders", "co_galois_orders")
@@ -81,6 +86,35 @@ def digest(max_order: int) -> dict:
                 h.update(json.dumps([reports, [is_orthogonal(phi, cls) for cls in classes]],
                                     sort_keys=True).encode())
             out["relative"].append([pair, h.hexdigest()])
+    out["lemmas"] = _lemma_digest(corpus)
+    return out
+
+
+def _lemma_digest(corpus) -> list:
+    """[group name, sha256] per group of ``corpus``: its lemma reports under both configs and
+    the rows their samplers drew."""
+    from grouper import commutators
+
+    drawn, h = commutators._drawn, None
+
+    def recorded(*args, **kwargs):
+        blocks = drawn(*args, **kwargs)
+
+        def record(m):
+            for block in blocks(m):
+                h.update(_hash(block).encode())
+                yield block
+
+        return record
+
+    commutators._drawn = recorded
+    out = []
+    for G in corpus:
+        h = hashlib.sha256()
+        for cfg in (commutators.LemmaConfig(), commutators.LemmaConfig(max_tuples=500, samples=2000)):
+            reports = [r.to_dict() for r in commutators.check_commutator_lemmas(G, cfg)]
+            h.update(json.dumps(reports, sort_keys=True).encode())
+        out.append([G.name, h.hexdigest()])
     return out
 
 

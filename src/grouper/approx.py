@@ -149,32 +149,24 @@ def postcomposition(phi_images: np.ndarray, H: FiniteGroup, G: FiniteGroup, F: F
     return Composites(phi_images[outer.matrix[:, inner.gens]], inner)
 
 
-class EndData:
-    """End(X), ``homs``, with Aut(X), ``aut``, whose ``end_mask`` marks the automorphisms."""
-
-    def __init__(self, X: FiniteGroup):
-        self.homs = enumerate_homs(X, X)
-        self.aut = automorphism_group(X)
-
-
-def _counts(end: EndData, rows: np.ndarray, fixed: np.ndarray) -> tuple:
+def _counts(aut: AutGroup, rows: np.ndarray, fixed: np.ndarray) -> tuple:
     """(distinct, fixers, galois): the distinct rows of ``rows``, one per endomorphism in
-    ``end``, the rows equal to ``fixed``, and those of them that belong to automorphisms."""
+    ``aut.ends``, the rows equal to ``fixed``, and those of them that belong to automorphisms."""
     fixers = (rows == fixed).all(axis=1)
-    return len(first_per_key(rows)), int(fixers.sum()), int((fixers & end.aut.end_mask).sum())
+    return len(first_per_key(rows)), int(fixers.sum()), int((fixers & aut.end_mask).sum())
 
 
-def _kernel_counts(end_h: EndData, kernel: np.ndarray) -> tuple:
+def _kernel_counts(aut_h: AutGroup, kernel: np.ndarray) -> tuple:
     """``_counts`` of phi.f for f in End(H), for the homs phi with the kernel mask ``kernel``.
 
     phi.f = phi.g exactly when f and g agree modulo N = ker phi, so the
     rows are End(H)'s images of the generators of H, each replaced by the
     least member of its coset xN.
     """
-    H, gens = end_h.homs.source, end_h.homs.gens
+    H, gens = aut_h.base, aut_h.ends.gens
     label = H.table[:, np.flatnonzero(kernel)].min(axis=1)
-    ends = H.memo("end_gen_images", lambda: end_h.homs.matrix[:, gens])
-    return _counts(end_h, label[ends], label[gens])
+    ends = H.memo("end_gen_images", lambda: aut_h.ends.matrix[:, gens])
+    return _counts(aut_h, label[ends], label[gens])
 
 
 def _per_key(keys: np.ndarray, counts) -> list:
@@ -198,7 +190,7 @@ def kernel_keys(rows: np.ndarray, identity: int) -> np.ndarray:
     return _packed(rows, lambda block: block == identity)
 
 
-def image_counts(rows: np.ndarray, end_g: EndData, gens: np.ndarray) -> list:
+def image_counts(rows: np.ndarray, aut_g: AutGroup, gens: np.ndarray) -> list:
     """The counts (distinct, fixers, galois) of f |-> f.phi on End(G), for each hom phi: H -> G
     of ``rows``, with ``gens`` the generators of H.
 
@@ -209,7 +201,7 @@ def image_counts(rows: np.ndarray, end_g: EndData, gens: np.ndarray) -> list:
     through K: they are memoized on G, keyed by the packed member mask of
     K, for every source to share.
     """
-    G = end_g.homs.source
+    G = aut_g.base
 
     def hit(block):
         mask = np.zeros((len(block), G.order), dtype=bool)
@@ -219,14 +211,14 @@ def image_counts(rows: np.ndarray, end_g: EndData, gens: np.ndarray) -> list:
     def counts(key, i):
         def compute():
             images = rows[i, gens]
-            return _counts(end_g, end_g.homs.matrix[:, images], images)
+            return _counts(aut_g, aut_g.ends.matrix[:, images], images)
 
         return G.memo(("image_counts", key), compute)
 
     return _per_key(_packed(rows, hit), counts)
 
 
-def kernel_counts(keys: np.ndarray, end_h: EndData) -> list:
+def kernel_counts(keys: np.ndarray, aut_h: AutGroup) -> list:
     """The counts (distinct, fixers, galois) of f |-> phi.f on End(H), for each hom phi from H
     with the packed kernel mask of that row of ``keys`` (``kernel_keys``).
 
@@ -235,11 +227,11 @@ def kernel_counts(keys: np.ndarray, end_h: EndData) -> list:
     are memoized on H, keyed by the packed mask of N, for every target to
     share.
     """
-    H = end_h.homs.source
+    H = aut_h.base
 
     def counts(key, i):
         kernel = np.unpackbits(keys[i], count=H.order).astype(bool)
-        return H.memo(("kernel_counts", key), lambda: _kernel_counts(end_h, kernel))
+        return H.memo(("kernel_counts", key), lambda: _kernel_counts(aut_h, kernel))
 
     return _per_key(keys, counts)
 
@@ -281,9 +273,9 @@ def _non_automorphism_fixer(phi: GroupHom, aut: AutGroup, side: str):
     return int(np.argmax(bad)) if bad.any() else None
 
 
-def _side_witnesses(phi: GroupHom, hom_set: HomSet, end: EndData, gen_images, flags, names, who) -> list:
+def _side_witnesses(phi: GroupHom, hom_set: HomSet, aut: AutGroup, gen_images, flags, names, who) -> list:
     """Witnesses of the false flags among (pre-approximation, approximation, bijection) of phi,
-    a hom of ``hom_set``, whose composites with the endomorphisms of ``end`` have ``gen_images``."""
+    a hom of ``hom_set``, whose composites with the endomorphisms ``aut.ends`` have ``gen_images``."""
     pre, approx, bij = flags
     if bij:  # only the identity fixes a hom that composition is one-to-one on
         return []
@@ -293,12 +285,12 @@ def _side_witnesses(phi: GroupHom, hom_set: HomSet, end: EndData, gen_images, fl
         return [Witness(f, "unlifted-hom", data) for f in names]
     out = []
     if not approx:
-        bad = _non_automorphism_fixer(phi, end.aut, who)
+        bad = _non_automorphism_fixer(phi, aut, who)
         out.append(Witness(names[1], "non-automorphism-preimage",
-                           {"endomorphism": end.homs.matrix[bad].tolist(), "of": who}))
+                           {"endomorphism": aut.ends.matrix[bad].tolist(), "of": who}))
     a, b = comp.first_duplicate_pair()
     out.append(Witness(names[2], "non-injective-pair",
-                       {"first": end.homs.matrix[a].tolist(), "second": end.homs.matrix[b].tolist(), "of": who}))
+                       {"first": aut.ends.matrix[a].tolist(), "second": aut.ends.matrix[b].tolist(), "of": who}))
     return out
 
 
@@ -306,22 +298,22 @@ def classify_hom(phi: GroupHom) -> ClassificationReport:
     """Full absolute classification of one homomorphism, from ``image_counts`` and ``kernel_counts``."""
     H, G = phi.source, phi.target
     hom_set = enumerate_homs(H, G)
-    end_g, end_h = EndData(G), EndData(H)
+    aut_g, aut_h = automorphism_group(G), automorphism_group(H)
     gens = hom_set.gens
-    t = image_counts(phi.images[None, :], end_g, gens)
-    s = kernel_counts(kernel_keys(phi.images[None, :], G.identity), end_h)
+    t = image_counts(phi.images[None, :], aut_g, gens)
+    s = kernel_counts(kernel_keys(phi.images[None, :], G.identity), aut_h)
     # target side f |-> f.phi on End(G), source side f |-> phi.f on End(H)
     sides = (
-        ("target", t, end_g, end_g.homs.matrix[:, phi.images[gens]],
+        ("target", t, aut_g, aut_g.ends.matrix[:, phi.images[gens]],
          ("isPreenvelopeOfTargetClass", "isEnvelope", "isLocalization")),
-        ("source", s, end_h, phi.images[end_h.homs.matrix[:, gens]],
+        ("source", s, aut_h, phi.images[aut_h.ends.matrix[:, gens]],
          ("isPrecoverOfSourceClass", "isCover", "isCellularCover")),
     )
     flags, witnesses = {}, []
-    for who, counts, end, gen_images, names in sides:
-        side = tuple(bool(f) for f in side_flags(counts, len(hom_set), len(end.homs))[:3])
+    for who, counts, aut, gen_images, names in sides:
+        side = tuple(bool(f) for f in side_flags(counts, len(hom_set), len(aut.ends))[:3])
         flags.update(zip(names, side))
-        witnesses += _side_witnesses(phi, hom_set, end, gen_images, side, names, who)
+        witnesses += _side_witnesses(phi, hom_set, aut, gen_images, side, names, who)
     return ClassificationReport(phi, flags, galois_group(phi, "target"), galois_group(phi, "source"),
                                 witnesses)
 

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .approx import (
-    EndData,
     GroupClass,
     _per_key,
     f_socle,
@@ -32,7 +31,7 @@ from .approx import (
 )
 from .commutators import LemmaConfig, check_commutator_lemmas, nilpotency_class
 from .groups import FiniteGroup, GroupHom, are_isomorphic, standard_group
-from .homs import _gen_array, enumerate_homs, enumerate_source, first_per_key
+from .homs import _gen_array, automorphism_group, enumerate_homs, enumerate_source, first_per_key
 
 PAIR_BUDGET = 100_000_000
 CORPUS_CAP = 512
@@ -162,19 +161,18 @@ def _classify_run(H: FiniteGroup, targets) -> list:
     grouped by kernel, and the counts, memoized on G per image and on H
     per kernel, are broadcast to the groups.  ``enumerate_source`` first
     searches the hom sets of every target in one walk; the
-    ``enumerate_homs`` calls per target then read H's memo.
+    ``enumerate_homs`` calls per target then read H's memo.  End(X) is
+    ``automorphism_group(X).ends``.
     """
     enumerate_source(H, targets)
-    hom_sets, ends = [], []
-    for G in targets:
-        hom_sets.append(enumerate_homs(H, G))
-        ends.append((EndData(G), EndData(H)))  # per target: perfbench pins the enumerate_homs calls
-    source = kernel_counts(np.concatenate([kernel_keys(hs.matrix, hs.target.identity) for hs in hom_sets]),
-                           ends[0][1])
+    hom_sets = [enumerate_homs(H, G) for G in targets]
+    aut_h = automorphism_group(H)
+    source = kernel_counts(np.concatenate([kernel_keys(hs.matrix, hs.target.identity) for hs in hom_sets]), aut_h)
     out, lo = [], 0
-    for hs, (end_g, end_h) in zip(hom_sets, ends):
-        t_pre, t_approx, t_bij, gal = side_flags(image_counts(hs.matrix, end_g, hs.gens), len(hs), len(end_g.homs))
-        s_pre, s_approx, s_bij, cogal = side_flags([c[lo:lo + len(hs)] for c in source], len(hs), len(end_h.homs))
+    for hs in hom_sets:
+        aut_g = automorphism_group(hs.target)
+        t_pre, t_approx, t_bij, gal = side_flags(image_counts(hs.matrix, aut_g, hs.gens), len(hs), len(aut_g.ends))
+        s_pre, s_approx, s_bij, cogal = side_flags([c[lo:lo + len(hs)] for c in source], len(hs), len(aut_h.ends))
         out.append(HomVerdicts(H, hs.target, hs.matrix, t_approx, t_bij, s_approx, s_bij, t_pre, s_pre, gal, cogal))
         lo += len(hs)
     return out

@@ -1,11 +1,13 @@
 """Exhaustive, pruned enumeration of Hom(H, G), End(G) and Aut(G).
 
 A hom H -> G is fixed by its images of the generators ``_gen_array(H)``.
-``HomKeys(H, G)`` is the candidate space: one list per generator of the
-elements of G whose order divides the generator's, sorted ascending, and
-a candidate is one image from each list.  Its key is the mixed-radix
-number whose digits are the positions of those images in the lists, so
-keys run over 0..size-1 in the lexicographic order of the candidates.
+``_candidate_lists(H, G)`` spans the candidate space: one list per
+generator of the elements of G whose order divides the generator's,
+sorted ascending, and a candidate is one image from each list.  Its key is
+the mixed-radix number whose digits are the positions of those images in
+the lists, so keys run over 0..size-1 in the lexicographic order of the
+candidates.  The walk gives each hom its key; ``HomSet.locate`` derives
+the digits, on its first call, from the same ``_divisor_positions``.
 
 ``enumerate_source(H, targets)`` searches the candidate spaces of all the
 given targets of H in one walk (``_Walk``), with what the search needs of
@@ -183,68 +185,33 @@ def _extend_batch(H: FiniteGroup, table: np.ndarray, identity, gen_cols: np.ndar
     return images
 
 
-class HomKeys:
-    """The candidate space of homs H -> G, and the integer key of each candidate.
-
-    ``gens`` is ``_gen_array(H)``, and ``lists[i]`` holds the possible
-    images of ``gens[i]``: the elements of G whose order divides its order,
-    ascending.  Digit i of a key is the position of the image of
-    ``gens[i]`` in ``lists[i]``, weighted by the product of the later
-    lists' lengths, so keys run over 0..``size``-1 in lexicographic order
-    of the images and ``lex_rows(lists, key, key + 1)`` decodes one.  Keys
-    are exact on the generator images of homs; any other images get some
-    key that a full-row comparison will not confirm.
-    """
-
-    __slots__ = ("gens", "lists", "size", "positions", "weights")
-
-    def __init__(self, H: FiniteGroup, G: FiniteGroup):
-        self.gens = _gen_array(H)
-        self.lists, self.positions = zip(
-            *(_divisor_positions(G, o) for o in H.element_orders[self.gens].tolist())
-        )
-        self.size = math.prod(len(m) for m in self.lists)
-        if self.size > np.iinfo(np.int64).max:
-            raise EnumerationCapError(f"hom keys for Hom({H.name},{G.name}) do not fit in 64 bits")
-        self.weights = tuple(math.prod(len(m) for m in self.lists[i + 1:]) for i in range(len(self.lists)))
-
-    def __call__(self, gen_images: np.ndarray) -> np.ndarray:
-        """Keys of generator images, given along the last axis."""
-        return _key_sum(self.positions, self.weights, gen_images)
-
-
-def _key_sum(positions, weights, gen_images: np.ndarray) -> np.ndarray:
-    """Sum over i of ``positions[i]`` at the images along the last axis, times ``weights[i]``."""
-    keys = 0
-    for i, (pos, weight) in enumerate(zip(positions, weights)):
-        digit = pos[gen_images[..., i]]
-        keys = keys + (digit if weight == 1 else digit * weight)
-    return keys
+def _candidate_lists(H: FiniteGroup, G: FiniteGroup) -> list:
+    """The candidate lists of homs H -> G: for each generator of ``_gen_array(H)``, the
+    elements of G whose order divides its order, ascending."""
+    return [_divisor_positions(G, o)[0] for o in H.element_orders[_gen_array(H)].tolist()]
 
 
 class HomSet:
     """Complete list of homomorphisms source -> target in canonical order.
 
-    Row ``r`` is the image array of a hom and ``keys[r]`` its key under
-    ``keygen``, the ``HomKeys(source, target)``; the walk gives both.
-    Rows are sorted lexicographically by their images of ``gens``, so their
-    keys strictly increase (module docstring), and ``locate`` maps
-    generator images of member homs to row indices with one
+    Row ``r`` is the image array of a hom and ``keys[r]`` its key (module
+    docstring); the walk gives both.  Rows are sorted lexicographically by
+    their images of ``gens``, so their keys strictly increase, and
+    ``locate`` maps generator images of member homs to row indices with one
     ``searchsorted``; lookups rely on that order and on completeness.
     """
 
-    __slots__ = ("source", "target", "matrix", "gens", "_keygen", "keys")
+    __slots__ = ("source", "target", "matrix", "gens", "keys", "_digits")
 
-    def __init__(self, source: FiniteGroup, target: FiniteGroup, matrix: np.ndarray, keygen: HomKeys,
-                 keys: np.ndarray):
+    def __init__(self, source: FiniteGroup, target: FiniteGroup, matrix: np.ndarray, keys: np.ndarray):
         self.source = source
         self.target = target
         self.matrix = np.ascontiguousarray(matrix, dtype=np.int32)
         self.gens = _gen_array(source)  # the source generators whose images identify a hom
-        self._keygen = keygen
         if (keys[1:] <= keys[:-1]).any():
             raise ValueError("hom rows are not in strictly increasing key order")
         self.keys = keys
+        self._digits = None
 
     def __len__(self):
         return int(self.matrix.shape[0])
@@ -252,10 +219,19 @@ class HomSet:
     def locate(self, gen_images: np.ndarray) -> np.ndarray:
         """Row index of each row of generator images; every one must be a member's.
 
-        Raises KeyError when some row's key is not among the members' keys.
+        Keys (module docstring) are exact on the generator images of homs;
+        any other images get some key that a full-row comparison will not
+        confirm.  Raises KeyError when some row's key is not among the
+        members' keys.
         """
+        if self._digits is None:  # (ranks, weight) per generator, once: AutGroup locates in End(G) often
+            lists = [_divisor_positions(self.target, o) for o in self.source.element_orders[self.gens].tolist()]
+            self._digits = [(pos, math.prod(len(m) for m, _ in lists[i + 1:])) for i, (_, pos) in enumerate(lists)]
+        want = 0
+        for i, (pos, weight) in enumerate(self._digits):
+            digit = pos[gen_images[..., i]]
+            want = want + (digit if weight == 1 else digit * weight)
         keys = self.keys
-        want = self._keygen(gen_images)
         idx = keys.searchsorted(want)
         if not (keys.take(idx, mode="clip") == want).all():
             raise KeyError("generator images of a non-member hom")
@@ -324,7 +300,7 @@ class _Walk:
     ``_gen_array(H)`` in G_t, ascending.  The spaces lie end to end:
     position ``starts[t] + i`` of the walk is candidate i of target t in the
     lexicographic order of ``lists[t]`` (its key, when those are the
-    ``HomKeys`` lists).  The walk goes in blocks of at most ``_BATCH``
+    ``_candidate_lists``).  The walk goes in blocks of at most ``_BATCH``
     candidates, and a block may span targets.  Products are read from the
     run table, (sum |G_t|) x max |G_t|, whose row ``lo_t + x`` holds row x
     of G_t raised by ``lo_t``: an image is held as its row ``lo_t + x``, a
@@ -439,17 +415,14 @@ class _Walk:
 
 def _hom_sets(H: FiniteGroup, targets) -> list:
     """The ``HomSet`` of H -> G for each G of ``targets``, from one walk."""
-    spaces = []
     for G in targets:
         if H.order > EXHAUSTIVE_CAP or G.order > EXHAUSTIVE_CAP:
             raise EnumerationCapError(
                 f"exhaustive enumeration capped at order {EXHAUSTIVE_CAP} "
                 f"(got |{H.name}|={H.order}, |{G.name}|={G.order})"
             )
-        spaces.append(HomKeys(H, G))
-    walk = _Walk(H, targets, [space.lists for space in spaces])
-    return [HomSet(H, G, images, space, keys=keys)
-            for G, space, (images, keys) in zip(targets, spaces, walk.hom_rows())]
+    walk = _Walk(H, targets, [_candidate_lists(H, G) for G in targets])
+    return [HomSet(H, G, images, keys) for G, (images, keys) in zip(targets, walk.hom_rows())]
 
 
 def enumerate_source(H: FiniteGroup, targets) -> None:
@@ -475,15 +448,16 @@ def find_isomorphism(G1: FiniteGroup, G2: FiniteGroup):
     """First bijective homomorphism in canonical order, or None.
 
     The walk covers only the generator images of the generators' own orders
-    (sublists of the ``HomKeys`` lists, in the same lexicographic order);
+    (sublists of the ``_candidate_lists``, in the same lexicographic order);
     their sizes are what ``CANDIDATE_CAP`` bounds.
     """
     if G1.order != G2.order:
         return None
     if G1.order > EXHAUSTIVE_CAP:
         raise EnumerationCapError(f"isomorphism search capped at order {EXHAUSTIVE_CAP}")
-    space, orders = HomKeys(G1, G2), G2.element_orders
-    lists = [m[orders[m] == o] for m, o in zip(space.lists, G1.element_orders[space.gens].tolist())]
+    orders = G2.element_orders
+    lists = [m[orders[m] == o]
+             for m, o in zip(_candidate_lists(G1, G2), G1.element_orders[_gen_array(G1)].tolist())]
     walk = _Walk(G1, [G2], [lists], bijective=True)
     for lo in walk.blocks:
         images = walk.homs(*walk.survivors(lo))[1]

@@ -4,7 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
-from grouper.approx import EndData, RelativeReport, Witness
+from grouper.approx import RelativeReport, Witness
 from grouper.corpus import HomVerdicts
 from grouper.groups import FiniteGroup, generating_set_of_table, standard_group
 from grouper.homs import AutSubgroup, _gen_array, automorphism_group, enumerate_homs
@@ -86,7 +86,7 @@ def oracle_inner_members(aut) -> set:
     return {index_of_row(aut.perms, t[t[g], G.inverses[g]]) for g in range(G.order)}
 
 
-def _side_profile_per_hom(hom_set, end, gen_images, phi_idx):
+def _side_profile_per_hom(hom_set, aut, gen_images, phi_idx):
     """Oracle kernel: the per-hom classification that ``corpus.classify_pair`` ran before its
     verdicts were read from image and kernel counts.  It locates every composite in the hom
     set and counts the hits per hom, and it is kept apart from ``approx`` so that the
@@ -100,7 +100,7 @@ def _side_profile_per_hom(hom_set, end, gen_images, phi_idx):
     flat = rows + (np.arange(rows.shape[0]) * n)[:, None]
     counts = np.bincount(flat.ravel(), minlength=rows.shape[0] * n).reshape(idx.shape[:-1] + (n,))
     fixers = idx == phi_idx[:, None]
-    galois = fixers[:, end.aut.end_rows]
+    galois = fixers[:, aut.end_rows]
     surjective = counts.all(axis=-1)
     injective = (counts <= 1).all(axis=-1)
     approximation = surjective & (fixers.sum(axis=-1) == galois.sum(axis=-1))
@@ -114,16 +114,17 @@ def classify_pair_per_hom(H: FiniteGroup, G: FiniteGroup) -> HomVerdicts:
     classified one hom per Aut(H) x Aut(G) orbit; nothing is memoized.
     """
     hom_set = enumerate_homs(H, G)
-    end_g, end_h = EndData(G), EndData(H)
+    end_g, end_h = enumerate_homs(G, G), enumerate_homs(H, H)
+    aut_g, aut_h = automorphism_group(G), automorphism_group(H)
     gens = hom_set.gens
     parts = []
     for i, phi in enumerate(hom_set.matrix):
         row = np.array([i])
         # target side f.phi on End(G), source side phi.f on End(H)
         t_approx, t_bij, t_surj, t_gal = _side_profile_per_hom(
-            hom_set, end_g, end_g.homs.matrix[None, :, phi[gens]], row)
+            hom_set, aut_g, end_g.matrix[None, :, phi[gens]], row)
         s_approx, s_bij, s_surj, s_gal = _side_profile_per_hom(
-            hom_set, end_h, phi[end_h.homs.matrix[None, :, gens]], row)
+            hom_set, aut_h, phi[end_h.matrix[None, :, gens]], row)
         parts.append((t_approx, t_bij, s_approx, s_bij, t_surj, s_surj, t_gal, s_gal))
     return HomVerdicts(H, G, hom_set.matrix, *(np.concatenate(p) for p in zip(*parts)))
 
@@ -167,17 +168,17 @@ def oracle_classify_against_class(phi, cls, side: str) -> RelativeReport:
             break
         inj_all = inj_all and bool((counts <= 1).all())
     pre = in_class and surj_all
-    end = EndData(X)
+    end, aut = enumerate_homs(X, X), automorphism_group(X)
     gens = _gen_array(H)
-    comp_x = end.homs.matrix[:, phi.images[gens]] if envelope else phi.images[end.homs.matrix[:, gens]]
+    comp_x = end.matrix[:, phi.images[gens]] if envelope else phi.images[end.matrix[:, gens]]
     fixers = (comp_x == phi.images[gens]).all(axis=1)
-    non_aut = fixers & ~end.aut.end_mask
+    non_aut = fixers & ~aut.end_mask
     approx = pre and not non_aut.any()
     if pre and non_aut.any():
         witnesses.append(Witness("isApproximation", "non-automorphism-preimage",
-                                 {"endomorphism": end.homs.matrix[np.argmax(non_aut)].tolist()}))
+                                 {"endomorphism": end.matrix[np.argmax(non_aut)].tolist()}))
     unique = approx and surj_all and inj_all
-    gal = AutSubgroup(end.aut, np.flatnonzero(fixers[end.aut.end_rows]))
+    gal = AutSubgroup(aut, np.flatnonzero(fixers[aut.end_rows]))
     return RelativeReport(phi, side, cls, in_class, pre, approx, unique, gal, witnesses)
 
 
@@ -193,9 +194,9 @@ def oracle_hom_rows(H: FiniteGroup, G: FiniteGroup):
     No order filter: each generator tuple is extended along breadth-first
     words in the generators, and a row is kept when it sends each generator
     to its entry of the tuple and f(x y) = f(x) f(y) holds on the whole
-    table of H.  Rows are sorted by their ``HomKeys`` key, computed here
-    from the ranks of the generator images among the elements of G whose
-    order divides the generator's.  Tuples go 4096 at a time; only usable
+    table of H.  Rows are sorted by their key (``homs`` module docstring),
+    computed here from the ranks of the generator images among the
+    elements of G whose order divides the generator's.  Tuples go 4096 at a time; only usable
     while |G|^k tuples are few.
     """
     gens = _gen_array(H).tolist()

@@ -4,9 +4,10 @@
 process and compares its suite outputs and traced counts against
 ``perfbench/expected.json``.  For ``lemmas``, any change to the scan order,
 the stop rule or the sampled draw order of the lemma checks shows up as a
-mismatch.  For ``galois-suites``, the hom and Aut caches must be filled
-exactly once per key: a second fill of the same key (as a race between
-worker threads would cause) raises the traced call counts.  For
+mismatch.  For ``galois-suites``, each Aut group must be built once: the
+``enumerate_homs`` calls are one hom-set read per classified pair plus one
+End(G) enumeration per ``automorphism_group`` build, so a rebuilt Aut group
+or an extra read raises them.  For
 ``class-suites`` and ``simple-a6``, the subgroup, normal-closure and
 quotient machinery must reproduce the suite outputs and the pinned
 ``enumerate_homs`` and ``GroupClass.contains`` call counts.
@@ -38,7 +39,7 @@ def test_lemmas_workload_reproduces_pinned_counts():
 def test_galois_suites_fill_each_cache_entry_once():
     result = _traced_workload("galois-suites")
     assert result["mismatches"] == []
-    assert result["layers"]["homs.enumerate_homs.calls"] == 4840
+    assert result["layers"]["homs.enumerate_homs.calls"] == 1640
     assert result["layers"]["homs.automorphism_group.misses"] == 40
 
 

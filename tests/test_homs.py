@@ -1,4 +1,5 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -19,7 +20,6 @@ from grouper.homs import (
     CANDIDATE_CAP,
     AutGroup,
     AutSubgroup,
-    HomKeys,
     automorphism_group,
     end_set,
     enumerate_homs,
@@ -87,6 +87,7 @@ class TestRunsAgainstOracle:
                 rows, keys = oracle_hom_rows(H, G)
                 assert hs.matrix.shape == rows.shape and (hs.matrix == rows).all(), (H.name, G.name)
                 assert hs.keys.dtype == np.int64 and (hs.keys == keys).all(), (H.name, G.name)
+                assert (hs.locate(hs.matrix[:, hs.gens]) == np.arange(len(hs))).all(), (H.name, G.name)
 
     def test_classify_source_fills_what_single_walks_find(self):
         """Every pair of generate_corpus(20): the hom sets a source's run fills equal
@@ -235,7 +236,7 @@ class TestIsomorphismSearch:
         """
         G = standard_group("product:cyclic:2,cyclic:2,dihedral:64")
         relabel = relabelled(G, np.random.default_rng(1).permutation(G.order))
-        assert HomKeys(G, relabel).size > CANDIDATE_CAP
+        assert math.prod(len(m) for m in homs._candidate_lists(G, relabel)) > CANDIDATE_CAP
         assert are_isomorphic(G, relabel)
 
 
@@ -282,10 +283,10 @@ class TestHomKeys:
     @pytest.mark.parametrize("src,tgt", PAIRS)
     def test_keys_decode_to_generator_images(self, groups, src, tgt):
         hs = enumerate_homs(groups[src], groups[tgt])
-        space = HomKeys(groups[src], groups[tgt])
-        assert (hs.keys < space.size).all()
+        lists = homs._candidate_lists(groups[src], groups[tgt])
+        assert (hs.keys < math.prod(len(m) for m in lists)).all()
         for key, row in zip(hs.keys.tolist(), hs.matrix):
-            assert (lex_rows(space.lists, key, key + 1)[0] == row[space.gens]).all()
+            assert (lex_rows(lists, key, key + 1)[0] == row[hs.gens]).all()
 
     def test_non_member_rows_raise(self, groups):
         G = groups["symmetric:3"]
@@ -352,38 +353,39 @@ class TestFirstPerKey:
         assert sizes.tolist() == [len(set(row)) for row in hs.matrix.tolist()]
 
     def test_one_key_space_per_hom_set(self, monkeypatch):
-        """The walk's HomKeys serves the hom set's keys and the Aut rows of End(G)."""
-        from grouper import homs
+        """A hom set derives its key digits from ``_divisor_positions`` once, on its first
+        ``locate``: the walk reads the lists once per generator, the first ``locate`` the
+        ranks once per generator, and later ones, like those that build Aut(G) from
+        End(G), none."""
+        calls = []
+        divisor_positions = homs._divisor_positions
 
-        built = []
+        def counted(G, o):
+            calls.append(G.name)
+            return divisor_positions(G, o)
 
-        class CountedKeys(homs.HomKeys):
-            __slots__ = ()
-
-            def __init__(self, H, G):
-                built.append((H.name, G.name))
-                super().__init__(H, G)
-
-        monkeypatch.setattr(homs, "HomKeys", CountedKeys)
+        monkeypatch.setattr(homs, "_divisor_positions", counted)
         H, G = standard_group("dihedral:8"), standard_group("symmetric:4")
         forget_memos([H, G])
         hs = enumerate_homs(H, G)
-        assert (hs.locate(hs.matrix[:, hs.gens]) == np.arange(len(hs))).all()
+        k = len(hs.gens)
+        assert calls == ["S4"] * k
+        for _ in range(2):
+            assert (hs.locate(hs.matrix[:, hs.gens]) == np.arange(len(hs))).all()
+            assert calls == ["S4"] * 2 * k
         ag = automorphism_group(G)
         assert ag.index_of(ag.perms[-1]) == ag.order - 1
-        assert built == [("D8", "S4"), ("S4", "S4")]
+        assert calls == ["S4"] * 2 * (k + len(ag.ends.gens))
 
 
 class TestAutRows:
     @pytest.mark.parametrize("name", ["cyclic:8", "dihedral:8", "quaternion8", "symmetric:4",
                                       "product:cyclic:2,cyclic:2,cyclic:2"])
     def test_end_rows_are_the_automorphisms(self, name):
-        from grouper.approx import EndData
-
         G = standard_group(name)
         for X in (G, relabelled(G, np.random.default_rng(3).permutation(G.order))):
-            end, aut = EndData(X), automorphism_group(X)
-            assert (end.homs.matrix[end.aut.end_rows] == aut.perms).all()
-            assert (np.diff(end.aut.end_rows) > 0).all()
-            bijective = (np.sort(end.homs.matrix, axis=1) == np.arange(X.order)).all(axis=1)
-            assert (np.flatnonzero(bijective) == end.aut.end_rows).all()
+            end, aut = end_set(X), automorphism_group(X)
+            assert (end.matrix[aut.end_rows] == aut.perms).all()
+            assert (np.diff(aut.end_rows) > 0).all()
+            bijective = (np.sort(end.matrix, axis=1) == np.arange(X.order)).all(axis=1)
+            assert (np.flatnonzero(bijective) == aut.end_rows).all()
