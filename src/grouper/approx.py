@@ -65,6 +65,11 @@ class Witness:
         return {"flag": self.flag, "kind": self.kind, "data": self.data}
 
 
+def _structure(gal: AutSubgroup) -> str:
+    """``describe_structure`` of a subgroup of Aut(G), memoized on G by its members."""
+    return gal.aut.base.memo(("structure", gal.members.tobytes()), lambda: describe_structure(gal.as_group()))
+
+
 @dataclass
 class ClassificationReport:
     hom: GroupHom
@@ -89,11 +94,11 @@ class ClassificationReport:
             "flags": {k: bool(v) for k, v in sorted(self.flags.items())},
             "galois": {
                 "order": self.galois.order,
-                "structure": describe_structure(self.galois.as_group()),
+                "structure": _structure(self.galois),
             },
             "coGalois": {
                 "order": self.co_galois.order,
-                "structure": describe_structure(self.co_galois.as_group()),
+                "structure": _structure(self.co_galois),
             },
             "witnesses": [w.to_dict() for w in self.witnesses],
         }
@@ -348,7 +353,7 @@ class RelativeReport:
             },
             key: {
                 "order": self.galois.order,
-                "structure": describe_structure(self.galois.as_group()),
+                "structure": _structure(self.galois),
             },
             "witnesses": [w.to_dict() for w in self.witnesses],
         }

@@ -201,13 +201,13 @@ def _pair_name(H, G):
 def _run(tasks, worker, report: SuiteReport, sort_key):
     """Apply worker to each (name, args, before) task in order, timing each call; sorted merge.
 
-    ``before``, if not None, is called first and timed with the task.  A
-    worker returns (items checked, violations, notes).
+    The callables of the list ``before`` are called first, in order, and
+    timed with the task.  A worker returns (items checked, violations, notes).
     """
     for name, args, before in tasks:
         t0 = time.perf_counter()
-        if before is not None:
-            before()
+        for f in before:
+            f()
         count, violations, notes = worker(*args)
         report.pair_seconds[name] = time.perf_counter() - t0
         report.pairs_examined += 1
@@ -221,10 +221,12 @@ def _run(tasks, worker, report: SuiteReport, sort_key):
 def _run_pairs(corpus, worker, report: SuiteReport, by_source: bool = False):
     """Apply worker to every ordered pair under the budget; list the rest as skipped.
 
-    With ``by_source``, each source's targets are classified together
-    (``classify_source``) before its first pair, whose time includes that.
+    Each source's budgeted targets are walked together (``enumerate_source``)
+    before the first pair, and with ``by_source`` classified together
+    (``classify_source``) before the source's first pair; a pair's time
+    includes what runs before it.
     """
-    tasks = []
+    tasks, walks = [], []
     for H in corpus:
         targets = []
         for G in corpus:
@@ -232,9 +234,13 @@ def _run_pairs(corpus, worker, report: SuiteReport, by_source: bool = False):
                 targets.append(G)
             else:
                 report.skipped.append({"pair": _pair_name(H, G), "reason": "candidate-budget"})
+        walks.append(functools.partial(enumerate_source, H, targets))
         for i, G in enumerate(targets):
-            before = functools.partial(classify_source, H, targets) if by_source and i == 0 else None
+            before = [functools.partial(classify_source, H, targets)] if by_source and i == 0 else []
             tasks.append((_pair_name(H, G), (H, G), before))
+    if tasks:
+        name, args, before = tasks[0]
+        tasks[0] = (name, args, walks + before)
     _run(tasks, worker, report, lambda v: sorted(v.items()))
 
 
@@ -284,18 +290,16 @@ def _make_socle_worker(corpus):
         notes = []
         hs = enumerate_homs(H, G)
         reps = hs.matrix[hs.injective_per_image()]
+        images = np.sort(reps, axis=1)
         count = 0
         for F0, cls, rank in classes:
             if max(G.order, H.order) ** rank > PAIR_BUDGET:
                 continue
             socle = f_socle(G, cls)
             source_in_class = cls.contains(H)
-            for row in reps:
+            for row, image in zip(reps, images):
                 count += 1
-                image = np.sort(row)
-                is_socle = socle.order == len(image) and bool(
-                    (socle.members == image).all()
-                )
+                is_socle = np.array_equal(socle.members, image)
                 precover = source_in_class and postcomposition(row, H, G, F0).surjective
                 if source_in_class and precover != is_socle:
                     violations.append(
@@ -322,6 +326,7 @@ def _make_radical_worker(corpus):
     def worker(H, G):
         violations = []
         reps = _surjective_reps_by_kernel(H, G)
+        kernels = [np.flatnonzero(row == G.identity) for row in reps]
         rank = max(len(_gen_array(G)), len(_gen_array(H)))
         count = 0
         for F0, cls in classes:
@@ -329,13 +334,11 @@ def _make_radical_worker(corpus):
                 continue
             target_in_class = cls.contains(G)
             kf = local_kernel(H, cls)
-            for row in reps:
+            for row, kernel in zip(reps, kernels):
                 count += 1
-                pre = precomposition(row, H, G, F0).surjective and target_in_class
-                kernel = np.nonzero(row == G.identity)[0]
-                epireflection = target_in_class and kf.order == len(kernel) and bool(
-                    (kf.members == kernel).all()
-                )
+                comp = precomposition(row, H, G, F0)  # always: perfbench pins its enumerate_homs calls
+                pre = target_in_class and comp.surjective
+                epireflection = target_in_class and np.array_equal(kf.members, kernel)
                 if pre != epireflection:
                     violations.append(
                         {"pair": _pair_name(H, G), "class": F0.name,
@@ -410,14 +413,15 @@ def run_theorem_suite(
 ) -> SuiteReport:
     """Run one theorem suite over every ordered corpus pair within budget.
 
-    Pairs run serially, in corpus order.  The classification suites
-    (cogalois, galois, reduction) batch by source: before the first pair
-    of a source H, ``classify_source`` enumerates the homs from H to all
-    of its budgeted targets in one walk, classifies them and memoizes
-    the verdicts on H, and the pair workers then read them through
-    ``classify_pair``.  That pair's time in ``pair_seconds`` includes
-    the classification of all of them.  ``jobs`` is accepted for compatibility and has no
-    effect.
+    Pairs run serially, in corpus order.  Before the first pair, every pair
+    suite enumerates the homs from each source to all of its budgeted
+    targets in one walk per source (``enumerate_source``): a socle or
+    radical worker reads the hom sets of every corpus member.  The
+    classification suites (cogalois, galois, reduction) then batch by
+    source: before the first pair of a source H, ``classify_source``
+    classifies its homs and memoizes the verdicts on H, which the pair
+    workers read through ``classify_pair``.  A batch's time counts in its
+    first pair's ``pair_seconds``.  ``jobs`` is accepted and has no effect.
     """
     if suite not in SUITE_IDS:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITE_IDS}")
@@ -429,7 +433,7 @@ def run_theorem_suite(
     if suite == "lemmas":
         worker = _make_lemma_worker(lemma_config or LemmaConfig())
         # lemma violations carry j=None for identities, which does not compare with ints
-        _run([(G.name, (G,), None) for G in corpus], worker, report,
+        _run([(G.name, (G,), []) for G in corpus], worker, report,
              lambda v: sorted((k, str(x)) for k, x in v.items()))
         return report
     worker = {

@@ -62,6 +62,19 @@ class TestAbsoluteClassification:
         assert describe_structure(r.galois.as_group()) == "C3"
         assert r.flags["isCellularCover"] and r.flags["isCover"]
 
+    def test_report_structures_match_their_galois_groups(self, groups):
+        """The structures in ``to_dict`` are memoized per Galois group; each must still be
+        ``describe_structure`` of that report's own group, on both sides."""
+        pairs = (("dihedral:8", "dihedral:8"), ("cyclic:4", "symmetric:4"), ("symmetric:3", "symmetric:4"))
+        for src, tgt in pairs:
+            for phi in enumerate_homs(groups[src], groups[tgt]).homs:
+                r = classify_hom(phi)
+                d = r.to_dict()
+                assert d["galois"]["structure"] == describe_structure(r.galois.as_group())
+                assert d["coGalois"]["structure"] == describe_structure(r.co_galois.as_group())
+                rel = classify_against_class(phi, GroupClass("C2", [groups["cyclic:2"]]), "cover")
+                assert rel.to_dict()["coGalois"]["structure"] == describe_structure(rel.galois.as_group())
+
     def test_trivial_hom_to_nontrivial_not_preenvelope(self, groups):
         r = classify_hom(trivial_hom(groups["cyclic:3"], groups["symmetric:3"]))
         assert not r.flags["isPreenvelopeOfTargetClass"]

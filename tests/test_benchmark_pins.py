@@ -6,8 +6,10 @@ process and compares its suite outputs and traced counts against
 the stop rule or the sampled draw order of the lemma checks shows up as a
 mismatch.  For ``galois-suites``, each Aut group must be built once: the
 ``enumerate_homs`` calls are one hom-set read per classified pair plus one
-End(G) enumeration per ``automorphism_group`` build, so a rebuilt Aut group
-or an extra read raises them.  For
+End(G) read per ``automorphism_group`` build, so a rebuilt Aut group or an
+extra read raises them.  End(G) is a read of the hom set that G's own
+source walk (``enumerate_source``, which the tracer does not count) has
+already filled.  For
 ``class-suites`` and ``simple-a6``, the subgroup, normal-closure and
 quotient machinery must reproduce the suite outputs and the pinned
 ``enumerate_homs`` and ``GroupClass.contains`` call counts.

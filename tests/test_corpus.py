@@ -22,6 +22,7 @@ from grouper.corpus import (
     run_theorem_suite,
     search_approximations,
 )
+from grouper import homs
 from grouper.approx import classify_hom, galois_group
 from grouper.groups import GroupHom, are_isomorphic, standard_group
 from grouper.homs import _gen_array, enumerate_homs
@@ -120,16 +121,54 @@ class TestSuites:
 
         assert counts(run_theorem_suite(moved, suite)) == counts(run_theorem_suite(corpus, suite))
 
-    @pytest.mark.parametrize("suite", ["cogalois", "reduction"])
+    @pytest.mark.parametrize("suite", ["cogalois", "reduction", "socle-cover", "radical-envelope"])
     def test_pair_seconds_cover_the_suite(self, suite):
-        """Each source's classification run is charged to one of its pairs, so the pair
-        times add up to most of the suite's wall time.  Fresh copies: empty memos."""
+        """The source walks, and each source's classification run, are charged to one pair
+        each, so the pair times add up to most of the suite's wall time.  Fresh copies: empty
+        memos."""
         corpus = [G.renamed(G.name) for G in generate_corpus(12)]
         t0 = time.perf_counter()
         report = run_theorem_suite(corpus, suite)
         wall = time.perf_counter() - t0
         assert len(report.pair_seconds) == report.pairs_examined == len(corpus) ** 2
         assert sum(report.pair_seconds.values()) >= 0.5 * wall
+
+    @pytest.mark.parametrize("suite", [s for s in SUITE_IDS if s != "lemmas"])
+    def test_one_walk_per_source(self, suite, monkeypatch):
+        """Every pair suite searches the homs of each source in one walk, over its budgeted
+        targets, and no other: no worker walks a hom set of its own.  Fresh copies: empty memos."""
+        corpus = [G.renamed(G.name) for G in generate_corpus(8)]
+        walks, hom_sets = [], homs._hom_sets
+
+        def counted(H, targets):
+            walks.append((H, targets))
+            return hom_sets(H, targets)
+
+        monkeypatch.setattr(homs, "_hom_sets", counted)
+        run_theorem_suite(corpus, suite)
+        budgeted = [(H, [G for G in corpus if _budget_ok(H, G)]) for H in corpus]
+        assert [(H.name, [G.name for G in t]) for H, t in walks] == [
+            (H.name, [G.name for G in t]) for H, t in budgeted]
+        for H, targets in budgeted:
+            held = [k[1] for k in H._memo if isinstance(k, tuple) and k[0] == "homs"]
+            assert sorted(map(id, held)) == sorted(map(id, targets)), H.name
+
+    @pytest.mark.parametrize("suite", ["socle-cover", "radical-envelope"])
+    @pytest.mark.parametrize("seed", [None, 5])
+    def test_class_suites_do_not_depend_on_walk_order(self, suite, seed):
+        """The class suites report the same on fresh copies as on copies whose hom sets were
+        first filled by one-target walks, in reverse corpus order; seed None keeps the
+        labelling, another seed relabels every group."""
+        corpus = generate_corpus(12)
+        if seed is not None:
+            rng = np.random.default_rng(seed)
+            corpus = [relabelled(G, rng.permutation(G.order)) for G in corpus]
+        fresh, filled = ([G.renamed(G.name) for G in corpus] for _ in range(2))
+        for H in reversed(filled):
+            for G in reversed(filled):
+                if _budget_ok(H, G):
+                    enumerate_homs(H, G)
+        assert run_theorem_suite(fresh, suite).to_dict() == run_theorem_suite(filled, suite).to_dict()
 
     def test_surjective_reps_precompose_one_to_one(self):
         """The radical-envelope worker checks no unique liftings: precomposition with each of
