@@ -16,6 +16,12 @@ per metric prints both medians and the pairs the change won.  A failing
 perfbench run ends the script with exit status 2, after the pair, the side
 and the end of the run's stderr.
 
+The record also keeps, per side, the `correct`, `failed` and `attempted`
+values of each run's result line, and a closing line per side names the
+pairs whose run reported incorrect outputs and the failed and attempted
+checks over all runs.  When any run reported `"correct": false`, the
+script exits with status 2 after writing the record.
+
 The two checkout paths should have the same length: `peak_rss_mb` moves by
 tenths of a MB with the checkout's directory name, so the script warns on
 stderr before the first pair when the lengths differ.
@@ -59,6 +65,12 @@ def summarize(runs: dict) -> dict:
     return out
 
 
+def outcomes(runs: dict) -> dict:
+    """Per side: each run's `correct`, `failed` and `attempted` values, in pair order."""
+    return {side: {k: [r["result"].get(k) for r in runs[side]] for k in ("correct", "failed", "attempted")}
+            for side in SIDES}
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("parent", type=Path)
@@ -95,6 +107,10 @@ def main() -> int:
         print(f"# {name}: parent median {m['parent']['median']:.4g}, change median "
               f"{m['change']['median']:.4g} {m['unit']}; change lower in {m['change_wins']} "
               f"of {m['pairs']} pairs")
+    checks = outcomes(runs)
+    for side, c in checks.items():
+        print(f"# {side}: incorrect in pairs {[i for i, ok in enumerate(c['correct']) if ok is False]}; "
+              f"failed {sum(n or 0 for n in c['failed'])} of {sum(n or 0 for n in c['attempted'])} attempted")
     record = json.loads(args.out.read_text()) if args.out.exists() else {}
     record[args.name] = {
         "command": f"perfbench/run.py --workload {args.workload} --seconds {args.seconds:g} "
@@ -103,10 +119,11 @@ def main() -> int:
         "src_lines": {side: runs[side][0]["meta"]["src_lines"] for side in SIDES},
         "checkouts": checkouts,
         "metrics": metrics,
+        "outcomes": checks,
         "runs": runs,
     }
     args.out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
-    return 0
+    return 2 if any(False in c["correct"] for c in checks.values()) else 0
 
 
 if __name__ == "__main__":

@@ -156,22 +156,24 @@ def postcomposition(phi_images: np.ndarray, H: FiniteGroup, G: FiniteGroup, F: F
 
 def _counts(aut: AutGroup, rows: np.ndarray, fixed: np.ndarray) -> tuple:
     """(distinct, fixers, galois): the distinct rows of ``rows``, one per endomorphism in
-    ``aut.ends``, the rows equal to ``fixed``, and those of them that belong to automorphisms."""
-    fixers = (rows == fixed).all(axis=1)
-    return len(first_per_key(rows)), int(fixers.sum()), int((fixers & aut.end_mask).sum())
-
-
-def _kernel_counts(aut_h: AutGroup, kernel: np.ndarray) -> tuple:
-    """``_counts`` of phi.f for f in End(H), for the homs phi with the kernel mask ``kernel``.
-
-    phi.f = phi.g exactly when f and g agree modulo N = ker phi, so the
-    rows are End(H)'s images of the generators of H, each replaced by the
-    least member of its coset xN.
-    """
-    H, gens = aut_h.base, aut_h.ends.gens
-    label = H.table[:, np.flatnonzero(kernel)].min(axis=1)
-    ends = H.memo("end_gen_images", lambda: aut_h.ends.matrix[:, gens])
-    return _counts(aut_h, label[ends], label[gens])
+    ``aut.ends``, the rows equal to ``fixed``, and those of them that belong to automorphisms.
+    Rows are compared by mixed-radix keys in base |``aut.base``|, counted on a bitmap over at
+    most 8n + 4 096 keys for n rows and else sorted; as rows when keys would pass 62 bits."""
+    base, (n, k) = aut.base.order, rows.shape
+    if k * (base - 1).bit_length() > 62:
+        fixers, distinct = (rows == fixed).all(axis=1), len(first_per_key(rows))
+    else:
+        weights = base ** np.arange(k - 1, -1, -1, dtype=np.int64)
+        keys = rows @ weights
+        fixers = keys == fixed @ weights
+        if base ** k <= 8 * n + 4096:
+            hit = np.zeros(base ** k, dtype=bool)
+            hit[keys] = True
+            distinct = int(np.count_nonzero(hit))
+        else:
+            keys.sort()
+            distinct = 1 + int(np.count_nonzero(keys[1:] != keys[:-1]))
+    return distinct, int(fixers.sum()), int((fixers & aut.end_mask).sum())
 
 
 def _per_key(keys: np.ndarray, counts) -> list:
@@ -184,66 +186,89 @@ def _per_key(keys: np.ndarray, counts) -> list:
     return [column[inverse] for column in per_key.T]
 
 
-def _packed(rows: np.ndarray, mask) -> np.ndarray:
-    """The bool rows ``mask(block)`` of each block of ``_BATCH`` rows, packed to bits; a block at
-    a time bounds the temporaries."""
-    return np.concatenate([np.packbits(mask(rows[lo:lo + _BATCH]), axis=1) for lo in range(0, len(rows), _BATCH)])
-
-
-def kernel_keys(rows: np.ndarray, identity: int) -> np.ndarray:
-    """The packed kernel mask of each hom of ``rows``, whose target has the identity ``identity``."""
-    return _packed(rows, lambda block: block == identity)
-
-
-def image_counts(rows: np.ndarray, aut_g: AutGroup, gens: np.ndarray) -> list:
+def image_counts(keys: np.ndarray, runs, starts: list, gens: np.ndarray) -> list:
     """The counts (distinct, fixers, galois) of f |-> f.phi on End(G), for each hom phi: H -> G
-    of ``rows``, with ``gens`` the generators of H.
+    of ``runs`` (``run_flags``), with ``keys`` their image keys, ``starts`` the first row of
+    each run and ``gens`` the generators of H.
 
     With K = Im phi, f.phi = g.phi exactly when f and g agree on K, since
     H -> K is onto.  So the composites are counted by the distinct rows of
     End(G) at phi's images of ``gens``, which generate K, and the fixers
     are the f that fix those images.  The counts depend on phi only
     through K: they are memoized on G, keyed by the packed member mask of
-    K, for every source to share.
+    K, the image key after its run index cut to |G| bits.  The bits past
+    |G| are zero, so every source and ``classify_hom`` share the entries.
     """
-    G = aut_g.base
-
-    def hit(block):
-        mask = np.zeros((len(block), G.order), dtype=bool)
-        mask[np.arange(len(block))[:, None], block] = True
-        return mask
 
     def counts(key, i):
+        t = int.from_bytes(key[:2], "big")
+        rows, aut_g, _ = runs[t]
+
         def compute():
-            images = rows[i, gens]
+            images = rows[i - starts[t], gens]
             return _counts(aut_g, aut_g.ends.matrix[:, images], images)
 
-        return G.memo(("image_counts", key), compute)
-
-    return _per_key(_packed(rows, hit), counts)
-
-
-def kernel_counts(keys: np.ndarray, aut_h: AutGroup) -> list:
-    """The counts (distinct, fixers, galois) of f |-> phi.f on End(H), for each hom phi from H
-    with the packed kernel mask of that row of ``keys`` (``kernel_keys``).
-
-    With N = ker phi, phi.f = phi.g exactly when f and g agree modulo N
-    (``_kernel_counts``).  The counts depend on phi only through N: they
-    are memoized on H, keyed by the packed mask of N, for every target to
-    share.
-    """
-    H = aut_h.base
-
-    def counts(key, i):
-        kernel = np.unpackbits(keys[i], count=H.order).astype(bool)
-        return H.memo(("kernel_counts", key), lambda: _kernel_counts(aut_h, kernel))
+        return aut_g.base.memo(("image_counts", key[2:2 + -(-aut_g.base.order // 8)]), compute)
 
     return _per_key(keys, counts)
 
 
-def side_flags(counts, homs: int, ends: int) -> tuple:
+def kernel_counts(keys: np.ndarray, aut_h: AutGroup) -> list:
+    """The counts (distinct, fixers, galois) of f |-> phi.f on End(H), for each hom phi from H
+    with the packed kernel mask of that row of ``keys``.
+
+    With N = ker phi, phi.f = phi.g exactly when f and g agree modulo N, so
+    the rows are End(H)'s images of the generators of H, each replaced by the
+    least member of its coset xN.  The counts depend on phi only through N:
+    they are memoized on H, keyed by the packed mask of N, for all to share.
+    """
+    H, gens = aut_h.base, aut_h.ends.gens
+
+    def counts(key, i):
+        def compute():
+            label = H.table[:, np.flatnonzero(np.unpackbits(keys[i], count=H.order))].min(axis=1)
+            ends = H.memo("end_gen_images", lambda: aut_h.ends.matrix[:, gens])
+            return _counts(aut_h, label[ends], label[gens])
+
+        return H.memo(("kernel_counts", key), compute)
+
+    return _per_key(keys, counts)
+
+
+def run_flags(aut_h: AutGroup, runs) -> tuple:
+    """(target, source): the ``side_flags`` of f |-> f.phi on End(G) and of f |-> phi.f on End(H),
+    for each hom phi of ``runs``, a list of (rows, aut_g, homs) whose rows are homs from
+    H = ``aut_h.base`` to G = aut_g.base and homs = |Hom(H, G)|, taken end to end.
+
+    One count pass over per-row arrays: a hom's image key is its run's index
+    as 2 big-endian bytes, then its packed image mask padded to the largest
+    G, and its kernel key its packed kernel mask, built in blocks of at most
+    ``_BATCH`` rows that may span runs, so that only the keys hold every hom.
+    """
+    sizes = [len(rows) for rows, *_ in runs]
+    starts = np.cumsum([0, *sizes]).tolist()
+    n, width, e = starts[-1], max(aut.base.order for _, aut, _ in runs), aut_h.base.identity
+    image = np.empty((n, 2 + -(-width // 8)), dtype=np.uint8)
+    image[:, :2] = np.repeat(np.arange(len(runs), dtype=">u2"), sizes).view(np.uint8).reshape(n, 2)
+    kernel = np.empty((n, -(-aut_h.base.order // 8)), dtype=np.uint8)
+    for lo in range(0, n, _BATCH):
+        hi = min(lo + _BATCH, n)
+        block = np.concatenate([rows[max(lo, a) - a:hi - a]
+                                for (rows, *_), a, b in zip(runs, starts, starts[1:]) if a < hi and b > lo])
+        hit = np.zeros((hi - lo, width), dtype=bool)
+        hit[np.arange(hi - lo)[:, None], block] = True
+        image[lo:hi, 2:] = np.packbits(hit, axis=1)
+        kernel[lo:hi] = np.packbits(block == block[:, e, None], axis=1)  # phi sends e to the identity
+        del block, hit  # else they live on while the next block is built, and raise the peak
+    homs = np.repeat([h for *_, h in runs], sizes)
+    ends = np.repeat([len(aut.ends) for _, aut, _ in runs], sizes)
+    return (side_flags(image_counts(image, runs, starts, aut_h.ends.gens), homs, ends),
+            side_flags(kernel_counts(kernel, aut_h), homs, len(aut_h.ends)))
+
+
+def side_flags(counts, homs, ends) -> tuple:
     """(pre-approximation, approximation, bijection, Galois order) from the counts of one side,
-    with ``homs`` = |Hom(H, G)| and ``ends`` the size of that side's End.
+    with ``homs`` = |Hom(H, G)| and ``ends`` the size of that side's End, or one of each per row.
 
     Composition with End is onto Hom(H, G) when its ``distinct`` composites
     are all of Hom(H, G), and one-to-one when there are as many as
@@ -300,13 +325,12 @@ def _side_witnesses(phi: GroupHom, hom_set: HomSet, aut: AutGroup, gen_images, f
 
 
 def classify_hom(phi: GroupHom) -> ClassificationReport:
-    """Full absolute classification of one homomorphism, from ``image_counts`` and ``kernel_counts``."""
+    """Full absolute classification of one homomorphism, as a ``run_flags`` of one hom."""
     H, G = phi.source, phi.target
     hom_set = enumerate_homs(H, G)
     aut_g, aut_h = automorphism_group(G), automorphism_group(H)
     gens = hom_set.gens
-    t = image_counts(phi.images[None, :], aut_g, gens)
-    s = kernel_counts(kernel_keys(phi.images[None, :], G.identity), aut_h)
+    t, s = run_flags(aut_h, [(phi.images[None, :], aut_g, len(hom_set))])
     # target side f |-> f.phi on End(G), source side f |-> phi.f on End(H)
     sides = (
         ("target", t, aut_g, aut_g.ends.matrix[:, phi.images[gens]],
@@ -315,8 +339,8 @@ def classify_hom(phi: GroupHom) -> ClassificationReport:
          ("isPrecoverOfSourceClass", "isCover", "isCellularCover")),
     )
     flags, witnesses = {}, []
-    for who, counts, aut, gen_images, names in sides:
-        side = tuple(bool(f) for f in side_flags(counts, len(hom_set), len(aut.ends))[:3])
+    for who, side_f, aut, gen_images, names in sides:
+        side = tuple(bool(f[0]) for f in side_f[:3])
         flags.update(zip(names, side))
         witnesses += _side_witnesses(phi, hom_set, aut, gen_images, side, names, who)
     return ClassificationReport(phi, flags, galois_group(phi, "target"), galois_group(phi, "source"),

@@ -30,6 +30,7 @@ from .approx import (
 from .corpus import CORPUS_CAP, SUITE_IDS, generate_corpus, run_theorem_suite, search_approximations
 from .errors import (
     GrouperError,
+    InvalidOption,
     MalformedHom,
     MissingFile,
     NoInjectiveHom,
@@ -295,6 +296,8 @@ def _cmd_simple_criterion(args) -> int:
 def _cmd_verify(args) -> int:
     if not 1 <= args.max_order <= CORPUS_CAP:
         raise OrderCapExceeded(f"--max-order must be between 1 and {CORPUS_CAP}, got {args.max_order}")
+    if args.jobs < 1:
+        raise InvalidOption(f"--jobs must be at least 1, got {args.jobs}")
     corpus = generate_corpus(args.max_order)
     report = run_theorem_suite(corpus, args.suite, max_order=args.max_order, jobs=args.jobs)
     payload = report.to_dict(include_timings=False)

@@ -4,7 +4,10 @@ The corpus is built from standard families only (cyclic, products of up to
 three cyclic factors, dihedral, quaternion, symmetric, alternating,
 Heisenberg), deduplicated up to isomorphism.  Suites quantify over every
 ordered pair in the corpus within a per-pair cost budget; every pair is
-either examined or listed as skipped with a reason.
+either examined or listed as skipped with a reason.  The classification
+suites read their verdicts from one walk and one count pass per source
+over all of its budgeted targets (``classify_source``); the counts are
+memoized on the groups, per image and per kernel, for every pair to share.
 """
 
 from __future__ import annotations
@@ -21,13 +24,10 @@ from .approx import (
     _per_key,
     f_socle,
     galois_group,
-    image_counts,
-    kernel_counts,
-    kernel_keys,
     local_kernel,
     postcomposition,
     precomposition,
-    side_flags,
+    run_flags,
 )
 from .commutators import LemmaConfig, check_commutator_lemmas, nilpotency_class
 from .groups import FiniteGroup, GroupHom, are_isomorphic, standard_group
@@ -135,17 +135,8 @@ def classify_pair(H: FiniteGroup, G: FiniteGroup) -> HomVerdicts:
 
 
 def classify_source(H: FiniteGroup, targets) -> None:
-    """Classify every hom H -> G, for each G of ``targets`` that H has no verdicts for;
-    ``classify_pair`` then reads them from H's memo.
-
-    The hom sets come from one walk over all of those targets
-    (``homs.enumerate_source``), which fills H's hom-set memo for each
-    target that it does not hold yet.  Each verdict is read from counts
-    that depend on a hom only through its image and its kernel
-    (``approx.image_counts``, ``approx.kernel_counts``), memoized on the
-    target per image and on H per kernel, so sources and targets share
-    them.
-    """
+    """Classify every hom H -> G, for each G of ``targets`` that H has no verdicts for, in one
+    ``_classify_run``; ``classify_pair`` then reads them from H's memo."""
     todo = [G for G in {id(G): G for G in targets}.values() if not H.memoized(("verdicts", G))]
     if todo:
         for G, v in zip(todo, _classify_run(H, todo)):
@@ -153,29 +144,27 @@ def classify_source(H: FiniteGroup, targets) -> None:
 
 
 def _classify_run(H: FiniteGroup, targets) -> list:
-    """The verdicts of every hom H -> G, for each G of ``targets``, read from the counts of
-    ``approx.image_counts`` and ``approx.kernel_counts``.
+    """The verdicts of every hom H -> G, for each G of ``targets``, from one count pass
+    (``approx.run_flags``) over all of their homs.
 
-    Those counts depend on a hom only through its image and its kernel, so
-    each pair's homs are grouped by image, the homs of all targets are
-    grouped by kernel, and the counts, memoized on G per image and on H
-    per kernel, are broadcast to the groups.  ``enumerate_source`` first
-    searches the hom sets of every target in one walk; the
-    ``enumerate_homs`` calls per target then read H's memo.  End(X) is
-    ``automorphism_group(X).ends``.
+    The counts (``approx.image_counts``, ``approx.kernel_counts``) depend
+    on a hom only through its image and its kernel: the homs of all
+    targets are grouped by (target, image) and by kernel, the counts,
+    memoized on G per image and on H per kernel, are broadcast to the
+    groups, and each target's verdicts are a slice of the per-row arrays.
+    ``enumerate_source`` first searches the hom sets of every target in
+    one walk; the ``enumerate_homs`` calls per target then read H's memo.
+    End(X) is ``automorphism_group(X).ends``.
     """
     enumerate_source(H, targets)
     hom_sets = [enumerate_homs(H, G) for G in targets]
     aut_h = automorphism_group(H)
-    source = kernel_counts(np.concatenate([kernel_keys(hs.matrix, hs.target.identity) for hs in hom_sets]), aut_h)
-    out, lo = [], 0
-    for hs in hom_sets:
-        aut_g = automorphism_group(hs.target)
-        t_pre, t_approx, t_bij, gal = side_flags(image_counts(hs.matrix, aut_g, hs.gens), len(hs), len(aut_g.ends))
-        s_pre, s_approx, s_bij, cogal = side_flags([c[lo:lo + len(hs)] for c in source], len(hs), len(aut_h.ends))
-        out.append(HomVerdicts(H, hs.target, hs.matrix, t_approx, t_bij, s_approx, s_bij, t_pre, s_pre, gal, cogal))
-        lo += len(hs)
-    return out
+    (t_pre, t_approx, t_bij, gal), (s_pre, s_approx, s_bij, cogal) = run_flags(
+        aut_h, [(hs.matrix, automorphism_group(hs.target), len(hs)) for hs in hom_sets])
+    flags = (t_approx, t_bij, s_approx, s_bij, t_pre, s_pre, gal, cogal)
+    bounds = np.cumsum([0, *map(len, hom_sets)]).tolist()
+    return [HomVerdicts(H, hs.target, hs.matrix, *(f[lo:hi] for f in flags))
+            for hs, lo, hi in zip(hom_sets, bounds, bounds[1:])]
 
 
 def search_approximations(H: FiniteGroup, G: FiniteGroup, kind: str, injective_only: bool = False):

@@ -72,6 +72,10 @@ class MalformedHom(GrouperError):
     code = "malformed-hom"
 
 
+class InvalidOption(GrouperError):
+    code = "invalid-option"
+
+
 class UnknownAssertFlag(GrouperError):
     code = "unknown-assert-flag"
 

@@ -271,6 +271,12 @@ class TestVerifyCommand:
         assert code == 2 and out == ""
         assert err.startswith("error:order-cap-exceeded:")
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_exit_two(self, capsys, jobs):
+        code, out, err = run(capsys, "verify", "--suite", "galois", "--max-order", "4", "--jobs", jobs)
+        assert code == 2 and out == ""
+        assert err == f"error:invalid-option: --jobs must be at least 1, got {jobs}\n"
+
     def test_max_order_one_accepted(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "galois", "--max-order", "1")
         assert code == 0 and "pairs-examined: 1" in out

@@ -13,16 +13,18 @@ from grouper.corpus import (
     SUITE_IDS,
     HomVerdicts,
     _budget_ok,
+    _classify_run,
     _cogalois_worker,
     _galois_worker,
     _reduction_worker,
     _surjective_reps_by_kernel,
     classify_pair,
+    classify_source,
     generate_corpus,
     run_theorem_suite,
     search_approximations,
 )
-from grouper import homs
+from grouper import approx, homs
 from grouper.approx import classify_hom, galois_group
 from grouper.groups import GroupHom, are_isomorphic, standard_group
 from grouper.homs import _gen_array, enumerate_homs
@@ -364,6 +366,71 @@ class TestClassifyPairMatchesClassifyHom:
                     assert got == want, (H.name, G.name, v.matrix[i].tolist())
                     checked += 1
         assert checked > 1000
+
+
+VERDICT_FIELDS = [f.name for f in dataclasses.fields(HomVerdicts) if f.name not in ("source", "target")]
+
+
+class TestSourceRunMatchesOneTargetRuns:
+    """``classify_source`` classifies a source's homs over all of its targets in one count pass;
+    each target's verdicts must equal a run of that target alone, on other fresh copies."""
+
+    @pytest.mark.parametrize("seed", [None, 11])
+    def test_every_pair_of_the_order_20_corpus(self, monkeypatch, seed):
+        """As built and relabelled; targets in corpus order and reversed; with the default key
+        block and with 7 rows a block, so that key blocks span targets."""
+        corpus = generate_corpus(20)
+        if seed is not None:
+            rng = np.random.default_rng(seed)
+            corpus = [relabelled(G, rng.permutation(G.order)) for G in corpus]
+        alone = [G.renamed(G.name) for G in corpus]
+        want = {(i, j): _classify_run(H, [G])[0] for i, H in enumerate(alone) for j, G in enumerate(alone)
+                if _budget_ok(H, G)}
+        for batch in (approx._BATCH, 7):
+            monkeypatch.setattr(approx, "_BATCH", batch)
+            for order in (1, -1):
+                run = [G.renamed(G.name) for G in corpus]
+                for i, H in enumerate(run):
+                    targets = [G for G in run if _budget_ok(H, G)][::order]
+                    classify_source(H, targets)
+                for (i, j), w in want.items():
+                    got = classify_pair(run[i], run[j])
+                    for f in VERDICT_FIELDS:
+                        a, b = getattr(got, f), getattr(w, f)
+                        assert (a.dtype, a.shape) == (b.dtype, b.shape) and (a == b).all(), (
+                            batch, order, corpus[i].name, corpus[j].name, f)
+
+
+class TestClassifyHomSharesTheRunMemos:
+    def test_no_new_count_entries_and_equal_verdicts(self):
+        """After ``classify_source`` over every source, ``classify_hom`` reads the count memos
+        that the runs filled, whose image keys were padded to |S5| bits, and agrees with
+        ``classify_pair``."""
+        corpus = [G.renamed(G.name) for G in generate_corpus(12)]
+        corpus += [standard_group(d).renamed(d) for d in ("alternating:5", "symmetric:5")]
+        for H in corpus:
+            classify_source(H, [G for G in corpus if _budget_ok(H, G)])
+
+        def count_keys():
+            return {(G.name, k) for G in corpus for k in G._memo
+                    if isinstance(k, tuple) and k[0] in ("image_counts", "kernel_counts")}
+
+        held = count_keys()
+        by_name = {G.name: G for G in corpus}
+        for h, g in [("alternating:5", "symmetric:5"), ("C2", "C4"), ("D6", "D8"), ("C4", "C2xC2"),
+                     ("D8", "Q8"), ("C6", "D6")]:
+            H, G = by_name[h], by_name[g]
+            v = classify_pair(H, G)
+            for i in range(len(v)):
+                rep = classify_hom(GroupHom(H, G, v.matrix[i], check=False))
+                want = (v.is_localization[i], v.is_cellular[i], v.is_envelope[i], v.is_cover[i],
+                        v.is_preenvelope[i], v.is_precover[i], v.galois_orders[i], v.co_galois_orders[i])
+                got = tuple(rep.flags[f] for f in (
+                    "isLocalization", "isCellularCover", "isEnvelope", "isCover",
+                    "isPreenvelopeOfTargetClass", "isPrecoverOfSourceClass",
+                )) + (rep.galois_order, rep.co_galois_order)
+                assert got == want, (h, g, v.matrix[i].tolist())
+        assert count_keys() == held
 
 
 def is_hom(images, X, Y) -> bool:

@@ -90,6 +90,22 @@ def test_bench_pairs_prints_one_summary_line_per_metric(tmp_path):
     assert summary == ["# t: parent median 2, change median 1.5 s; change lower in 3 of 3 pairs"]
 
 
+def test_bench_pairs_exits_two_on_incorrect_outputs(tmp_path):
+    parent = fake_checkout(tmp_path / "parent", fake_perfbench(2.0))
+    change = fake_checkout(tmp_path / "change", (
+        "import json\nprint('# meta ' + json.dumps({'src_lines': 1}))\n"
+        "print(json.dumps({'correct': False, 'attempted': 4, 'failed': 1, "
+        "'metrics': {'t': {'value': 1.0, 'unit': 's'}}}))\n"))
+    proc = run_bench_pairs(tmp_path, parent, change, "--pairs", "2")
+    assert proc.returncode == 2, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert "# parent: incorrect in pairs []; failed 0 of 0 attempted" in lines
+    assert "# change: incorrect in pairs [0, 1]; failed 2 of 8 attempted" in lines
+    record = json.loads((tmp_path / "out.json").read_text())["t"]
+    assert record["outcomes"]["change"] == {"correct": [False, False], "failed": [1, 1], "attempted": [4, 4]}
+    assert record["outcomes"]["parent"]["correct"] == [None, None]
+
+
 def test_bench_pairs_records_checkouts_and_warns_on_unequal_path_lengths(tmp_path):
     parent = fake_checkout(tmp_path / "parent", fake_perfbench(2.0))
     change = fake_checkout(tmp_path / "change", fake_perfbench(1.5))
