@@ -157,29 +157,27 @@ def postcomposition(phi_images: np.ndarray, H: FiniteGroup, G: FiniteGroup, F: F
 def _counts(aut: AutGroup, rows: np.ndarray, fixed: np.ndarray) -> tuple:
     """(distinct, fixers, galois): the distinct rows of ``rows``, one per endomorphism in
     ``aut.ends``, the rows equal to ``fixed``, and those of them that belong to automorphisms.
-    Rows are compared by mixed-radix keys in base |``aut.base``|, counted on a bitmap over at
-    most 8n + 4 096 keys for n rows and else sorted; as rows when keys would pass 62 bits."""
-    base, (n, k) = aut.base.order, rows.shape
+    Rows are compared by mixed-radix keys in base |``aut.base``|, counted by one sort; as rows
+    when keys would pass 62 bits."""
+    base, k = aut.base.order, rows.shape[1]
     if k * (base - 1).bit_length() > 62:
         fixers, distinct = (rows == fixed).all(axis=1), len(first_per_key(rows))
     else:
         weights = base ** np.arange(k - 1, -1, -1, dtype=np.int64)
         keys = rows @ weights
         fixers = keys == fixed @ weights
-        if base ** k <= 8 * n + 4096:
-            hit = np.zeros(base ** k, dtype=bool)
-            hit[keys] = True
-            distinct = int(np.count_nonzero(hit))
-        else:
-            keys.sort()
-            distinct = 1 + int(np.count_nonzero(keys[1:] != keys[:-1]))
+        keys.sort()
+        distinct = 1 + int(np.count_nonzero(keys[1:] != keys[:-1]))
     return distinct, int(fixers.sum()), int((fixers & aut.end_mask).sum())
 
 
-def _per_key(keys: np.ndarray, counts) -> list:
+def _per_key(keys: np.ndarray, counts, tags=None) -> list:
     """``counts(key, i)`` for each row of ``keys``, called once per distinct row, with ``key``
-    its bytes and i its first row: an int array per entry of its tuples, one entry per row."""
+    its bytes and i its first row: an int array per entry of its tuples, one entry per row.
+    Equal rows with different ``tags``, a per-row array ascending with the rows, count apart."""
     order, first = key_order(keys)
+    if tags is not None:  # the sort is stable, so equal rows of one tag lie together
+        first[1:] |= np.diff(tags[order]) != 0
     inverse = np.empty_like(order)
     inverse[order] = first.cumsum() - 1
     per_key = np.array([counts(keys[i].tobytes(), i) for i in order[first].tolist()], dtype=np.int_)
@@ -196,21 +194,23 @@ def image_counts(keys: np.ndarray, runs, starts: list, gens: np.ndarray) -> list
     End(G) at phi's images of ``gens``, which generate K, and the fixers
     are the f that fix those images.  The counts depend on phi only
     through K: they are memoized on G, keyed by the packed member mask of
-    K, the image key after its run index cut to |G| bits.  The bits past
-    |G| are zero, so every source and ``classify_hom`` share the entries.
+    K, the image key cut to |G| bits.  The bits past |G| are zero, so
+    every source and ``classify_hom`` share the entries.  Homs of
+    different runs with equal keys are counted apart.
     """
+    tags = np.repeat(np.arange(len(runs), dtype=np.min_scalar_type(len(runs))), np.diff(starts))
 
     def counts(key, i):
-        t = int.from_bytes(key[:2], "big")
+        t = int(tags[i])
         rows, aut_g, _ = runs[t]
 
         def compute():
             images = rows[i - starts[t], gens]
             return _counts(aut_g, aut_g.ends.matrix[:, images], images)
 
-        return aut_g.base.memo(("image_counts", key[2:2 + -(-aut_g.base.order // 8)]), compute)
+        return aut_g.base.memo(("image_counts", key[:-(-aut_g.base.order // 8)]), compute)
 
-    return _per_key(keys, counts)
+    return _per_key(keys, counts, tags)
 
 
 def kernel_counts(keys: np.ndarray, aut_h: AutGroup) -> list:
@@ -240,16 +240,16 @@ def run_flags(aut_h: AutGroup, runs) -> tuple:
     for each hom phi of ``runs``, a list of (rows, aut_g, homs) whose rows are homs from
     H = ``aut_h.base`` to G = aut_g.base and homs = |Hom(H, G)|, taken end to end.
 
-    One count pass over per-row arrays: a hom's image key is its run's index
-    as 2 big-endian bytes, then its packed image mask padded to the largest
-    G, and its kernel key its packed kernel mask, built in blocks of at most
+    One count pass over per-row arrays: a hom's image key is its packed
+    image mask padded to the largest G, no wider than that G's own keys
+    (two 64-bit words up to order 128, which ``key_order`` sorts as words),
+    and its kernel key its packed kernel mask, built in blocks of at most
     ``_BATCH`` rows that may span runs, so that only the keys hold every hom.
     """
     sizes = [len(rows) for rows, *_ in runs]
     starts = np.cumsum([0, *sizes]).tolist()
     n, width, e = starts[-1], max(aut.base.order for _, aut, _ in runs), aut_h.base.identity
-    image = np.empty((n, 2 + -(-width // 8)), dtype=np.uint8)
-    image[:, :2] = np.repeat(np.arange(len(runs), dtype=">u2"), sizes).view(np.uint8).reshape(n, 2)
+    image = np.empty((n, -(-width // 8)), dtype=np.uint8)
     kernel = np.empty((n, -(-aut_h.base.order // 8)), dtype=np.uint8)
     for lo in range(0, n, _BATCH):
         hi = min(lo + _BATCH, n)
@@ -257,7 +257,7 @@ def run_flags(aut_h: AutGroup, runs) -> tuple:
                                 for (rows, *_), a, b in zip(runs, starts, starts[1:]) if a < hi and b > lo])
         hit = np.zeros((hi - lo, width), dtype=bool)
         hit[np.arange(hi - lo)[:, None], block] = True
-        image[lo:hi, 2:] = np.packbits(hit, axis=1)
+        image[lo:hi] = np.packbits(hit, axis=1)
         kernel[lo:hi] = np.packbits(block == block[:, e, None], axis=1)  # phi sends e to the identity
         del block, hit  # else they live on while the next block is built, and raise the peak
     homs = np.repeat([h for *_, h in runs], sizes)

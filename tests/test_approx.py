@@ -1,9 +1,12 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from conftest import oracle_aut_table, oracle_classify_against_class, oracle_is_orthogonal
 from grouper.approx import (
     GroupClass,
+    _counts,
     classify_against_class,
     classify_hom,
     f_radical,
@@ -22,7 +25,7 @@ from grouper.groups import (
     standard_group,
     trivial_hom,
 )
-from grouper.homs import enumerate_homs
+from grouper.homs import automorphism_group, enumerate_homs
 
 
 def hom(src, tgt, images):
@@ -89,6 +92,38 @@ class TestAbsoluteClassification:
             "isLocalization", "isCellularCover", "isEnvelope", "isCover",
             "isPreenvelopeOfTargetClass", "isPrecoverOfSourceClass",
         }
+
+
+def read_as(aut, base: int, end_mask=None):
+    """``aut`` with |X| read as ``base``: at 2**62 + 1 every key would pass 62 bits."""
+    return SimpleNamespace(base=SimpleNamespace(order=base),
+                           end_mask=aut.end_mask if end_mask is None else end_mask)
+
+
+class TestCounts:
+    """``_counts`` compares End rows by int64 keys, and as rows when keys would pass 62 bits;
+    both ways give the same (distinct, fixers, galois)."""
+
+    @pytest.mark.parametrize("d", ["product:cyclic:4,cyclic:4", "product:cyclic:2,cyclic:2,cyclic:2",
+                                   "dihedral:12", "quaternion8", "symmetric:4"])
+    def test_keys_and_rows_agree(self, d):
+        X = standard_group(d)
+        aut = automorphism_group(X)
+        rng = np.random.default_rng(0)
+        for k in (1, 2, 3):
+            for _ in range(4):
+                rows = aut.ends.matrix[:, rng.integers(0, X.order, k)]
+                fixed = rows[rng.integers(len(rows))]
+                want = _counts(aut, rows, fixed)
+                assert _counts(read_as(aut, 2**62 + 1), rows, fixed) == want
+
+    def test_keys_of_62_bits_are_exact(self):
+        """Base 2**31 at two columns gives keys up to 2**62 - 1, the widest counted as keys."""
+        top = 2**31 - 1
+        rows = np.array([[top, top], [top, top - 1], [0, top], [top, top], [top - 1, top]], dtype=np.int64)
+        aut = read_as(None, 2**31, np.array([True, False, True, True, False]))
+        assert _counts(aut, rows, rows[0]) == (4, 2, 2)
+        assert _counts(read_as(aut, 2**62 + 1), rows, rows[0]) == (4, 2, 2)
 
 
 class TestGaloisGroups:
