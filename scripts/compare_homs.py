@@ -5,13 +5,16 @@
 
 PARENT and CHANGE are two checkouts of grouper.  The script runs its own
 digest (`--digest`) with each checkout's `src/` on `PYTHONPATH`.  Over
-`generate_corpus(N)`, in corpus order, the digest hashes five kinds:
+`generate_corpus(N)`, in corpus order, the digest hashes six kinds:
 
 - hom-sets: each budgeted `enumerate_homs(H, G)`, its `matrix` and `keys`;
 - aut-groups: each `automorphism_group(G)`, its `perms`, `end_rows`,
   `identity`, `generators`, `element_orders` and `inner_order`;
 - verdicts: each array of each budgeted `classify_pair(H, G)`, with every
   source's targets classified in one run, as the suites do;
+- absolute: for each hom of each budgeted pair, `classify_hom(...).to_dict()`:
+  its flags, Galois and co-Galois orders and structures, and its witness
+  rows (`unlifted-hom`, `non-automorphism-preimage`, `non-injective-pair`);
 - relative: for each hom of each budgeted pair, `classify_against_class(...)
   .to_dict()` on both sides and `is_orthogonal`, against the singleton class
   of each corpus group named in `RELATIVE_CLASSES`: C2, C3, C4, C2xC2 and
@@ -24,7 +27,7 @@ digest (`--digest`) with each checkout's `src/` on `PYTHONPATH`.  Over
   `commutators._drawn` yields is hashed too.
 
 Arrays are hashed by shape and int64 value, so a change of dtype alone is no
-difference; relative reports are hashed as JSON with sorted keys.  The script
+difference; absolute and relative reports are hashed as JSON with sorted keys.  The script
 prints, per kind, the number of items and whether the two sides match, and
 for a kind that differs the first item that does.
 It exits 0 when every kind matches and 1 on a difference.  A digest run that
@@ -40,7 +43,7 @@ import sys
 import time
 from pathlib import Path
 
-KINDS = ("hom-sets", "aut-groups", "verdicts", "relative", "lemmas")
+KINDS = ("hom-sets", "aut-groups", "verdicts", "absolute", "relative", "lemmas")
 RELATIVE_CLASSES = ("C2", "C3", "C4", "C2xC2", "D6")
 VERDICT_FIELDS = ("matrix", "is_envelope", "is_localization", "is_cover", "is_cellular",
                   "is_preenvelope", "is_precover", "galois_orders", "co_galois_orders")
@@ -60,7 +63,7 @@ def _hash(*values) -> str:
 def digest(max_order: int) -> dict:
     """kind -> list of [item name, sha256] in corpus order, from the grouper on the path."""
     from grouper.corpus import _budget_ok, classify_pair, classify_source, generate_corpus
-    from grouper.approx import GroupClass, classify_against_class, is_orthogonal
+    from grouper.approx import GroupClass, classify_against_class, classify_hom, is_orthogonal
     from grouper.homs import automorphism_group, enumerate_homs
 
     corpus = generate_corpus(max_order)
@@ -79,6 +82,8 @@ def digest(max_order: int) -> dict:
             pair = f"{H.name}->{G.name}"
             out["hom-sets"].append([pair, _hash(hs.matrix, hs.keys)])
             out["verdicts"].append([pair, _hash(*(getattr(v, f) for f in VERDICT_FIELDS))])
+            reports = [classify_hom(phi).to_dict() for phi in hs.homs]
+            out["absolute"].append([pair, hashlib.sha256(json.dumps(reports, sort_keys=True).encode()).hexdigest()])
             h = hashlib.sha256()
             for phi in hs.homs:
                 reports = [classify_against_class(phi, cls, side).to_dict()

@@ -26,8 +26,7 @@ from .groups import (
     quotient_group,
     subgroup_generated,
 )
-from .homs import (_BATCH, AutGroup, AutSubgroup, HomSet, _gen_array, automorphism_group, enumerate_homs,
-                   first_per_key, key_order)
+from .homs import _BATCH, AutGroup, AutSubgroup, HomSet, _gen_array, automorphism_group, enumerate_homs, key_order
 
 FLAG_NAMES = (
     "isLocalization",
@@ -107,15 +106,21 @@ class ClassificationReport:
 @dataclass
 class Composites:
     """Composites in the hom set ``homs``, row j of ``rows`` holding composite j's images of ``homs.gens``.
-    Homs with equal such images are equal, so composition is onto when the ``distinct`` rows
-    are as many as the homs, and one-to-one when they are as many as the rows."""
+    Each composite is a member of ``homs``, named by its ``keys`` entry (``HomSet.key_of``), and
+    equal homs have equal keys, so composition is onto when the ``distinct`` keys are as many as
+    the homs, and one-to-one when they are as many as the rows."""
 
     rows: np.ndarray
     homs: HomSet
 
     @functools.cached_property
+    def keys(self) -> np.ndarray:
+        return self.homs.key_of(self.rows)
+
+    @functools.cached_property
     def distinct(self) -> int:
-        return len(first_per_key(self.rows))
+        keys = np.sort(self.keys)
+        return 1 + int(np.count_nonzero(keys[1:] != keys[:-1]))
 
     @property
     def surjective(self) -> bool:
@@ -136,10 +141,12 @@ class Composites:
         return int(np.argmin(hit))
 
     def first_duplicate_pair(self) -> tuple:
-        """Smallest (i, j), i < j, with equal composites (not injective)."""
-        order, first = key_order(self.rows)
-        j = int(order[~first].min())
-        return int(np.argmax((self.rows == self.rows[j]).all(axis=1))), j
+        """(i, j): the smallest j whose composite equals an earlier one, and the first index i
+        of that composite (not injective).  For composites A B B A this is (1, 2)."""
+        keys = self.keys
+        order = keys.argsort(kind="stable")
+        j = int(order[1:][keys[order[1:]] == keys[order[:-1]]].min())
+        return int(np.argmax(keys == keys[j])), j
 
 
 def precomposition(phi_images: np.ndarray, H: FiniteGroup, G: FiniteGroup, F: FiniteGroup) -> Composites:
@@ -154,21 +161,22 @@ def postcomposition(phi_images: np.ndarray, H: FiniteGroup, G: FiniteGroup, F: F
     return Composites(phi_images[outer.matrix[:, inner.gens]], inner)
 
 
-def _counts(aut: AutGroup, rows: np.ndarray, fixed: np.ndarray) -> tuple:
-    """(distinct, fixers, galois): the distinct rows of ``rows``, one per endomorphism in
-    ``aut.ends``, the rows equal to ``fixed``, and those of them that belong to automorphisms.
-    Rows are compared by mixed-radix keys in base |``aut.base``|, counted by one sort; as rows
-    when keys would pass 62 bits."""
-    base, k = aut.base.order, rows.shape[1]
-    if k * (base - 1).bit_length() > 62:
-        fixers, distinct = (rows == fixed).all(axis=1), len(first_per_key(rows))
-    else:
-        weights = base ** np.arange(k - 1, -1, -1, dtype=np.int64)
-        keys = rows @ weights
-        fixers = keys == fixed @ weights
-        keys.sort()
-        distinct = 1 + int(np.count_nonzero(keys[1:] != keys[:-1]))
-    return distinct, int(fixers.sum()), int((fixers & aut.end_mask).sum())
+def _side_composites(phi: np.ndarray, hom_set: HomSet, aut: AutGroup, side: str) -> Composites:
+    """The composites in ``hom_set`` = Hom(H, G) of its hom with images ``phi`` and each
+    endomorphism of ``aut.ends``: f.phi for f in End(G), with rows End(G) at phi's images of
+    the generators of H (target side), or phi.f for f in End(H), with rows phi at End(H)'s
+    images of those generators, memoized on H (source side)."""
+    gens = hom_set.gens
+    if side == "target":
+        return Composites(aut.ends.matrix[:, phi[gens]], hom_set)
+    return Composites(phi[hom_set.source.memo("end_gen_images", lambda: aut.ends.matrix[:, gens])], hom_set)
+
+
+def _counts(aut: AutGroup, comp: Composites, key) -> tuple:
+    """(distinct, fixers, galois): the distinct composites of ``comp``, one per endomorphism in
+    ``aut.ends``, the composites with hom key ``key``, and those of them from automorphisms."""
+    fixers = comp.keys == key
+    return comp.distinct, int(fixers.sum()), int((fixers & aut.end_mask).sum())
 
 
 def _per_key(keys: np.ndarray, counts, tags=None) -> list:
@@ -184,71 +192,56 @@ def _per_key(keys: np.ndarray, counts, tags=None) -> list:
     return [column[inverse] for column in per_key.T]
 
 
-def image_counts(keys: np.ndarray, runs, starts: list, gens: np.ndarray) -> list:
-    """The counts (distinct, fixers, galois) of f |-> f.phi on End(G), for each hom phi: H -> G
-    of ``runs`` (``run_flags``), with ``keys`` their image keys, ``starts`` the first row of
-    each run and ``gens`` the generators of H.
+def side_counts(keys: np.ndarray, runs, starts: list, aut_h: AutGroup, side: str) -> list:
+    """The counts (distinct, fixers, galois) of one side's composites, for each hom phi: H -> G
+    of ``runs`` (``run_flags``), with ``keys`` their image keys (target side) or kernel keys
+    (source side), ``starts`` the first row of each run and H = ``aut_h.base``.
 
-    With K = Im phi, f.phi = g.phi exactly when f and g agree on K, since
-    H -> K is onto.  So the composites are counted by the distinct rows of
-    End(G) at phi's images of ``gens``, which generate K, and the fixers
-    are the f that fix those images.  The counts depend on phi only
-    through K: they are memoized on G, keyed by the packed member mask of
-    K, the image key cut to |G| bits.  The bits past |G| are zero, so
-    every source and ``classify_hom`` share the entries.  Homs of
-    different runs with equal keys are counted apart.
+    The target side counts f.phi for f in End(G), the source side phi.f
+    for f in End(H) (``_side_composites``).  Both are composites in phi's
+    own Hom(H, G), counted by their hom keys, and phi's fixers are those
+    with phi's key.  With K = Im phi, f.phi = g.phi exactly when f and g
+    agree on K, since H -> K is onto; with N = ker phi, phi.f = phi.g
+    exactly when f and g agree modulo N.  So the target counts depend on
+    phi only through K and are memoized on G, keyed by the packed member
+    mask of K, the image key cut to |G| bits: the bits past |G| are zero,
+    so every source and ``classify_hom`` share the entries, and homs of
+    different runs with equal keys are counted apart.  The source counts
+    depend on phi only through N and are memoized on H, keyed by the
+    packed mask of N, for all to share.
     """
     tags = np.repeat(np.arange(len(runs), dtype=np.min_scalar_type(len(runs))), np.diff(starts))
 
     def counts(key, i):
         t = int(tags[i])
-        rows, aut_g, _ = runs[t]
+        rows, hom_set, aut_g = runs[t]
+        phi, aut = rows[i - starts[t]], aut_g if side == "target" else aut_h
 
         def compute():
-            images = rows[i - starts[t], gens]
-            return _counts(aut_g, aut_g.ends.matrix[:, images], images)
+            return _counts(aut, _side_composites(phi, hom_set, aut, side), hom_set.key_of(phi[hom_set.gens]))
 
-        return aut_g.base.memo(("image_counts", key[:-(-aut_g.base.order // 8)]), compute)
+        if side == "target":
+            return aut_g.base.memo(("image_counts", key[:-(-aut_g.base.order // 8)]), compute)
+        return aut_h.base.memo(("kernel_counts", key), compute)
 
-    return _per_key(keys, counts, tags)
-
-
-def kernel_counts(keys: np.ndarray, aut_h: AutGroup) -> list:
-    """The counts (distinct, fixers, galois) of f |-> phi.f on End(H), for each hom phi from H
-    with the packed kernel mask of that row of ``keys``.
-
-    With N = ker phi, phi.f = phi.g exactly when f and g agree modulo N, so
-    the rows are End(H)'s images of the generators of H, each replaced by the
-    least member of its coset xN.  The counts depend on phi only through N:
-    they are memoized on H, keyed by the packed mask of N, for all to share.
-    """
-    H, gens = aut_h.base, aut_h.ends.gens
-
-    def counts(key, i):
-        def compute():
-            label = H.table[:, np.flatnonzero(np.unpackbits(keys[i], count=H.order))].min(axis=1)
-            ends = H.memo("end_gen_images", lambda: aut_h.ends.matrix[:, gens])
-            return _counts(aut_h, label[ends], label[gens])
-
-        return H.memo(("kernel_counts", key), compute)
-
-    return _per_key(keys, counts)
+    return _per_key(keys, counts, tags if side == "target" else None)
 
 
 def run_flags(aut_h: AutGroup, runs) -> tuple:
     """(target, source): the ``side_flags`` of f |-> f.phi on End(G) and of f |-> phi.f on End(H),
-    for each hom phi of ``runs``, a list of (rows, aut_g, homs) whose rows are homs from
-    H = ``aut_h.base`` to G = aut_g.base and homs = |Hom(H, G)|, taken end to end.
+    for each hom phi of ``runs``, a list of (rows, hom_set, aut_g) whose rows are homs of
+    hom_set = Hom(H, G), from H = ``aut_h.base`` to G = aut_g.base, taken end to end.
 
-    One count pass over per-row arrays: a hom's image key is its packed
-    image mask padded to the largest G, no wider than that G's own keys
-    (two 64-bit words up to order 128, which ``key_order`` sorts as words),
-    and its kernel key its packed kernel mask, built in blocks of at most
-    ``_BATCH`` rows that may span runs, so that only the keys hold every hom.
+    One count pass over per-row arrays (``side_counts``): a hom's image key
+    is its packed image mask padded to the largest G, no wider than that
+    G's own keys (two 64-bit words up to order 128, which ``key_order``
+    sorts as words), and its kernel key its packed kernel mask, built in
+    blocks of at most ``_BATCH`` rows that may span runs, so that only the
+    keys hold every hom.
     """
     sizes = [len(rows) for rows, *_ in runs]
     starts = np.cumsum([0, *sizes]).tolist()
-    n, width, e = starts[-1], max(aut.base.order for _, aut, _ in runs), aut_h.base.identity
+    n, width, e = starts[-1], max(aut.base.order for *_, aut in runs), aut_h.base.identity
     image = np.empty((n, -(-width // 8)), dtype=np.uint8)
     kernel = np.empty((n, -(-aut_h.base.order // 8)), dtype=np.uint8)
     for lo in range(0, n, _BATCH):
@@ -260,10 +253,10 @@ def run_flags(aut_h: AutGroup, runs) -> tuple:
         image[lo:hi] = np.packbits(hit, axis=1)
         kernel[lo:hi] = np.packbits(block == block[:, e, None], axis=1)  # phi sends e to the identity
         del block, hit  # else they live on while the next block is built, and raise the peak
-    homs = np.repeat([h for *_, h in runs], sizes)
-    ends = np.repeat([len(aut.ends) for _, aut, _ in runs], sizes)
-    return (side_flags(image_counts(image, runs, starts, aut_h.ends.gens), homs, ends),
-            side_flags(kernel_counts(kernel, aut_h), homs, len(aut_h.ends)))
+    homs = np.repeat([len(hs) for _, hs, _ in runs], sizes)
+    ends = np.repeat([len(aut.ends) for *_, aut in runs], sizes)
+    return (side_flags(side_counts(image, runs, starts, aut_h, "target"), homs, ends),
+            side_flags(side_counts(kernel, runs, starts, aut_h, "source"), homs, len(aut_h.ends)))
 
 
 def side_flags(counts, homs, ends) -> tuple:
@@ -303,13 +296,13 @@ def _non_automorphism_fixer(phi: GroupHom, aut: AutGroup, side: str):
     return int(np.argmax(bad)) if bad.any() else None
 
 
-def _side_witnesses(phi: GroupHom, hom_set: HomSet, aut: AutGroup, gen_images, flags, names, who) -> list:
+def _side_witnesses(phi: GroupHom, hom_set: HomSet, aut: AutGroup, flags, names, who) -> list:
     """Witnesses of the false flags among (pre-approximation, approximation, bijection) of phi,
-    a hom of ``hom_set``, whose composites with the endomorphisms ``aut.ends`` have ``gen_images``."""
+    a hom of ``hom_set``, on side ``who`` of its composites with the endomorphisms ``aut.ends``."""
     pre, approx, bij = flags
     if bij:  # only the identity fixes a hom that composition is one-to-one on
         return []
-    comp = Composites(gen_images, hom_set)
+    comp = _side_composites(phi.images, hom_set, aut, who)
     if not pre:
         data = {"unliftedHom": hom_set.matrix[comp.first_unhit()].tolist()}
         return [Witness(f, "unlifted-hom", data) for f in names]
@@ -329,20 +322,17 @@ def classify_hom(phi: GroupHom) -> ClassificationReport:
     H, G = phi.source, phi.target
     hom_set = enumerate_homs(H, G)
     aut_g, aut_h = automorphism_group(G), automorphism_group(H)
-    gens = hom_set.gens
-    t, s = run_flags(aut_h, [(phi.images[None, :], aut_g, len(hom_set))])
+    t, s = run_flags(aut_h, [(phi.images[None, :], hom_set, aut_g)])
     # target side f |-> f.phi on End(G), source side f |-> phi.f on End(H)
     sides = (
-        ("target", t, aut_g, aut_g.ends.matrix[:, phi.images[gens]],
-         ("isPreenvelopeOfTargetClass", "isEnvelope", "isLocalization")),
-        ("source", s, aut_h, phi.images[aut_h.ends.matrix[:, gens]],
-         ("isPrecoverOfSourceClass", "isCover", "isCellularCover")),
+        ("target", t, aut_g, ("isPreenvelopeOfTargetClass", "isEnvelope", "isLocalization")),
+        ("source", s, aut_h, ("isPrecoverOfSourceClass", "isCover", "isCellularCover")),
     )
     flags, witnesses = {}, []
-    for who, side_f, aut, gen_images, names in sides:
+    for who, side_f, aut, names in sides:
         side = tuple(bool(f[0]) for f in side_f[:3])
         flags.update(zip(names, side))
-        witnesses += _side_witnesses(phi, hom_set, aut, gen_images, side, names, who)
+        witnesses += _side_witnesses(phi, hom_set, aut, side, names, who)
     return ClassificationReport(phi, flags, galois_group(phi, "target"), galois_group(phi, "source"),
                                 witnesses)
 

@@ -147,11 +147,12 @@ def _classify_run(H: FiniteGroup, targets) -> list:
     """The verdicts of every hom H -> G, for each G of ``targets``, from one count pass
     (``approx.run_flags``) over all of their homs.
 
-    The counts (``approx.image_counts``, ``approx.kernel_counts``) depend
-    on a hom only through its image and its kernel: the homs of all
-    targets are grouped by (target, image) and by kernel, the counts,
-    memoized on G per image and on H per kernel, are broadcast to the
-    groups, and each target's verdicts are a slice of the per-row arrays.
+    The counts (``approx.side_counts``) count a hom's composites by their
+    keys in its own hom set, and depend on the hom only through its image
+    and its kernel: the homs of all targets are grouped by (target, image)
+    and by kernel, the counts, memoized on G per image and on H per
+    kernel, are broadcast to the groups, and each target's verdicts are a
+    slice of the per-row arrays.
     ``enumerate_source`` first searches the hom sets of every target in
     one walk; the ``enumerate_homs`` calls per target then read H's memo.
     End(X) is ``automorphism_group(X).ends``.
@@ -160,7 +161,7 @@ def _classify_run(H: FiniteGroup, targets) -> list:
     hom_sets = [enumerate_homs(H, G) for G in targets]
     aut_h = automorphism_group(H)
     (t_pre, t_approx, t_bij, gal), (s_pre, s_approx, s_bij, cogal) = run_flags(
-        aut_h, [(hs.matrix, automorphism_group(hs.target), len(hs)) for hs in hom_sets])
+        aut_h, [(hs.matrix, hs, automorphism_group(hs.target)) for hs in hom_sets])
     flags = (t_approx, t_bij, s_approx, s_bij, t_pre, s_pre, gal, cogal)
     bounds = np.cumsum([0, *map(len, hom_sets)]).tolist()
     return [HomVerdicts(H, hs.target, hs.matrix, *(f[lo:hi] for f in flags))
@@ -267,7 +268,9 @@ def _galois_worker(H, G):
 def _surjective_reps_by_kernel(H, G):
     """One surjective hom per kernel, first in canonical order."""
     hs = enumerate_homs(H, G)
-    rows = hs.matrix[hs.sorted_images()[1] == G.order]
+    hit = np.zeros((len(hs), G.order), dtype=bool)
+    hit[np.arange(len(hs))[:, None], hs.matrix] = True
+    rows = hs.matrix[hit.all(axis=1)]
     return rows[first_per_key(rows == G.identity)]
 
 

@@ -6,7 +6,7 @@ generator of the elements of G whose order divides the generator's,
 sorted ascending, and a candidate is one image from each list.  Its key is
 the mixed-radix number whose digits are the positions of those images in
 the lists, so keys run over 0..size-1 in the lexicographic order of the
-candidates.  The walk gives each hom its key; ``HomSet.locate`` derives
+candidates.  The walk gives each hom its key; ``HomSet.key_of`` derives
 the digits, on its first call, from the same ``_divisor_positions``.
 
 ``enumerate_source(H, targets)`` searches the candidate spaces of all the
@@ -216,22 +216,29 @@ class HomSet:
     def __len__(self):
         return int(self.matrix.shape[0])
 
-    def locate(self, gen_images: np.ndarray) -> np.ndarray:
-        """Row index of each row of generator images; every one must be a member's.
+    def key_of(self, gen_images: np.ndarray) -> np.ndarray:
+        """The ``int64`` key (module docstring) of each row of generator images.
 
-        Keys (module docstring) are exact on the generator images of homs;
+        Keys are exact on the generator images of homs, so two member homs
+        are equal exactly when their keys are, and below ``CANDIDATE_CAP``;
         any other images get some key that a full-row comparison will not
-        confirm.  Raises KeyError when some row's key is not among the
-        members' keys.
+        confirm.
         """
         if self._digits is None:  # (ranks, weight) per generator, once: AutGroup locates in End(G) often
             lists = [_divisor_positions(self.target, o) for o in self.source.element_orders[self.gens].tolist()]
             self._digits = [(pos, math.prod(len(m) for m, _ in lists[i + 1:])) for i, (_, pos) in enumerate(lists)]
-        want = 0
-        for i, (pos, weight) in enumerate(self._digits):
-            digit = pos[gen_images[..., i]]
-            want = want + (digit if weight == 1 else digit * weight)
-        keys = self.keys
+        key = 0
+        for i, (pos, weight) in enumerate(self._digits):  # take: about half the time of indexing
+            key += pos.take(gen_images[..., i]) * weight  # in place: one digit array beside the key
+        return key
+
+    def locate(self, gen_images: np.ndarray) -> np.ndarray:
+        """Row index of each row of generator images; every one must be a member's.
+
+        Raises KeyError when some row's ``key_of`` is not among the members'
+        keys.
+        """
+        want, keys = self.key_of(gen_images), self.keys
         idx = keys.searchsorted(want)
         if not (keys.take(idx, mode="clip") == want).all():
             raise KeyError("generator images of a non-member hom")
@@ -261,11 +268,6 @@ class HomSet:
     def injective(self) -> np.ndarray:
         """Mask of the injective homs: those that send only the identity to the identity."""
         return (self.matrix == self.target.identity).sum(axis=1) == 1
-
-    def sorted_images(self) -> tuple:
-        """(images, sizes): each row's images in ascending order, and how many elements it hits."""
-        images = np.sort(self.matrix, axis=1)
-        return images, 1 + (images[:, 1:] != images[:, :-1]).sum(axis=1)
 
     def injective_per_image(self) -> np.ndarray:
         """Row index of the first injective hom with each image, in byte order of the sorted images."""

@@ -1,10 +1,9 @@
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 
-from conftest import oracle_aut_table, oracle_classify_against_class, oracle_is_orthogonal
+from conftest import oracle_aut_table, oracle_classify_against_class, oracle_is_orthogonal, relabelled
 from grouper.approx import (
+    Composites,
     GroupClass,
     _counts,
     classify_against_class,
@@ -15,6 +14,7 @@ from grouper.approx import (
     image_factorize,
     is_orthogonal,
     local_kernel,
+    side_counts,
 )
 from grouper.corpus import generate_corpus
 from grouper.errors import EmptyClassError
@@ -94,36 +94,48 @@ class TestAbsoluteClassification:
         }
 
 
-def read_as(aut, base: int, end_mask=None):
-    """``aut`` with |X| read as ``base``: at 2**62 + 1 every key would pass 62 bits."""
-    return SimpleNamespace(base=SimpleNamespace(order=base),
-                           end_mask=aut.end_mask if end_mask is None else end_mask)
+def row_counts(aut, rows, fixed) -> tuple:
+    """Oracle: (distinct, fixers, galois) of ``rows``, one per End row of ``aut``, by plain row
+    comparison: the distinct rows, the rows equal to ``fixed``, and those of automorphisms."""
+    fixers = (rows == fixed).all(axis=1)
+    return len(np.unique(rows, axis=0)), int(fixers.sum()), int((fixers & aut.end_mask).sum())
 
 
 class TestCounts:
-    """``_counts`` compares End rows by int64 keys, and as rows when keys would pass 62 bits;
-    both ways give the same (distinct, fixers, galois)."""
+    """``side_counts`` and ``_counts``, which count composites by their hom keys, against plain
+    row comparison, for every phi in End(X), on both sides: f.phi, rows End(X) at phi's
+    images of the generators, and phi.f, rows phi at End(X)'s images of them."""
 
     @pytest.mark.parametrize("d", ["product:cyclic:4,cyclic:4", "product:cyclic:2,cyclic:2,cyclic:2",
                                    "dihedral:12", "quaternion8", "symmetric:4"])
-    def test_keys_and_rows_agree(self, d):
-        X = standard_group(d)
-        aut = automorphism_group(X)
-        rng = np.random.default_rng(0)
-        for k in (1, 2, 3):
-            for _ in range(4):
-                rows = aut.ends.matrix[:, rng.integers(0, X.order, k)]
-                fixed = rows[rng.integers(len(rows))]
-                want = _counts(aut, rows, fixed)
-                assert _counts(read_as(aut, 2**62 + 1), rows, fixed) == want
+    def test_side_counts_match_row_comparison(self, d):
+        X0 = standard_group(d)
+        perm = np.random.default_rng(0).permutation(X0.order)
+        for X in (X0.renamed(d), relabelled(X0, perm)):  # fresh memos
+            aut = automorphism_group(X)
+            ends, n = aut.ends, len(aut.ends)
+            gens = ends.gens
+            hit = np.zeros((n, X.order), dtype=bool)
+            hit[np.arange(n)[:, None], ends.matrix] = True
+            runs, starts = [(ends.matrix, ends, aut)], [0, n]
+            target = side_counts(np.packbits(hit, axis=1), runs, starts, aut, "target")
+            source = side_counts(np.packbits(ends.matrix == X.identity, axis=1), runs, starts, aut, "source")
+            for i, phi in enumerate(ends.matrix):
+                key = ends.key_of(phi[gens])
+                for counts, rows in ((target, ends.matrix[:, phi[gens]]), (source, phi[ends.matrix[:, gens]])):
+                    want = row_counts(aut, rows, phi[gens])
+                    assert tuple(int(c[i]) for c in counts) == want, (X.name, i)
+                    assert _counts(aut, Composites(rows, ends), key) == want, (X.name, i)
 
-    def test_keys_of_62_bits_are_exact(self):
-        """Base 2**31 at two columns gives keys up to 2**62 - 1, the widest counted as keys."""
-        top = 2**31 - 1
-        rows = np.array([[top, top], [top, top - 1], [0, top], [top, top], [top - 1, top]], dtype=np.int64)
-        aut = read_as(None, 2**31, np.array([True, False, True, True, False]))
-        assert _counts(aut, rows, rows[0]) == (4, 2, 2)
-        assert _counts(read_as(aut, 2**62 + 1), rows, rows[0]) == (4, 2, 2)
+
+class TestComposites:
+    def test_first_duplicate_pair_is_the_first_repeat(self, groups):
+        """Of composites A B B A the witness is (1, 2): the smallest j that repeats an earlier
+        composite, and that composite's first index; not the pair (0, 3)."""
+        hs = enumerate_homs(groups["cyclic:2"], groups["cyclic:2"])
+        for a, b in ((0, 1), (1, 0)):
+            rows = hs.matrix[[a, b, b, a]][:, hs.gens]
+            assert Composites(rows, hs).first_duplicate_pair() == (1, 2)
 
 
 class TestGaloisGroups:

@@ -185,6 +185,21 @@ class TestSuites:
                             if (oracle_hits(row, H, G, F, True)[1] > 1).any()]
         assert bad == []
 
+    def test_surjective_reps_are_the_first_onto_hom_per_kernel(self):
+        """Against a scan in canonical order that keeps each hom hitting all of G whose
+        kernel is new; the reps come in another order, so they are compared as sets."""
+        corpus = generate_corpus(12)
+        for H in corpus:
+            for G in (G for G in corpus if _budget_ok(H, G)):
+                kernels, want = set(), set()
+                for row in enumerate_homs(H, G).matrix.tolist():
+                    kernel = tuple(x == G.identity for x in row)
+                    if len(set(row)) == G.order and kernel not in kernels:
+                        kernels.add(kernel)
+                        want.add(tuple(row))
+                got = [tuple(row) for row in _surjective_reps_by_kernel(H, G).tolist()]
+                assert len(got) == len(want) and set(got) == want, (H.name, G.name)
+
     def test_timings_separate_from_payload(self):
         report = run_theorem_suite(generate_corpus(4), "galois")
         assert "timings" not in report.to_dict()

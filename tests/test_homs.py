@@ -346,12 +346,6 @@ class TestFirstPerKey:
         assert order.tolist() == expected
         assert first.tolist() == [i == 0 or data[expected[i]] != data[expected[i - 1]] for i in range(rows)]
 
-    def test_sorted_images_sizes(self, groups):
-        hs = enumerate_homs(groups["cyclic:4"], groups["dihedral:8"])
-        images, sizes = hs.sorted_images()
-        assert (images == np.sort(hs.matrix, axis=1)).all()
-        assert sizes.tolist() == [len(set(row)) for row in hs.matrix.tolist()]
-
     def test_one_key_space_per_hom_set(self, monkeypatch):
         """A hom set derives its key digits from ``_divisor_positions`` once, on its first
         ``locate``: the walk reads the lists once per generator, the first ``locate`` the
