@@ -13,7 +13,9 @@ most CHUNK tuples go through numpy at once.  The scan contract:
 
 - Tuple order.  A tuple is a head followed by a tail.  Heads are the pairs
   (a, x) for the identities, the triples (a, b, c) for the central lemmas
-  and the quads (a, X, Y, X') that pass both hypotheses for homo.  Tails are
+  and the quads (a, X, Y, X') that pass both hypotheses for homo: a
+  hypothesis whose centre term, Z_j or Z_{j+1}, is all of G passes every
+  quad, so it is decided once per report and not per quad.  Tails are
   ("first" then "second", y) for the identities and z1..zj otherwise, in
   lexicographic order; a sample is a head that carries its own z's.
   Counterexamples come in scan order: grid order (for the identities by
@@ -50,12 +52,14 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import random
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
+from .errors import InvalidOption
 from .groups import FiniteGroup, Subgroup, center, lex_rows, preimage_subgroup, quotient_group, subgroup_generated
 
 DEFAULT_MAX_TUPLES = 10 ** 6
@@ -387,10 +391,14 @@ def _check_homo(G: FiniteGroup, j: int, upper: CentralSeries, cfg: LemmaConfig, 
     tables = tables or _Tables(G, j)
     n, every, t, C, L = tables.n, tables.every, tables.t, tables.C, tables.left_normed
     in_zj, in_zj1 = upper.term(j)._member_mask, upper.term(j + 1)._member_mask
+    whole_j, whole_j1 = bool(in_zj.all()), bool(in_zj1.all())
 
     def hypotheses(a, X, Y, Xp):
-        # they do not involve the z's; tested, never assumed
-        return in_zj[C(Y, C(a, Xp))] & in_zj1[C(a, Y)]
+        # they do not involve the z's.  Tested, never assumed: a factor whose centre term is
+        # all of G holds on every head, and that is tested once per report, on its mask above
+        return (whole_j or in_zj[C(Y, C(a, Xp))]) & (whole_j1 or in_zj1[C(a, Y)])
+
+    keep = None if whole_j and whole_j1 else hypotheses
 
     def holds(a, X, Y, Xp, at):
         aXXp, aY = C(a, t(X, Xp)), C(a, Y)
@@ -401,23 +409,38 @@ def _check_homo(G: FiniteGroup, j: int, upper: CentralSeries, cfg: LemmaConfig, 
 
     exhaustive = n ** (4 + j) <= cfg.max_tuples
     if exhaustive:
-        bad, count = _scan(_lex([every] * 4, hypotheses), [every] * j, holds, n ** j)
+        bad, count = _scan(_lex([every] * 4, keep), [every] * j, holds, n ** j)
     else:
-        draws = _drawn(rng, cfg.samples, [n] * 4, hypotheses, [n] * j)
+        draws = _drawn(rng, cfg.samples, [n] * 4, keep, [n] * j)
         bad, count = _scan(draws, [], lambda *cols: holds(*cols[:4], cols[4:]), 1)
     return LemmaReport(G.name, "homo", j, count, bad, exhaustive)
+
+
+def _at_least(value, least: int) -> bool:
+    """Whether `value` is an integer, not a bool, of at least `least`."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= least
 
 
 def check_commutator_lemmas(G: FiniteGroup, cfg: Optional[LemmaConfig] = None) -> list:
     """Verify the base commutator identities and both central-element lemmas on G.
 
     Returns one LemmaReport per (lemma, j) combination; counterexample lists
-    are expected empty on every group.
+    are expected empty on every group.  Raises InvalidOption unless every j
+    of `cfg.js` is an integer >= 1, `cfg.max_tuples` and `cfg.samples` are
+    integers >= 0 and `cfg.seed` is an int.
     """
     cfg = cfg or LemmaConfig()
+    for name in ("max_tuples", "samples"):
+        if not _at_least(getattr(cfg, name), 0):
+            raise InvalidOption(f"LemmaConfig.{name} must be an integer >= 0, got {getattr(cfg, name)!r}")
+    if not isinstance(cfg.seed, int):
+        raise InvalidOption(f"LemmaConfig.seed must be an int, got {cfg.seed!r}")
+    js = list(cfg.js) if isinstance(cfg.js, Iterable) else cfg.js
+    if js is not None and not (isinstance(js, list) and all(_at_least(j, 1) for j in js)):
+        raise InvalidOption(f"LemmaConfig.js must hold integers >= 1, got {cfg.js!r}")
     upper = upper_central_series(G)
-    if cfg.js is not None:
-        js = list(cfg.js)
+    if js is not None:
+        js = [int(j) for j in js]
     else:
         # beyond class + 1 every side of the lemmas is the identity
         bound = (upper.nilpotency_class or (len(upper.terms) - 1)) + 1

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from grouper.approx import RelativeReport, Witness
+from grouper.commutators import LemmaReport, _Tables, _drawn, _lex, _scan
 from grouper.corpus import HomVerdicts
 from grouper.groups import FiniteGroup, generating_set_of_table, standard_group
 from grouper.homs import AutSubgroup, _gen_array, automorphism_group, enumerate_homs
@@ -423,3 +424,33 @@ def naive_lemma_draws(G: FiniteGroup, lemma: str, j, upper, samples: int, rng):
         if comm(Y, comm(a, Xp)) in zj and comm(a, Y) in zj1:
             rows.append((a, X, Y, Xp) + tuple(rr(n) for _ in range(j)))
     return rows
+
+
+def oracle_check_homo(G: FiniteGroup, j: int, upper, cfg, rng) -> LemmaReport:
+    """Oracle: the homo report with both hypotheses evaluated on every head.
+
+    A copy of `_check_homo` as it was before it decided a hypothesis whose
+    centre term is all of G once per report: the same tables, head sources
+    and scan, and a keep that tests both factors on every quad.
+    """
+    tables = _Tables(G, j)
+    n, every, t, C, L = tables.n, tables.every, tables.t, tables.C, tables.left_normed
+    in_zj, in_zj1 = upper.term(j)._member_mask, upper.term(j + 1)._member_mask
+
+    def hypotheses(a, X, Y, Xp):
+        return in_zj[C(Y, C(a, Xp))] & in_zj1[C(a, Y)]
+
+    def holds(a, X, Y, Xp, at):
+        aXXp, aY = C(a, t(X, Xp)), C(a, Y)
+        lhs = L(C(a, t(t(X, Y), Xp)), at, j)
+        mid = L(t(aXXp, aY), at, j)
+        rhs = t(L(aXXp, at, j), L(aY, at, j))
+        return (lhs == mid) & (mid == rhs)
+
+    exhaustive = n ** (4 + j) <= cfg.max_tuples
+    if exhaustive:
+        bad, count = _scan(_lex([every] * 4, hypotheses), [every] * j, holds, n ** j)
+    else:
+        draws = _drawn(rng, cfg.samples, [n] * 4, hypotheses, [n] * j)
+        bad, count = _scan(draws, [], lambda *cols: holds(*cols[:4], cols[4:]), 1)
+    return LemmaReport(G.name, "homo", j, count, bad, exhaustive)

@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from conftest import naive_lemma_draws, odd_carry_table, relabelled
+from conftest import naive_lemma_draws, odd_carry_table, oracle_check_homo, relabelled
 from grouper import commutators
 from grouper.commutators import (
     DEFAULT_SEED,
@@ -23,6 +23,8 @@ from grouper.commutators import (
     nilpotency_class,
     upper_central_series,
 )
+from grouper.corpus import generate_corpus
+from grouper.errors import InvalidOption
 from grouper.groups import ORDER_CAP, FiniteGroup, Subgroup, lex_rows, standard_group
 
 
@@ -128,6 +130,26 @@ class TestLemmaChecks:
         assert [(r.lemma, r.tuples_checked, r.counterexamples) for r in a] == [
             (r.lemma, r.tuples_checked, r.counterexamples) for r in b
         ]
+
+    @pytest.mark.parametrize("cfg", [
+        LemmaConfig(js=[0]), LemmaConfig(js=[1, -2]), LemmaConfig(js=[1.0]), LemmaConfig(js=[True]),
+        LemmaConfig(js=2), LemmaConfig(max_tuples=10, samples=-5), LemmaConfig(samples=2.5),
+        LemmaConfig(samples=None), LemmaConfig(max_tuples=-1), LemmaConfig(max_tuples="10"),
+        LemmaConfig(seed="x"),
+    ], ids=["j0", "j-2", "j-float", "j-bool", "js-int", "samples-5", "samples-float", "samples-None",
+            "max_tuples-1", "max_tuples-str", "seed-str"])
+    def test_bad_config_is_invalid_option(self, groups, cfg):
+        with pytest.raises(InvalidOption) as err:
+            check_commutator_lemmas(groups["dihedral:8"], cfg)
+        assert err.value.code == "invalid-option"
+
+    def test_least_config_values_run(self, groups):
+        cfg = LemmaConfig(max_tuples=10, samples=0, js=(np.int64(1),))
+        reports = check_commutator_lemmas(groups["dihedral:8"], cfg)
+        assert [(r.lemma, r.j, r.tuples_checked) for r in reports] == [
+            ("identities", None, 8), ("centrals-1", 1, 0), ("centrals-2", 1, 0), ("homo", 1, 0),
+        ]
+        assert all(type(r.j) is int for r in reports[1:])
 
     def test_report_dict_shape(self, groups):
         rep = check_commutator_lemmas(groups["cyclic:4"], LemmaConfig(js=[1]))[0]
@@ -269,6 +291,65 @@ def fake_series_reports():
     return out
 
 
+def one_whole_series(G, top: bool):
+    """A wrong series with one whole term among Z_1, Z_2: Z_2 if `top`, else Z_1; the other is trivial."""
+    trivial, whole = Subgroup(G, [G.identity]), Subgroup(G, range(G.order))
+    return CentralSeries(G, "upper", [trivial] + ([trivial, whole] if top else [whole, trivial]), None)
+
+
+def default_js(upper):
+    """The js `check_commutator_lemmas` takes when `LemmaConfig.js` is None."""
+    return range(1, (upper.nilpotency_class or len(upper.terms) - 1) + 2)
+
+
+class TestHomoHypothesesPerReport:
+    """Deciding a hypothesis whose centre term is all of G once per report changes no homo report.
+
+    Each case is checked against `oracle_check_homo`, which evaluates both
+    hypotheses on every head.  The cases cover every pair of (Z_j whole,
+    Z_{j+1} whole).  On a real upper series, a lone whole Z_{j+1} leaves a
+    factor that holds on every head anyway ([Y, [a, X']] lies in Gamma_3, in
+    Z_{c-2}), so only the one-whole fake series tell a report that drops
+    both factors from one that drops the whole one alone.
+    """
+
+    @staticmethod
+    def compare(cases):
+        """Assert each case's report equals the oracle's; return {case: (Z_j whole, Z_{j+1} whole)}."""
+        masks = {}
+        for label, G, j, upper, cfg in cases:
+            got, want = (check(G, j, upper, cfg, random.Random(5)) for check in (_check_homo, oracle_check_homo))
+            assert (got.tuples_checked, got.exhaustive, got.counterexamples) == \
+                (want.tuples_checked, want.exhaustive, want.counterexamples), (label, j)
+            masks[label, j] = (upper.term(j).is_whole, upper.term(j + 1).is_whole)
+        return masks
+
+    def test_nilpotent_corpus_sampled(self):
+        cfg = LemmaConfig(max_tuples=500, samples=2000)
+        with_series = ((G, upper_central_series(G)) for G in generate_corpus(16))
+        masks = self.compare((G.name, G, j, upper, cfg) for G, upper in with_series
+                             if upper.nilpotency_class is not None for j in default_js(upper))
+        assert masks["D8", 2] == (True, True)
+        assert masks["D8", 1] == (False, True)  # |Z_1| = 2
+        assert masks["D16", 1] == (False, False)  # |Z_1| = 2, |Z_2| = 4
+
+    def test_default_budget(self):
+        with_series = ((G, upper_central_series(G)) for G in generate_corpus(8))
+        masks = self.compare((G.name, G, j, upper, LemmaConfig()) for G, upper in with_series
+                             for j in default_js(upper))
+        assert {masks["D8", 3], masks["D8", 1], masks["D6", 1]} == {(True, True), (False, True), (False, False)}
+
+    def test_fake_series(self):
+        cases = [(f"{name} {kind} {path}", G, j, series(G), cfg)
+                 for name in ("symmetric:3", "alternating:4") for G in [standard_group(name)]
+                 for kind, series in [("fake", fake_upper_series),
+                                      ("top", lambda G: one_whole_series(G, True)),
+                                      ("middle", lambda G: one_whole_series(G, False))]
+                 for path, cfg in SPLIT_PATHS.items() for j in (1, 2)]
+        masks = self.compare(cases)
+        assert set(masks.values()) == {(True, True), (False, True), (True, False), (False, False)}
+
+
 class TestScanChunking:
     """The scan's reports do not depend on how heads and tails are split into passes.
 
@@ -393,6 +474,16 @@ class TestWordStream:
                 want.append(row + tuple(rng.randrange(m) for m in tail))
         got = drawn_rows(seed, 3000, head, keep, tail, block=700)
         assert got == want and 0 < len(want) < 3000
+
+    @pytest.mark.parametrize("words", [1, 3, 64])
+    def test_no_keep_equals_a_keep_accepting_every_head(self, monkeypatch, words):
+        monkeypatch.setattr(commutators, "WORDS", words)
+        head, tail = [5, 6, 6, 513], [3, 2 ** 12 - 1]
+        for block in (1, 7, 2048):
+            got, want = ([(b.dtype, b.shape, b.tolist()) for b in
+                          _drawn(random.Random(block), 100, head, keep, tail)(block)]
+                         for keep in (None, lambda a, b, c, d: np.ones(len(a), bool)))
+            assert got == want and sum(shape[0] for _, shape, _ in got) == 100
 
     def test_carries_words_across_reads(self):
         # 10 000 draws of 4-bit words, half of them rejected: about ten reads of WORDS words
