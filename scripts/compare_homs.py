@@ -5,7 +5,7 @@
 
 PARENT and CHANGE are two checkouts of grouper.  The script runs its own
 digest (`--digest`) with each checkout's `src/` on `PYTHONPATH`.  Over
-`generate_corpus(N)`, in corpus order, the digest hashes six kinds:
+`generate_corpus(N)`, in corpus order, the digest hashes seven kinds:
 
 - hom-sets: each budgeted `enumerate_homs(H, G)`, its `matrix` and `keys`;
 - aut-groups: each `automorphism_group(G)`, its `perms`, `end_rows`,
@@ -20,6 +20,11 @@ digest (`--digest`) with each checkout's `src/` on `PYTHONPATH`.  Over
   of each corpus group named in `RELATIVE_CLASSES`: C2, C3, C4, C2xC2 and
   D6 (S3).  They cover prime and composite cyclic, non-cyclic abelian and
   non-abelian members, and keep the digest at max-order 16 near a minute;
+- reps: for each budgeted pair, the row indices of `injective_per_image()`,
+  the rows of `corpus._surjective_reps_by_kernel(H, G)` and, for the first
+  three embeddings in canonical order, `simple_envelope_criterion(phi,
+  cross_check=False).to_dict()`, whose copy witness is the first copy, in
+  byte order of the sorted images, outside phi's orbit;
 - lemmas: for each group, `check_commutator_lemmas(G, cfg).to_dict()` of
   every report under `LemmaConfig()` and under `LemmaConfig(max_tuples=500,
   samples=2000)`, which makes most reports sampled.  A sampled report's
@@ -43,7 +48,7 @@ import sys
 import time
 from pathlib import Path
 
-KINDS = ("hom-sets", "aut-groups", "verdicts", "absolute", "relative", "lemmas")
+KINDS = ("hom-sets", "aut-groups", "verdicts", "absolute", "relative", "reps", "lemmas")
 RELATIVE_CLASSES = ("C2", "C3", "C4", "C2xC2", "D6")
 VERDICT_FIELDS = ("matrix", "is_envelope", "is_localization", "is_cover", "is_cellular",
                   "is_preenvelope", "is_precover", "galois_orders", "co_galois_orders")
@@ -62,9 +67,13 @@ def _hash(*values) -> str:
 
 def digest(max_order: int) -> dict:
     """kind -> list of [item name, sha256] in corpus order, from the grouper on the path."""
-    from grouper.corpus import _budget_ok, classify_pair, classify_source, generate_corpus
+    import numpy as np
+
+    from grouper.corpus import _budget_ok, _surjective_reps_by_kernel, classify_pair, classify_source, generate_corpus
     from grouper.approx import GroupClass, classify_against_class, classify_hom, is_orthogonal
+    from grouper.groups import GroupHom
     from grouper.homs import automorphism_group, enumerate_homs
+    from grouper.simple import simple_envelope_criterion
 
     corpus = generate_corpus(max_order)
     classes = [GroupClass(F.name, [F]) for F in corpus if F.name in RELATIVE_CLASSES]
@@ -91,6 +100,11 @@ def digest(max_order: int) -> dict:
                 h.update(json.dumps([reports, [is_orthogonal(phi, cls) for cls in classes]],
                                     sort_keys=True).encode())
             out["relative"].append([pair, h.hexdigest()])
+            h = hashlib.sha256(_hash(hs.injective_per_image(), _surjective_reps_by_kernel(H, G)).encode())
+            for i in np.flatnonzero(hs.injective())[:3]:
+                phi = GroupHom(H, G, hs.matrix[i], check=False)
+                h.update(json.dumps(simple_envelope_criterion(phi, cross_check=False).to_dict(), sort_keys=True).encode())
+            out["reps"].append([pair, h.hexdigest()])
     out["lemmas"] = _lemma_digest(corpus)
     return out
 

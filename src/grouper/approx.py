@@ -26,7 +26,7 @@ from .groups import (
     quotient_group,
     subgroup_generated,
 )
-from .homs import _BATCH, AutGroup, AutSubgroup, HomSet, _gen_array, automorphism_group, enumerate_homs, key_order
+from .homs import _BATCH, AutGroup, AutSubgroup, HomSet, _gen_array, automorphism_group, enumerate_homs, key_groups
 
 FLAG_NAMES = (
     "isLocalization",
@@ -180,15 +180,10 @@ def _counts(aut: AutGroup, comp: Composites, key) -> tuple:
 
 
 def _per_key(keys: np.ndarray, counts, tags=None) -> list:
-    """``counts(key, i)`` for each row of ``keys``, called once per distinct row, with ``key``
-    its bytes and i its first row: an int array per entry of its tuples, one entry per row.
-    Equal rows with different ``tags``, a per-row array ascending with the rows, count apart."""
-    order, first = key_order(keys)
-    if tags is not None:  # the sort is stable, so equal rows of one tag lie together
-        first[1:] |= np.diff(tags[order]) != 0
-    inverse = np.empty_like(order)
-    inverse[order] = first.cumsum() - 1
-    per_key = np.array([counts(keys[i].tobytes(), i) for i in order[first].tolist()], dtype=np.int_)
+    """``counts(key, i)`` for each row of ``keys``, called once per ``key_groups`` group (with ``tags``),
+    with ``key`` its bytes and i its first row: an int array per entry of its tuples, one per row."""
+    firsts, inverse = key_groups(keys, tags)
+    per_key = np.array([counts(keys[i].tobytes(), i) for i in firsts.tolist()], dtype=np.int_)
     return [column[inverse] for column in per_key.T]
 
 
@@ -227,17 +222,22 @@ def side_counts(keys: np.ndarray, runs, starts: list, aut_h: AutGroup, side: str
     return _per_key(keys, counts, tags if side == "target" else None)
 
 
+def image_masks(rows: np.ndarray, width: int) -> np.ndarray:
+    """The packed member mask, ``width`` bits wide, of the set of entries of each row."""
+    hit = np.zeros((len(rows), width), dtype=bool)
+    hit[np.arange(len(rows))[:, None], rows] = True
+    return np.packbits(hit, axis=1)
+
+
 def run_flags(aut_h: AutGroup, runs) -> tuple:
     """(target, source): the ``side_flags`` of f |-> f.phi on End(G) and of f |-> phi.f on End(H),
     for each hom phi of ``runs``, a list of (rows, hom_set, aut_g) whose rows are homs of
     hom_set = Hom(H, G), from H = ``aut_h.base`` to G = aut_g.base, taken end to end.
 
     One count pass over per-row arrays (``side_counts``): a hom's image key
-    is its packed image mask padded to the largest G, no wider than that
-    G's own keys (two 64-bit words up to order 128, which ``key_order``
-    sorts as words), and its kernel key its packed kernel mask, built in
-    blocks of at most ``_BATCH`` rows that may span runs, so that only the
-    keys hold every hom.
+    is its packed image mask (``image_masks``) padded to the largest G, and
+    its kernel key its packed kernel mask, built in blocks of at most
+    ``_BATCH`` rows that may span runs, so that only the keys hold every hom.
     """
     sizes = [len(rows) for rows, *_ in runs]
     starts = np.cumsum([0, *sizes]).tolist()
@@ -248,11 +248,9 @@ def run_flags(aut_h: AutGroup, runs) -> tuple:
         hi = min(lo + _BATCH, n)
         block = np.concatenate([rows[max(lo, a) - a:hi - a]
                                 for (rows, *_), a, b in zip(runs, starts, starts[1:]) if a < hi and b > lo])
-        hit = np.zeros((hi - lo, width), dtype=bool)
-        hit[np.arange(hi - lo)[:, None], block] = True
-        image[lo:hi] = np.packbits(hit, axis=1)
+        image[lo:hi] = image_masks(block, width)
         kernel[lo:hi] = np.packbits(block == block[:, e, None], axis=1)  # phi sends e to the identity
-        del block, hit  # else they live on while the next block is built, and raise the peak
+        del block  # else it lives on while the next block is built, and raises the peak
     homs = np.repeat([len(hs) for _, hs, _ in runs], sizes)
     ends = np.repeat([len(aut.ends) for *_, aut in runs], sizes)
     return (side_flags(side_counts(image, runs, starts, aut_h, "target"), homs, ends),

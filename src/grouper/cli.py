@@ -300,7 +300,7 @@ def _cmd_verify(args) -> int:
         raise InvalidOption(f"--jobs must be at least 1, got {args.jobs}")
     corpus = generate_corpus(args.max_order)
     report = run_theorem_suite(corpus, args.suite, max_order=args.max_order, jobs=args.jobs)
-    payload = report.to_dict(include_timings=False)
+    payload = report.to_dict()
     lines = [
         f"suite: {report.suite}",
         f"max-order: {report.max_order}",

@@ -24,6 +24,7 @@ from .approx import (
     _per_key,
     f_socle,
     galois_group,
+    image_masks,
     local_kernel,
     postcomposition,
     precomposition,
@@ -31,7 +32,7 @@ from .approx import (
 )
 from .commutators import LemmaConfig, check_commutator_lemmas, nilpotency_class
 from .groups import FiniteGroup, GroupHom, are_isomorphic, standard_group
-from .homs import _gen_array, automorphism_group, enumerate_homs, enumerate_source, first_per_key
+from .homs import _gen_array, automorphism_group, enumerate_homs, enumerate_source, key_groups
 
 PAIR_BUDGET = 100_000_000
 CORPUS_CAP = 512
@@ -90,8 +91,8 @@ class SuiteReport:
     def ok(self) -> bool:
         return not self.violations
 
-    def to_dict(self, include_timings: bool = False) -> dict:
-        out = {
+    def to_dict(self) -> dict:
+        return {
             "suite": self.suite,
             "maxOrder": self.max_order,
             "pairsExamined": self.pairs_examined,
@@ -100,9 +101,6 @@ class SuiteReport:
             "skipped": self.skipped,
             "notes": self.notes,
         }
-        if include_timings:
-            out["timings"] = {k: round(v, 6) for k, v in self.pair_seconds.items()}
-        return out
 
 
 def _budget_ok(H: FiniteGroup, G: FiniteGroup) -> bool:
@@ -266,12 +264,11 @@ def _galois_worker(H, G):
 
 
 def _surjective_reps_by_kernel(H, G):
-    """One surjective hom per kernel, first in canonical order."""
-    hs = enumerate_homs(H, G)
-    hit = np.zeros((len(hs), G.order), dtype=bool)
-    hit[np.arange(len(hs))[:, None], hs.matrix] = True
-    rows = hs.matrix[hit.all(axis=1)]
-    return rows[first_per_key(rows == G.identity)]
+    """One surjective hom per kernel, first in canonical order: phi is onto when |ker phi|.|G| = |H|."""
+    matrix = enumerate_homs(H, G).matrix
+    kernels = matrix == G.identity
+    onto = kernels.sum(axis=1) * G.order == H.order
+    return matrix[onto][key_groups(kernels[onto])[0]]
 
 
 def _make_socle_worker(corpus):
@@ -344,11 +341,11 @@ def _make_radical_worker(corpus):
 
 def _orders_per_key(v: HomVerdicts, homs: np.ndarray, orders: np.ndarray, side: str, law: str) -> list:
     """``law`` violations: the homs of the mask ``homs`` whose ``orders`` are not ``galois_group(rep,
-    side).order``, for rep the first of them with their image (target side) or kernel (source side)."""
+    side).order``, for rep the first of them with their image (target side) or kernel (source side) mask."""
     if not homs.any():
         return []
     rows = v.matrix[homs]
-    keys = np.sort(rows, axis=1) if side == "target" else rows == v.target.identity
+    keys = image_masks(rows, v.target.order) if side == "target" else rows == v.target.identity
     (want,) = _per_key(keys, lambda key, i: (
         galois_group(GroupHom(v.source, v.target, rows[i], check=False), side).order,))
     bad = homs.copy()

@@ -337,13 +337,21 @@ class FiniteGroup:
         return f"FiniteGroup({self.name!r}, order={self.order})"
 
 
+def _elements(values) -> np.ndarray:
+    """``values`` as an index array; ValueError unless they are integers, so 2.5 is not truncated."""
+    a = np.asarray(values if isinstance(values, np.ndarray) else list(values))
+    if a.size and a.dtype.kind not in "iu":
+        raise ValueError(f"group elements must be integers, not {a.dtype}")
+    return a.astype(np.intp, copy=False)
+
+
 class Subgroup:
     """A subset of a parent group's indices, verified closed at construction."""
 
     def __init__(self, parent: FiniteGroup, members: Iterable[int]):
         self.parent = parent
         self._member_mask = np.zeros(parent.order, dtype=bool)
-        self._member_mask[np.fromiter(members, dtype=np.intp)] = True
+        self._member_mask[_elements(members)] = True
         self._member_mask[parent.identity] = True
         self.members = np.flatnonzero(self._member_mask).astype(np.int32)
         # read-only: memoized subgroups are shared by every caller
@@ -420,7 +428,7 @@ class GroupHom:
     def __init__(self, source: FiniteGroup, target: FiniteGroup, images, check: bool = True):
         self.source = source
         self.target = target
-        self.images = np.ascontiguousarray(images, dtype=np.int32)
+        self.images = np.ascontiguousarray(_elements(images) if check else images, dtype=np.int32)
         if check:
             self._verify()
 

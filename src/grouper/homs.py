@@ -56,51 +56,31 @@ def _gen_array(G: FiniteGroup) -> np.ndarray:
     return G.memo("greedy_gens", compute)
 
 
-_WORD_SORT_ROWS = 128  # ``key_order`` sorts at least this many rows of at most two 64-bit words as words
+def key_groups(keys: np.ndarray, tags=None) -> tuple:
+    """(firsts, inverse): the index of the first row of each distinct row of ``keys``, in byte
+    order of the rows, and for each row the place of its row in ``firsts``.  Equal rows with
+    different ``tags``, a per-row array ascending with the rows, are told apart.
 
-
-def key_order(keys: np.ndarray) -> tuple:
-    """(order, first): the stable sort of the rows of ``keys`` in byte order of the rows, and
-    the mask over it of the first row of each distinct row.
-
-    The rows are sorted as void items, unless there are at least
-    ``_WORD_SORT_ROWS`` of them and each fits in two 64-bit words: then
-    they are sorted as their bytes read as big-endian 64-bit words,
-    zero-padded, which compare as the bytes do, with one ``np.lexsort``
-    pass per word.  On 1 024 rows that takes 0.3 of the void sort's time
-    at one word and 0.85 at two, but 1.2 times it at three words and 3
-    times at eight, and below about a hundred rows the void sort is
-    faster.  Sorting End(C4 x C4 x C4) at three generators, 262 144 rows
-    of 12 bytes, takes a third to a half of the void sort's time.
+    One stable sort: the row bytes, read as big-endian 64-bit words,
+    zero-padded, compare as the bytes do and go through one ``np.lexsort``,
+    after which equal rows of one tag lie together.  With one key row per
+    hom of a hom set, ``firsts`` picks the canonically first hom of each key.
     """
-    keys = np.ascontiguousarray(keys)
     n, width = len(keys), keys.dtype.itemsize * keys.shape[1]
-    words = -(-width // 8)
-    if n < _WORD_SORT_ROWS or words > 2:
-        rows = keys.view(np.dtype((np.void, width))).ravel()
-        order = rows.argsort(kind="stable")
-        rows = rows[order]
-        new = rows[1:] != rows[:-1]
-    else:
-        packed = np.zeros((n, words), dtype=">u8")
-        packed.view(np.uint8)[:, :width] = keys.view(np.uint8).reshape(n, width)
-        packed = packed.astype(np.uint64)
-        order = np.lexsort(packed.T[::-1])
-        packed = packed[order]
-        new = (packed[1:] != packed[:-1]).any(axis=1)
+    if n < 2:
+        return np.arange(n), np.zeros(n, dtype=np.intp)
+    words = np.zeros((n, -(-width // 8)), dtype=">u8")
+    words.view(np.uint8)[:, :width] = np.ascontiguousarray(keys).view(np.uint8).reshape(n, width)
+    words = words.astype(np.uint64)
+    order = np.lexsort(words.T[::-1])
+    words = words[order]
     first = np.ones(n, dtype=bool)
-    first[1:] = new
-    return order, first
-
-
-def first_per_key(keys: np.ndarray) -> np.ndarray:
-    """Index of the first row holding each distinct row of ``keys``, in byte order of the rows.
-
-    With one key row per hom of a hom set, in canonical order, this picks
-    the canonically first hom of each key.
-    """
-    order, first = key_order(keys)
-    return order[first]
+    first[1:] = (words[1:] != words[:-1]).any(axis=1)
+    if tags is not None:
+        first[1:] |= np.diff(tags[order]) != 0
+    inverse = np.empty(n, dtype=np.intp)
+    inverse[order] = first.cumsum() - 1
+    return order[first], inverse
 
 
 def _divisor_positions(G: FiniteGroup, o: int) -> tuple:
@@ -272,7 +252,7 @@ class HomSet:
     def injective_per_image(self) -> np.ndarray:
         """Row index of the first injective hom with each image, in byte order of the sorted images."""
         injective = np.flatnonzero(self.injective())
-        return injective[first_per_key(np.sort(self.matrix[injective], axis=1))]
+        return injective[key_groups(np.sort(self.matrix[injective], axis=1))[0]]
 
 
 def orbit_labels(hom_set, aut_g, aut_h) -> np.ndarray:

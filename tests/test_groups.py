@@ -244,6 +244,16 @@ class TestSubgroups:
                 commutes = G.mul(x, y) == G.mul(y, x)
                 assert cz.contains(y) == commutes
 
+    @pytest.mark.parametrize("members", [[0, 2.5], [0.0, 2.0], ["0", "2"], [True, False], np.array([0, 2], dtype=float)])
+    def test_non_integer_members_rejected(self, groups, members):
+        """Members are indices: floats, strings and bools are refused, not truncated to {0, 2}."""
+        with pytest.raises(ValueError, match="must be integers"):
+            Subgroup(groups["cyclic:4"], members)
+
+    @pytest.mark.parametrize("members", [[0, 2], (2,), {0, 2}, range(0, 4, 2), np.array([2], dtype=np.uint8), []])
+    def test_integer_members_accepted(self, groups, members):
+        assert Subgroup(groups["cyclic:4"], members).members.tolist() == ([0] if len(members) == 0 else [0, 2])
+
     def test_as_group_reindexes(self, groups):
         G = groups["symmetric:4"]
         sub = subgroup_generated(G, [G.generators[1]])
@@ -417,6 +427,14 @@ class TestHomBasics:
         G = groups["cyclic:4"]
         with pytest.raises(ValueError):
             GroupHom(groups["cyclic:2"], G, np.array([0, 1], dtype=np.int32))
+
+    @pytest.mark.parametrize("images", [[0, 1.7], [0.0, 1.0], ["0", "1"], [False, True], np.array([0, 1], dtype=float)])
+    def test_non_integer_images_rejected(self, groups, images):
+        """Images are indices: ``[0, 1.7]`` is refused, not truncated to the identity ``[0, 1]``."""
+        C2 = groups["cyclic:2"]
+        with pytest.raises(ValueError, match="must be integers"):
+            GroupHom(C2, C2, images)
+        assert GroupHom(C2, C2, [0, 1]).equal(identity_hom(C2))
 
     def test_compose(self, groups):
         C2, C4 = groups["cyclic:2"], groups["cyclic:4"]

@@ -25,8 +25,7 @@ from grouper.homs import (
     enumerate_homs,
     enumerate_source,
     find_isomorphism,
-    first_per_key,
-    key_order,
+    key_groups,
 )
 
 
@@ -328,23 +327,32 @@ class TestFirstPerKey:
     def test_first_row_of_each_key_in_byte_order(self):
         keys = np.array([[300, 1], [2, 1], [300, 1], [1, 2], [256, 0]], dtype=np.int32)
         # little-endian bytes: 256 -> 00 01, 1 -> 01 00, 2 -> 02 00, 300 -> 2c 01
-        assert first_per_key(keys).tolist() == [4, 3, 1, 0]
+        firsts, inverse = key_groups(keys)
+        assert firsts.tolist() == [4, 3, 1, 0]
+        assert inverse.tolist() == [3, 2, 3, 1, 0]
 
-    @pytest.mark.parametrize("rows", [homs._WORD_SORT_ROWS - 1, homs._WORD_SORT_ROWS])
-    @pytest.mark.parametrize("dtype,width", [(np.uint8, 1), (np.uint8, 9), (np.int32, 3), (np.bool_, 20)])
+    @pytest.mark.parametrize("rows", [0, 1, 2, 127, 128, 1000])
+    @pytest.mark.parametrize("dtype,width", [(np.uint8, 1), (np.uint8, 9), (np.int32, 3), (np.bool_, 20),
+                                             (np.bool_, 240), (np.int32, 60)])
     def test_key_order_sorts_rows_by_bytes(self, dtype, width, rows):
-        """``key_order`` is the stable sort of the rows by their bytes, with the first row of
-        each run of equal rows marked, on either side of the switch to the word sort: rows of
-        1 to 20 bytes, so that of 128 rows those of at most 16 bytes take the word sort, most
-        keys repeated."""
-        rng = np.random.default_rng(width)
+        """``key_groups`` against ``sorted`` over the row bytes, untagged and with ascending
+        tags that split equal rows: rows of 1 to 240 bytes, drawn from a few rows of which
+        three share all but their last entry."""
+        rng = np.random.default_rng([rows, width])
         values = [0, 1, 256, 300] if dtype == np.int32 else [0, 1, 2]
-        keys = rng.choice(values, size=(rows, width)).astype(dtype)
-        data = [row.tobytes() for row in keys]
-        expected = sorted(range(rows), key=data.__getitem__)
-        order, first = key_order(keys)
-        assert order.tolist() == expected
-        assert first.tolist() == [i == 0 or data[expected[i]] != data[expected[i - 1]] for i in range(rows)]
+        pool = rng.choice(values, size=(6, width))
+        pool[3:] = pool[0]
+        pool[3:, -1] = values[:3]
+        keys = pool[rng.integers(0, len(pool), size=rows)].astype(dtype)
+        for tags in (None, np.sort(rng.integers(0, 3, size=rows)).astype(np.uint8)):
+            data = [(row.tobytes(), 0 if tags is None else int(tags[i])) for i, row in enumerate(keys)]
+            place = {key: j for j, key in enumerate(sorted(set(data)))}
+            firsts = {}
+            for i, key in enumerate(data):
+                firsts.setdefault(place[key], i)
+            got_firsts, inverse = key_groups(keys, tags)
+            assert inverse.tolist() == [place[key] for key in data]
+            assert got_firsts.tolist() == [firsts[j] for j in range(len(place))]
 
     def test_one_key_space_per_hom_set(self, monkeypatch):
         """A hom set derives its key digits from ``_divisor_positions`` once, on its first
