@@ -103,7 +103,8 @@ def digest(max_order: int) -> dict:
             h = hashlib.sha256(_hash(hs.injective_per_image(), _surjective_reps_by_kernel(H, G)).encode())
             for i in np.flatnonzero(hs.injective())[:3]:
                 phi = GroupHom(H, G, hs.matrix[i], check=False)
-                h.update(json.dumps(simple_envelope_criterion(phi, cross_check=False).to_dict(), sort_keys=True).encode())
+                report = simple_envelope_criterion(phi, cross_check=False).to_dict()
+                h.update(json.dumps(report, sort_keys=True).encode())
             out["reps"].append([pair, h.hexdigest()])
     out["lemmas"] = _lemma_digest(corpus)
     return out

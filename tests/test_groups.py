@@ -244,7 +244,8 @@ class TestSubgroups:
                 commutes = G.mul(x, y) == G.mul(y, x)
                 assert cz.contains(y) == commutes
 
-    @pytest.mark.parametrize("members", [[0, 2.5], [0.0, 2.0], ["0", "2"], [True, False], np.array([0, 2], dtype=float)])
+    @pytest.mark.parametrize("members", [[0, 2.5], [0.0, 2.0], ["0", "2"], [True, False],
+                                         np.array([0, 2], dtype=float)])
     def test_non_integer_members_rejected(self, groups, members):
         """Members are indices: floats, strings and bools are refused, not truncated to {0, 2}."""
         with pytest.raises(ValueError, match="must be integers"):
