@@ -42,10 +42,13 @@ most CHUNK tuples go through numpy at once.  The scan contract:
   over `getrandbits(m.bit_length())`, which is one word w shifted to
   w >> (32 - m.bit_length()); the draw is the first shifted word below m.
   `getrandbits(32 * w)` returns the next w words, the first one generated
-  least significant.  `_drawn` walks a read over ranks among the words a
-  sample's first modulus accepts, finds the ranks where samples start by
-  pointer jumping, and gathers their draws there only.  Words read past a
-  report's last sample are never used: no other draw shares the generator.
+  least significant.  When every coordinate of a sample has one modulus and
+  every sample is kept, a sample is the next k accepted words, and `_drawn`
+  reads the samples of a read as consecutive k-tuples of its accepted
+  draws.  Otherwise it walks a read over ranks among the words a sample's
+  first modulus accepts, finds the ranks where samples start by pointer
+  jumping, and gathers their draws there only.  Words read past a report's
+  last sample are never used: no other draw shares the generator.
 """
 
 from __future__ import annotations
@@ -67,7 +70,7 @@ DEFAULT_SAMPLES = 10 ** 5
 DEFAULT_SEED = 0xC0FFEE
 CHUNK = 16384  # tuples evaluated per numpy pass; bounds the scan's working set
 DRAWS = 2048  # rows per block of drawn heads; bounds the sampled scan's working set
-WORDS = 4096  # Mersenne Twister words per getrandbits call; a read walks the ranks of its words at once
+WORDS = 4096  # Mersenne Twister words per getrandbits call; a read draws from all its words at once
 TABLE_CAP = 1 << 16  # entries per left-normed table (256 KB of int32); deeper z's use C
 LIMIT = 21  # counterexamples kept per report; the scan stops once it has them
 
@@ -247,14 +250,15 @@ def _lex(axes, keep=None):
     return blocks
 
 
-def _accepted(words, m: int, pad: int):
+def _accepted(words, m: int, pad: int, ranks: bool):
     """Positions and draws of the words w that `randrange(m)` accepts (w >> (32 - m.bit_length())
-    < m), then `pad` sentinels (position len(words), draw 0); and `first`: first[p] is the rank of
-    the first accepted word at or after p, for p in 0..len(words), first[-1] the second sentinel's."""
+    < m), then `pad` sentinels (position len(words), draw 0); and `first` where `ranks` asks for it
+    (else None): first[p] is the rank of the first accepted word at or after p, for p in
+    0..len(words), first[-1] the second sentinel's."""
     shifted = words >> (32 - m.bit_length())
     ok = shifted < m
     pos = np.flatnonzero(ok)
-    first = np.concatenate([[0], np.cumsum(ok), [len(pos) + 1]])
+    first = np.concatenate([[0], np.cumsum(ok), [len(pos) + 1]]) if ranks else None
     return np.append(pos, np.full(pad, len(words))), np.append(shifted.take(pos), np.zeros(pad, np.intp)), first
 
 
@@ -265,39 +269,48 @@ def _drawn(rng, count: int, head, keep=None, tail=()):
     holds on those draws (everywhere without `keep`), once below each of the
     `tail` moduli; a sample `keep` rejects adds no row.  Words are read WORDS
     at a time.  A read names each sample by the rank of its first draw among
-    the words the first modulus accepts; a draw takes the next rank when its
-    modulus is the previous draw's, else one lookup in `first`.  Per rank it
-    computes the draws, `keep` and the step (the rank where the next sample
-    starts), then the samples' starts as the path of rank 0 under the step,
-    by pointer jumping.  A block holds at most min(m, DRAWS) rows.
+    the words the first modulus accepts.  Without `keep` and with one modulus
+    for all k coordinates, sample i is the accepted draws k*i .. k*i + k - 1.
+    Otherwise a draw takes the next rank when its modulus is the previous
+    draw's, else one lookup in `first`; per rank the walk computes the draws,
+    `keep` and the step (the rank where the next sample starts), then the
+    samples' starts as the path of rank 0 under the step, by pointer jumping.
+    Either way the next read carries on from the first word of the sample the
+    read could not finish.  A block holds at most min(m, DRAWS) rows.
     """
-    moduli = (*head, *tail)
+    moduli, k = (*head, *tail), len(head) + len(tail)
+    stride = keep is None and len(set(moduli)) == 1
 
     def blocks(m):
         m = min(m, DRAWS)
-        words, left, rows = np.empty(0, np.uint32), count, np.empty((0, len(moduli)), np.int64)
+        words, left, rows = np.empty(0, np.uint32), count, np.empty((0, k), np.int64)
         while left:
             read = rng.getrandbits(32 * WORDS).to_bytes(4 * WORDS, "little")
             words = np.concatenate([words, np.frombuffer(read, "<u4")])
-            acc = {mod: _accepted(words, mod, len(moduli) + 1) for mod in set(moduli)}
-            pos, _, first = acc[moduli[0]]
-            out = int(first[-1])  # the second sentinel's rank: where a sample out of words steps
-            after = lambda i, mod: acc[mod][2].take(acc[moduli[i]][0].take(ranks[i]) + 1)
-            ranks = [np.arange(out + 1)]  # ranks[i]: the rank of draw i, for a sample at each rank
-            for i, mod in enumerate(moduli[1:]):
-                ranks.append(ranks[i] + 1 if mod == moduli[i] else after(i, mod))
-            step = after(-1, moduli[0])
-            if keep is not None:
-                kept = keep(*(acc[mod][1].take(at) for mod, at in zip(head, ranks)))
-                step = np.where(kept, step, after(len(head) - 1, moduli[0]))
-            path, jump = np.zeros(1, np.intp), step  # path[i]: the rank where sample i starts
-            while len(path) <= left and path[-1] < out:
-                path, jump = np.concatenate([path, jump.take(path)]), jump.take(jump)
-            done = min(int(np.count_nonzero(path < out)) - 1, left)
-            starts = path[:done]
-            new = np.stack([acc[mod][1].take(at.take(starts)) for mod, at in zip(moduli, ranks)], 1)
-            rows = np.concatenate([rows, new if keep is None else new[kept[starts]]])
-            words, left = words[pos[path[done]]:], left - done
+            acc = {mod: _accepted(words, mod, k + 1, not stride) for mod in set(moduli)}
+            pos, draws, first = acc[moduli[0]]
+            if stride:  # sample i is accepted draws k*i .. k*i + k - 1
+                done = min((len(pos) - k - 1) // k, left)
+                new, nxt = draws[:done * k].reshape(done, k), done * k
+            else:
+                out = int(first[-1])  # the second sentinel's rank: where a sample out of words steps
+                after = lambda i, mod: acc[mod][2].take(acc[moduli[i]][0].take(ranks[i]) + 1)
+                ranks = [np.arange(out + 1)]  # ranks[i]: the rank of draw i, for a sample at each rank
+                for i, mod in enumerate(moduli[1:]):
+                    ranks.append(ranks[i] + 1 if mod == moduli[i] else after(i, mod))
+                step = after(-1, moduli[0])
+                if keep is not None:
+                    kept = keep(*(acc[mod][1].take(at) for mod, at in zip(head, ranks)))
+                    step = np.where(kept, step, after(len(head) - 1, moduli[0]))
+                path, jump = np.zeros(1, np.intp), step  # path[i]: the rank where sample i starts
+                while len(path) <= left and path[-1] < out:
+                    path, jump = np.concatenate([path, jump.take(path)]), jump.take(jump)
+                done = min(int(np.count_nonzero(path < out)) - 1, left)
+                starts, nxt = path[:done], path[done]
+                new = np.stack([acc[mod][1].take(at.take(starts)) for mod, at in zip(moduli, ranks)], 1)
+                new = new if keep is None else new[kept[starts]]
+            rows = np.concatenate([rows, new])
+            words, left = words[pos[nxt]:], left - done
             full = len(rows) if not left else len(rows) - len(rows) % m
             for lo in range(0, full, m):
                 yield rows[lo:lo + m]
@@ -416,9 +429,14 @@ def _check_homo(G: FiniteGroup, j: int, upper: CentralSeries, cfg: LemmaConfig, 
     return LemmaReport(G.name, "homo", j, count, bad, exhaustive)
 
 
+def _integer(value) -> bool:
+    """Whether `value` is an integer, not a bool; numpy integers count."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def _at_least(value, least: int) -> bool:
     """Whether `value` is an integer, not a bool, of at least `least`."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= least
+    return _integer(value) and value >= least
 
 
 def check_commutator_lemmas(G: FiniteGroup, cfg: Optional[LemmaConfig] = None) -> list:
@@ -427,14 +445,15 @@ def check_commutator_lemmas(G: FiniteGroup, cfg: Optional[LemmaConfig] = None) -
     Returns one LemmaReport per (lemma, j) combination; counterexample lists
     are expected empty on every group.  Raises InvalidOption unless every j
     of `cfg.js` is an integer >= 1, `cfg.max_tuples` and `cfg.samples` are
-    integers >= 0 and `cfg.seed` is an int.
+    integers >= 0 and `cfg.seed` is an integer (none of them a bool).
     """
     cfg = cfg or LemmaConfig()
     for name in ("max_tuples", "samples"):
         if not _at_least(getattr(cfg, name), 0):
             raise InvalidOption(f"LemmaConfig.{name} must be an integer >= 0, got {getattr(cfg, name)!r}")
-    if not isinstance(cfg.seed, int):
-        raise InvalidOption(f"LemmaConfig.seed must be an int, got {cfg.seed!r}")
+    if not _integer(cfg.seed):
+        raise InvalidOption(f"LemmaConfig.seed must be an integer, got {cfg.seed!r}")
+    seed = int(cfg.seed)
     js = list(cfg.js) if isinstance(cfg.js, Iterable) else cfg.js
     if js is not None and not (isinstance(js, list) and all(_at_least(j, 1) for j in js)):
         raise InvalidOption(f"LemmaConfig.js must hold integers >= 1, got {cfg.js!r}")
@@ -449,11 +468,11 @@ def check_commutator_lemmas(G: FiniteGroup, cfg: Optional[LemmaConfig] = None) -
     reports = []
     for lemma_pos, lemma in enumerate(LEMMA_IDS):
         if lemma == "identities":
-            rng = random.Random(cfg.seed + lemma_pos)
+            rng = random.Random(seed + lemma_pos)
             reports.append(_check_identities(G, cfg, rng, tables))
             continue
         for j in js:
-            rng = random.Random(cfg.seed + 1000 * lemma_pos + j)
+            rng = random.Random(seed + 1000 * lemma_pos + j)
             if lemma == "centrals-1":
                 reports.append(_check_centrals(G, 1, j, upper, cfg, rng, tables))
             elif lemma == "centrals-2":

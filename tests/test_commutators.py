@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +30,9 @@ from grouper.commutators import (
 from grouper.corpus import generate_corpus
 from grouper.errors import InvalidOption
 from grouper.groups import ORDER_CAP, FiniteGroup, Subgroup, lex_rows, standard_group
+
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def naive_commutator(G, x, y):
@@ -135,9 +142,9 @@ class TestLemmaChecks:
         LemmaConfig(js=[0]), LemmaConfig(js=[1, -2]), LemmaConfig(js=[1.0]), LemmaConfig(js=[True]),
         LemmaConfig(js=2), LemmaConfig(max_tuples=10, samples=-5), LemmaConfig(samples=2.5),
         LemmaConfig(samples=None), LemmaConfig(max_tuples=-1), LemmaConfig(max_tuples="10"),
-        LemmaConfig(seed="x"),
+        LemmaConfig(seed="x"), LemmaConfig(seed=True), LemmaConfig(seed=3.0),
     ], ids=["j0", "j-2", "j-float", "j-bool", "js-int", "samples-5", "samples-float", "samples-None",
-            "max_tuples-1", "max_tuples-str", "seed-str"])
+            "max_tuples-1", "max_tuples-str", "seed-str", "seed-bool", "seed-float"])
     def test_bad_config_is_invalid_option(self, groups, cfg):
         with pytest.raises(InvalidOption) as err:
             check_commutator_lemmas(groups["dihedral:8"], cfg)
@@ -150,6 +157,14 @@ class TestLemmaChecks:
             ("identities", None, 8), ("centrals-1", 1, 0), ("centrals-2", 1, 0), ("homo", 1, 0),
         ]
         assert all(type(r.j) is int for r in reports[1:])
+
+    @pytest.mark.parametrize("seed", [np.int64(3), np.uint8(3)])
+    def test_numpy_integer_seed_is_the_int_seed(self, groups, seed):
+        cfg = LemmaConfig(max_tuples=10, samples=300, js=[1])
+        got = check_commutator_lemmas(groups["dihedral:8"], LemmaConfig(**{**vars(cfg), "seed": seed}))
+        want = check_commutator_lemmas(groups["dihedral:8"], LemmaConfig(**{**vars(cfg), "seed": 3}))
+        assert [r.to_dict() for r in got] == [r.to_dict() for r in want]
+        assert not any(r.exhaustive for r in got)
 
     def test_report_dict_shape(self, groups):
         rep = check_commutator_lemmas(groups["cyclic:4"], LemmaConfig(js=[1]))[0]
@@ -485,6 +500,27 @@ class TestWordStream:
                          for keep in (None, lambda a, b, c, d: np.ones(len(a), bool)))
             assert got == want and sum(shape[0] for _, shape, _ in got) == 100
 
+    @pytest.mark.parametrize("words", [1, 3, 7, 64, commutators.WORDS])
+    @pytest.mark.parametrize("head, tail", [([8] * 4, [8] * 3), ([6, 6], []), ([1], [1])],
+                             ids=["8x7", "6x2", "1x2"])
+    def test_one_modulus_stride_equals_the_rank_walk(self, monkeypatch, words, head, tail):
+        # with fewer words a read than a sample has draws, many reads finish no sample (done = 0)
+        monkeypatch.setattr(commutators, "WORDS", words)
+        mod, k = head[0], len(head) + len(tail)
+        stream = random.Random(words).getrandbits(32 * 16 * k * words)
+        stream = np.frombuffer(stream.to_bytes(4 * 16 * k * words, "little"), "<u4")
+        last = np.flatnonzero(stream >> (32 - mod.bit_length()) < mod)[k - 1::k]
+        ends = np.flatnonzero((last + 1) % words == 0) + 1  # counts whose last draw ends a read
+        ranks, accepted = [], commutators._accepted
+        monkeypatch.setattr(commutators, "_accepted", lambda *a: ranks.append(a[3]) or accepted(*a))
+        for count in (0, 1, 100, *ends[:2].tolist()):
+            for block in (1, 7, 2048):
+                got, want = ([(b.dtype, b.shape, b.tolist()) for b in
+                              _drawn(random.Random(words), count, head, keep, tail)(block)]
+                             for keep in (None, lambda *c: np.ones(len(c[0]), bool)))
+                assert got == want and sum(shape[0] for _, shape, _ in got) == count
+        assert len(ends) > 1 and ranks.count(False) == ranks.count(True) > 0
+
     def test_carries_words_across_reads(self):
         # 10 000 draws of 4-bit words, half of them rejected: about ten reads of WORDS words
         rng = random.Random(7)
@@ -576,3 +612,24 @@ class TestDrawWalkReads:
     def test_keep_rejecting_every_sample(self, monkeypatch, words):
         monkeypatch.setattr(commutators, "WORDS", words)
         assert drawn_rows(3, 2000, [5, 7], lambda a, b: a < 0, [3, 9]) == []
+
+
+def test_lemma_path_never_imports_numpy_random():
+    """Importing numpy.random costs every lemma run about 8 ms and 5 MB of peak; perfbench would
+    not see it at a non-zero seed, where its own relabelling imports numpy.random."""
+    code = (
+        "import sys\n"
+        "import grouper\n"
+        "from grouper.commutators import check_commutator_lemmas\n"
+        "from grouper.corpus import generate_corpus, run_theorem_suite\n"
+        "from grouper.groups import standard_group\n"
+        "reports = check_commutator_lemmas(standard_group('dihedral:8'))\n"
+        "assert [(r.lemma, r.j) for r in reports if not r.exhaustive] == [('homo', 3)]\n"
+        "run_theorem_suite(generate_corpus(8), 'lemmas')\n"
+        "print('numpy.random' in sys.modules)\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
