@@ -289,7 +289,7 @@ def _drawn(rng, count: int, head, keep=None, tail=()):
             words = np.concatenate([words, np.frombuffer(read, "<u4")])
             acc = {mod: _accepted(words, mod, k + 1, not stride) for mod in set(moduli)}
             pos, draws, first = acc[moduli[0]]
-            if stride:  # sample i is accepted draws k*i .. k*i + k - 1
+            if stride:
                 done = min((len(pos) - k - 1) // k, left)
                 new, nxt = draws[:done * k].reshape(done, k), done * k
             else:
