@@ -615,7 +615,7 @@ class TestDrawWalkReads:
 
 
 def test_lemma_path_never_imports_numpy_random():
-    """Importing numpy.random costs every lemma run about 8 ms and 5 MB of peak; perfbench would
+    """Importing numpy.random costs every lemma run 8-18 ms and 5-6 MB of peak; perfbench would
     not see it at a non-zero seed, where its own relabelling imports numpy.random."""
     code = (
         "import sys\n"
