@@ -22,9 +22,9 @@ pairs whose run reported incorrect outputs and the failed and attempted
 checks over all runs.  When any run reported `"correct": false`, the
 script exits with status 2 after writing the record.
 
-The two checkout paths should have the same length: `peak_rss_mb` moves by
-tenths of a MB with the checkout's directory name, so the script warns on
-stderr before the first pair when the lengths differ.
+The two checkout paths must have the same length: `peak_rss_mb` moves by
+tenths of a MB with the checkout's directory name, so when the lengths
+differ the script exits with status 2 before the first pair.
 """
 
 import argparse
@@ -85,9 +85,10 @@ def main() -> int:
 
     checkouts = {"parent": str(args.parent.resolve()), "change": str(args.change.resolve())}
     if len(checkouts["parent"]) != len(checkouts["change"]):
-        print(f"# warning: the checkout paths differ in length ({len(checkouts['parent'])} and "
+        print(f"# error: the checkout paths differ in length ({len(checkouts['parent'])} and "
               f"{len(checkouts['change'])} characters); peak_rss_mb moves with the checkout's "
-              "directory name", file=sys.stderr, flush=True)
+              "directory name", file=sys.stderr)
+        return 2
     runs = {side: [] for side in SIDES}
     for i in range(args.pairs):
         for side in SIDES if i % 2 == 0 else SIDES[::-1]:

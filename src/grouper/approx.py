@@ -28,16 +28,6 @@ from .groups import (
 )
 from .homs import _BATCH, AutGroup, AutSubgroup, HomSet, _gen_array, automorphism_group, enumerate_homs, key_groups
 
-FLAG_NAMES = (
-    "isLocalization",
-    "isCellularCover",
-    "isEnvelope",
-    "isCover",
-    "isPreenvelopeOfTargetClass",
-    "isPrecoverOfSourceClass",
-)
-
-
 class GroupClass:
     """A finite list of representatives; membership is up to isomorphism."""
 

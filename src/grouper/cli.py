@@ -40,7 +40,7 @@ from .errors import (
     UnreadableInput,
 )
 from .groups import FiniteGroup, GroupHom, describe_structure
-from .homs import _extend_batch, _gen_array, enumerate_homs
+from .homs import _Walk, _gen_array, enumerate_homs
 from .simple import simple_envelope_criterion, structural_flags
 from .specs import parse_group_spec
 
@@ -76,8 +76,12 @@ def _load_hom(path: str, H: FiniteGroup, G: FiniteGroup) -> GroupHom:
     if min(values) < 0 or max(values) >= G.order:
         raise MalformedHom(f"hom file {path} contains out-of-range elements")
     images = np.array(values, dtype=np.int32)
-    if len(values) != H.order:  # generator images: extend along words
-        images = _extend_batch(H, G.table, G.identity, images[None, :])[0]
+    if len(values) != H.order:  # generator images: the homs of a walk of that one candidate
+        walk = _Walk(H, [G], [[images[i:i + 1] for i in range(len(images))]])
+        rows = walk.homs(*walk.survivors(0))[1]
+        if not len(rows):
+            raise MalformedHom(f"hom file {path}: map is not multiplicative")
+        images = rows[0]
     try:
         return GroupHom(H, G, images)
     except ValueError as exc:

@@ -22,6 +22,8 @@ finds the index of any hom.  Keys are below the candidate-space size (at
 most ``CANDIDATE_CAP``), so they fit an ``int64`` for every pair that
 ``enumerate_homs`` accepts.  ``enumerate_homs(H, G)`` is a walk of one
 target, and ``find_isomorphism`` walks the same way over equal-order lists.
+A hom file of generator images (``cli._load_hom``) is extended and checked
+by a walk of that one candidate.
 """
 
 from __future__ import annotations
@@ -36,7 +38,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import EnumerationCapError
-from .groups import FiniteGroup, GroupHom, _close, _greedy_generators, center, generating_set_of_table, lex_rows
+from .groups import (FiniteGroup, GroupHom, _close, _greedy_generators, _power_orders, _table_close, center,
+                     generating_set_of_table, lex_rows)
 
 EXHAUSTIVE_CAP = 512
 CANDIDATE_CAP = 200_000_000
@@ -48,7 +51,7 @@ def _gen_array(G: FiniteGroup) -> np.ndarray:
     """The greedy ``generating_set_of_table`` of G as a read-only index array, memoized on G."""
 
     def compute():
-        close = functools.partial(_close, G.table)
+        close = functools.partial(_table_close, G.table)
         gens = np.array(_greedy_generators(close, G.identity, G.element_orders), dtype=np.intp)
         gens.setflags(write=False)
         return gens
@@ -138,31 +141,6 @@ def _search_plan(H: FiniteGroup) -> SimpleNamespace:
         return SimpleNamespace(depths=depths, pair_orders=pair_orders)
 
     return H.memo("search_plan", compute)
-
-
-def _extend_depth(images: np.ndarray, table: np.ndarray, gen_cols: np.ndarray, tree: np.ndarray) -> None:
-    """Write each candidate's images of the elements that the edges ``tree`` reach, ``_COLS``
-    edges at a time; the images of the edges' other ends must be written already."""
-    for lo in range(0, tree.shape[1], _COLS):
-        y, x, gp = tree[:, lo:lo + _COLS]
-        images[:, y] = table[images[:, x], gen_cols[:, gp]]
-
-
-def _extend_batch(H: FiniteGroup, table: np.ndarray, identity, gen_cols: np.ndarray) -> np.ndarray:
-    """Each candidate's images of every element of H, extended from its generator images
-    along the tree edges of ``_search_plan(H).depths``, depth by depth.
-
-    Row i of ``gen_cols`` holds candidate i's images of ``_gen_array(H)``
-    as columns of ``table``; ``identity`` is the row of the identity (one
-    per candidate, or one for all), and ``table[r, c]`` the row of the
-    product of row r and column c.  For a single target G these are
-    ``G.table``, ``G.identity`` and the images themselves.
-    """
-    images = np.empty((gen_cols.shape[0], H.order), dtype=np.int32)
-    images[:, H.identity] = identity
-    for tree, _ in _search_plan(H).depths:
-        _extend_depth(images, table, gen_cols, tree)
-    return images
 
 
 def _candidate_lists(H: FiniteGroup, G: FiniteGroup) -> list:
@@ -343,9 +321,9 @@ class _Walk:
         """(positions, images) of the homs among the candidates at ``pos`` with generator
         images ``cols``.
 
-        The candidates are extended as in ``_extend_batch``, depth by depth,
-        and after each depth the relators that close there are checked,
-        ``_COLS`` at a time; a candidate that fails one is dropped at once.
+        Depth by depth, the candidates are extended along the tree edges and
+        then checked on the relators that close there, ``_COLS`` edges at a
+        time; a candidate that fails one is dropped at once.
         Over all depths these are the equations f(x g) = f(x) f(g) for every
         x and each generator g, the tree edges holding by construction.
         Those equations suffice: f maps the identity to the identity, so
@@ -357,7 +335,9 @@ class _Walk:
         images = np.empty((len(pos), H.order), dtype=np.int32)
         images[:, H.identity] = self.identity[self._targets(pos)]
         for tree, relators in _search_plan(H).depths:
-            _extend_depth(images, table, cols, tree)
+            for lo in range(0, tree.shape[1], _COLS):
+                y, x, gp = tree[:, lo:lo + _COLS]
+                images[:, y] = table[images[:, x], cols[:, gp]]
             for lo in range(0, relators.shape[1], _COLS):
                 y, x, gp = relators[:, lo:lo + _COLS]
                 ok = (images[:, y] == table[images[:, x], cols[:, gp]]).all(axis=1)
@@ -503,34 +483,13 @@ class AutGroup:
     def _element_orders(self) -> np.ndarray:
         """Order of each automorphism: the least k with a^k fixing the generators of G."""
         gens = self.ends.gens
-        orders = np.zeros(self.order, dtype=np.int32)
-        todo, power = np.arange(self.order), self.perms[:, gens]
-        k = 1
-        while todo.size:
-            done = (power == gens).all(axis=1)
-            orders[todo[done]] = k
-            todo, power = todo[~done], power[~done]
-            power = self.perms[todo[:, None], power]
-            k += 1
-        return orders
+        return _power_orders(self.perms[:, gens], gens, lambda todo, power: self.perms[todo[:, None], power])
 
     def _close(self, reached: np.ndarray, gens: list) -> np.ndarray:
-        """Close the mask ``reached`` over Aut indices in place under right composition with ``gens``.
-
-        Level by level from the newly reached automorphisms x, each x.g is
-        located from its images of the generators of G: one ``locate`` per
-        frontier row and generator.
-        """
+        """Close the mask ``reached`` over Aut indices in place under right composition with
+        ``gens``: each x.g is located from its images of the generators of G."""
         cols = self.perms[:, self.ends.gens][gens]  # row j: generator j on the generators of G
-        new = reached
-        while True:
-            frontier = new.nonzero()[0]
-            if not frontier.size:
-                return reached
-            hit = np.zeros(len(reached), dtype=bool)
-            hit[self.locate(self.perms[frontier][:, cols])] = True
-            new = hit > reached
-            reached |= new
+        return _close(reached, lambda frontier: self.locate(self.perms[frontier][:, cols]))
 
     def hom(self, a: int) -> GroupHom:
         return GroupHom(self.base, self.base, self.perms[a], check=False)

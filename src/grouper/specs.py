@@ -39,9 +39,7 @@ class GroupSpecFile:
             G = standard_group(self.payload)
             return G.renamed(self.name) if self.name else G
         perms = [_parse_cycles_line(line, i + 1) for i, line in enumerate(self.payload)]
-        width = max(len(p) for p in perms)
-        padded = [tuple(p) + tuple(range(len(p), width)) for p in perms]
-        return build_from_permutations(padded, name=self.name or "G")
+        return build_from_permutations(perms, name=self.name or "G")
 
     def emit(self) -> str:
         lines = []

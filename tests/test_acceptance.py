@@ -218,7 +218,7 @@ def test_criterion_10_jobs_determinism(capfd):
             "verify", "--suite", "galois", "--max-order", "12"]
     out1 = subprocess.run(args + ["--jobs", "1"], capture_output=True, check=True).stdout
     out8 = subprocess.run(args + ["--jobs", "8"], capture_output=True, check=True).stdout
-    # same check in-process across the thread pool
+    # the same check in-process: suites run serially whatever jobs is, the second run from empty memos
     corpus = generate_corpus(12)
     r1 = run_theorem_suite(corpus, "cogalois", jobs=1).to_dict()
     forget_memos(corpus)

@@ -15,7 +15,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import index_of_row, oracle_aut_table, oracle_inner_members, relabelled
+from conftest import (
+    index_of_row,
+    oracle_aut_orders,
+    oracle_aut_table,
+    oracle_greedy_generators,
+    oracle_inner_members,
+    relabelled,
+)
 from grouper.approx import classify_hom, galois_group
 from grouper.corpus import generate_corpus
 from grouper.groups import _element_orders, generating_set_of_table, standard_group
@@ -51,6 +58,8 @@ class TestGenerators:
             table = oracle_aut_table(aut)
             assert aut.generators == generating_set_of_table(table, aut.identity), X.name
             assert (aut.element_orders == _element_orders(table, aut.identity)).all(), X.name
+            assert aut.generators == oracle_greedy_generators(aut), X.name
+            assert aut.element_orders.tolist() == oracle_aut_orders(aut), X.name
             assert aut.inner_order == len(oracle_inner_members(aut)), X.name
 
     def test_gl_3_3(self):

@@ -1,9 +1,13 @@
 import json
 
+import numpy as np
 import pytest
 
+from conftest import relabelled
 from grouper import cli
 from grouper.cli import main
+from grouper.groups import standard_group
+from grouper.homs import _gen_array, enumerate_homs
 
 
 def run(capsys, *argv):
@@ -74,6 +78,25 @@ class TestClassifyCommand:
         f.write_text("2\n")
         code, out, _ = run(capsys, "classify", "cyclic:2", "cyclic:4", "--hom", str(f))
         assert code == 0 and "hom: 0 2" in out
+
+    @pytest.mark.parametrize("source, target, relabel", [
+        ("symmetric:3", "symmetric:3", False),
+        ("product:cyclic:2,cyclic:2", "symmetric:3", False),
+        ("dihedral:8", "quaternion8", False),
+        ("alternating:4", "alternating:5", False),
+        ("alternating:4", "alternating:5", True),
+    ])
+    def test_hom_file_generator_images_of_every_row(self, tmp_path, source, target, relabel):
+        H, G = standard_group(source), standard_group(target)
+        if relabel:
+            rng = np.random.default_rng(5)
+            H, G = (relabelled(X, rng.permutation(X.order)) for X in (H, G))
+        gens = _gen_array(H)
+        assert len(gens) >= 2
+        f = tmp_path / "hom.txt"
+        for row in enumerate_homs(H, G).matrix:
+            f.write_text(" ".join(map(str, row[gens])) + "\n")
+            assert (cli._load_hom(str(f), H, G).images == row).all()
 
     def test_non_multiplicative_hom_exit_two(self, capsys, tmp_path):
         f = tmp_path / "hom.txt"
@@ -242,6 +265,18 @@ class TestBadInputFiles:
         code, out, err = run(capsys, "classify", "cyclic:2", "cyclic:4", "--hom", str(f))
         assert code == 2 and out == ""
         assert err.startswith("error:malformed-hom:") and why in err
+
+    def test_generator_images_of_two_generators_that_are_no_hom(self, capsys, tmp_path):
+        H, G = standard_group("product:cyclic:2,cyclic:2"), standard_group("symmetric:3")
+        images = np.flatnonzero(G.element_orders == 2)[:2]  # two transpositions, which do not commute
+        assert len(_gen_array(H)) == 2
+        assert not (enumerate_homs(H, G).matrix[:, _gen_array(H)] == images).all(axis=1).any()
+        f = tmp_path / "hom.txt"
+        f.write_text(" ".join(map(str, images)) + "\n")
+        code, out, err = run(capsys, "classify", "product:cyclic:2,cyclic:2", "symmetric:3", "--hom", str(f))
+        assert code == 2 and out == ""
+        assert err.startswith("error:malformed-hom:") and "hom file" in err
+        assert err.endswith(": map is not multiplicative\n")
 
 
 class TestVerifyCommand:

@@ -172,6 +172,12 @@ class TestGroupLaw:
             with pytest.raises(ValueError, match="associativity fails at element"):
                 FiniteGroup("C3xL5", table, generators=gens)
 
+    def test_powers_that_never_reach_the_identity_rejected(self):
+        # every row holds the identity, but 2 2 = 2, so the powers of 2 stay at 2
+        table = np.array([[0, 1, 2], [1, 2, 0], [2, 0, 2]])
+        with pytest.raises(ValueError, match="element order exceeds group order"):
+            FiniteGroup("stuck", table, generators=[1])
+
     def test_cyclic_table_past_old_cap_accepted(self):
         table = np.add.outer(np.arange(601), np.arange(601)) % 601
         assert FiniteGroup("C601", table, generators=[1]).order == 601

@@ -72,8 +72,8 @@ def fake_perfbench(value):
 
 def test_bench_pairs_reports_a_failing_run(tmp_path):
     good = fake_checkout(tmp_path / "good", fake_perfbench(1.0))
-    bad = fake_checkout(tmp_path / "bad", "import sys\nprint('boom: no workload', file=sys.stderr)\n"
-                                          "sys.exit(1)\n")
+    bad = fake_checkout(tmp_path / "fail", "import sys\nprint('boom: no workload', file=sys.stderr)\n"
+                                           "sys.exit(1)\n")
     proc = run_bench_pairs(tmp_path, good, bad, "--pairs", "2")
     assert proc.returncode == 2
     assert "# pair 0 change:" in proc.stderr and "exited 1" in proc.stderr
@@ -106,18 +106,20 @@ def test_bench_pairs_exits_two_on_incorrect_outputs(tmp_path):
     assert record["outcomes"]["parent"]["correct"] == [None, None]
 
 
-def test_bench_pairs_records_checkouts_and_warns_on_unequal_path_lengths(tmp_path):
+def test_bench_pairs_records_checkouts_and_refuses_unequal_path_lengths(tmp_path):
     parent = fake_checkout(tmp_path / "parent", fake_perfbench(2.0))
     change = fake_checkout(tmp_path / "change", fake_perfbench(1.5))
     longer = fake_checkout(tmp_path / "change-2", fake_perfbench(1.5))
-    proc = run_bench_pairs(tmp_path, parent, change, "--pairs", "1")
-    assert proc.returncode == 0 and "warning" not in proc.stderr, proc.stderr
     proc = run_bench_pairs(tmp_path, parent, longer, "--pairs", "1")
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == 2 and proc.stdout == ""
     n = len(str(parent.resolve()))
-    assert f"# warning: the checkout paths differ in length ({n} and {n + 2} characters)" in proc.stderr
+    assert proc.stderr == (f"# error: the checkout paths differ in length ({n} and {n + 2} characters); "
+                           "peak_rss_mb moves with the checkout's directory name\n")
+    assert not (tmp_path / "out.json").exists()
+    proc = run_bench_pairs(tmp_path, parent, change, "--pairs", "1")
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
     record = json.loads((tmp_path / "out.json").read_text())["t"]
-    assert record["checkouts"] == {"parent": str(parent.resolve()), "change": str(longer.resolve())}
+    assert record["checkouts"] == {"parent": str(parent.resolve()), "change": str(change.resolve())}
 
 
 def run_compare_verify(parent, change, suite="cogalois", max_order=4):
