@@ -5,7 +5,8 @@
 
 PARENT and CHANGE are two checkouts of grouper.  The script runs its own
 digest (`--digest`) with each checkout's `src/` on `PYTHONPATH`.  Over
-`generate_corpus(N)`, in corpus order, the digest hashes seven kinds:
+`generate_corpus(N)`, in corpus order, the digest hashes the first seven of
+eight kinds:
 
 - hom-sets: each budgeted `enumerate_homs(H, G)`, its `matrix` and `keys`;
 - aut-groups: each `automorphism_group(G)`, its `perms`, `end_rows`,
@@ -31,6 +32,15 @@ digest (`--digest`) with each checkout's `src/` on `PYTHONPATH`.  Over
   dict counts its samples, not what they draw, so every block of rows that
   `commutators._drawn` yields is hashed too.
 
+The eighth kind, groups, covers the standard descriptors, which the corpus
+never reaches at S5, A5, A6, S6, A7 or Heis5:
+
+- groups: `standard_group(d)` for every family in `FAMILIES` at arguments
+  0..max(N, 7), for `quaternion8`, for every `product:cyclic:a,cyclic:b` with
+  a*b <= N and for each descriptor in `MALFORMED`; it hashes the group's
+  name, order, identity, generators, table and `element_perms`, or the type
+  and message of the error it raises.
+
 Arrays are hashed by shape and int64 value, so a change of dtype alone is no
 difference; absolute and relative reports are hashed as JSON with sorted keys.  The script
 prints, per kind, the number of items and whether the two sides match, and
@@ -48,10 +58,14 @@ import sys
 import time
 from pathlib import Path
 
-KINDS = ("hom-sets", "aut-groups", "verdicts", "absolute", "relative", "reps", "lemmas")
+KINDS = ("hom-sets", "aut-groups", "verdicts", "absolute", "relative", "reps", "lemmas", "groups")
 RELATIVE_CLASSES = ("C2", "C3", "C4", "C2xC2", "D6")
 VERDICT_FIELDS = ("matrix", "is_envelope", "is_localization", "is_cover", "is_cellular",
                   "is_preenvelope", "is_precover", "galois_orders", "co_galois_orders")
+FAMILIES = ("cyclic", "dihedral", "symmetric", "alternating", "heisenberg")
+MALFORMED = ("", "Cyclic:4", "cyclic", "cyclic:x", "cyclic:4:2", "cyclic:-1", "cyclic:5001", "dihedral:5001",
+             "frob:5", "frob:x", "frob:0", "quaternion8:3", "product", "product:", "product:cyclic:2",
+             "product:cyclic:2,,", "product:cyclic:80,cyclic:80", "product:cyclic:80,cyclic:80,frob:2")
 
 
 def _hash(*values) -> str:
@@ -107,6 +121,30 @@ def digest(max_order: int) -> dict:
                 h.update(json.dumps(report, sort_keys=True).encode())
             out["reps"].append([pair, h.hexdigest()])
     out["lemmas"] = _lemma_digest(corpus)
+    out["groups"] = _group_digest(max_order)
+    return out
+
+
+def _group_digest(max_order: int) -> list:
+    """[descriptor, sha256] per standard descriptor: its group's name, order, identity,
+    generators, table and element_perms, or the type and message of its error."""
+    from grouper.groups import standard_group
+
+    top = max(max_order, 7)
+    descriptors = [f"{family}:{n}" for family in FAMILIES for n in range(top + 1)] + ["quaternion8"]
+    descriptors += [f"product:cyclic:{a},cyclic:{b}"
+                    for a in range(1, max_order + 1) for b in range(1, max_order // a + 1)]
+    out = []
+    for desc in descriptors + list(MALFORMED):
+        try:
+            G = standard_group(desc)
+        except Exception as exc:  # a changed error type is a difference, not a failed run
+            h = hashlib.sha256(f"{type(exc).__name__}: {exc}".encode())
+        else:
+            head = [G.name, G.order, int(G.identity), [int(g) for g in G.generators]]
+            h = hashlib.sha256(json.dumps(head).encode())
+            h.update(_hash(G.table, G.element_perms or []).encode())
+        out.append([desc, h.hexdigest()])
     return out
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -371,12 +371,7 @@ def _reduction_worker(H, G):
 
 def _make_lemma_worker(lemma_config):
     """Commutator identity checks; central-series lemmas on nilpotent members."""
-    cfg_ids = LemmaConfig(
-        max_tuples=lemma_config.max_tuples,
-        samples=lemma_config.samples,
-        seed=lemma_config.seed,
-        js=[1],
-    )
+    cfg_ids = replace(lemma_config, js=[1])
 
     def worker(G):
         if _is_nilpotent(G):

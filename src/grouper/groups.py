@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import (
     ClosureCapExceeded,
+    EnumerationCapError,
     MalformedPermutation,
     NotNormalError,
     OrderCapExceeded,
@@ -606,6 +607,14 @@ def _cyclic(n: int) -> FiniteGroup:
     return FiniteGroup(f"C{n}", table, generators=[1] if n > 1 else [0])
 
 
+def _permutation_family(name: str, gens, order: int) -> FiniteGroup:
+    """``build_from_permutations``, checked to reach ``order``."""
+    G = build_from_permutations(gens, name=name)
+    if G.order != order:
+        raise UnsupportedFamily(f"{name} construction produced order {G.order}")
+    return G
+
+
 def _dihedral(order: int) -> FiniteGroup:
     if order % 2 != 0 or order < 2:
         raise UnsupportedFamily(f"dihedral order must be even and >= 2, got {order}")
@@ -618,10 +627,7 @@ def _dihedral(order: int) -> FiniteGroup:
         rot = tuple((i + 1) % n for i in range(n))
         refl = tuple((n - i) % n for i in range(n))
         gens = [rot, refl]
-    G = build_from_permutations(gens, name=f"D{order}")
-    if G.order != order:
-        raise UnsupportedFamily(f"dihedral construction produced order {G.order}")
-    return G
+    return _permutation_family(f"D{order}", gens, order)
 
 
 def _symmetric(n: int) -> FiniteGroup:
@@ -631,12 +637,12 @@ def _symmetric(n: int) -> FiniteGroup:
     if order > ORDER_CAP:
         raise OrderCapExceeded(f"|S_{n}| = {order} exceeds cap {ORDER_CAP}")
     if n <= 1:
-        return build_from_permutations([], name=f"S{n}")
+        return _permutation_family(f"S{n}", [], order)
     if n == 2:
-        return build_from_permutations([(1, 0)], name="S2")
+        return _permutation_family("S2", [(1, 0)], order)
     trans = perm_from_cycles("(1 2)", degree=n)
     ncyc = tuple((i + 1) % n for i in range(n))
-    return build_from_permutations([trans, ncyc], name=f"S{n}")
+    return _permutation_family(f"S{n}", [trans, ncyc], order)
 
 
 def _alternating(n: int) -> FiniteGroup:
@@ -646,45 +652,21 @@ def _alternating(n: int) -> FiniteGroup:
     if order > ORDER_CAP:
         raise OrderCapExceeded(f"|A_{n}| = {order} exceeds cap {ORDER_CAP}")
     if n <= 2:
-        return build_from_permutations([], name=f"A{n}")
+        return _permutation_family(f"A{n}", [], order)
     if n == 3:
-        return build_from_permutations([perm_from_cycles("(1 2 3)")], name="A3")
+        return _permutation_family("A3", [perm_from_cycles("(1 2 3)")], order)
     three = perm_from_cycles("(1 2 3)", degree=n)
     if n % 2 == 1:
         big = tuple((i + 1) % n for i in range(n))
     else:
         big = (0,) + tuple(1 + (i + 1) % (n - 1) for i in range(n - 1))
-    G = build_from_permutations([three, big], name=f"A{n}")
-    if G.order != order:
-        raise UnsupportedFamily(f"alternating construction produced order {G.order}")
-    return G
-
-
-_QUAT_AXES = {
-    ("i", "i"): (-1, "e"), ("j", "j"): (-1, "e"), ("k", "k"): (-1, "e"),
-    ("i", "j"): (1, "k"), ("j", "k"): (1, "i"), ("k", "i"): (1, "j"),
-    ("j", "i"): (-1, "k"), ("k", "j"): (-1, "i"), ("i", "k"): (-1, "j"),
-}
+    return _permutation_family(f"A{n}", [three, big], order)
 
 
 def _quaternion8() -> FiniteGroup:
-    units = [(s, a) for a in "eijk" for s in (1, -1)]
-    index = {u: i for i, u in enumerate(units)}
-
-    def qmul(u, v):
-        s1, a1 = u
-        s2, a2 = v
-        if a1 == "e":
-            return (s1 * s2, a2)
-        if a2 == "e":
-            return (s1 * s2, a1)
-        s3, a3 = _QUAT_AXES[(a1, a2)]
-        return (s1 * s2 * s3, a3)
-
-    def left_perm(u):
-        return tuple(index[qmul(u, v)] for v in units)
-
-    return build_from_permutations([left_perm((1, "i")), left_perm((1, "j"))], name="Q8")
+    """Left multiplication by i and by j on the units e, -e, i, -i, j, -j, k, -k."""
+    gens = [perm_from_cycles("(1 3 2 4)(5 7 6 8)"), perm_from_cycles("(1 5 2 6)(3 8 4 7)")]
+    return _permutation_family("Q8", gens, 8)
 
 
 def _heisenberg(p: int) -> FiniteGroup:
@@ -702,11 +684,13 @@ def _heisenberg(p: int) -> FiniteGroup:
     return FiniteGroup(f"Heis{p}", table, generators=[p * p, p])
 
 
-def _parse_product_parts(payload: str) -> list:
-    parts = [part.strip() for part in payload.split(",") if part.strip()]
-    if len(parts) < 2:
-        raise UnsupportedFamily(f"product needs at least two factors, got {payload!r}")
-    return parts
+_FAMILIES = {
+    "cyclic": _cyclic,
+    "dihedral": _dihedral,
+    "symmetric": _symmetric,
+    "alternating": _alternating,
+    "heisenberg": _heisenberg,
+}
 
 
 @functools.lru_cache(maxsize=None)
@@ -715,37 +699,26 @@ def standard_group(descriptor: str) -> FiniteGroup:
     desc = descriptor.strip()
     if desc == "quaternion8":
         return _quaternion8()
-    if desc.startswith("product:"):
-        parts = _parse_product_parts(desc[len("product:") :])
-        groups = [standard_group(part) for part in parts]
-        out = groups[0]
-        for nxt in groups[1:]:
-            out = direct_product(out, nxt)
-        return out
-    if ":" not in desc:
+    family, colon, arg = desc.partition(":")
+    if family == "product" and colon:
+        parts = [part.strip() for part in arg.split(",") if part.strip()]
+        if len(parts) < 2:
+            raise UnsupportedFamily(f"product needs at least two factors, got {arg!r}")
+        # every factor first, so a bad factor wins over the product's order cap
+        return functools.reduce(direct_product, [standard_group(part) for part in parts])
+    if not colon:
         raise UnsupportedFamily(f"unrecognized family descriptor {descriptor!r}")
-    family, _, arg = desc.partition(":")
     try:
         n = int(arg)
     except ValueError:
         raise UnsupportedFamily(f"bad numeric argument in {descriptor!r}") from None
     if n < 1:
         raise UnsupportedFamily(f"argument must be positive in {descriptor!r}")
-    if family == "cyclic":
-        if n > ORDER_CAP:
-            raise OrderCapExceeded(f"cyclic({n}) exceeds order cap {ORDER_CAP}")
-        return _cyclic(n)
-    if family == "dihedral":
-        if n > ORDER_CAP:
-            raise OrderCapExceeded(f"dihedral({n}) exceeds order cap {ORDER_CAP}")
-        return _dihedral(n)
-    if family == "symmetric":
-        return _symmetric(n)
-    if family == "alternating":
-        return _alternating(n)
-    if family == "heisenberg":
-        return _heisenberg(n)
-    raise UnsupportedFamily(f"unknown family {family!r}")
+    if family not in _FAMILIES:
+        raise UnsupportedFamily(f"unknown family {family!r}")
+    if family in ("cyclic", "dihedral") and n > ORDER_CAP:
+        raise OrderCapExceeded(f"{family}({n}) exceeds order cap {ORDER_CAP}")
+    return _FAMILIES[family](n)
 
 
 # ---------------------------------------------------------------------------
@@ -831,7 +804,9 @@ def isomorphism(G1: FiniteGroup, G2: FiniteGroup):
 
 
 def are_isomorphic(G1: FiniteGroup, G2: FiniteGroup) -> bool:
-    """Whether G1 and G2 are isomorphic; memoized on G1."""
+    """Whether G1 and G2 are isomorphic; memoized on G1, and true at once for one group."""
+    if G1 is G2:
+        return True
     return G1.memo(("isomorphic", G2), lambda: isomorphism(G1, G2) is not None)
 
 
@@ -854,7 +829,8 @@ def _chain_ok(chain) -> bool:
 
 
 def describe_structure(G: FiniteGroup) -> str:
-    """Human-readable isomorphism-type label for small groups."""
+    """Human-readable isomorphism-type label for small groups; ``nonabelian(n)`` when no
+    candidate family matches or the isomorphism search would pass ``homs.EXHAUSTIVE_CAP``."""
     n = G.order
     if n == 1:
         return "1"
@@ -888,7 +864,7 @@ def describe_structure(G: FiniteGroup) -> str:
         try:
             if are_isomorphic(G, standard_group(cand)):
                 return standard_group(cand).name
-        except (UnsupportedFamily, OrderCapExceeded):
+        except (UnsupportedFamily, OrderCapExceeded, EnumerationCapError):
             continue
     return f"nonabelian({n})"
 

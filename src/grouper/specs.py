@@ -2,7 +2,7 @@
 
 Two spec kinds are supported:
 
-* ``family``: a single descriptor line such as ``cyclic:4``, ``dihedral:6``,
+* ``family``: a single descriptor line, in any case, such as ``cyclic:4``, ``dihedral:6``,
   ``quaternion8``, ``heisenberg:3`` or ``product:cyclic:2,cyclic:4``.
 * ``permutations``: one generator per line in cycle notation with 1-based
   points, e.g. ``(1 2 3)(4 5)``.  Commas or spaces may separate points.
@@ -86,7 +86,7 @@ def parse_group_spec(text: str) -> GroupSpecFile:
     if head in _FAMILY_HEADS:
         if len(lines) > 1:
             raise SpecParseError("family spec must be a single line", lines[1][0], 1)
-        return GroupSpecFile(name, "family", first.replace(" ", ""))
+        return GroupSpecFile(name, "family", first.replace(" ", "").lower())
     if not first.startswith("("):
         raise SpecParseError(
             f"unknown family or malformed cycle line: {first!r}", lines[0][0], 1

@@ -37,6 +37,16 @@ class TestGroupCommand:
         code, out, _ = run(capsys, "group", str(f))
         assert code == 0 and "name: K" in out
 
+    @pytest.mark.parametrize(
+        "spec,structure",
+        [("symmetric:6", "S6"), ("alternating:7", "A7"), ("(1 2);(1 2 3 4 5 6)", "nonabelian(720)"),
+         ("Cyclic:4", "C4")],
+    )
+    def test_structure_of_large_and_capitalised_specs(self, capsys, spec, structure):
+        code, out, err = run(capsys, "group", spec)
+        assert code == 0, err
+        assert f"structure: {structure}" in out.splitlines()
+
     def test_bad_spec_exit_two(self, capsys):
         code, _, err = run(capsys, "group", "frobnitz:5")
         assert code == 2

@@ -105,6 +105,15 @@ class TestFamilies:
         G = standard_group("quaternion8")
         assert sorted(G.element_orders.tolist()) == [1, 2, 4, 4, 4, 4, 4, 4]
 
+    def test_q8_generators_satisfy_the_quaternion_presentation(self):
+        G = standard_group("quaternion8")
+        i, j = G.generators
+        i2, j2 = G.mul(i, i), G.mul(j, j)
+        assert G.mul(i2, i2) == G.identity
+        assert i2 == j2 != G.identity
+        assert G.mul(G.mul(j, i), G.inv(j)) == G.inv(i)
+        assert describe_structure(G) == "Q8"
+
     def test_heisenberg_exponent(self):
         G = standard_group("heisenberg:3")
         assert set(G.element_orders.tolist()) == {1, 3}

@@ -16,6 +16,14 @@ class TestFamilySpecs:
         G = parse_group_spec("product:cyclic:2,cyclic:4").build()
         assert G.order == 8 and G.is_abelian
 
+    @pytest.mark.parametrize(
+        "typed,lower",
+        [("Cyclic:4", "cyclic:4"), ("QUATERNION8", "quaternion8"),
+         ("Product:Cyclic:2,cyclic:3", "product:cyclic:2,cyclic:3")],
+    )
+    def test_case_insensitive(self, typed, lower):
+        assert parse_group_spec(typed).build() is standard_group(lower)
+
     def test_whitespace_insensitive(self):
         G = parse_group_spec("  dihedral:6  ").build()
         assert G.order == 6
