@@ -5,8 +5,8 @@
 
 PARENT and CHANGE are two checkouts of grouper.  The script runs its own
 digest (`--digest`) with each checkout's `src/` on `PYTHONPATH`.  Over
-`generate_corpus(N)`, in corpus order, the digest hashes the first seven of
-eight kinds:
+`generate_corpus(N)`, in corpus order, the digest hashes the first eight of
+nine kinds:
 
 - hom-sets: each budgeted `enumerate_homs(H, G)`, its `matrix` and `keys`;
 - aut-groups: each `automorphism_group(G)`, its `perms`, `end_rows`,
@@ -30,9 +30,14 @@ eight kinds:
   every report under `LemmaConfig()` and under `LemmaConfig(max_tuples=500,
   samples=2000)`, which makes most reports sampled.  A sampled report's
   dict counts its samples, not what they draw, so every block of rows that
-  `commutators._drawn` yields is hashed too.
+  `commutators._drawn` yields is hashed too;
+- isomorphisms: the images of `find_isomorphism(G1, G2)`, or None, for
+  every ordered pair of corpus groups of equal order, and then for each
+  group against one relabelled copy of it, the relabellings drawn from one
+  generator seeded with `RELABEL_SEED`.  It guards the promise of the first
+  bijection in canonical order.
 
-The eighth kind, groups, covers the standard descriptors, which the corpus
+The ninth kind, groups, covers the standard descriptors, which the corpus
 never reaches at S5, A5, A6, S6, A7 or Heis5:
 
 - groups: `standard_group(d)` for every family in `FAMILIES` at arguments
@@ -58,7 +63,8 @@ import sys
 import time
 from pathlib import Path
 
-KINDS = ("hom-sets", "aut-groups", "verdicts", "absolute", "relative", "reps", "lemmas", "groups")
+KINDS = ("hom-sets", "aut-groups", "verdicts", "absolute", "relative", "reps", "lemmas", "isomorphisms", "groups")
+RELABEL_SEED = 33
 RELATIVE_CLASSES = ("C2", "C3", "C4", "C2xC2", "D6")
 VERDICT_FIELDS = ("matrix", "is_envelope", "is_localization", "is_cover", "is_cellular",
                   "is_preenvelope", "is_precover", "galois_orders", "co_galois_orders")
@@ -121,7 +127,33 @@ def digest(max_order: int) -> dict:
                 h.update(json.dumps(report, sort_keys=True).encode())
             out["reps"].append([pair, h.hexdigest()])
     out["lemmas"] = _lemma_digest(corpus)
+    out["isomorphisms"] = _isomorphism_digest(corpus)
     out["groups"] = _group_digest(max_order)
+    return out
+
+
+def _isomorphism_digest(corpus) -> list:
+    """[pair name, sha256] of the images of ``find_isomorphism`` (or None) per ordered pair of
+    equal-order corpus groups, then per group against a seeded relabelled copy of it."""
+    import numpy as np
+
+    from grouper.groups import FiniteGroup
+    from grouper.homs import find_isomorphism
+
+    def images(G1, G2) -> str:
+        phi = find_isomorphism(G1, G2)
+        return _hash(phi.images) if phi is not None else "None"
+
+    out = [[f"{G1.name}->{G2.name}", images(G1, G2)]
+           for G1 in corpus for G2 in corpus if G1.order == G2.order]
+    rng = np.random.default_rng(RELABEL_SEED)
+    for G in corpus:
+        perm = rng.permutation(G.order)
+        table = np.empty_like(G.table)
+        table[np.ix_(perm, perm)] = perm[G.table]
+        moved = FiniteGroup(G.name + "'", table, generators=perm[G.generators].tolist(),
+                            identity=int(perm[G.identity]))
+        out.append([f"{G.name}->{moved.name}", images(G, moved)])
     return out
 
 

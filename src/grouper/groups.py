@@ -804,10 +804,12 @@ def isomorphism(G1: FiniteGroup, G2: FiniteGroup):
 
 
 def are_isomorphic(G1: FiniteGroup, G2: FiniteGroup) -> bool:
-    """Whether G1 and G2 are isomorphic; memoized on G1, and true at once for one group."""
+    """Whether G1 and G2 are isomorphic; memoized on G1, and true at once for one group or
+    for two with equal tables and identities, such as a renamed copy."""
     if G1 is G2:
         return True
-    return G1.memo(("isomorphic", G2), lambda: isomorphism(G1, G2) is not None)
+    return G1.memo(("isomorphic", G2), lambda: (G1.identity == G2.identity and np.array_equal(G1.table, G2.table))
+                   or isomorphism(G1, G2) is not None)
 
 
 # ---------------------------------------------------------------------------

@@ -11,15 +11,17 @@ the digits, on its first call, from the same ``_divisor_positions``.
 
 ``enumerate_source(H, targets)`` searches the candidate spaces of all the
 given targets of H in one walk (``_Walk``), with what the search needs of
-H alone built once (``_search_plan``).  A candidate is kept when the
-products of two generator images have orders dividing those in H, then
-when it satisfies the hom equations.  Those are checked depth by depth
-along the breadth-first word table of H, so a candidate is dropped at the
-first relator of H that it fails; no random numbers are drawn.  A hom's
-key is its place in its target's walk, so every hom set comes in canonical
-order, strictly increasing in key, and ``np.searchsorted`` over the keys
-finds the index of any hom.  Keys are below the candidate-space size (at
-most ``CANDIDATE_CAP``), so they fit an ``int64`` for every pair that
+H alone built once (``_search_plan``).  A candidate is kept when its
+products of generator images along short words (length 2 to 4, one per
+rotation class; length 2 only for an abelian H) have orders dividing those
+of the words in H, then when it satisfies the hom equations.  Those are
+checked depth by depth along the breadth-first word table of H, one row of
+images per element of H, so a candidate is dropped at the first relator of
+H that it fails; no random numbers are drawn.  A hom's key is its place
+in its target's walk, so every hom set comes in canonical order, strictly
+increasing in key, and ``np.searchsorted`` over the keys finds the index of
+any hom.  Keys are below the candidate-space size (at most
+``CANDIDATE_CAP``), so they fit an ``int64`` for every pair that
 ``enumerate_homs`` accepts.  ``enumerate_homs(H, G)`` is a walk of one
 target, and ``find_isomorphism`` walks the same way over equal-order lists.
 A hom file of generator images (``cli._load_hom``) is extended and checked
@@ -44,7 +46,7 @@ from .groups import (FiniteGroup, GroupHom, _close, _greedy_generators, _power_o
 EXHAUSTIVE_CAP = 512
 CANDIDATE_CAP = 200_000_000
 _BATCH = 8192
-_COLS = 64  # word-table edges per slice of the extension and relator checks, bounding their temporaries
+_COLS = 64  # word-table edges per slice of the extension and relator checks; a temporary holds _COLS image rows
 
 
 def _gen_array(G: FiniteGroup) -> np.ndarray:
@@ -105,16 +107,30 @@ def _divisor_positions(G: FiniteGroup, o: int) -> tuple:
 def _search_plan(H: FiniteGroup) -> SimpleNamespace:
     """What a hom search from H needs of H alone, memoized on H.
 
-    With ``gens`` the generators ``_gen_array(H)``, ``pair_orders`` holds
-    (a, b, o) for each ordered pair of generator positions, o the order of
-    gens[a] gens[b].  ``depths`` is the breadth-first word table of H in
-    ``gens``, one pair (tree, relators) per depth d, each an index array of
-    three rows (y, x, p) for the edges y = x gens[p] of the Cayley graph:
-    ``tree`` the edges that first reach the elements y at depth d, and
-    ``relators`` every other edge whose deeper end lies at depth d.  A map
-    extended along the tree edges satisfies f(y) = f(x) f(gens[p]) on them
-    by construction; on a relator edge that equation is a relator of H,
-    and it can be checked once the images to depth d are known.
+    With ``gens`` the generators ``_gen_array(H)``, ``words`` holds (w, o)
+    for each filter word: w a tuple of generator positions, of length 2 to
+    4, and o the order of gens[w[0]] gens[w[1]] ... in H.  A hom maps an
+    element of order o to one whose order divides o, so a candidate whose
+    product of images along w has an order not dividing o is no hom.  Rotations of a
+    word are conjugate, in H and in any target, so only the least rotation
+    of each class is kept; a power of one generator is dropped, since
+    o(x) | o(g) already gives o(x^L) | o(g^L).  For an abelian H the words
+    stop at length 2: its commutation relators close at depth 2 of the word
+    table, so the walk already drops there what longer words would.
+    ``trie`` evaluates the words by their prefixes: one triple (parents,
+    letters, checks) per length L from 2 on, whose node i is the prefix of
+    length L that extends node parents[i] of length L - 1 (a generator at
+    L = 1) by the generator letters[i], and ``checks`` pairs (i, o) for the
+    nodes that are filter words.
+
+    ``depths`` is the breadth-first word table of H in ``gens``, one pair
+    (tree, relators) per depth d, each an index array of three rows
+    (y, x, p) for the edges y = x gens[p] of the Cayley graph: ``tree`` the
+    edges that first reach the elements y at depth d, and ``relators``
+    every other edge whose deeper end lies at depth d.  A map extended
+    along the tree edges satisfies f(y) = f(x) f(gens[p]) on them by
+    construction; on a relator edge that equation is a relator of H, and it
+    can be checked once the images to depth d are known.
     """
 
     def compute():
@@ -136,9 +152,21 @@ def _search_plan(H: FiniteGroup) -> SimpleNamespace:
         for d, relator, *edge in edges:
             depths[d][relator].append(edge)
         depths = [tuple(np.array(e, dtype=np.intp).reshape(-1, 3).T for e in pair) for pair in depths]
-        pair_orders = [(a, b, int(H.element_orders[H.table[x, y]]))
-                       for a, x in enumerate(gens) for b, y in enumerate(gens)]
-        return SimpleNamespace(depths=depths, pair_orders=pair_orders)
+        top = 2 if H.is_abelian else 4
+        words = [w for n in range(2, top + 1) for w in itertools.product(range(len(gens)), repeat=n)
+                 if len(set(w)) > 1 and w == min(w[i:] + w[:i] for i in range(n))]
+        words = [(w, int(H.element_orders[functools.reduce(lambda x, a: H.table[x, gens[a]], w, H.identity)]))
+                 for w in words]
+        trie, nodes = [], [(a,) for a in range(len(gens))]
+        for n in range(2, top + 1):
+            parent_of = {w: i for i, w in enumerate(nodes)}
+            nodes = sorted({w[:n] for w, _ in words if len(w) >= n})
+            if not nodes:
+                break
+            checks = [(nodes.index(w), o) for w, o in words if len(w) == n]
+            trie.append((np.array([parent_of[w[:-1]] for w in nodes], dtype=np.intp),
+                         np.array([w[-1] for w in nodes], dtype=np.intp), checks))
+        return SimpleNamespace(depths=depths, words=words, trie=trie)
 
     return H.memo("search_plan", compute)
 
@@ -265,10 +293,13 @@ class _Walk:
     run table, (sum |G_t|) x max |G_t|, whose row ``lo_t + x`` holds row x
     of G_t raised by ``lo_t``: an image is held as its row ``lo_t + x``, a
     generator image also as its column x, and a product is one lookup
-    whatever its target.  For a walk of one target the run table is
-    ``G.table`` itself.  With ``bijective``, a candidate must send only the
-    identity to the identity, and the products of two generator images must
-    have the orders of those in H, not just divide them.
+    whatever its target, at ``row * width + column`` of the flat run table.
+    For a walk of one target the run table is ``G.table`` itself.  Arrays
+    of a block are element-major: one row per element of H (or per
+    generator, or per word) and one column per candidate, so each row is
+    contiguous.  With ``bijective``, a candidate must send only the identity
+    to the identity, and its products along the filter words must have the
+    orders of those in H, not just divide them.
     """
 
     def __init__(self, H: FiniteGroup, targets, lists, *, bijective: bool = False):
@@ -281,7 +312,7 @@ class _Walk:
                 )
         self.starts = [0, *itertools.accumulate(sizes)]
         self.ends = np.array(self.starts[1:])
-        self.elem_lo = np.array([0, *itertools.accumulate(G.order for G in targets)])
+        self.elem_lo = np.array([0, *itertools.accumulate(G.order for G in targets)], dtype=np.int32)
         if len(targets) == 1:
             (G,) = targets
             self.table, orders = G.table, G.element_orders
@@ -290,9 +321,12 @@ class _Walk:
             for G, lo in zip(targets, self.elem_lo.tolist()):
                 self.table[lo:lo + G.order, :G.order] = G.table + lo
             orders = np.concatenate([G.element_orders for G in targets])
+        if self.table.size >= 2**31:  # flat indices are int32 products of rows and columns
+            raise EnumerationCapError(f"run table of the walk from {H.name} has {self.table.size} entries")
+        self.flat, self.width = self.table.ravel(), self.table.shape[1]
         self.identity = np.array([G.identity + lo for G, lo in zip(targets, self.elem_lo.tolist())])
         self.allowed = {o: orders == o if bijective else o % orders == 0
-                        for o in {o for _, _, o in _search_plan(H).pair_orders}}
+                        for o in {o for _, o in _search_plan(H).words}}
         self.lists = lists
 
     @property
@@ -304,22 +338,31 @@ class _Walk:
 
     def survivors(self, lo: int) -> tuple:
         """(positions, columns) of the candidates, in the block from ``lo`` on, whose products
-        of two generator images have orders allowed by H."""
+        along the filter words of ``_search_plan`` have orders allowed by H; ``columns`` holds
+        one row per generator.
+
+        The words go by length through the prefix trie, one lookup per node
+        on its parent's products, and the block is compacted after each
+        length.
+        """
         hi = min(lo + _BATCH, self.starts[-1])
-        cols, rows = [], []
+        parts = []
         for t in range(bisect.bisect_right(self.starts, lo) - 1, bisect.bisect_left(self.starts, hi)):
             first, last = self.starts[t], self.starts[t + 1]
-            cols.append(lex_rows(self.lists[t], max(lo, first) - first, min(hi, last) - first))
-            rows.append(cols[-1] + self.elem_lo[t])
-        cols, rows = (np.concatenate(x) if len(x) > 1 else x[0] for x in (cols, rows))
-        keep = np.ones(hi - lo, dtype=bool)
-        for a, b, o in _search_plan(self.H).pair_orders:
-            keep &= self.allowed[o][self.table[rows[:, a], cols[:, b]]]
-        return np.arange(lo, hi)[keep], cols[keep]
+            parts.append(lex_rows(self.lists[t], max(lo, first) - first, min(hi, last) - first))
+        cols = np.concatenate(parts).T.copy()
+        pos = np.arange(lo, hi)
+        prods = cols + self.elem_lo[self._targets(pos)]
+        for parents, letters, checks in _search_plan(self.H).trie:
+            prods = self.flat.take(prods[parents] * self.width + cols[letters])
+            keep = np.logical_and.reduce([self.allowed[o].take(prods[node]) for node, o in checks])
+            if not keep.all():
+                pos, cols, prods = pos[keep], cols[:, keep], prods[:, keep]
+        return pos, cols
 
     def homs(self, pos: np.ndarray, cols: np.ndarray) -> tuple:
         """(positions, images) of the homs among the candidates at ``pos`` with generator
-        images ``cols``.
+        images ``cols``, one row per generator.
 
         Depth by depth, the candidates are extended along the tree edges and
         then checked on the relators that close there, ``_COLS`` edges at a
@@ -329,31 +372,31 @@ class _Walk:
         Those equations suffice: f maps the identity to the identity, so
         induction on the length of y as a word in the generators gives
         f(x y) = f(x) f(y).  So which candidates pass does not depend on the
-        order of the checks.  The images are in G_t's own labels.
+        order of the checks.  The images are built element-major and come
+        out one C-order row per hom, in G_t's own labels.
         """
-        H, table = self.H, self.table
-        images = np.empty((len(pos), H.order), dtype=np.int32)
-        images[:, H.identity] = self.identity[self._targets(pos)]
+        H, flat, width = self.H, self.flat, self.width
+        images = np.empty((H.order, len(pos)), dtype=np.int32)
+        images[H.identity] = self.identity[self._targets(pos)]
         for tree, relators in _search_plan(H).depths:
             for lo in range(0, tree.shape[1], _COLS):
                 y, x, gp = tree[:, lo:lo + _COLS]
-                images[:, y] = table[images[:, x], cols[:, gp]]
+                images[y] = flat.take(images[x] * width + cols[gp])
             for lo in range(0, relators.shape[1], _COLS):
                 y, x, gp = relators[:, lo:lo + _COLS]
-                ok = (images[:, y] == table[images[:, x], cols[:, gp]]).all(axis=1)
+                ok = (images[y] == flat.take(images[x] * width + cols[gp])).all(axis=0)
                 if not ok.all():
-                    images, pos, cols = images[ok], pos[ok], cols[ok]
+                    images, pos, cols = images[:, ok], pos[ok], cols[:, ok]
         if self.bijective:  # a trivial kernel, so with |H| = |G| the hom is bijective
-            one = (images == images[:, H.identity, None]).sum(axis=1) == 1
-            images, pos = images[one], pos[one]
-        images -= self.elem_lo[self._targets(pos), None]
-        return pos, images
+            one = (images == images[H.identity]).sum(axis=0) == 1
+            images, pos = images[:, one], pos[one]
+        return pos, np.subtract(images.T, self.elem_lo[self._targets(pos), None], order="C", dtype=np.int32)
 
     def hom_rows(self) -> list:
         """(images, keys) of every target's homs, in key order.
 
         A walk of one block keeps that block's rows.  A longer walk first
-        finds every block's survivors of the product orders, then writes
+        finds every block's survivors of the order filter, then writes
         each block's homs into one array with a row per survivor: its pages
         past the last hom are never written, and the homs are never held
         twice.

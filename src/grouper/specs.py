@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 from .errors import MalformedPermutation, SpecParseError
 from .groups import (
+    _FAMILIES,
     FiniteGroup,
     build_from_permutations,
     perm_from_cycles,
@@ -25,7 +26,7 @@ from .groups import (
     standard_group,
 )
 
-_FAMILY_HEADS = ("cyclic", "dihedral", "symmetric", "alternating", "heisenberg", "quaternion8", "product")
+_FAMILY_HEADS = (*_FAMILIES, "quaternion8", "product")
 
 
 @dataclass

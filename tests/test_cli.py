@@ -39,13 +39,20 @@ class TestGroupCommand:
 
     @pytest.mark.parametrize(
         "spec,structure",
-        [("symmetric:6", "S6"), ("alternating:7", "A7"), ("(1 2);(1 2 3 4 5 6)", "nonabelian(720)"),
-         ("Cyclic:4", "C4")],
+        [("symmetric:6", "S6"), ("alternating:7", "A7"), ("(1 2);(1 2 3 4 5 6)", "S6"),
+         ("(1 2 3 4 5 6);(1 2)", "nonabelian(720)"), ("Cyclic:4", "C4")],
     )
     def test_structure_of_large_and_capitalised_specs(self, capsys, spec, structure):
         code, out, err = run(capsys, "group", spec)
         assert code == 0, err
         assert f"structure: {structure}" in out.splitlines()
+
+    def test_structure_of_a_named_spec_past_the_isomorphism_cap(self, capsys, tmp_path):
+        f = tmp_path / "x.spec"
+        f.write_text("name: X\nsymmetric:6\n")
+        code, out, err = run(capsys, "group", str(f))
+        assert code == 0, err
+        assert "name: X" in out.splitlines() and "structure: S6" in out.splitlines()
 
     def test_bad_spec_exit_two(self, capsys):
         code, _, err = run(capsys, "group", "frobnitz:5")

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -237,6 +238,96 @@ class TestIsomorphismSearch:
         relabel = relabelled(G, np.random.default_rng(1).permutation(G.order))
         assert math.prod(len(m) for m in homs._candidate_lists(G, relabel)) > CANDIDATE_CAP
         assert are_isomorphic(G, relabel)
+
+
+def word_orders(G, gen_images, word) -> np.ndarray:
+    """Per row of generator images, the order in G of their product along ``word``."""
+    prod = gen_images[:, word[0]]
+    for a in word[1:]:
+        prod = G.table[prod, gen_images[:, a]]
+    return G.element_orders[prod]
+
+
+def passes(G, gen_images, words, bijective) -> np.ndarray:
+    """Mask of the rows of generator images whose every word has an order allowed by H."""
+    ok = np.ones(len(gen_images), dtype=bool)
+    for w, o in words:
+        got = word_orders(G, gen_images, w)
+        ok &= got == o if bijective else o % got == 0
+    return ok
+
+
+class TestOrderFilter:
+    """The filter words of ``_search_plan`` are sound: their recorded orders are those of H,
+    every hom passes them (every bijection with equal orders), and ``survivors`` keeps
+    exactly the candidates that pass, so it keeps every hom."""
+
+    EXTRA = [("alternating:5", "alternating:6"), ("alternating:6", "alternating:6"), ("symmetric:5", "symmetric:5")]
+
+    @staticmethod
+    def pairs(relabel: bool) -> list:
+        """Every budgeted pair of generate_corpus(16) and the EXTRA pairs, relabelled if asked,
+        each group by one permutation wherever it occurs."""
+        corpus = generate_corpus(16)
+        pairs = [(H, G) for H in corpus for G in corpus if _budget_ok(H, G)]
+        pairs += [(standard_group(a), standard_group(b)) for a, b in TestOrderFilter.EXTRA]
+        if relabel:
+            rng = np.random.default_rng(33)
+            moved = {id(G): relabelled(G, rng.permutation(G.order)) for pair in pairs for G in pair}
+            pairs = [(moved[id(H)], moved[id(G)]) for H, G in pairs]
+        return pairs
+
+    def check_walk(self, H, G, lists, bijective) -> np.ndarray:
+        """Assert that the walk's survivors are the candidates that pass every word; return them."""
+        walk = homs._Walk(H, [G], [lists], bijective=bijective)
+        everything = lex_rows(lists, 0, walk.starts[-1])
+        expected = np.flatnonzero(passes(G, everything, homs._search_plan(H).words, bijective))
+        found = [walk.survivors(lo) for lo in walk.blocks]
+        got = np.concatenate([np.empty(0, dtype=np.intp)] + [pos for pos, _ in found])
+        assert got.tolist() == expected.tolist(), (H.name, G.name)
+        assert all((cols.T == everything[pos]).all() for pos, cols in found), (H.name, G.name)
+        return got
+
+    @pytest.mark.parametrize("relabel", [False, True])
+    def test_words_are_least_rotations_with_the_orders_of_h(self, relabel):
+        sources = {id(H): H for H, _ in self.pairs(relabel)}.values()
+        for H in sources:
+            gens, words = homs._gen_array(H).tolist(), homs._search_plan(H).words
+            for w, o in words:
+                x = H.identity
+                for a in w:
+                    x = int(H.table[x, gens[a]])
+                assert o == H.element_orders[x], (H.name, w)
+            top = 2 if H.is_abelian else 4
+            classes = {min(w[i:] + w[:i] for i in range(len(w)))
+                       for n in range(2, top + 1) for w in itertools.product(range(len(gens)), repeat=n)
+                       if len(set(w)) > 1}
+            assert sorted(w for w, _ in words) == sorted(classes), H.name
+            assert all(len(set(w)) > 1 for w, _ in words), H.name
+
+    @pytest.mark.parametrize("relabel", [False, True])
+    def test_survivors_contain_every_hom(self, relabel):
+        for H, G in self.pairs(relabel):
+            survivors = self.check_walk(H, G, homs._candidate_lists(H, G), bijective=False)
+            hs = enumerate_homs(H, G)
+            assert passes(G, hs.matrix[:, hs.gens], homs._search_plan(H).words, False).all(), (H.name, G.name)
+            assert np.isin(hs.keys, survivors).all(), (H.name, G.name)
+
+    @pytest.mark.parametrize("relabel", [False, True])
+    def test_bijective_survivors_contain_every_isomorphism(self, relabel):
+        """Equal-order pairs: the walk of ``find_isomorphism``, over generator images of the
+        generators' own orders, keeps every bijection in End or Hom."""
+        for H, G in self.pairs(relabel):
+            if H.order != G.order:
+                continue
+            orders = H.element_orders[homs._gen_array(H)].tolist()
+            lists = [m[G.element_orders[m] == o] for m, o in zip(homs._candidate_lists(H, G), orders)]
+            self.check_walk(H, G, lists, bijective=True)
+            hs = enumerate_homs(H, G)
+            bijections = hs.matrix[hs.injective()][:, hs.gens]
+            assert passes(G, bijections, homs._search_plan(H).words, True).all(), (H.name, G.name)
+            phi = find_isomorphism(H, G)
+            assert (phi is None) == (len(bijections) == 0), (H.name, G.name)
 
 
 class TestCaps:

@@ -172,9 +172,9 @@ def run_compare_homs(parent, change, max_order=6):
 def test_compare_homs_of_this_checkout_with_itself():
     proc = run_compare_homs(ROOT, ROOT)
     assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.splitlines()[-8:]
+    lines = proc.stdout.splitlines()[-9:]
     assert [line.split(":")[0] for line in lines] == ["hom-sets", "aut-groups", "verdicts", "absolute", "relative",
-                                                      "reps", "lemmas", "groups"]
+                                                      "reps", "lemmas", "isomorphisms", "groups"]
     assert all(": identical (" in line for line in lines)
 
 
@@ -188,7 +188,7 @@ def test_compare_homs_names_the_first_differing_item():
         "hom-sets: identical (2 items)", "aut-groups: identical (2 items)",
         "verdicts: differ (2 vs 2 items), first at item 1: C2->C4", "absolute: identical (2 items)",
         "relative: identical (2 items)", "reps: identical (2 items)", "lemmas: identical (2 items)",
-        "groups: identical (2 items)"]
+        "isomorphisms: identical (2 items)", "groups: identical (2 items)"]
 
 
 def test_compare_homs_reports_a_failing_run(tmp_path):

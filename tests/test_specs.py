@@ -1,7 +1,7 @@
 import pytest
 
 from grouper.errors import SpecParseError
-from grouper.groups import are_isomorphic, standard_group
+from grouper.groups import _FAMILIES, are_isomorphic, standard_group
 from grouper.homs import end_set, enumerate_homs
 from grouper.specs import GroupSpecFile, parse_group_spec, spec_for_group
 
@@ -23,6 +23,12 @@ class TestFamilySpecs:
     )
     def test_case_insensitive(self, typed, lower):
         assert parse_group_spec(typed).build() is standard_group(lower)
+
+    @pytest.mark.parametrize("head", [*_FAMILIES, "quaternion8", "product"])
+    def test_every_family_head_parses_as_a_family(self, head):
+        """Every family of the family table, so a family added there alone is read too."""
+        text = {"quaternion8": "quaternion8", "product": "product:cyclic:2,cyclic:3"}.get(head, f"{head}:3")
+        assert parse_group_spec(text).kind == "family"
 
     def test_whitespace_insensitive(self):
         G = parse_group_spec("  dihedral:6  ").build()
