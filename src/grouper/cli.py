@@ -5,7 +5,8 @@ Groups are given either as inline spec text (family descriptors such as
 to spec files.  Homomorphisms are given as files listing target element
 indices: either one per source element, or one per source generator.
 
-Exit codes: 0 success, 1 failed ``--assert``, 2 input error.
+Exit codes: 0 success, 1 failed ``--assert``, 2 input error, 141 output pipe
+closed by its reader (128 + SIGPIPE, as a shell reports a writer that SIGPIPE ends).
 """
 
 from __future__ import annotations
@@ -77,8 +78,7 @@ def _load_hom(path: str, H: FiniteGroup, G: FiniteGroup) -> GroupHom:
         raise MalformedHom(f"hom file {path} contains out-of-range elements")
     images = np.array(values, dtype=np.int32)
     if len(values) != H.order:  # generator images: the homs of a walk of that one candidate
-        walk = _Walk(H, [G], [[images[i:i + 1] for i in range(len(images))]])
-        rows = walk.homs(*walk.survivors(0))[1]
+        rows = _Walk(H, [G], [[images[i:i + 1] for i in range(len(images))]]).hom_rows()[0][0]
         if not len(rows):
             raise MalformedHom(f"hom file {path}: map is not multiplicative")
         images = rows[0]
@@ -303,7 +303,7 @@ def _cmd_verify(args) -> int:
     if args.jobs < 1:
         raise InvalidOption(f"--jobs must be at least 1, got {args.jobs}")
     corpus = generate_corpus(args.max_order)
-    report = run_theorem_suite(corpus, args.suite, max_order=args.max_order, jobs=args.jobs)
+    report = run_theorem_suite(corpus, args.suite, jobs=args.jobs)
     payload = report.to_dict()
     lines = [
         f"suite: {report.suite}",
@@ -428,10 +428,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a reader that closed early shows here, not in the exit flush
+        return status
     except GrouperError as exc:
         print(f"error:{exc.code}: {exc.message}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # keep the exit flush silent
+        return 141
 
 
 if __name__ == "__main__":

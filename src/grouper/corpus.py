@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -369,32 +369,21 @@ def _reduction_worker(H, G):
     return len(v), violations, []
 
 
-def _make_lemma_worker(lemma_config):
+def _lemma_worker(G):
     """Commutator identity checks; central-series lemmas on nilpotent members."""
-    cfg_ids = replace(lemma_config, js=[1])
-
-    def worker(G):
-        if _is_nilpotent(G):
-            reports = check_commutator_lemmas(G, lemma_config)
-        else:
-            reports = [r for r in check_commutator_lemmas(G, cfg_ids) if r.lemma == "identities"]
-        violations = [
-            {"group": G.name, "lemma": r.lemma, "j": r.j, "tuple": list(bad)}
-            for r in reports
-            for bad in r.counterexamples
-        ]
-        return sum(r.tuples_checked for r in reports), violations, []
-
-    return worker
+    if _is_nilpotent(G):
+        reports = check_commutator_lemmas(G, LemmaConfig())
+    else:
+        reports = [r for r in check_commutator_lemmas(G, LemmaConfig(js=[1])) if r.lemma == "identities"]
+    violations = [
+        {"group": G.name, "lemma": r.lemma, "j": r.j, "tuple": list(bad)}
+        for r in reports
+        for bad in r.counterexamples
+    ]
+    return sum(r.tuples_checked for r in reports), violations, []
 
 
-def run_theorem_suite(
-    corpus,
-    suite: str,
-    max_order: int = 0,
-    jobs: int = 1,
-    lemma_config: LemmaConfig = None,
-) -> SuiteReport:
+def run_theorem_suite(corpus, suite: str, jobs: int = 1) -> SuiteReport:
     """Run one theorem suite over every ordered corpus pair within budget.
 
     Pairs run serially, in corpus order.  Before the first pair, every pair
@@ -406,18 +395,16 @@ def run_theorem_suite(
     classifies its homs and memoizes the verdicts on H, which the pair
     workers read through ``classify_pair``.  A batch's time counts in its
     first pair's ``pair_seconds``.  ``jobs`` is accepted and has no effect.
+    The report's ``max_order`` is the largest order in ``corpus``.
     """
     if suite not in SUITE_IDS:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITE_IDS}")
     if not corpus:
         raise ValueError("corpus is empty")
-    if max_order == 0:
-        max_order = max(g.order for g in corpus)
-    report = SuiteReport(suite=suite, max_order=max_order)
+    report = SuiteReport(suite=suite, max_order=max(g.order for g in corpus))
     if suite == "lemmas":
-        worker = _make_lemma_worker(lemma_config or LemmaConfig())
         # lemma violations carry j=None for identities, which does not compare with ints
-        _run([(G.name, (G,), []) for G in corpus], worker, report,
+        _run([(G.name, (G,), []) for G in corpus], _lemma_worker, report,
              lambda v: sorted((k, str(x)) for k, x in v.items()))
         return report
     worker = {

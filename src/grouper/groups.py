@@ -582,7 +582,7 @@ def _greedy_generators(close, identity: int, orders: np.ndarray) -> list:
     return gens or [identity]
 
 
-def direct_product(A: FiniteGroup, B: FiniteGroup, name: Optional[str] = None) -> FiniteGroup:
+def direct_product(A: FiniteGroup, B: FiniteGroup) -> FiniteGroup:
     n1, n2 = A.order, B.order
     if n1 * n2 > ORDER_CAP:
         raise OrderCapExceeded(f"product order {n1 * n2} exceeds cap {ORDER_CAP}")
@@ -594,12 +594,7 @@ def direct_product(A: FiniteGroup, B: FiniteGroup, name: Optional[str] = None) -
     ident = A.identity * n2 + B.identity
     if not gens:
         gens = [ident]
-    return FiniteGroup(
-        name or f"{A.name}x{B.name}",
-        table,
-        generators=gens,
-        identity=ident,
-    )
+    return FiniteGroup(f"{A.name}x{B.name}", table, generators=gens, identity=ident)
 
 
 def _cyclic(n: int) -> FiniteGroup:

@@ -153,35 +153,42 @@ class TestLocate:
         assert 20 <= closed < 40
 
 
+# On Linux a child that subprocess starts begins with its parent's peak in ru_maxrss, so the
+# child reports its own high-water mark, VmHWM, and falls back to ru_maxrss without /proc.
+_PRINT_PEAK_MB = (
+    "import resource, sys\n"
+    "try:\n"
+    "    with open('/proc/self/status') as fh:\n"
+    "        kb = next(int(line.split()[1]) for line in fh if line.startswith('VmHWM:'))\n"
+    "except OSError:\n"
+    "    kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / (1024 if sys.platform == 'darwin' else 1)\n"
+    "print(kb / 1024)\n"
+)
+
+
+def child_peak_mb(code: str) -> float:
+    """The peak memory in MB of a fresh interpreter that runs ``code``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code + _PRINT_PEAK_MB], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return float(proc.stdout)
+
+
 def test_building_aut_of_c3_cubed_stays_small():
     """Memory guard: Aut(C3 x C3 x C3) has order 11 232, and its table alone would be 505 MB."""
-    code = (
-        "import resource\n"
+    assert child_peak_mb(
         "from grouper.groups import standard_group\n"
         "from grouper.homs import automorphism_group\n"
         f"assert automorphism_group(standard_group({C3_CUBED!r})).order == 11232\n"
-        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
-    )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    peak_mb = int(proc.stdout) / (1024 * 1024 if sys.platform == "darwin" else 1024)
-    assert peak_mb < 150
+    ) < 150
 
 
 def test_enumerating_end_of_c4_cubed_holds_its_rows_once():
     """Memory guard: End(C4 x C4 x C4) has 262 144 rows of 64 images, a 67 MB matrix."""
-    code = (
-        "import resource\n"
+    assert child_peak_mb(
         "from grouper.groups import standard_group\n"
         "from grouper.homs import end_set\n"
         "assert len(end_set(standard_group('product:cyclic:4,cyclic:4,cyclic:4'))) == 4 ** 9\n"
-        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
-    )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    peak_mb = int(proc.stdout) / (1024 * 1024 if sys.platform == "darwin" else 1024)
-    assert peak_mb < 125
+    ) < 125

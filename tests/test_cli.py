@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +12,8 @@ from grouper import cli
 from grouper.cli import main
 from grouper.groups import standard_group
 from grouper.homs import _gen_array, enumerate_homs
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(capsys, *argv):
@@ -53,6 +59,16 @@ class TestGroupCommand:
         code, out, err = run(capsys, "group", str(f))
         assert code == 0, err
         assert "name: X" in out.splitlines() and "structure: S6" in out.splitlines()
+
+    def test_flags(self, capsys):
+        code, out, _ = run(capsys, "group", "alternating:5", "--flags")
+        assert code == 0
+        assert {"isSimple: true", "isPerfect: true", "isComplete: false"} <= set(out.splitlines())
+        code, out, _ = run(capsys, "--format", "json", "group", "alternating:5", "--flags")
+        data = json.loads(out)
+        assert code == 0 and (data["isSimple"], data["isPerfect"], data["isComplete"]) == (True, True, False)
+        code, out, _ = run(capsys, "group", "symmetric:3", "--flags")
+        assert code == 0 and "isComplete: true" in out.splitlines()
 
     def test_bad_spec_exit_two(self, capsys):
         code, _, err = run(capsys, "group", "frobnitz:5")
@@ -160,6 +176,12 @@ class TestOtherCommands:
         code, out, _ = run(capsys, "galois", "cyclic:3", "symmetric:3")
         assert code == 0 and "order: 3" in out and "structure: C3" in out
 
+    def test_galois_of_a_generator_image_file(self, capsys, tmp_path):
+        f = tmp_path / "hom.txt"
+        f.write_text("2\n")
+        code, out, _ = run(capsys, "galois", "cyclic:2", "cyclic:4", "--hom", str(f))
+        assert code == 0 and {"order: 2", "structure: C2"} <= set(out.splitlines())
+
     def test_socle(self, capsys):
         code, out, _ = run(capsys, "socle", "symmetric:3", "--class", "cyclic:3")
         assert code == 0 and "socle-order: 3" in out
@@ -174,6 +196,18 @@ class TestOtherCommands:
         code, out, _ = run(capsys, "orthogonal", "cyclic:4", "cyclic:2",
                            "--hom", str(f), "--class", "cyclic:2")
         assert code == 0 and "orthogonal: true" in out
+
+    @pytest.mark.parametrize("target,hom,cls,status", [
+        ("cyclic:4", "0 2", "cyclic:4", 1),
+        ("cyclic:2", "0 1", "cyclic:2", 0),
+    ])
+    def test_orthogonal_assert(self, capsys, tmp_path, target, hom, cls, status):
+        f = tmp_path / "hom.txt"
+        f.write_text(hom + "\n")
+        code, out, _ = run(capsys, "orthogonal", "cyclic:2", target, "--hom", str(f),
+                           "--class", cls, "--assert")
+        assert code == status
+        assert ("assert-failed: orthogonal" in out.splitlines()) == (status == 1)
 
     def test_simple_criterion(self, capsys):
         code, out, _ = run(capsys, "--format", "json", "simple-criterion",
@@ -347,3 +381,17 @@ class TestRemovedOptions:
         with pytest.raises(SystemExit) as exc:
             main(["--jobs", "8", "verify", "--suite", "galois", "--max-order", "4"])
         assert exc.value.code == 2
+
+
+def test_reader_closing_the_pipe_early_ends_with_status_141():
+    """165 KB of JSON into a reader that takes one line: exit 128 + SIGPIPE, no traceback."""
+    spec = "product:cyclic:2,cyclic:2,cyclic:4"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.Popen([sys.executable, "-m", "grouper.cli", "--format", "json", "homs", spec, spec],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""

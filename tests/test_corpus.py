@@ -24,8 +24,9 @@ from grouper.corpus import (
     run_theorem_suite,
     search_approximations,
 )
-from grouper import approx, homs
+from grouper import approx, corpus as corpus_module, homs
 from grouper.approx import classify_hom, galois_group
+from grouper.cli import main
 from grouper.groups import GroupHom, are_isomorphic, standard_group
 from grouper.homs import _gen_array, enumerate_homs, key_groups
 
@@ -222,6 +223,57 @@ class TestSuites:
     def test_timings_separate_from_payload(self):
         report = run_theorem_suite(generate_corpus(4), "galois")
         assert "timings" not in report.to_dict()
+
+
+class TestBudgetSkips:
+    """Under a budget of 1 000 candidates, 5 pairs of the order-12 corpus and some class members
+    of the socle and radical workers are skipped."""
+
+    BUDGET = 1_000
+
+    @pytest.fixture
+    def corpus(self, monkeypatch):
+        monkeypatch.setattr(corpus_module, "PAIR_BUDGET", self.BUDGET)
+        return generate_corpus(12)
+
+    def over(self, X, Y) -> bool:
+        """Whether the candidate space of Hom(X, Y) exceeds the budget."""
+        return Y.order ** len(_gen_array(X)) > self.BUDGET
+
+    def test_skipped_pairs_are_those_over_budget(self, corpus):
+        report = run_theorem_suite(corpus, "socle-cover")
+        want = [f"{H.name}->{G.name}" for H in corpus for G in corpus if self.over(H, G)]
+        assert len(want) == 5
+        assert want == [f"{H.name}->{G.name}" for H in corpus for G in corpus if not _budget_ok(H, G)]
+        assert report.skipped == [{"pair": pair, "reason": "candidate-budget"} for pair in want]
+        assert report.pairs_examined == len(corpus) ** 2 - 5
+        assert report.homs_classified == 3084
+
+    def test_verify_prints_one_skip_line_per_pair(self, corpus, capsys):
+        assert main(["verify", "--suite", "socle-cover", "--max-order", "12"]) == 0
+        skips = [line for line in capsys.readouterr().out.splitlines() if line.startswith("skip: ")]
+        assert skips == [f"skip: {H.name}->{G.name} (candidate-budget)"
+                         for H in corpus for G in corpus if self.over(H, G)]
+
+    def test_class_workers_count_reps_times_members_within_budget(self, corpus):
+        socle = corpus_module._make_socle_worker(corpus)
+        radical = corpus_module._make_radical_worker(corpus)
+        short = set()  # the workers that skip some class member of a budgeted pair
+        for H in corpus:
+            for G in corpus:
+                if self.over(H, G):
+                    continue
+                rows = enumerate_homs(H, G).matrix.tolist()
+                images = {frozenset(r) for r in rows if r.count(G.identity) == 1}
+                kernels = {frozenset(i for i, x in enumerate(r) if x == G.identity)
+                           for r in rows if len(set(r)) == G.order}
+                members = sum(not self.over(F, G) and not self.over(F, H) for F in corpus)
+                assert socle(H, G)[0] == len(images) * members, (H.name, G.name)
+                short |= {"socle"} if members < len(corpus) else set()
+                members = sum(not self.over(G, F) and not self.over(H, F) for F in corpus)
+                assert radical(H, G)[0] == len(kernels) * members, (H.name, G.name)
+                short |= {"radical"} if members < len(corpus) else set()
+        assert short == {"socle", "radical"}
 
 
 class TestMemoLifetime:
