@@ -10,7 +10,7 @@ nine kinds:
 
 - hom-sets: each budgeted `enumerate_homs(H, G)`, its `matrix` and `keys`;
 - aut-groups: each `automorphism_group(G)`, its `perms`, `end_rows`,
-  `identity`, `generators`, `element_orders` and `inner_order`;
+  `identity` and `inner_order`;
 - verdicts: each array of each budgeted `classify_pair(H, G)`, with every
   source's targets classified in one run, as the suites do;
 - absolute: for each hom of each budgeted pair, `classify_hom(...).to_dict()`:
@@ -100,8 +100,7 @@ def digest(max_order: int) -> dict:
     out = {kind: [] for kind in KINDS}
     for G in corpus:
         aut = automorphism_group(G)
-        out["aut-groups"].append([G.name, _hash(aut.perms, aut.end_rows, aut.identity, aut.generators,
-                                                aut.element_orders, aut.inner_order)])
+        out["aut-groups"].append([G.name, _hash(aut.perms, aut.end_rows, aut.identity, aut.inner_order)])
     for H in corpus:
         targets = [G for G in corpus if _budget_ok(H, G)]
         if targets:

@@ -127,65 +127,53 @@ def _normalize_perms(gens: Iterable[Sequence[int]]):
 
 
 def _element_orders(table: np.ndarray, identity: int) -> np.ndarray:
-    """Order of every element of the group with Cayley table ``table``."""
-    return _power_orders(np.arange(len(table))[:, None], identity, lambda todo, power: table[power, todo[:, None]])
-
-
-def _power_orders(power: np.ndarray, one, step) -> np.ndarray:
-    """Order of each element x: the least k with row x of its k-th powers equal to ``one``.
-
-    Row x of ``power`` stands for x, and ``step(todo, power)`` gives the rows
-    of x p for the elements x of ``todo`` and the rows of their powers p.
-    """
-    n = len(power)
+    """Order of every element of the group with Cayley table ``table``: the least k with
+    x^k the identity, powering only the elements whose order is not yet known."""
+    n = len(table)
     orders = np.zeros(n, dtype=np.int32)
-    todo = np.arange(n)
+    todo = power = np.arange(n)
     k = 1
     while todo.size:
         if k > n:
             raise ValueError("element order exceeds group order")
-        done = (power == one).all(axis=1)
+        done = power == identity
         orders[todo[done]] = k
         todo, power = todo[~done], power[~done]
-        power = step(todo, power)
+        power = table[power, todo]
         k += 1
     return orders
 
 
-def _close(reached: np.ndarray, step) -> np.ndarray:
-    """Close the element mask ``reached`` in place: level by level, add the elements
-    ``step(frontier)`` reached in one step from the newly reached ``frontier``."""
+def _table_close(table: np.ndarray, reached: np.ndarray, gens) -> np.ndarray:
+    """Close the element mask ``reached`` in place under right multiplication by ``gens``.
+
+    Products are taken level by level from the newly reached elements.  The
+    repeated squares g^2, g^4, ... of the generators lie in the monoid they
+    span, so multiplying by them as well reaches the same set, in about
+    log2 |G| levels rather than up to |G| (a cyclic group's diameter).
+    """
+    steps = [np.asarray(gens, dtype=np.intp)]
+    for _ in range(len(table).bit_length() - 1):
+        steps.append(table[steps[-1], steps[-1]])
+    cols = table[:, np.concatenate(steps)]
     new = reached
     while True:
         frontier = new.nonzero()[0]
         if not frontier.size:
             return reached
         hit = np.zeros(len(reached), dtype=bool)
-        hit[step(frontier)] = True
+        hit[cols[frontier]] = True
         new = hit > reached
         reached |= new
 
 
-def _table_close(table: np.ndarray, reached: np.ndarray, gens) -> np.ndarray:
-    """Close the element mask ``reached`` in place under right multiplication by ``gens``.
-
-    The repeated squares g^2, g^4, ... of the generators lie in the monoid
-    they span, so multiplying by them as well reaches the same set, in about
-    log2 |G| levels rather than up to |G| (a cyclic group's diameter).
-    """
-    steps = [np.asarray(gens, dtype=np.intp)]
-    for _ in range(len(table).bit_length() - 1):
-        steps.append(table[steps[-1], steps[-1]])
-    return _close(reached, table[:, np.concatenate(steps)].__getitem__)
-
-
-def _adjoin(close, reached: np.ndarray, gens: list, candidates) -> list:
-    """Extend ``gens``, which generate the subgroup ``reached``, from ``candidates``.
+def _adjoin(table: np.ndarray, reached: np.ndarray, gens: list, candidates) -> list:
+    """Extend ``gens``, which generate the subgroup ``reached`` of the group with Cayley
+    table ``table``, from ``candidates``.
 
     Each pick is the first candidate outside the subgroup generated so far,
-    after which ``close(reached, gens)`` closes ``reached`` again in place
-    (``_table_close`` or ``AutGroup._close``, each a step of ``_close``); in
-    the end every candidate lies in it.  Each pick at least doubles the subgroup, so at
+    after which ``_table_close`` closes ``reached`` again in place; in the
+    end every candidate lies in it.  Each pick at least doubles the subgroup, so at
     most log2 |G| elements are added.  Returns ``gens``, extended in place.
     """
     candidates = np.asarray(candidates)
@@ -194,7 +182,7 @@ def _adjoin(close, reached: np.ndarray, gens: list, candidates) -> list:
         if not candidates.size:
             return gens
         gens.append(int(candidates[0]))
-        close(reached, gens)
+        _table_close(table, reached, gens)
 
 
 def lex_rows(axes, lo: int, hi: int) -> np.ndarray:
@@ -339,7 +327,7 @@ class FiniteGroup:
             raise IndexError(f"element index {bad[0]} out of range")
         reached = np.zeros(self.order, dtype=bool)
         reached[self.identity] = True
-        return reached, _adjoin(functools.partial(_table_close, self.table), reached, [], seed)
+        return reached, _adjoin(self.table, reached, [], seed)
 
     def renamed(self, name: str) -> "FiniteGroup":
         """A copy under another name; ``self`` (possibly a shared, cached group) is untouched."""
@@ -569,16 +557,16 @@ def generating_set_of_table(table: np.ndarray, identity: int) -> list:
 
     Ties go to the least index.
     """
-    return _greedy_generators(functools.partial(_table_close, table), identity, _element_orders(table, identity))
+    return _greedy_generators(table, identity, _element_orders(table, identity))
 
 
-def _greedy_generators(close, identity: int, orders: np.ndarray) -> list:
-    """``generating_set_of_table`` given the element orders and the ``_adjoin`` closure."""
+def _greedy_generators(table: np.ndarray, identity: int, orders: np.ndarray) -> list:
+    """``generating_set_of_table`` given the element orders ``orders``."""
     reached = np.zeros(len(orders), dtype=bool)
     reached[identity] = True
     # sorted() is stable; np.argsort would map numpy's sort kernels, a few hundred kB of RSS
     by_order = sorted(range(len(orders)), key=(-orders).tolist().__getitem__)
-    gens = _adjoin(close, reached, [], by_order)
+    gens = _adjoin(table, reached, [], by_order)
     return gens or [identity]
 
 
@@ -733,7 +721,7 @@ def subgroup_generated(G: FiniteGroup, seed: Iterable[int], normal: bool = False
             conj = t[t[g, gens], G.inverses[g]].ravel()
             if reached[conj].all():
                 break
-            _adjoin(functools.partial(_table_close, t), reached, gens, conj)
+            _adjoin(t, reached, gens, conj)
     return Subgroup(G, np.flatnonzero(reached))
 
 

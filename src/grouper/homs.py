@@ -40,8 +40,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import EnumerationCapError
-from .groups import (FiniteGroup, GroupHom, _close, _greedy_generators, _power_orders, _table_close, center,
-                     generating_set_of_table, lex_rows)
+from .groups import FiniteGroup, GroupHom, _greedy_generators, center, generating_set_of_table, lex_rows
 
 EXHAUSTIVE_CAP = 512
 CANDIDATE_CAP = 200_000_000
@@ -53,8 +52,7 @@ def _gen_array(G: FiniteGroup) -> np.ndarray:
     """The greedy ``generating_set_of_table`` of G as a read-only index array, memoized on G."""
 
     def compute():
-        close = functools.partial(_table_close, G.table)
-        gens = np.array(_greedy_generators(close, G.identity, G.element_orders), dtype=np.intp)
+        gens = np.array(_greedy_generators(G.table, G.identity, G.element_orders), dtype=np.intp)
         gens.setflags(write=False)
         return gens
 
@@ -263,26 +261,6 @@ class HomSet:
         return injective[key_groups(np.sort(self.matrix[injective], axis=1))[0]]
 
 
-def orbit_labels(hom_set, aut_g, aut_h) -> np.ndarray:
-    """Each hom's least orbit-mate under phi -> a.phi.b, for a in Aut(G) and b in Aut(H).
-
-    One ``locate`` per Aut generator gives its move on the homs; the least
-    label spreads along the moves, with pointer jumping, to a fixed point
-    (Holt, Eick & O'Brien, *Handbook of Computational Group Theory*, 4.1).
-    """
-    gens = hom_set.gens
-    gen_images = hom_set.matrix[:, gens]
-    moves = [hom_set.locate(aut_g.perms[a][gen_images]) for a in aut_g.generators]
-    moves += [hom_set.locate(hom_set.matrix[:, aut_h.perms[b][gens]]) for b in aut_h.generators]
-    labels, prev = np.arange(len(hom_set)), None
-    while prev is None or (labels != prev).any():
-        prev = labels
-        for move in moves:
-            labels = np.minimum(labels, labels[move])
-        labels = labels[labels]
-    return labels
-
-
 class _Walk:
     """The candidate spaces of homs H -> G_t, for the targets G_0, ..., G_m-1, walked as one.
 
@@ -479,13 +457,10 @@ class AutGroup:
     Aut indices re-index the End rows with a trivial kernel, which
     ``end_mask`` marks: automorphism a is End row ``end_rows[a]``, and
     ``perms`` row a is a copy of its image array.  ``locate`` finds
-    automorphisms through ``ends.locate``.  No table over Aut is built: a
-    product a.b is located when it is needed.
-    ``element_orders`` come from powering the automorphisms on the
-    generators of G; ``generators`` is the greedy generating set, picked as
-    ``generating_set_of_table`` picks (the highest order first, ties to the
-    lowest index); ``inner_order`` is the number of inner automorphisms,
-    |G| / |Z(G)|.
+    automorphisms through ``ends.locate``.  No table over Aut is built and
+    no generating set is picked: a product a.b is located when it is
+    needed, and orbits are read from all of ``perms``.  ``inner_order`` is
+    the number of inner automorphisms, checked against |G| / |Z(G)|.
     """
 
     def __init__(self, ends: HomSet):
@@ -497,8 +472,6 @@ class AutGroup:
         self._aut_of_end[self.end_rows] = np.arange(len(self.end_rows))
         self.perms = ends.matrix[self.end_rows]
         self.identity = self.index_of(np.arange(base.order))
-        self.element_orders = self._element_orders()
-        self.generators = _greedy_generators(self._close, self.identity, self.element_orders)
         # conjugation by g sends generator x to g x g^-1; every one must be a row
         t, g = base.table, np.arange(base.order)[:, None]
         inner = np.zeros(self.order, dtype=bool)
@@ -524,17 +497,6 @@ class AutGroup:
         if a < 0:
             raise KeyError("an endomorphism that is not an automorphism")
         return a
-
-    def _element_orders(self) -> np.ndarray:
-        """Order of each automorphism: the least k with a^k fixing the generators of G."""
-        gens = self.ends.gens
-        return _power_orders(self.perms[:, gens], gens, lambda todo, power: self.perms[todo[:, None], power])
-
-    def _close(self, reached: np.ndarray, gens: list) -> np.ndarray:
-        """Close the mask ``reached`` over Aut indices in place under right composition with
-        ``gens``: each x.g is located from its images of the generators of G."""
-        cols = self.perms[:, self.ends.gens][gens]  # row j: generator j on the generators of G
-        return _close(reached, lambda frontier: self.locate(self.perms[frontier][:, cols]))
 
     def hom(self, a: int) -> GroupHom:
         return GroupHom(self.base, self.base, self.perms[a], check=False)

@@ -11,11 +11,10 @@ centralizer of the image:
 The criterion report carries both the prediction and, when feasible, a
 direct cross-check against the exhaustive classification.
 
-The copies of H in G are the images of the injective homs H -> G, and
-their Aut(G)-orbits are orbits of homs under psi -> a.psi.b, for a in
-Aut(G) and b in Aut(H): a(Im psi) = Im(a.psi.b), and if a(Im phi) = Im psi
-then b = psi^-1.a.phi is an automorphism of H with a.phi = psi.b.  So
-condition 2 reads the hom-set orbits of ``homs.orbit_labels``.
+The copies of H in G are the images of the injective homs H -> G.  The
+Aut(G)-orbit of a copy K is {a(K) : a in Aut(G)}, read directly from all
+of ``AutGroup.perms``: condition 2 needs no generating set of Aut(G) or
+Aut(H).
 """
 
 from __future__ import annotations
@@ -25,6 +24,7 @@ from typing import Optional
 
 import numpy as np
 
+from .approx import classify_hom, image_masks
 from .commutators import commutator
 from .errors import NonInjectiveInput
 from .groups import (
@@ -36,7 +36,7 @@ from .groups import (
     describe_structure,
     subgroup_generated,
 )
-from .homs import automorphism_group, enumerate_homs, orbit_labels
+from .homs import automorphism_group, enumerate_homs, key_groups
 
 
 def is_simple(G: FiniteGroup) -> bool:
@@ -161,16 +161,27 @@ def _automorphisms_extend(phi: GroupHom) -> tuple:
 def _copies_single_orbit(phi: GroupHom) -> tuple:
     """(single_orbit, copy_count, orbit_count, witness_copy or None).
 
-    Each copy is taken as its first injective hom, and copies are in one
-    Aut(G)-orbit exactly when those homs share an ``orbit_labels`` label.
+    The copies are the images of ``injective_per_image``, in byte order, and
+    phi's image is labelled with them as one more row.  Each pass takes the
+    least row not yet labelled, moves it by every automorphism of G, and
+    labels every row whose packed member mask is among the moved masks: one
+    pass per orbit.  The witness is the first copy outside phi's orbit.
     """
     H, G = phi.source, phi.target
     homs = enumerate_homs(H, G)
-    labels = orbit_labels(homs, automorphism_group(G), automorphism_group(H))
-    copies = homs.injective_per_image()
-    outside = copies[labels[copies] != labels[homs.index_of(phi.images)]]
-    witness = np.sort(homs.matrix[outside[0]]).tolist() if outside.size else None
-    return not outside.size, len(copies), len(set(labels[copies].tolist())), witness
+    rows = np.concatenate([homs.matrix[homs.injective_per_image()], phi.images[None, :]])
+    perms = automorphism_group(G).perms
+    masks = image_masks(rows, G.order)
+    labels = np.full(len(rows), -1)
+    orbits = 0
+    while (labels < 0).any():
+        moved = image_masks(perms[:, rows[np.flatnonzero(labels < 0)[0]]], G.order)
+        ids = key_groups(np.concatenate([masks, moved]))[1]
+        labels[np.isin(ids[:len(rows)], ids[len(rows):])] = orbits
+        orbits += 1
+    outside = np.flatnonzero(labels[:-1] != labels[-1])
+    witness = np.sort(rows[outside[0]]).tolist() if outside.size else None
+    return not outside.size, len(rows) - 1, orbits, witness
 
 
 def simple_envelope_criterion(phi: GroupHom, cross_check: bool = True) -> CriterionReport:
@@ -203,8 +214,6 @@ def simple_envelope_criterion(phi: GroupHom, cross_check: bool = True) -> Criter
         n_copies, n_orbits, pred_order, pred_struct, witnesses=witnesses,
     )
     if cross_check:
-        from .approx import classify_hom
-
         cr = classify_hom(phi)
         report.direct_is_envelope = cr.flags["isEnvelope"]
         report.direct_is_localization = cr.flags["isLocalization"]

@@ -94,29 +94,6 @@ def oracle_aut_orders(aut) -> list:
     return orders
 
 
-def oracle_greedy_generators(aut) -> list:
-    """Oracle: the greedy generating set of Aut(G), with the subgroup generated so far closed
-    as a Python set in ``oracle_aut_table``: each pick is the first automorphism outside it,
-    the highest order first and the lowest index on ties."""
-    table = oracle_aut_table(aut)
-    orders = oracle_aut_orders(aut)
-    ident = index_of_row(aut.perms, np.arange(aut.base.order))
-    members, gens = {ident}, []
-    for a in sorted(range(len(orders)), key=lambda a: (-orders[a], a)):
-        if a in members:
-            continue
-        gens.append(a)
-        queue = [ident]
-        members = {ident}
-        for x in queue:
-            for g in gens:
-                y = int(table[x, g])
-                if y not in members:
-                    members.add(y)
-                    queue.append(y)
-    return gens or [ident]
-
-
 def oracle_inner_members(aut) -> set:
     """Oracle: the Aut indices of the conjugations x -> g x g^-1, one full image array per g."""
     G = aut.base

@@ -1,10 +1,10 @@
 """Aut(G) as a permutation group on G, against the brute-force table of ``conftest``.
 
 ``AutGroup`` keeps only the image arrays of the automorphisms and builds no
-table over Aut.  Its greedy generators, element orders and inner count, and
-the closure of every Galois and co-Galois group, are checked here against
-``oracle_aut_table``, which composes those image arrays in full.  Each
-check also runs on relabelled copies of the groups.
+table over Aut.  Its inner count and the closure of every Galois and
+co-Galois group are checked here against ``oracle_aut_table``, which
+composes those image arrays in full.  Each check also runs on relabelled
+copies of the groups.
 """
 
 import os
@@ -19,13 +19,12 @@ from conftest import (
     index_of_row,
     oracle_aut_orders,
     oracle_aut_table,
-    oracle_greedy_generators,
     oracle_inner_members,
     relabelled,
 )
 from grouper.approx import classify_hom, galois_group
 from grouper.corpus import generate_corpus
-from grouper.groups import _element_orders, generating_set_of_table, standard_group
+from grouper.groups import standard_group
 from grouper.homs import AutSubgroup, automorphism_group, end_set, enumerate_homs
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -52,14 +51,9 @@ def assert_closed_subgroup(sub: AutSubgroup):
 
 
 class TestGenerators:
-    def test_greedy_generators_and_orders_match_oracle_table(self):
+    def test_inner_order_matches_oracle(self):
         for X in with_relabelled(GROUPS, 11):
             aut = automorphism_group(X)
-            table = oracle_aut_table(aut)
-            assert aut.generators == generating_set_of_table(table, aut.identity), X.name
-            assert (aut.element_orders == _element_orders(table, aut.identity)).all(), X.name
-            assert aut.generators == oracle_greedy_generators(aut), X.name
-            assert aut.element_orders.tolist() == oracle_aut_orders(aut), X.name
             assert aut.inner_order == len(oracle_inner_members(aut)), X.name
 
     def test_gl_3_3(self):
@@ -94,7 +88,7 @@ class TestGaloisClosure:
 
     def test_as_group_rejects_a_subset_not_closed(self):
         aut = automorphism_group(standard_group("symmetric:3"))
-        a = int(np.flatnonzero(aut.element_orders == 3)[0])
+        a = oracle_aut_orders(aut).index(3)
         sub = AutSubgroup(aut, sorted({aut.identity, a}))
         assert sub.contains(a) and not sub.contains(int(oracle_aut_table(aut)[a, a]))
         with pytest.raises(ValueError, match="not closed"):

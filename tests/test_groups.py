@@ -379,7 +379,6 @@ class TestGeneratingSets:
 
     def test_pinned_aut_a6(self):
         aut = automorphism_group(standard_group("alternating:6"))
-        assert aut.generators == [2, 67, 23]
         assert generating_set_of_table(oracle_aut_table(aut), aut.identity) == [2, 67, 23]
 
     def test_trivial_group(self):

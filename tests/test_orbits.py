@@ -23,7 +23,7 @@ from test_properties import group_names
 from grouper.approx import classify_hom
 from grouper.corpus import _budget_ok, classify_pair, classify_source, generate_corpus
 from grouper.groups import GroupHom, standard_group
-from grouper.homs import automorphism_group, enumerate_homs, orbit_labels
+from grouper.homs import automorphism_group, enumerate_homs
 
 FIELDS = ("matrix", "is_envelope", "is_localization", "is_cover", "is_cellular",
           "is_preenvelope", "is_precover", "galois_orders", "co_galois_orders")
@@ -148,46 +148,3 @@ class TestInvariance:
                 for name in FIELDS[1:]:
                     arr = getattr(v, name)
                     assert (arr[idx] == arr).all(), (H.name, G.name, name)
-
-
-class TestOrbitLabels:
-    def test_end_of_elementary_abelian_eight_has_one_orbit_per_rank(self):
-        G = standard_group("product:cyclic:2,cyclic:2,cyclic:2")
-        hom_set, aut = enumerate_homs(G, G), automorphism_group(G)
-        assert aut.order == 168  # GL(3, 2)
-        labels = orbit_labels(hom_set, aut, aut)
-        reps, sizes = np.unique(labels, return_counts=True)
-        image_sizes = [len(np.unique(row)) for row in hom_set.matrix[reps]]
-        # rank r: image of order 2^r; orbits of 1, 49, 294 and 168 matrices over F2
-        assert sorted(zip(image_sizes, sizes.tolist())) == [(1, 1), (2, 49), (4, 294), (8, 168)]
-
-    @pytest.mark.parametrize("src,tgt", [
-        ("product:cyclic:2,cyclic:2,cyclic:2", "product:cyclic:2,cyclic:2,cyclic:2"),
-        ("dihedral:8", "symmetric:4"),
-        ("product:cyclic:2,cyclic:4", "dihedral:8"),
-        ("quaternion8", "product:cyclic:2,cyclic:2"),
-    ])
-    def test_labels_are_least_members_and_fixed_by_every_move(self, src, tgt):
-        H, G = standard_group(src), standard_group(tgt)
-        hom_set = enumerate_homs(H, G)
-        aut_g, aut_h = automorphism_group(G), automorphism_group(H)
-        labels = orbit_labels(hom_set, aut_g, aut_h)
-        ident_g, ident_h = np.arange(G.order), np.arange(H.order)
-        moves = [moved(hom_set, aut_g.perms[a], ident_h) for a in aut_g.generators]
-        moves += [moved(hom_set, ident_g, aut_h.perms[b]) for b in aut_h.generators]
-        for move in moves:
-            assert (labels[move] == labels).all()
-        for label in np.unique(labels):
-            assert np.flatnonzero(labels == label)[0] == label
-        # no two labels share an orbit: the orbit of each least member, by brute force
-        for label in np.unique(labels).tolist():
-            orbit = {label}
-            frontier = [label]
-            while frontier:
-                i = frontier.pop()
-                for move in moves:
-                    j = int(move[i])
-                    if j not in orbit:
-                        orbit.add(j)
-                        frontier.append(j)
-            assert set(np.flatnonzero(labels == label).tolist()) == orbit

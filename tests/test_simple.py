@@ -142,6 +142,28 @@ def test_copy_orbits_match_oracle():
     assert cases > 100 and several > 0
 
 
+@pytest.mark.parametrize("src,tgt,single,copies,orbits", [
+    # GL(3, 2) is transitive on the 7 nonzero vectors of F2^3
+    ("cyclic:2", "product:cyclic:2,cyclic:2,cyclic:2", True, 7, 1),
+    # the central involution of D8, and the 4 reflections, whose 2 classes an outer automorphism swaps
+    ("cyclic:2", "dihedral:8", False, 5, 2),
+    # (0, 2) is the only involution that is a square; (1, 0) and (1, 2) are swapped
+    ("cyclic:2", "product:cyclic:2,cyclic:4", False, 3, 2),
+    # Aut(S4) = S4: 6 transpositions and 3 double transpositions
+    ("cyclic:2", "symmetric:4", False, 9, 2),
+    # the normal Klein subgroup of S4, and its 3 conjugate non-normal Klein subgroups
+    ("product:cyclic:2,cyclic:2", "symmetric:4", False, 4, 2),
+    # A6 has 2 classes of 6 subgroups A5, swapped by an outer automorphism
+    ("alternating:5", "alternating:6", True, 12, 1),
+])
+def test_copy_orbits_known_answers(src, tgt, single, copies, orbits):
+    """Copy and Aut(G)-orbit counts from the group theory; the orbits of D8 and A6 need the
+    outer automorphisms, under the inner ones alone they would number 3 and 2."""
+    d = simple_envelope_criterion(first_embedding(standard_group(src), standard_group(tgt)),
+                                  cross_check=False).to_dict()
+    assert (d["copiesConjugateUnderAut"], d["copyCount"], d["orbitCount"]) == (single, copies, orbits)
+
+
 def cold_loads(code: str, module: str) -> bool:
     """Whether a fresh interpreter that runs `code` against this checkout's grouper has
     imported `module` by the end."""
